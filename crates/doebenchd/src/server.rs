@@ -24,6 +24,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 use doe_report::json::Json;
 use doe_report::Format;
@@ -34,6 +35,11 @@ use crate::service::{QueryService, ServeMeta};
 
 /// The default TCP port.
 pub const DEFAULT_PORT: u16 = 7733;
+
+/// How long a connection may stall — sending its request, or taking the
+/// reply — before the daemon gives up on it. Without a bound, a client
+/// that connects and never sends pins its connection thread forever.
+pub const CONN_TIMEOUT: Duration = Duration::from_secs(5);
 
 struct ServerState {
     service: QueryService,
@@ -116,6 +122,11 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
 }
 
 fn handle_connection(mut stream: TcpStream, state: Arc<ServerState>) {
+    // A stalled read or write then fails with a timeout error: the read
+    // side answers 400 below, and either way the thread returns and the
+    // socket closes. Setting a nonzero timeout cannot fail.
+    let _ = stream.set_read_timeout(Some(CONN_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(CONN_TIMEOUT));
     let (response, shutdown) = match read_request(&mut stream) {
         Ok(req) => {
             let shutdown = req.method == "POST" && req.path == "/shutdown";

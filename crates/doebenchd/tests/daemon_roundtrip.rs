@@ -5,9 +5,12 @@
 //! cell count — every cell computed exactly once, no matter how the
 //! threads raced — and every body must be byte-identical.
 
+use std::io::Read as _;
+use std::net::TcpStream;
 use std::thread;
 
 use doebenchd::client;
+use doebenchd::server::CONN_TIMEOUT;
 use doebenchd::Server;
 
 fn start() -> (Server, String) {
@@ -157,6 +160,27 @@ fn table_shortcut_and_sweep() {
     let sweep = client::query_shorthand(&addr, "sweep Eagle Theta", "csv").unwrap();
     assert_eq!(sweep.status, 200);
     assert!(sweep.text().contains("Eagle On-Socket"));
+    server.stop();
+}
+
+#[test]
+fn idle_connection_is_closed_and_the_daemon_keeps_answering() {
+    let (mut server, addr) = start();
+    let before = client::query_shorthand(&addr, "table4 Eagle", "json").unwrap();
+    assert_eq!(before.status, 200);
+
+    // Connect and never send: the daemon must give up on the connection
+    // by itself. The client-side bound only keeps a regression from
+    // hanging the test.
+    let mut idle = TcpStream::connect(&addr).unwrap();
+    idle.set_read_timeout(Some(CONN_TIMEOUT * 6)).unwrap();
+    let mut reply = Vec::new();
+    idle.read_to_end(&mut reply)
+        .expect("the daemon closes an idle connection");
+
+    let after = client::query_shorthand(&addr, "table4 Eagle", "json").unwrap();
+    assert_eq!(after.status, 200);
+    assert_eq!(after.body, before.body, "same query, same bytes");
     server.stop();
 }
 

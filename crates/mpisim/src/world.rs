@@ -169,6 +169,29 @@ impl MpiChecks {
     }
 }
 
+/// Raw rank clocks and port horizons at one ping-pong round-trip boundary:
+/// the scratch [`MpiSim::pingpong`] compares consecutive boundaries with.
+#[derive(Debug, Default)]
+struct Boundary {
+    clocks: Vec<SimTime>,
+    ports: Vec<SimTime>,
+}
+
+impl Boundary {
+    /// Overwrite with the world's state (allocation-free once sized).
+    fn record(&mut self, clocks: &[SimTime], ports: &[Port]) {
+        self.clocks.clear();
+        self.clocks.extend_from_slice(clocks);
+        self.ports.clear();
+        self.ports.extend(ports.iter().map(|p| p.busy_until));
+    }
+}
+
+/// The earliest rank clock: no later operation starts before it.
+fn min_clock(clocks: &[SimTime]) -> SimTime {
+    clocks.iter().copied().min().unwrap_or(SimTime::ZERO)
+}
+
 /// A simulated intra-node MPI world.
 #[derive(Debug)]
 pub struct MpiSim {
@@ -214,6 +237,9 @@ pub struct MpiSim {
     /// Sanitizer state, present only under `--check`. Passive: it never
     /// touches clocks, ports, or the RNG, so checked runs are bit-identical.
     checks: Option<Box<MpiChecks>>,
+    /// The previous round-trip boundary of [`Self::pingpong`], kept across
+    /// calls for its buffers.
+    boundary: Boundary,
 }
 
 impl MpiSim {
@@ -275,6 +301,7 @@ impl MpiSim {
             routes: RouteCostCache::new(),
             run_factor,
             checks,
+            boundary: Boundary::default(),
         })
     }
 
@@ -630,6 +657,85 @@ impl MpiSim {
         self.clocks[at.0] = done;
         Ok(done)
     }
+
+    /// `iters` blocking ping-pong round trips: `a` sends `bytes` to `b`,
+    /// `b` receives and sends them back, `a` receives — the `osu_latency`
+    /// inner loop. Returns the time that passed on `a`'s clock.
+    ///
+    /// The result and the world it leaves are bit-identical to `iters`
+    /// explicit `send`/`recv` round trips. Costs are drawn once per world
+    /// and every step is a `max` or a `+` of integer picoseconds, so once
+    /// two consecutive round-trip boundaries are equal up to a shift `Δ`
+    /// (clocks taken relative to the earliest one, port horizons clamped
+    /// up to it), each later round trip repeats the last one `Δ` later and
+    /// the remaining `k` become one shift by `k·Δ` (DESIGN.md §3).
+    ///
+    /// The shortcut needs a quiescent world (no pending messages) and no
+    /// sanitizer: under `--check` every round trip runs op by op, so the
+    /// vector clocks see every send and receive.
+    // doebench::hot
+    pub fn pingpong(
+        &mut self,
+        a: Rank,
+        b: Rank,
+        bytes: u64,
+        iters: u32,
+    ) -> Result<SimDuration, MpiError> {
+        let t0 = self.time(a)?;
+        let fast = self.checks.is_none() && self.mailboxes.iter().all(VecDeque::is_empty);
+        if fast {
+            self.boundary.record(&self.clocks, &self.ports);
+        }
+        for done in 1..=iters {
+            self.send(a, b, bytes)?;
+            self.recv(b, a, bytes)?;
+            self.send(b, a, bytes)?;
+            self.recv(a, b, bytes)?;
+            if !fast {
+                continue;
+            }
+            if let Some(delta) = self.steady_shift() {
+                self.fast_forward(delta * u64::from(iters - done));
+                break;
+            }
+            self.boundary.record(&self.clocks, &self.ports);
+        }
+        Ok(self.time(a)?.since(t0))
+    }
+
+    /// `Some(Δ)` when the world is the recorded boundary shifted by `Δ`,
+    /// both taken relative to their earliest clock with port horizons
+    /// clamped up to it.
+    fn steady_shift(&self) -> Option<SimDuration> {
+        let prev = &self.boundary;
+        let (m0, m1) = (min_clock(&prev.clocks), min_clock(&self.clocks));
+        let clocks_match = prev
+            .clocks
+            .iter()
+            .zip(&self.clocks)
+            .all(|(&c0, &c1)| c0.since(m0) == c1.since(m1));
+        let ports_match = prev
+            .ports
+            .iter()
+            .zip(&self.ports)
+            .all(|(&p0, p1)| p0.max(m0).since(m0) == p1.busy_until.max(m1).since(m1));
+        (clocks_match && ports_match).then(|| m1.since(m0))
+    }
+
+    /// Move every clock, and every port that moved since the recorded
+    /// boundary, `shift` later. A round trip occupies the same ports every
+    /// time and an occupy always moves its port forward, so the ports that
+    /// moved are exactly the ones the skipped round trips would have moved.
+    fn fast_forward(&mut self, shift: SimDuration) {
+        for c in &mut self.clocks {
+            *c += shift;
+        }
+        for (p, &before) in self.ports.iter_mut().zip(&self.boundary.ports) {
+            if p.busy_until != before {
+                p.busy_until += shift;
+            }
+        }
+    }
 }
 
 impl Drop for MpiSim {
@@ -687,14 +793,7 @@ mod tests {
 
     fn pingpong_oneway_us(world: &mut MpiSim, a: Rank, b: Rank, bytes: u64, iters: u32) -> f64 {
         world.barrier();
-        let t0 = world.time(a).unwrap();
-        for _ in 0..iters {
-            world.send(a, b, bytes).unwrap();
-            world.recv(b, a, bytes).unwrap();
-            world.send(b, a, bytes).unwrap();
-            world.recv(a, b, bytes).unwrap();
-        }
-        let dt = world.time(a).unwrap().since(t0);
+        let dt = world.pingpong(a, b, bytes, iters).unwrap();
         dt.as_us() / (2.0 * iters as f64)
     }
 
@@ -879,6 +978,23 @@ mod tests {
             lat
         };
         assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn checked_pingpong_runs_every_op() {
+        for (bytes, iters) in [(0, 1), (8, 1000), (1 << 20, 37)] {
+            let mut w = MpiSim::new(topo(), quiet_cfg(), 3);
+            let a = w.add_host_rank(CoreId(0)).unwrap();
+            let b = w.add_host_rank(CoreId(4)).unwrap();
+            w.enable_checks();
+            w.pingpong(a, b, bytes, iters).unwrap();
+            // Every send and receive ticks its rank's own clock entry:
+            // two per rank per round trip, none fast-forwarded.
+            let ch = w.checks.as_ref().expect("checks on");
+            for r in [a, b] {
+                assert_eq!(ch.vcs[r.0].get(r.0), 2 * u64::from(iters), "{bytes} B");
+            }
+        }
     }
 
     #[test]

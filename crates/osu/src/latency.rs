@@ -43,21 +43,9 @@ fn build_pair(
 
 /// One binary run of the ping-pong for one size: returns one-way µs.
 fn pingpong_once(world: &mut MpiSim, a: Rank, b: Rank, bytes: u64, warmup: u32, iters: u32) -> f64 {
-    for _ in 0..warmup {
-        world.send(a, b, bytes).expect("send");
-        world.recv(b, a, bytes).expect("recv");
-        world.send(b, a, bytes).expect("send");
-        world.recv(a, b, bytes).expect("recv");
-    }
+    world.pingpong(a, b, bytes, warmup).expect("warmup");
     world.barrier();
-    let t0 = world.time(a).expect("rank a");
-    for _ in 0..iters {
-        world.send(a, b, bytes).expect("send");
-        world.recv(b, a, bytes).expect("recv");
-        world.send(b, a, bytes).expect("send");
-        world.recv(a, b, bytes).expect("recv");
-    }
-    let dt = world.time(a).expect("rank a").since(t0);
+    let dt = world.pingpong(a, b, bytes, iters).expect("timed loop");
     dt.as_us() / (2.0 * iters as f64)
 }
 

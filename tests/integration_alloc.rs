@@ -137,6 +137,37 @@ fn mpisim_phase(checks: bool) -> u64 {
     delta
 }
 
+/// `MpiSim::pingpong` in the OSU shape (timed loop, barrier) at an eager
+/// and a rendezvous size: the fast-forward keeps its boundary scratch in
+/// the world, so a warm world runs whole ping-pongs without allocating —
+/// and under --check, where every round trip runs op by op, neither does
+/// the full loop.
+fn mpisim_pingpong_phase(checks: bool) -> u64 {
+    let mut w = MpiSim::new(two_numa_topo(), MpiConfig::default_host(), 7);
+    let a = w.add_host_rank(CoreId(0)).expect("core 0");
+    let b = w.add_host_rank(CoreId(4)).expect("core 4");
+    if checks {
+        w.enable_checks();
+    }
+    let sizes = [8, w.config().eager_threshold + 1];
+    // Warm-up: path memo, route cache, mailbox capacity, the boundary
+    // scratch and (under --check) the clock pool and barrier LUB.
+    for bytes in sizes {
+        w.pingpong(a, b, bytes, 8).expect("warm-up");
+        w.barrier();
+    }
+    let delta = alloc_delta(|| {
+        for _ in 0..20 {
+            for bytes in sizes {
+                w.pingpong(a, b, bytes, 1_000).expect("pingpong");
+                w.barrier();
+            }
+        }
+    });
+    assert!(w.check_findings().is_empty(), "pingpong must be clean");
+    delta
+}
+
 fn netsim_phase(checks: bool) -> u64 {
     let mut w = NetWorld::new(
         Fabric::new(FabricConfig::slingshot_like()),
@@ -291,6 +322,11 @@ fn steady_state_hot_paths_allocate_nothing() {
         ("event queue schedule/pop", event_queue_phase()),
         ("mpisim pingpong", mpisim_phase(false)),
         ("mpisim pingpong under --check", mpisim_phase(true)),
+        ("mpisim pingpong fast-forward", mpisim_pingpong_phase(false)),
+        (
+            "mpisim pingpong (op by op) under --check",
+            mpisim_pingpong_phase(true),
+        ),
         ("netsim pingpong", netsim_phase(false)),
         ("netsim pingpong under --check", netsim_phase(true)),
         ("mpisim 1k-rank storm", mpisim_storm_phase(false)),
