@@ -32,11 +32,7 @@ pub fn launch_latency(
             // Drain the queue before each batch so queue pressure from a
             // previous (shorter) probe batch never bleeds into this one.
             rt.device_synchronize().expect("sync");
-            let t0 = rt.now();
-            for _ in 0..n {
-                rt.launch_empty(&stream).expect("launch");
-            }
-            rt.now().since(t0)
+            rt.repeat(n, |rt| rt.launch_empty(&stream)).expect("launch")
         });
         rt.device_synchronize().expect("final sync");
         per.as_us()
@@ -57,11 +53,7 @@ pub fn wait_latency(
         let mut rt = GpuRuntime::new(Arc::clone(topo), models.to_vec(), rep_seed(seed, rep));
         rt.set_device(dev).expect("device exists");
         let (_iters, per) = adaptive_iterations(cfg.adaptive, |n| {
-            let t0 = rt.now();
-            for _ in 0..n {
-                rt.device_synchronize().expect("sync");
-            }
-            rt.now().since(t0)
+            rt.repeat(n, GpuRuntime::device_synchronize).expect("sync")
         });
         per.as_us()
     })

@@ -36,12 +36,11 @@ fn copy_time_us(
 ) -> f64 {
     let stream = rt.default_stream(exec_dev).expect("stream");
     let (_iters, per) = adaptive_iterations(cfg.adaptive, |n| {
-        let t0 = rt.now();
-        for _ in 0..n {
-            rt.memcpy_async(dst, src, bytes, &stream).expect("copy");
-            rt.stream_synchronize(&stream).expect("sync");
-        }
-        rt.now().since(t0)
+        rt.repeat(n, |rt| {
+            rt.memcpy_async(dst, src, bytes, &stream)?;
+            rt.stream_synchronize(&stream)
+        })
+        .expect("copy")
     });
     per.as_us()
 }

@@ -152,11 +152,15 @@ pub enum AccessKind {
 /// Keeps the clock of the last write plus one read clock per accessor
 /// (joined, so a task's repeated reads collapse into one entry). A new
 /// access races iff a conflicting prior access is not ordered before it
-/// by the accessor's current vector clock.
+/// by the accessor's current vector clock. Entries reuse their clock and
+/// label buffers, so a steady read/write cycle is allocation-free.
 #[derive(Clone, Debug, Default)]
 pub struct AccessHistory {
     last_write: Option<(VectorClock, String)>,
+    /// Read entries; only the first `live` are current, the rest are
+    /// buffers retired by a write and kept for the next reads.
     reads: Vec<(usize, VectorClock, String)>,
+    live: usize,
 }
 
 impl AccessHistory {
@@ -184,20 +188,31 @@ impl AccessHistory {
                 ));
             }
         }
+        let reads = &mut self.reads[..self.live];
         match kind {
             AccessKind::Read => {
                 // Reads never conflict with reads; remember the latest
                 // read clock per task.
-                match self.reads.iter_mut().find(|(t, _, _)| *t == who) {
+                match reads.iter_mut().find(|(t, _, _)| *t == who) {
                     Some((_, rc, rl)) => {
                         rc.join(now);
-                        *rl = label.to_string();
+                        relabel(rl, label);
                     }
-                    None => self.reads.push((who, now.clone(), label.to_string())),
+                    None => {
+                        match self.reads.get_mut(self.live) {
+                            Some((t, rc, rl)) => {
+                                *t = who;
+                                rc.clone_from(now);
+                                relabel(rl, label);
+                            }
+                            None => self.reads.push((who, now.clone(), label.to_string())),
+                        }
+                        self.live += 1;
+                    }
                 }
             }
             AccessKind::Write => {
-                for (_, rc, rl) in &self.reads {
+                for (_, rc, rl) in reads.iter() {
                     if !rc.leq(now) {
                         races.push(format!(
                             "{} is concurrent with previous read {} (read clock {} vs write clock {})",
@@ -207,12 +222,24 @@ impl AccessHistory {
                 }
                 // The write supersedes all prior history: anything ordered
                 // before this write is ordered before later conflicts too.
-                self.last_write = Some((now.clone(), label.to_string()));
-                self.reads.clear();
+                match &mut self.last_write {
+                    Some((wc, wl)) => {
+                        wc.clone_from(now);
+                        relabel(wl, label);
+                    }
+                    None => self.last_write = Some((now.clone(), label.to_string())),
+                }
+                self.live = 0;
             }
         }
         races
     }
+}
+
+/// Overwrite a label in place, keeping its buffer.
+fn relabel(dst: &mut String, label: &str) {
+    dst.clear();
+    dst.push_str(label);
 }
 
 /// Fork-join bookkeeping for the OpenMP-like backend: verifies that a

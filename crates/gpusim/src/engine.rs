@@ -11,8 +11,6 @@ use doe_simtime::{SimDuration, SimTime};
 #[derive(Clone, Debug, Default)]
 pub struct Engine {
     busy_until: SimTime,
-    inflight: usize,
-    completed: u64,
 }
 
 impl Engine {
@@ -27,7 +25,6 @@ impl Engine {
         let start = now.max(self.busy_until);
         let end = start + duration;
         self.busy_until = end;
-        self.inflight += 1;
         (start, end)
     }
 
@@ -36,43 +33,12 @@ impl Engine {
         self.busy_until
     }
 
-    /// Extend the queue tail to an externally-computed completion instant
-    /// (used when another resource — e.g. a shared wire — determines when
-    /// this engine's current command finishes). Never moves the tail
-    /// backwards.
+    /// Extend the queue tail to an externally-computed instant: the
+    /// completion of a command another resource times (e.g. a shared
+    /// wire), or a pure dependency (a stream waiting on another stream's
+    /// event). Never moves the tail backwards.
     pub fn occupy_until(&mut self, end: SimTime) {
         self.busy_until = self.busy_until.max(end);
-        self.inflight += 1;
-    }
-
-    /// Push the tail forward without enqueuing a command — a pure
-    /// dependency (e.g. a stream waiting on another stream's event).
-    pub fn delay_until(&mut self, end: SimTime) {
-        self.busy_until = self.busy_until.max(end);
-    }
-
-    /// True if no work would still be running at `now`.
-    pub fn is_idle_at(&self, now: SimTime) -> bool {
-        self.busy_until <= now
-    }
-
-    /// Account for the host having observed completion of everything up to
-    /// `now` (e.g. after a synchronize): retires in-flight work.
-    pub fn retire_until(&mut self, now: SimTime) {
-        if self.busy_until <= now && self.inflight > 0 {
-            self.completed += self.inflight as u64;
-            self.inflight = 0;
-        }
-    }
-
-    /// Commands submitted but not yet known-retired by the host.
-    pub fn inflight(&self) -> usize {
-        self.inflight
-    }
-
-    /// Total retired commands (statistics/debugging).
-    pub fn completed(&self) -> u64 {
-        self.completed
     }
 }
 
@@ -104,29 +70,6 @@ mod tests {
         assert_eq!(start2, end1);
         assert_eq!(end2, end1 + us(2.0));
         assert_eq!(e.busy_until(), end2);
-    }
-
-    #[test]
-    fn idleness_and_retirement() {
-        let mut e = Engine::new();
-        let t0 = SimTime::ZERO;
-        let (_, end) = e.enqueue(t0, us(4.0));
-        assert!(!e.is_idle_at(t0 + us(1.0)));
-        assert!(e.is_idle_at(end));
-        assert_eq!(e.inflight(), 1);
-        e.retire_until(end);
-        assert_eq!(e.inflight(), 0);
-        assert_eq!(e.completed(), 1);
-    }
-
-    #[test]
-    fn retire_before_completion_is_noop() {
-        let mut e = Engine::new();
-        let (_, end) = e.enqueue(SimTime::ZERO, us(4.0));
-        e.retire_until(SimTime::ZERO + us(1.0));
-        assert_eq!(e.inflight(), 1);
-        e.retire_until(end);
-        assert_eq!(e.inflight(), 0);
     }
 
     proptest! {

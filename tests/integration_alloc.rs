@@ -53,7 +53,7 @@ use std::sync::Arc;
 
 use doebench::benchlib::set_jobs;
 use doebench::gpurt::testkit::dual_gpu_runtime;
-use doebench::gpurt::Buffer;
+use doebench::gpurt::{Buffer, GpuRuntime};
 use doebench::mpi::{MpiConfig, MpiSim, ShardedStorm, Storm, StormConfig};
 use doebench::net::{
     Fabric, FabricConfig, NetStorm, NetStormConfig, NetWorld, NicConfig, NodeId, ShardedNetStorm,
@@ -304,6 +304,47 @@ fn gpurt_phase() -> u64 {
     })
 }
 
+/// `GpuRuntime::repeat` over the Comm|Scope loop bodies (H2D and D2D
+/// memcpy + sync, launch, device sync): the fast-forward keeps its
+/// boundary scratch in the runtime, so a warm runtime runs whole batches
+/// without allocating — and under --check, where every iteration runs op
+/// by op, neither does the full loop.
+fn gpurt_repeat_phase(checks: bool) -> u64 {
+    let mut rt = dual_gpu_runtime();
+    if checks {
+        rt.enable_checks();
+    }
+    let s = rt.default_stream(DeviceId(0)).expect("stream");
+    let host = Buffer::pinned_host(NumaId(0), 128);
+    let dev = Buffer::device(DeviceId(0), 128);
+    let peer = Buffer::device(DeviceId(1), 128);
+    let batch = |rt: &mut GpuRuntime, iters: u64| {
+        rt.repeat(iters, |rt| {
+            rt.memcpy_async(&dev, &host, 128, &s)?;
+            rt.stream_synchronize(&s)
+        })
+        .expect("h2d");
+        rt.repeat(iters, |rt| {
+            rt.memcpy_async(&peer, &dev, 128, &s)?;
+            rt.stream_synchronize(&s)
+        })
+        .expect("d2d");
+        rt.repeat(iters, |rt| rt.launch_empty(&s)).expect("launch");
+        rt.repeat(iters, GpuRuntime::device_synchronize)
+            .expect("device sync");
+    };
+    // Warm-up: route cache, wire engines, the boundary scratch and (under
+    // --check) the stream clocks and buffer histories.
+    batch(&mut rt, 64);
+    let delta = alloc_delta(|| {
+        for _ in 0..20 {
+            batch(&mut rt, 1_000);
+        }
+    });
+    assert!(rt.check_findings().is_empty(), "batches must be clean");
+    delta
+}
+
 fn noise_phase() -> u64 {
     let mut rng = SimRng::from_seed(3);
     let mut buf = vec![0.0f64; 256];
@@ -348,6 +389,11 @@ fn steady_state_hot_paths_allocate_nothing() {
             netsim_sharded_storm_phase(),
         ),
         ("gpurt memcpy loop", gpurt_phase()),
+        ("gpurt repeat fast-forward", gpurt_repeat_phase(false)),
+        (
+            "gpurt repeat (op by op) under --check",
+            gpurt_repeat_phase(true),
+        ),
         ("batch gaussian fill", noise_phase()),
     ];
     let dirty: Vec<String> = phases

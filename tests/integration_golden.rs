@@ -3,11 +3,13 @@
 //!
 //! The determinism, `--check` and queue/shard A/B tests compare two runs
 //! of the *same* code on the quick campaign. These digests compare the
-//! code against the bodies it produced before the simulated ping-pong
-//! gained its steady-state fast-forward, and they reach what the quick
-//! campaign does not: every sweepable machine across the whole OSU size
-//! ladder (eager and rendezvous sizes, at two seeds) and one sweep at the
-//! paper's iteration counts (1000 / 100 round trips per rep).
+//! code against the bodies it produced before the simulated ping-pong and
+//! the Comm|Scope loops gained their steady-state fast-forwards, and they
+//! reach what the quick campaign does not: every sweepable machine across
+//! the whole OSU size ladder (eager and rendezvous sizes, at two seeds),
+//! one sweep at the paper's iteration counts (1000 / 100 round trips per
+//! rep), and Table 6 at the paper's profile (10 ms adaptive batches and
+//! 1 GiB copies).
 //!
 //! A digest changes only when a body changes. If a change is meant to
 //! move results, update the constants from the failure message and say
@@ -69,6 +71,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("sweep Manzano seed=1", 0x12f9b83176a2647f),
     ("sweep Manzano seed=2", 0x6fe8801914472306),
     ("sweep@paper Theta", 0x3f7cffb9c7f182d3),
+    ("table6@paper", 0x7596fe53ee1fc992),
 ];
 
 fn body_digest(shorthand: &str) -> u64 {
