@@ -29,9 +29,8 @@ use doebench::benchlib::set_jobs;
 use doebench::dessan::VectorClock;
 use doebench::gpurt::testkit::dual_gpu_runtime;
 use doebench::gpurt::Buffer;
-use doebench::mpi::{MpiConfig, MpiSim, ShardedStorm, Storm, StormConfig};
-use doebench::net::{NetStorm, NetStormConfig, ShardedNetStorm};
-use doebench::simtime::{EventQueue, QueuePolicy, ShardPolicy, SimDuration, SimRng, SimTime};
+use doebench::mpi::{MpiConfig, MpiSim};
+use doebench::simtime::{EventQueue, SimRng, SimTime};
 use doebench::topo::{CoreId, DeviceId, NumaId};
 use doebench::{table4, table5, table6, table7, Campaign};
 
@@ -95,150 +94,6 @@ fn event_queue_cycle_ns() -> f64 {
             q.schedule(SimTime::from_ps(t * 100), ev.payload);
         }
     }) / CYCLES as f64
-}
-
-/// One schedule/pop cycle with 10 000 in-flight events and storm-like
-/// gaps (every popped event reschedules itself ~1 µs ahead). The queue
-/// engine alone, at the population where the calendar core's amortized
-/// O(1) separates from the heap's O(log n) — measured under both policies
-/// so the artifact records the engine speedup.
-fn queue_storm_cycle_ns(policy: QueuePolicy) -> f64 {
-    const CYCLES: u64 = 400_000;
-    const DEPTH: u64 = 10_000;
-    let mut q = EventQueue::with_policy_and_capacity(policy, DEPTH as usize);
-    let mut rng = SimRng::from_seed(0x5708);
-    for i in 0..DEPTH {
-        let at = 1_000_000 + rng.next_u64() % 1_000_000;
-        q.schedule(SimTime::from_ps(at), i as u32);
-    }
-    time_ns(|| {
-        for _ in 0..CYCLES {
-            let ev = q.pop().expect("depth stays 10k");
-            let gap = 800_000 + rng.next_u64() % 400_000;
-            q.schedule(ev.at + SimDuration::from_ps(gap), ev.payload);
-        }
-    }) / CYCLES as f64
-}
-
-fn queue_storm_10k_heap_ns() -> f64 {
-    queue_storm_cycle_ns(QueuePolicy::Heap)
-}
-
-fn queue_storm_10k_cal_ns() -> f64 {
-    queue_storm_cycle_ns(QueuePolicy::Calendar)
-}
-
-/// Same-timestamp batching: 64 tie groups of 64 events each, drained a
-/// whole group per `pop_batch` and rescheduled group-intact. Per-event
-/// cost of the batch path (unlink ties + sort + recycle in seq order).
-fn queue_batch_drain_ns() -> f64 {
-    const ITERS: u64 = 50_000;
-    const GROUP: u64 = 64;
-    const GROUPS: u64 = 64;
-    let mut q =
-        EventQueue::with_policy_and_capacity(QueuePolicy::Calendar, (GROUP * GROUPS) as usize);
-    for g in 0..GROUPS {
-        for i in 0..GROUP {
-            q.schedule(SimTime::from_ps((g + 1) * 50_000), (g * GROUP + i) as u32);
-        }
-    }
-    let mut batch = Vec::with_capacity(GROUP as usize);
-    let gap = SimDuration::from_ps(GROUPS * 50_000);
-    time_ns(|| {
-        for _ in 0..ITERS {
-            let t = q.pop_batch(&mut batch).expect("groups never drain");
-            for ev in &batch {
-                q.schedule(t + gap, ev.payload);
-            }
-        }
-    }) / (ITERS * GROUP) as f64
-}
-
-/// Steady-state cost of one full storm round trip (4 protocol ops + one
-/// queue cycle) in a world of `ranks` ranks. World construction and
-/// warm-up stay outside the timed window.
-fn mpisim_storm_ns(ranks: usize, policy: QueuePolicy) -> f64 {
-    const EVENTS: u64 = 25_000;
-    let cfg = StormConfig::with_ranks(ranks);
-    let mut storm = Storm::new(&cfg, policy, 0xD0E).expect("storm world");
-    storm.run(2 * cfg.pairs as u64).expect("warm-up");
-    let start = storm.report().events;
-    time_ns(|| {
-        storm.run(start + EVENTS).expect("storm run");
-    }) / EVENTS as f64
-}
-
-fn mpisim_storm_1k_ns() -> f64 {
-    mpisim_storm_ns(1_000, QueuePolicy::Auto)
-}
-
-fn mpisim_storm_10k_ns() -> f64 {
-    mpisim_storm_ns(10_000, QueuePolicy::Auto)
-}
-
-fn mpisim_storm_10k_heap_ns() -> f64 {
-    mpisim_storm_ns(10_000, QueuePolicy::Heap)
-}
-
-/// Steady-state round-trip cost on the sharded conservative-window driver
-/// (4 shards; worker count = host cores, via `set_jobs(0)`). The horizons
-/// come from a serial probe so the timed window covers the same
-/// virtual-time slice as [`mpisim_storm_10k_ns`]; the artifact records the
-/// ratio as `mpisim_storm_10k_sharded_speedup_vs_serial` (~1× on a 1-core
-/// CI host — the driver is bit-identical, not free).
-fn mpisim_storm_10k_sharded_ns() -> f64 {
-    const EVENTS: u64 = 25_000;
-    set_jobs(0);
-    let cfg = StormConfig::with_ranks(10_000);
-    let warm_events = 2 * cfg.pairs as u64;
-    let mut probe = Storm::new(&cfg, QueuePolicy::Auto, 0xD0E).expect("probe world");
-    probe.run(warm_events).expect("probe warm-up");
-    let h_warm = probe.report().final_time;
-    probe.run(warm_events + EVENTS).expect("probe run");
-    let h_end = probe.report().final_time;
-
-    let mut storm = ShardedStorm::new(&cfg, ShardPolicy::Sharded(4), QueuePolicy::Auto, 0xD0E)
-        .expect("sharded storm");
-    let warm = storm.run_until(h_warm).expect("warm-up");
-    let ns = time_ns(|| {
-        storm.run_until(h_end).expect("storm run");
-    });
-    (ns / (storm.report().events - warm).max(1) as f64).max(f64::MIN_POSITIVE)
-}
-
-/// Fabric storm: lock-step pairs, so round trips drain in wide
-/// same-timestamp batches through `pop_batch`.
-fn netsim_storm_1k_ns() -> f64 {
-    const EVENTS: u64 = 25_000;
-    let cfg = NetStormConfig::with_ranks(1_000);
-    let mut storm = NetStorm::new(&cfg, QueuePolicy::Auto, 0xD0E).expect("fabric storm");
-    storm.run(2 * cfg.pairs as u64).expect("warm-up");
-    let start = storm.report().events;
-    time_ns(|| {
-        storm.run(start + EVENTS).expect("fabric run");
-    }) / EVENTS as f64
-}
-
-/// Sharded twin of [`netsim_storm_1k_ns`]: the lock-step fabric storm on
-/// the conservative-window driver (4 shards of contiguous pair blocks).
-fn netsim_storm_1k_sharded_ns() -> f64 {
-    const EVENTS: u64 = 25_000;
-    set_jobs(0);
-    let cfg = NetStormConfig::with_ranks(1_000);
-    let warm_events = 2 * cfg.pairs as u64;
-    let mut probe = NetStorm::new(&cfg, QueuePolicy::Auto, 0xD0E).expect("probe world");
-    probe.run(warm_events).expect("probe warm-up");
-    let h_warm = probe.report().final_time;
-    probe.run(warm_events + EVENTS).expect("probe run");
-    let h_end = probe.report().final_time;
-
-    let mut storm = ShardedNetStorm::new(&cfg, ShardPolicy::Sharded(4), QueuePolicy::Auto, 0xD0E)
-        .expect("sharded fabric storm");
-    let warm = storm.run_until(h_warm).expect("warm-up");
-    let ns = time_ns(|| {
-        storm.run_until(h_end).expect("fabric run");
-    });
-    (ns / (storm.report().events - warm).max(1) as f64).max(f64::MIN_POSITIVE)
 }
 
 fn mpisim_pingpong_ns() -> f64 {
@@ -328,27 +183,10 @@ fn main() {
 
     // (key, measure, unit) — every metric is gated on value/calib.
     type Metric = (&'static str, fn() -> f64, &'static str);
-    let suite: [Metric; 15] = [
+    let suite: [Metric; 6] = [
         ("quick_campaign_ms", quick_campaign_ms, "ms"),
         ("event_queue_cycle_ns", event_queue_cycle_ns, "ns"),
-        ("queue_storm_10k_heap_ns", queue_storm_10k_heap_ns, "ns"),
-        ("queue_storm_10k_cal_ns", queue_storm_10k_cal_ns, "ns"),
-        ("queue_batch_drain_ns", queue_batch_drain_ns, "ns"),
         ("mpisim_pingpong_ns", mpisim_pingpong_ns, "ns"),
-        ("mpisim_storm_1k_ns", mpisim_storm_1k_ns, "ns"),
-        ("mpisim_storm_10k_ns", mpisim_storm_10k_ns, "ns"),
-        ("mpisim_storm_10k_heap_ns", mpisim_storm_10k_heap_ns, "ns"),
-        (
-            "mpisim_storm_10k_sharded_ns",
-            mpisim_storm_10k_sharded_ns,
-            "ns",
-        ),
-        ("netsim_storm_1k_ns", netsim_storm_1k_ns, "ns"),
-        (
-            "netsim_storm_1k_sharded_ns",
-            netsim_storm_1k_sharded_ns,
-            "ns",
-        ),
         ("gpurt_memcpy_iter_ns", gpurt_memcpy_iter_ns, "ns"),
         ("vc_join_assign_ns", vc_join_assign_ns, "ns"),
         (
@@ -362,7 +200,7 @@ fn main() {
     // A background-noise burst then costs one round of one metric, not a
     // whole back-to-back sample of it.
     let mut calib = f64::INFINITY;
-    let mut mins = [f64::INFINITY; 15];
+    let mut mins = [f64::INFINITY; 6];
     for _ in 0..REPS {
         calib = calib.min(calibration_ns_per_op());
         for (i, (_, measure, _)) in suite.iter().enumerate() {
@@ -380,48 +218,6 @@ fn main() {
     json.push_str(&format!("  \"calibration_ns_per_op\": {calib:.4},\n"));
     for (key, value, _) in &metrics {
         json.push_str(&format!("  \"{key}\": {value:.2},\n"));
-    }
-    // Derived calendar-vs-heap speedups (higher is better, not gated —
-    // the underlying ns metrics are; same-process ratios, so host speed
-    // cancels out).
-    let value_of = |key: &str| {
-        metrics
-            .iter()
-            .find(|(k, _, _)| *k == key)
-            .map(|&(_, v, _)| v)
-    };
-    if let (Some(h), Some(c)) = (
-        value_of("queue_storm_10k_heap_ns"),
-        value_of("queue_storm_10k_cal_ns"),
-    ) {
-        json.push_str(&format!("  \"queue_storm_10k_speedup\": {:.2},\n", h / c));
-    }
-    if let (Some(h), Some(c)) = (
-        value_of("mpisim_storm_10k_heap_ns"),
-        value_of("mpisim_storm_10k_ns"),
-    ) {
-        json.push_str(&format!("  \"mpisim_storm_10k_speedup\": {:.2},\n", h / c));
-    }
-    // Sharded-vs-serial ratios (informational, not gated): expect ~1× on a
-    // 1-core CI host — the sharded driver is bit-identical, not free — and
-    // > 1× wherever `available_parallelism()` gives the lanes real cores.
-    if let (Some(s), Some(p)) = (
-        value_of("mpisim_storm_10k_ns"),
-        value_of("mpisim_storm_10k_sharded_ns"),
-    ) {
-        json.push_str(&format!(
-            "  \"mpisim_storm_10k_sharded_speedup_vs_serial\": {:.2},\n",
-            s / p
-        ));
-    }
-    if let (Some(s), Some(p)) = (
-        value_of("netsim_storm_1k_ns"),
-        value_of("netsim_storm_1k_sharded_ns"),
-    ) {
-        json.push_str(&format!(
-            "  \"netsim_storm_1k_sharded_speedup_vs_serial\": {:.2},\n",
-            s / p
-        ));
     }
     json.push_str(&format!("  \"gate_threshold\": {THRESHOLD}\n}}\n"));
     print!("{json}");

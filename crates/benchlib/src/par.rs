@@ -52,9 +52,8 @@ pub fn effective_jobs() -> usize {
         return explicit;
     }
     // Resolved once per process: `available_parallelism()` re-reads the
-    // cgroup filesystem on every call (microseconds), and fine-grained
-    // parallel regions — the sharded DES asks once per lock-step window —
-    // cannot afford that on their coordination path.
+    // cgroup filesystem on every call (microseconds), and every parallel
+    // region asks.
     static AUTO_JOBS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *AUTO_JOBS.get_or_init(|| {
         // dessan::allow(env-read): documented worker-count override knob, read once at startup.
@@ -135,65 +134,6 @@ where
         .collect()
 }
 
-/// Apply `f` to every element of `items` in place, splitting the slice
-/// into contiguous chunks across the scoped worker pool.
-///
-/// The mutable-state twin of [`parallel_map_indexed`], built for the
-/// sharded DES engine (`simtime::shard`): each shard lane is one `&mut`
-/// element, workers own disjoint chunks, and `f` receives the element's
-/// index alongside the element. Results must not depend on execution
-/// order — the engine guarantees that by merging cross-shard events
-/// canonically at window barriers.
-///
-/// With one effective job, a short slice, or from inside a pool worker,
-/// this is exactly the serial `for` loop — same bytes, and (unlike the
-/// forking path) zero allocations, which is what lets the sharded storm
-/// phases of the allocation test pin the engine's pooled scratch.
-pub fn parallel_for_each_mut<S, F>(items: &mut [S], f: F)
-where
-    S: Send,
-    F: Fn(usize, &mut S) + Sync,
-{
-    let n = items.len();
-    let jobs = effective_jobs().min(n.max(1));
-    if jobs <= 1 || n <= 1 || IN_POOL.with(|p| p.get()) {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-
-    std::thread::scope(|s| {
-        let f = &f;
-        let mut rest = items;
-        let mut start = 0;
-        let mut first: Option<(usize, &mut [S])> = None;
-        for (w, len) in chunk_lens(n, jobs).into_iter().enumerate() {
-            let (chunk, tail) = rest.split_at_mut(len);
-            rest = tail;
-            if w == 0 {
-                first = Some((start, chunk));
-            } else {
-                s.spawn(move || {
-                    IN_POOL.with(|p| p.set(true));
-                    for (off, item) in chunk.iter_mut().enumerate() {
-                        f(start + off, item);
-                    }
-                    IN_POOL.with(|p| p.set(false));
-                });
-            }
-            start += len;
-        }
-        // The calling thread takes the first chunk, like a team master.
-        let (base, chunk) = first.expect("jobs >= 1");
-        IN_POOL.with(|p| p.set(true));
-        for (off, item) in chunk.iter_mut().enumerate() {
-            f(base + off, item);
-        }
-        IN_POOL.with(|p| p.set(false));
-    });
-}
-
 /// Parallel twin of [`crate::run_reps`]: run `reps` independent benchmark
 /// executions across the worker pool, collecting one observation per run
 /// in rep order.
@@ -270,29 +210,6 @@ mod tests {
             })
         });
         assert_eq!(out, vec![0, 10, 20, 30, 40, 0, 10, 20]);
-    }
-
-    #[test]
-    fn for_each_mut_matches_serial_loop() {
-        let serial: Vec<u64> = (0..500).map(|i| (i as u64).wrapping_mul(37) ^ 5).collect();
-        for jobs in [1, 2, 3, 8, 64] {
-            let mut items: Vec<u64> = vec![5; 500];
-            with_jobs(jobs, || {
-                parallel_for_each_mut(&mut items, |i, x| *x ^= (i as u64).wrapping_mul(37));
-            });
-            assert_eq!(items, serial, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn for_each_mut_handles_short_and_empty_slices() {
-        let mut empty: Vec<u32> = Vec::new();
-        with_jobs(8, || parallel_for_each_mut(&mut empty, |_, _| panic!()));
-        let mut one = [41u32];
-        with_jobs(8, || {
-            parallel_for_each_mut(&mut one, |i, x| *x += 1 + i as u32)
-        });
-        assert_eq!(one, [42]);
     }
 
     #[test]

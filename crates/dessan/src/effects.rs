@@ -27,7 +27,7 @@
 //! is deterministic — it cannot change a result, only its cost, and the
 //! hot-path rules already police cost), and
 //! `// doebench::effects(no-block)` forbids OS-level blocking (`blocks`)
-//! — the contract the shard-engine lane bodies and the query cells rely
+//! — the contract the daemon cache lookups and the query cells rely
 //! on. A violation reports the full call chain from the contract fn to
 //! the effect site and is waived with
 //! `// dessan::allow(effect-contract): <reason>` at the contract fn.

@@ -510,7 +510,7 @@ fn check_buffer_annotate(ctx: &Ctx, cfg: &Cfg, out: &mut Vec<LintFinding>) {
 // Rule (d): no EventQueue use after drain_until without a reschedule.
 // ---------------------------------------------------------------------------
 
-const QUEUE_USES: [&str; 5] = ["pop", "pop_batch", "pop_until", "peek_time", "drain_step"];
+const QUEUE_USES: [&str; 3] = ["pop", "pop_until", "peek_time"];
 
 fn check_queue_drain(ctx: &Ctx, cfg: &Cfg, out: &mut Vec<LintFinding>) {
     let gen_kill = |toks: &[usize], fact: &mut MaySet<String>| {

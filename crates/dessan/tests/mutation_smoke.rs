@@ -4,7 +4,7 @@
 //! text carries no finding of the rule under test, applies a one-line
 //! mutation of the kind the rule exists to catch (drop a recv, reorder
 //! an event_record, strip a buffer annotation, break a unit conversion,
-//! seed a timestamp from the wall clock), and asserts the mutant is
+//! render a wall-clock reading into a table cell), and asserts the mutant is
 //! flagged. This is the end-to-end guarantee that the checkers detect
 //! the bug classes they claim to — not just on fixtures, but on the
 //! actual code they gate.
@@ -104,13 +104,12 @@ fn broken_unit_conversion_is_caught_by_units_flow() {
 
 #[test]
 fn wall_clock_timestamp_is_caught_by_nondet_taint() {
-    // Seeding an event timestamp from the host clock makes the whole
-    // calendar-queue replay nondeterministic.
+    // Rendering a host-clock reading into a table cell makes the table
+    // bytes differ from run to run.
     assert_mutation_detected(
-        "crates/mpisim/src/storm.rs",
-        "queue.schedule(world.time(a)?, i as u32);",
-        "let skew = Instant::now().elapsed().as_nanos() as u64;\n            \
-         queue.schedule(world.time(a)? + doe_simtime::SimDuration::from_ns(skew), i as u32);",
+        "crates/core/src/table4.rs",
+        "                CellValue::Text(r.peak.to_string()),\n",
+        "                CellValue::Text(Instant::now().elapsed().as_nanos().to_string()),\n",
         "nondet-taint",
     );
 }
@@ -166,13 +165,13 @@ fn wait_stripped_of_its_loop_is_caught_by_lock_order() {
 
 #[test]
 fn sleep_in_hot_drain_is_caught_by_effect_contract() {
-    // `drain_window` declares `effects(no-block)`; an injected sleep is
-    // an OS-level block inside the per-window dispatch loop.
+    // `Cache::acquire` declares `effects(no-block)`; an injected sleep is
+    // an OS-level block on every daemon cache lookup.
     assert_mutation_detected(
-        "crates/simtime/src/shard.rs",
-        "self.queue.pop_batch(&mut self.batch);",
-        "std::thread::sleep(std::time::Duration::from_millis(1));\n            \
-         self.queue.pop_batch(&mut self.batch);",
+        "crates/doebenchd/src/cache.rs",
+        "        let mut map = self.inner.shard(key).lock().unwrap();\n        match map.get(&key.canon) {",
+        "        std::thread::sleep(std::time::Duration::from_millis(1));\n        \
+         let mut map = self.inner.shard(key).lock().unwrap();\n        match map.get(&key.canon) {",
         "effect-contract",
     );
 }
@@ -186,10 +185,9 @@ fn unmutated_targets_are_clean_across_all_rules() {
         "crates/osu/src/collectives.rs",
         "crates/gpurt/src/testkit.rs",
         "crates/machines/src/cpu.rs",
-        "crates/mpisim/src/storm.rs",
+        "crates/core/src/table4.rs",
         "crates/core/src/query.rs",
         "crates/doebenchd/src/cache.rs",
-        "crates/simtime/src/shard.rs",
     ] {
         let src = std::fs::read_to_string(workspace_root().join(rel))
             .unwrap_or_else(|e| panic!("{rel}: {e}"));

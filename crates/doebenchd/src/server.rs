@@ -202,12 +202,6 @@ fn route(req: &Request, state: &Arc<ServerState>) -> Response {
 
 fn stats(state: &Arc<ServerState>) -> Response {
     let s = &state.service.cache().stats;
-    // Process-wide sharded-DES counters: how many lock-step windows the
-    // conservative engine executed, cross-shard events it merged, and
-    // same-timestamp batches it drained since startup. Diagnostics only —
-    // query response *bodies* never carry shard metadata, so they stay
-    // byte-identical whatever DOEBENCH_SHARDS selects.
-    let (windows, cross_events, merge_batches) = doebench::simtime::shard::global_shard_counters();
     let body = Json::obj([
         ("code_version", Json::s(CODE_VERSION)),
         (
@@ -227,14 +221,6 @@ fn stats(state: &Arc<ServerState>) -> Response {
                     "coalesced",
                     Json::Num(s.coalesced.load(Ordering::Relaxed) as f64),
                 ),
-            ]),
-        ),
-        (
-            "shards",
-            Json::obj([
-                ("windows", Json::Num(windows as f64)),
-                ("cross_events", Json::Num(cross_events as f64)),
-                ("merge_batches", Json::Num(merge_batches as f64)),
             ]),
         ),
     ]);

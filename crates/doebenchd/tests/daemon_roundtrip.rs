@@ -9,6 +9,7 @@ use std::io::Read as _;
 use std::net::TcpStream;
 use std::thread;
 
+use doe_report::json::{self, Json};
 use doebenchd::client;
 use doebenchd::server::CONN_TIMEOUT;
 use doebenchd::Server;
@@ -38,13 +39,14 @@ fn health_stats_and_index() {
 
     let stats = client::request(&addr, "GET", "/stats", &[]).unwrap();
     assert_eq!(stats.status, 200);
-    assert!(stats.text().contains("\"executed\""));
-    // Sharded-DES window counters ride along (diagnostics only; query
-    // bodies stay shard-free).
-    assert!(stats.text().contains("\"shards\""));
-    assert!(stats.text().contains("\"windows\""));
-    assert!(stats.text().contains("\"cross_events\""));
-    assert!(stats.text().contains("\"merge_batches\""));
+    // The fields traffic monitors read; a fresh daemon has served nothing.
+    let stats = json::parse(&stats.text()).expect("/stats is JSON");
+    let num = |v: Option<&Json>| v.and_then(Json::as_f64);
+    let cells = stats.get("cells").expect("/stats has cells");
+    assert_eq!(num(stats.get("entries")), Some(0.0));
+    assert_eq!(num(cells.get("hits")), Some(0.0));
+    assert_eq!(num(cells.get("executed")), Some(0.0));
+    assert_eq!(num(cells.get("coalesced")), Some(0.0));
 
     let missing = client::request(&addr, "GET", "/nope", &[]).unwrap();
     assert_eq!(missing.status, 404);

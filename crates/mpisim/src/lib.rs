@@ -41,13 +41,11 @@
 //! ```
 
 pub mod config;
-pub mod storm;
 pub mod transport;
 pub mod variants;
 pub mod world;
 
 pub use config::{DevicePath, MpiConfig};
-pub use storm::{run_storm, run_storm_sharded, ShardedStorm, Storm, StormConfig, StormReport};
 pub use transport::PathCosts;
 pub use variants::{apply_variant, MpiVariant};
 pub use world::{MpiError, MpiSim, Rank};

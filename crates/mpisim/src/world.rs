@@ -213,8 +213,8 @@ pub struct MpiSim {
     /// The distinct `(numa, buffer)` endpoint classes seen so far. Transport
     /// cost depends only on the endpoint classes (plus a per-pair on-die
     /// distance term computed inline), so the memo is O(classes²) — a
-    /// handful of entries even for a 10k-rank storm world, where the old
-    /// rank-pair memo was O(ranks²) and rebuilt O(ranks³) times over.
+    /// handful of entries however many ranks a world holds, where a
+    /// rank-pair memo would be O(ranks²).
     classes: Vec<(NumaId, BufferLoc)>,
     /// Memoized endpoint costs per (sender class, receiver class), dense by
     /// `from * classes.len() + to`; rebuilt on the rare event of a new
@@ -222,7 +222,7 @@ pub struct MpiSim {
     class_paths: Vec<Option<PathCosts>>,
     /// `NumaId` per core, dense by `CoreId::index()` (`u32::MAX` = no such
     /// core) — `add_rank` would otherwise linear-scan the core table,
-    /// O(ranks · cores) while building a storm world.
+    /// O(ranks · cores) while building a many-rank world.
     core_numa: Vec<u32>,
     /// Core count per NUMA domain, dense by `NumaId::index()`, for the
     /// on-die distance fraction.

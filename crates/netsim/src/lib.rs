@@ -40,11 +40,7 @@
 
 pub mod collectives;
 pub mod fabric;
-pub mod storm;
 pub mod world;
 
 pub use fabric::{Fabric, FabricConfig, NodeId};
-pub use storm::{
-    run_net_storm, run_net_storm_sharded, NetStorm, NetStormConfig, NetStormReport, ShardedNetStorm,
-};
 pub use world::{NetError, NetRank, NetWorld, NicConfig};

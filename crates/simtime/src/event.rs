@@ -1,38 +1,22 @@
 //! A deterministic discrete-event queue.
 //!
-//! Completions of in-flight simulated work (DMA transfers, kernel
-//! executions, in-flight protocol messages) are scheduled here and popped in
-//! timestamp order. Ties are broken by insertion sequence so that runs are
-//! bit-for-bit reproducible regardless of scheduler internals.
+//! Events are popped in timestamp order. Ties are broken by insertion
+//! sequence so that runs are bit-for-bit reproducible regardless of
+//! scheduler internals.
+//!
+//! No runtime schedules on this queue: the runtimes advance per-rank and
+//! per-engine clocks in closed form. The queue is the first-principles
+//! discrete-event reference that tests replay those closed forms against
+//! (`gpusim`'s `des_crosscheck`).
 //!
 //! Storage is arena-backed: payloads live in a slab whose freed slots are
-//! recycled through a free list, and the scheduling core orders small `Copy`
-//! index entries. Once the queue has reached its high-water mark, a
-//! steady-state schedule/pop cycle touches no allocator at all — the form
-//! a 100-repetition campaign's inner loop needs.
-//!
-//! # Scheduling cores
-//!
-//! Two interchangeable cores sit behind the same API, selected by
-//! [`QueuePolicy`]:
-//!
-//! * **Arena heap** — a hand-rolled index min-heap of `(at, seq, slot)`
-//!   entries. O(log n) schedule/pop, unbeatable constants at small depth.
-//! * **Calendar queue** — buckets of power-of-two time width holding
-//!   intrusive singly-linked lists threaded through the arena itself
-//!   (`slot_next`), in the style of Brown's calendar queues. Amortized O(1)
-//!   schedule/pop at storm depth (10⁴–10⁶ concurrent events), with
-//!   automatic bucket-count/width rebalancing and a fallback to the heap
-//!   for degenerate distributions.
-//!
-//! Both cores pop the exact global minimum of `(at, seq)`, so the observable
-//! event order — and therefore every simulation result built on top — is
-//! bit-identical whichever core is active. The differential proptests at the
-//! bottom of this file pin that equivalence against a reference
-//! `BinaryHeap`.
+//! recycled through a free list, and a hand-rolled index min-heap orders
+//! small `Copy` `(at, seq, slot)` entries. Once the queue has reached its
+//! high-water mark, a steady-state schedule/pop cycle touches no allocator
+//! at all. The differential proptests at the bottom of this file pin the
+//! pop order against a reference `BinaryHeap`.
 
 use std::cmp::Ordering;
-use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 
 use crate::time::SimTime;
 
@@ -71,84 +55,7 @@ impl<T> Ord for Scheduled<T> {
     }
 }
 
-/// Which scheduling core an [`EventQueue`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueuePolicy {
-    /// Start on the heap; promote to the calendar once the event population
-    /// crosses [`CAL_ENTER_LEN`], and fall back to the heap if the time
-    /// distribution degenerates (everything landing in one bucket).
-    Auto,
-    /// Always the arena heap (the pre-calendar core).
-    Heap,
-    /// Always the calendar queue; degenerate distributions trigger a
-    /// bucket-width rebuild instead of a heap fallback.
-    Calendar,
-}
-
-/// Event population at which `Auto` promotes heap → calendar. Below this
-/// the heap's constants win; above it the calendar's O(1) does.
-pub const CAL_ENTER_LEN: usize = 256;
-
-/// Smallest bucket array the calendar keeps.
-const CAL_MIN_BUCKETS: usize = 16;
-
-/// Degeneracy check window: every this many pops the average scan work is
-/// inspected.
-const FALLBACK_WINDOW: u64 = 1024;
-
-/// A calendar pop that scans more than this many entries/buckets on average
-/// over a window is degenerate.
-const FALLBACK_WORK_FACTOR: u64 = 16;
-
-/// Intrusive-list terminator for `slot_next` / bucket heads.
-const NIL: u32 = u32::MAX;
-
-const POLICY_UNSET: u8 = 0;
-const POLICY_AUTO: u8 = 1;
-const POLICY_HEAP: u8 = 2;
-const POLICY_CALENDAR: u8 = 3;
-
-/// Process-wide default policy for queues built via [`EventQueue::new`] /
-/// [`EventQueue::with_capacity`]. Resolved once from `DOEBENCH_QUEUE`
-/// (`heap` / `calendar` / `auto`), overridable programmatically.
-static DEFAULT_POLICY: AtomicU8 = AtomicU8::new(POLICY_UNSET);
-
-fn encode_policy(p: QueuePolicy) -> u8 {
-    match p {
-        QueuePolicy::Auto => POLICY_AUTO,
-        QueuePolicy::Heap => POLICY_HEAP,
-        QueuePolicy::Calendar => POLICY_CALENDAR,
-    }
-}
-
-/// Override the process-wide default [`QueuePolicy`]. Queues already
-/// constructed are unaffected; `EventQueue::new()` from here on uses `p`.
-/// Intended for A/B harnesses that run the same workload on both cores.
-pub fn set_default_queue_policy(p: QueuePolicy) {
-    DEFAULT_POLICY.store(encode_policy(p), AtomicOrdering::Relaxed);
-}
-
-/// The process-wide default [`QueuePolicy`]: `DOEBENCH_QUEUE` if set
-/// (`heap` / `calendar`, anything else means `Auto`), else `Auto`.
-pub fn default_queue_policy() -> QueuePolicy {
-    match DEFAULT_POLICY.load(AtomicOrdering::Relaxed) {
-        POLICY_AUTO => QueuePolicy::Auto,
-        POLICY_HEAP => QueuePolicy::Heap,
-        POLICY_CALENDAR => QueuePolicy::Calendar,
-        _ => {
-            // dessan::allow(env-read): documented queue-core A/B knob (DOEBENCH_QUEUE=heap|calendar), read once at first use.
-            let p = match std::env::var("DOEBENCH_QUEUE").as_deref() {
-                Ok("heap") => QueuePolicy::Heap,
-                Ok("calendar") | Ok("cal") => QueuePolicy::Calendar,
-                _ => QueuePolicy::Auto,
-            };
-            DEFAULT_POLICY.store(encode_policy(p), AtomicOrdering::Relaxed);
-            p
-        }
-    }
-}
-
-/// A scheduler entry: ordering key plus the arena slot holding the payload.
+/// A heap entry: ordering key plus the arena slot holding the payload.
 ///
 /// `Copy` on purpose — sift operations move these, never the payloads.
 #[derive(Debug, Clone, Copy)]
@@ -165,55 +72,19 @@ impl HeapEntry {
     }
 }
 
-/// Which core is currently active (an `Auto` queue migrates between them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Heap,
-    Calendar,
-}
-
 /// A min-queue of timestamped events with deterministic FIFO tie-breaking.
 ///
 /// Arena-backed: payloads live in `slots`, freed slots recycle through
-/// `free`, and the active core ([`Mode`]) orders `Copy` index entries —
-/// either a hand-rolled index min-heap or calendar buckets whose intrusive
-/// lists are threaded through `slot_next`. After warm-up a schedule/pop
-/// cycle performs zero heap allocations in either mode.
+/// `free`, and an index min-heap orders `Copy` entries. After warm-up a
+/// schedule/pop cycle performs zero heap allocations.
 #[derive(Debug, Clone)]
 pub struct EventQueue<T> {
     /// Payload slab; `None` marks a free slot.
     slots: Vec<Option<T>>,
     /// Indices of free slots in `slots`, reused LIFO.
     free: Vec<u32>,
-    /// Per-slot timestamp (valid while the slot is occupied). SoA so the
-    /// calendar's bucket scans stride dense arrays, not payloads.
-    slot_at: Vec<SimTime>,
-    /// Per-slot sequence number (valid while the slot is occupied).
-    slot_seq: Vec<u64>,
-    /// Intrusive bucket-list link (calendar mode; `NIL` terminates).
-    slot_next: Vec<u32>,
-    /// Index min-heap ordered by `(at, seq)` (heap mode).
+    /// Index min-heap ordered by `(at, seq)`.
     heap: Vec<HeapEntry>,
-    /// Bucket heads (calendar mode); index = `(at.ps >> shift) & (len-1)`.
-    buckets: Vec<u32>,
-    /// log2 of the bucket time width in picoseconds.
-    shift: u32,
-    /// Cached exact global minimum (calendar mode; `None` iff empty).
-    cal_min: Option<HeapEntry>,
-    /// Same-timestamp unlink scratch for batch draining, reused.
-    batch: Vec<(u64, u32)>,
-    /// Scan-effort accumulator for the degeneracy check.
-    scan_work: u64,
-    /// Pops since the last degeneracy check.
-    scan_ops: u64,
-    /// Whether the last degeneracy trigger already tried a rebuild.
-    rebuilt_once: bool,
-    /// `Auto` re-promotes to the calendar only above this population
-    /// (doubles on every fallback so a hostile distribution cannot thrash).
-    reenter_len: usize,
-    mode: Mode,
-    policy: QueuePolicy,
-    len: usize,
     next_seq: u64,
     last_popped: SimTime,
 }
@@ -225,58 +96,21 @@ impl<T> Default for EventQueue<T> {
 }
 
 impl<T> EventQueue<T> {
-    /// An empty queue using the process-default [`QueuePolicy`].
+    /// An empty queue.
     pub fn new() -> Self {
-        Self::with_policy_and_capacity(default_queue_policy(), 0)
+        Self::with_capacity(0)
     }
 
     /// An empty queue with arena and index capacity for `cap` in-flight
     /// events, so the first `cap` schedules never reallocate.
     pub fn with_capacity(cap: usize) -> Self {
-        Self::with_policy_and_capacity(default_queue_policy(), cap)
-    }
-
-    /// An empty queue pinned to `policy` regardless of the process default.
-    pub fn with_policy(policy: QueuePolicy) -> Self {
-        Self::with_policy_and_capacity(policy, 0)
-    }
-
-    /// An empty queue pinned to `policy`, pre-sized for `cap` events.
-    pub fn with_policy_and_capacity(policy: QueuePolicy, cap: usize) -> Self {
-        let mode = match policy {
-            QueuePolicy::Calendar => Mode::Calendar,
-            QueuePolicy::Auto | QueuePolicy::Heap => Mode::Heap,
-        };
-        let mut q = EventQueue {
+        EventQueue {
             slots: Vec::with_capacity(cap),
             free: Vec::with_capacity(cap),
-            slot_at: Vec::with_capacity(cap),
-            slot_seq: Vec::with_capacity(cap),
-            slot_next: Vec::with_capacity(cap),
             heap: Vec::with_capacity(cap),
-            buckets: Vec::new(),
-            shift: 0,
-            cal_min: None,
-            batch: Vec::new(),
-            scan_work: 0,
-            scan_ops: 0,
-            rebuilt_once: false,
-            reenter_len: 0,
-            mode,
-            policy,
-            len: 0,
             next_seq: 0,
             last_popped: SimTime::ZERO,
-        };
-        if mode == Mode::Calendar {
-            q.buckets.resize(CAL_MIN_BUCKETS, NIL);
         }
-        q
-    }
-
-    /// The policy this queue was built with.
-    pub fn policy(&self) -> QueuePolicy {
-        self.policy
     }
 
     /// Schedule `payload` to fire at `at`. Returns the event's sequence id.
@@ -287,46 +121,22 @@ impl<T> EventQueue<T> {
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize] = Some(payload);
-                self.slot_at[slot as usize] = at;
-                self.slot_seq[slot as usize] = seq;
                 slot
             }
             None => {
-                assert!(self.slots.len() < NIL as usize, "event arena overflow");
+                assert!(self.slots.len() < u32::MAX as usize, "event arena overflow");
                 self.slots.push(Some(payload));
-                self.slot_at.push(at);
-                self.slot_seq.push(seq);
-                self.slot_next.push(NIL);
                 (self.slots.len() - 1) as u32
             }
         };
-        self.len += 1;
-        match self.mode {
-            Mode::Heap => {
-                self.heap.push(HeapEntry { at, seq, slot });
-                self.sift_up(self.heap.len() - 1);
-                if self.policy == QueuePolicy::Auto
-                    && self.len >= CAL_ENTER_LEN.max(self.reenter_len)
-                {
-                    self.migrate_to_calendar();
-                }
-            }
-            Mode::Calendar => {
-                self.cal_insert(HeapEntry { at, seq, slot });
-                if self.len > self.buckets.len() {
-                    self.cal_rebuild();
-                }
-            }
-        }
+        self.heap.push(HeapEntry { at, seq, slot });
+        self.sift_up(self.heap.len() - 1);
         seq
     }
 
     /// The timestamp of the next event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match self.mode {
-            Mode::Heap => self.heap.first().map(|e| e.at),
-            Mode::Calendar => self.cal_min.map(|e| e.at),
-        }
+        self.heap.first().map(|e| e.at)
     }
 
     /// Pop the earliest event.
@@ -336,30 +146,13 @@ impl<T> EventQueue<T> {
     /// previously popped event — that indicates a scheduling bug upstream.
     // doebench::hot
     pub fn pop(&mut self) -> Option<Scheduled<T>> {
-        let entry = match self.mode {
-            Mode::Heap => {
-                if self.heap.is_empty() {
-                    return None;
-                }
-                let entry = self.heap.swap_remove(0);
-                if !self.heap.is_empty() {
-                    self.sift_down(0);
-                }
-                entry
-            }
-            Mode::Calendar => {
-                let entry = self.cal_min?;
-                self.cal_unlink(entry.at, entry.slot);
-                self.cal_min = if self.len > 1 {
-                    Some(self.cal_find_min_from(entry.at))
-                } else {
-                    None
-                };
-                self.cal_after_pop(1);
-                entry
-            }
-        };
-        self.len -= 1;
+        if self.heap.is_empty() {
+            return None;
+        }
+        let entry = self.heap.swap_remove(0);
+        if !self.heap.is_empty() {
+            self.sift_down(0);
+        }
         assert!(
             entry.at >= self.last_popped,
             "event queue time went backwards: {:?} after {:?}",
@@ -368,7 +161,7 @@ impl<T> EventQueue<T> {
         );
         self.last_popped = entry.at;
         let Some(payload) = self.slots[entry.slot as usize].take() else {
-            unreachable!("scheduler entry points at an occupied slot")
+            unreachable!("heap entry points at an occupied slot")
         };
         self.free.push(entry.slot);
         Some(Scheduled {
@@ -376,71 +169,6 @@ impl<T> EventQueue<T> {
             seq: entry.seq,
             payload,
         })
-    }
-
-    /// Pop the entire batch of events sharing the earliest timestamp,
-    /// handing each to `sink` in sequence order. Returns the shared
-    /// timestamp, or `None` on an empty queue.
-    ///
-    /// In calendar mode all ties live in one bucket, so the batch is
-    /// unlinked in a single pass instead of one min-search per event —
-    /// the fast path for lock-step worlds where thousands of ranks fire
-    /// at the same instant.
-    // doebench::hot
-    pub fn drain_step(&mut self, mut sink: impl FnMut(Scheduled<T>)) -> Option<SimTime> {
-        let t = self.peek_time()?;
-        match self.mode {
-            Mode::Heap => {
-                while self.peek_time() == Some(t) {
-                    let Some(ev) = self.pop() else { break };
-                    sink(ev);
-                }
-            }
-            Mode::Calendar => {
-                self.cal_unlink_ties(t);
-                // Pop in sequence order, recycling slots in that same order
-                // so the free list stays bit-identical with the heap core.
-                self.batch.sort_unstable();
-                assert!(
-                    t >= self.last_popped,
-                    "event queue time went backwards: {:?} after {:?}",
-                    t,
-                    self.last_popped
-                );
-                self.last_popped = t;
-                let n = self.batch.len();
-                self.len -= n;
-                for i in 0..n {
-                    let (seq, slot) = self.batch[i];
-                    let Some(payload) = self.slots[slot as usize].take() else {
-                        unreachable!("bucket entry points at an occupied slot")
-                    };
-                    self.free.push(slot);
-                    sink(Scheduled {
-                        at: t,
-                        seq,
-                        payload,
-                    });
-                }
-                self.cal_min = if self.len > 0 {
-                    Some(self.cal_find_min_from(t))
-                } else {
-                    None
-                };
-                self.cal_after_pop(n as u64);
-            }
-        }
-        Some(t)
-    }
-
-    /// Pop the entire batch of events sharing the earliest timestamp into
-    /// `out` (cleared first), in sequence order. Returns the shared
-    /// timestamp. `out` is caller-owned so steady-state loops reuse its
-    /// capacity and never allocate.
-    // doebench::hot
-    pub fn pop_batch(&mut self, out: &mut Vec<Scheduled<T>>) -> Option<SimTime> {
-        out.clear();
-        self.drain_step(|ev| out.push(ev))
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -476,251 +204,6 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Bucket index of timestamp `at` under the current geometry.
-    #[inline]
-    fn cal_bucket(&self, at: SimTime) -> usize {
-        ((at.as_ps() >> self.shift) as usize) & (self.buckets.len() - 1)
-    }
-
-    /// Link `e` into its bucket (front insertion) and refresh the cached
-    /// minimum.
-    #[inline]
-    fn cal_insert(&mut self, e: HeapEntry) {
-        let b = self.cal_bucket(e.at);
-        self.slot_next[e.slot as usize] = self.buckets[b];
-        self.buckets[b] = e.slot;
-        if self.cal_min.is_none_or(|m| e.key() < m.key()) {
-            self.cal_min = Some(e);
-        }
-    }
-
-    /// Unlink `slot` (scheduled at `at`) from its bucket list.
-    fn cal_unlink(&mut self, at: SimTime, slot: u32) {
-        let b = self.cal_bucket(at);
-        let mut cur = self.buckets[b];
-        let mut prev = NIL;
-        while cur != NIL {
-            let next = self.slot_next[cur as usize];
-            if cur == slot {
-                if prev == NIL {
-                    self.buckets[b] = next;
-                } else {
-                    self.slot_next[prev as usize] = next;
-                }
-                return;
-            }
-            prev = cur;
-            cur = next;
-        }
-        unreachable!("calendar minimum not found in its bucket")
-    }
-
-    /// Unlink every event scheduled exactly at `t` from `t`'s bucket into
-    /// the `batch` scratch as `(seq, slot)` pairs. All ties share a bucket
-    /// because equal timestamps map to equal bucket indices.
-    fn cal_unlink_ties(&mut self, t: SimTime) {
-        self.batch.clear();
-        let b = self.cal_bucket(t);
-        let mut cur = self.buckets[b];
-        let mut prev = NIL;
-        while cur != NIL {
-            let next = self.slot_next[cur as usize];
-            if self.slot_at[cur as usize] == t {
-                if prev == NIL {
-                    self.buckets[b] = next;
-                } else {
-                    self.slot_next[prev as usize] = next;
-                }
-                self.batch.push((self.slot_seq[cur as usize], cur));
-            } else {
-                prev = cur;
-            }
-            cur = next;
-        }
-        debug_assert!(!self.batch.is_empty(), "peeked timestamp has no events");
-    }
-
-    /// Exact global minimum of the remaining events, scanning forward from
-    /// the virtual bucket containing `from` (every pending event is at or
-    /// after `from`, the timestamp just popped). Work is accounted in
-    /// `scan_work` for the degeneracy check.
-    fn cal_find_min_from(&mut self, from: SimTime) -> HeapEntry {
-        let nb = self.buckets.len();
-        let first_vb = from.as_ps() >> self.shift;
-        for vb in first_vb..first_vb + nb as u64 {
-            let b = (vb as usize) & (nb - 1);
-            let mut best: Option<HeapEntry> = None;
-            let mut cur = self.buckets[b];
-            while cur != NIL {
-                self.scan_work += 1;
-                // Same bucket index can hold later "years"; only entries in
-                // this window compete.
-                if self.slot_at[cur as usize].as_ps() >> self.shift == vb {
-                    let cand = HeapEntry {
-                        at: self.slot_at[cur as usize],
-                        seq: self.slot_seq[cur as usize],
-                        slot: cur,
-                    };
-                    if best.is_none_or(|bst| cand.key() < bst.key()) {
-                        best = Some(cand);
-                    }
-                }
-                cur = self.slot_next[cur as usize];
-            }
-            if let Some(found) = best {
-                return found;
-            }
-            self.scan_work += 1;
-        }
-        // A whole lap of empty windows: the population is sparse relative
-        // to the bucket width. Find the minimum directly.
-        self.cal_global_min()
-    }
-
-    /// O(n + buckets) direct minimum scan — the rescue path when a full
-    /// window lap comes up empty.
-    fn cal_global_min(&mut self) -> HeapEntry {
-        let mut best: Option<HeapEntry> = None;
-        for b in 0..self.buckets.len() {
-            let mut cur = self.buckets[b];
-            while cur != NIL {
-                self.scan_work += 1;
-                let cand = HeapEntry {
-                    at: self.slot_at[cur as usize],
-                    seq: self.slot_seq[cur as usize],
-                    slot: cur,
-                };
-                if best.is_none_or(|bst| cand.key() < bst.key()) {
-                    best = Some(cand);
-                }
-                cur = self.slot_next[cur as usize];
-            }
-        }
-        let Some(found) = best else {
-            unreachable!("global-min scan on a non-empty calendar")
-        };
-        found
-    }
-
-    /// Post-pop bookkeeping: shrink oversized bucket arrays and check for
-    /// degenerate distributions every [`FALLBACK_WINDOW`] pops.
-    fn cal_after_pop(&mut self, popped: u64) {
-        if self.len * 8 < self.buckets.len() && self.buckets.len() > CAL_MIN_BUCKETS {
-            self.cal_rebuild();
-        }
-        self.scan_ops += popped;
-        if self.scan_ops >= FALLBACK_WINDOW {
-            let degenerate = self.scan_work > FALLBACK_WORK_FACTOR * self.scan_ops;
-            self.scan_ops = 0;
-            self.scan_work = 0;
-            if degenerate {
-                if self.rebuilt_once && self.policy == QueuePolicy::Auto {
-                    // A width re-estimate did not help: the distribution is
-                    // hostile to bucketing (e.g. one massive tie cluster
-                    // popped one event at a time). Hand back to the heap.
-                    self.reenter_len = (self.len * 2).max(CAL_ENTER_LEN * 2);
-                    self.migrate_to_heap();
-                } else {
-                    self.rebuilt_once = true;
-                    self.cal_rebuild();
-                }
-            } else {
-                self.rebuilt_once = false;
-            }
-        }
-    }
-
-    /// Rebuild the calendar geometry from the live population: bucket count
-    /// ≈ 2·len (power of two) and bucket width ≈ the mean inter-event gap
-    /// rounded to a power of two, then relink every event. O(n + buckets),
-    /// amortized O(1) per operation by the doubling schedule.
-    fn cal_rebuild(&mut self) {
-        // Concatenate all bucket lists into one chain through `slot_next`.
-        let mut head = NIL;
-        let mut min_at = u64::MAX;
-        let mut max_at = 0u64;
-        for b in 0..self.buckets.len() {
-            let mut cur = self.buckets[b];
-            while cur != NIL {
-                let next = self.slot_next[cur as usize];
-                let ps = self.slot_at[cur as usize].as_ps();
-                min_at = min_at.min(ps);
-                max_at = max_at.max(ps);
-                self.slot_next[cur as usize] = head;
-                head = cur;
-                cur = next;
-            }
-        }
-        let nb = (self.len * 2).next_power_of_two().max(CAL_MIN_BUCKETS);
-        // Mean gap between consecutive events across the occupied span;
-        // ≥ 1 ps, capped so the shift stays meaningful.
-        let span = max_at.saturating_sub(min_at);
-        let gap = if self.len > 1 {
-            (span / self.len as u64).max(1)
-        } else {
-            1
-        };
-        self.shift = gap.ilog2().min(40);
-        self.buckets.clear();
-        self.buckets.resize(nb, NIL);
-        let mut cur = head;
-        while cur != NIL {
-            let next = self.slot_next[cur as usize];
-            let b = self.cal_bucket(self.slot_at[cur as usize]);
-            self.slot_next[cur as usize] = self.buckets[b];
-            self.buckets[b] = cur;
-            cur = next;
-        }
-    }
-
-    /// Heap → calendar: size the geometry for the current population and
-    /// link every heap entry into its bucket. The cached minimum is the
-    /// heap root.
-    fn migrate_to_calendar(&mut self) {
-        self.mode = Mode::Calendar;
-        self.cal_min = self.heap.first().copied();
-        if self.buckets.is_empty() {
-            self.buckets.resize(CAL_MIN_BUCKETS, NIL);
-        } else {
-            for b in self.buckets.iter_mut() {
-                *b = NIL;
-            }
-        }
-        while let Some(e) = self.heap.pop() {
-            let b = self.cal_bucket(e.at);
-            self.slot_next[e.slot as usize] = self.buckets[b];
-            self.buckets[b] = e.slot;
-        }
-        self.cal_rebuild();
-        self.scan_work = 0;
-        self.scan_ops = 0;
-        self.rebuilt_once = false;
-    }
-
-    /// Calendar → heap: collect every bucket entry and heapify. Pop order
-    /// is unaffected — both cores pop the total order of `(at, seq)`.
-    fn migrate_to_heap(&mut self) {
-        self.heap.clear();
-        for b in 0..self.buckets.len() {
-            let mut cur = self.buckets[b];
-            while cur != NIL {
-                self.heap.push(HeapEntry {
-                    at: self.slot_at[cur as usize],
-                    seq: self.slot_seq[cur as usize],
-                    slot: cur,
-                });
-                cur = self.slot_next[cur as usize];
-            }
-            self.buckets[b] = NIL;
-        }
-        let n = self.heap.len();
-        for i in (0..n / 2).rev() {
-            self.sift_down(i);
-        }
-        self.cal_min = None;
-        self.mode = Mode::Heap;
-    }
-
     /// Pop all events with timestamps `<= t`, earliest first, handing each
     /// to `sink` without building an intermediate `Vec` — the
     /// allocation-free form for hot event loops.
@@ -743,12 +226,12 @@ impl<T> EventQueue<T> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// Drop every pending event (e.g. device reset). Retains the arena and
@@ -756,32 +239,13 @@ impl<T> EventQueue<T> {
     pub fn clear(&mut self) {
         self.slots.clear();
         self.free.clear();
-        self.slot_at.clear();
-        self.slot_seq.clear();
-        self.slot_next.clear();
         self.heap.clear();
-        for b in self.buckets.iter_mut() {
-            *b = NIL;
-        }
-        self.cal_min = None;
-        self.len = 0;
-        self.scan_work = 0;
-        self.scan_ops = 0;
-        self.mode = match self.policy {
-            QueuePolicy::Calendar => Mode::Calendar,
-            QueuePolicy::Auto | QueuePolicy::Heap => Mode::Heap,
-        };
     }
 
     /// Capacity of the payload arena — its high-water mark of simultaneous
     /// in-flight events (diagnostic; steady state should plateau here).
     pub fn arena_len(&self) -> usize {
         self.slots.len()
-    }
-
-    /// True while the calendar core is active (diagnostic).
-    pub fn is_calendar(&self) -> bool {
-        self.mode == Mode::Calendar
     }
 }
 
@@ -921,141 +385,6 @@ mod tests {
         assert_eq!(order, vec![997, 998, 999]);
     }
 
-    #[test]
-    fn forced_calendar_matches_forced_heap_on_small_runs() {
-        let mut cal = EventQueue::with_policy(QueuePolicy::Calendar);
-        let mut heap = EventQueue::with_policy(QueuePolicy::Heap);
-        assert!(cal.is_calendar());
-        assert!(!heap.is_calendar());
-        for i in 0..50u64 {
-            let at = SimTime::from_ps((i * 37) % 400);
-            cal.schedule(at, i);
-            heap.schedule(at, i);
-        }
-        loop {
-            let (c, h) = (cal.pop(), heap.pop());
-            match (c, h) {
-                (None, None) => break,
-                (Some(c), Some(h)) => {
-                    assert_eq!((c.at, c.seq, c.payload), (h.at, h.seq, h.payload));
-                }
-                other => panic!("pop mismatch: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn auto_promotes_to_calendar_past_threshold_and_keeps_order() {
-        let mut q = EventQueue::with_policy(QueuePolicy::Auto);
-        let n = CAL_ENTER_LEN as u64 + 200;
-        for i in 0..n {
-            q.schedule(SimTime::from_ps(i * 731 % 100_000), i);
-        }
-        assert!(q.is_calendar(), "population {n} should be on the calendar");
-        let mut prev = (SimTime::ZERO, 0u64);
-        let mut popped = 0u64;
-        while let Some(ev) = q.pop() {
-            assert!((ev.at, ev.seq) >= prev, "order broke at {ev:?}");
-            prev = (ev.at, ev.seq);
-            popped += 1;
-        }
-        assert_eq!(popped, n);
-    }
-
-    #[test]
-    fn auto_falls_back_to_heap_on_degenerate_ties() {
-        // Everything at one instant, popped one at a time: the calendar's
-        // per-pop bucket scan is O(n), which the degeneracy check catches.
-        let mut q = EventQueue::with_policy(QueuePolicy::Auto);
-        let n = 6_000u64;
-        for i in 0..n {
-            q.schedule(t(5.0), i);
-        }
-        assert!(q.is_calendar());
-        for i in 0..n {
-            let ev = q.pop().expect("n events pending");
-            assert_eq!(ev.payload, i, "FIFO among ties must survive fallback");
-        }
-        assert!(
-            !q.is_calendar(),
-            "degenerate tie cluster should have fallen back to the heap"
-        );
-    }
-
-    #[test]
-    fn pop_batch_hands_out_whole_tie_groups() {
-        for policy in [QueuePolicy::Heap, QueuePolicy::Calendar] {
-            let mut q = EventQueue::with_policy(policy);
-            q.schedule(t(1.0), 10);
-            q.schedule(t(2.0), 20);
-            q.schedule(t(1.0), 11);
-            q.schedule(t(1.0), 12);
-            let mut batch = Vec::new();
-            let at = q.pop_batch(&mut batch);
-            assert_eq!(at, Some(t(1.0)));
-            assert_eq!(
-                batch.iter().map(|e| e.payload).collect::<Vec<_>>(),
-                [10, 11, 12],
-                "policy {policy:?}"
-            );
-            let at = q.pop_batch(&mut batch);
-            assert_eq!(at, Some(t(2.0)));
-            assert_eq!(batch.iter().map(|e| e.payload).collect::<Vec<_>>(), [20]);
-            assert_eq!(q.pop_batch(&mut batch), None);
-            assert!(batch.is_empty());
-        }
-    }
-
-    #[test]
-    fn drain_step_visits_ties_in_seq_order() {
-        let mut q = EventQueue::with_policy(QueuePolicy::Calendar);
-        for i in 0..100u64 {
-            q.schedule(t(1.0), i);
-        }
-        q.schedule(t(3.0), 999);
-        let mut seen = Vec::new();
-        let at = q.drain_step(|ev| seen.push(ev.payload));
-        assert_eq!(at, Some(t(1.0)));
-        assert_eq!(seen, (0..100).collect::<Vec<_>>());
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn calendar_survives_rebuilds_across_wide_time_spans() {
-        // Schedule in waves whose spans differ by orders of magnitude so
-        // the width estimate must be re-picked, then check total order.
-        let mut q = EventQueue::with_policy(QueuePolicy::Calendar);
-        let mut expect = Vec::new();
-        for i in 0..400u64 {
-            let at = SimTime::from_ps(i * 3);
-            q.schedule(at, i);
-            expect.push((at, i));
-        }
-        for i in 400..800u64 {
-            let at = SimTime::from_ps(1_000_000 + (i - 400) * 1_000_000);
-            q.schedule(at, i);
-            expect.push((at, i));
-        }
-        expect.sort();
-        let mut got = Vec::new();
-        while let Some(ev) = q.pop() {
-            got.push((ev.at, ev.payload));
-        }
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn default_policy_override_is_visible_to_new() {
-        // All policies produce identical observable behaviour, so flipping
-        // the process default here cannot perturb concurrent tests.
-        let before = default_queue_policy();
-        set_default_queue_policy(QueuePolicy::Heap);
-        assert_eq!(default_queue_policy(), QueuePolicy::Heap);
-        let q: EventQueue<u32> = EventQueue::new();
-        assert_eq!(q.policy(), QueuePolicy::Heap);
-        set_default_queue_policy(before);
-    }
-
     /// Operations a queue run is built from, for the differential proptest.
     #[derive(Debug, Clone)]
     enum Op {
@@ -1063,7 +392,6 @@ mod tests {
         /// Push at exactly the current floor — maximizes same-timestamp ties.
         PushTie,
         Pop,
-        PopBatch,
         DrainUntil(u64),
     }
 
@@ -1073,108 +401,50 @@ mod tests {
             (0u64..12).prop_map(Op::Push),
             Just(Op::PushTie),
             Just(Op::Pop),
-            Just(Op::PopBatch),
             (0u64..1_000).prop_map(Op::DrainUntil),
         ]
     }
 
-    /// The three queues under differential test: the two real cores pinned
-    /// (no adaptive migration) plus an adaptive Auto queue, all checked
-    /// against a reference `BinaryHeap`.
-    struct Trio {
-        heap: EventQueue<u32>,
-        cal: EventQueue<u32>,
-        auto_q: EventQueue<u32>,
-    }
-
-    impl Trio {
-        fn pop(&mut self) -> [Option<Scheduled<u32>>; 3] {
-            [self.heap.pop(), self.cal.pop(), self.auto_q.pop()]
-        }
-    }
-
     proptest! {
-        /// Satellite: calendar queue vs. arena heap vs. reference
-        /// `BinaryHeap` — identical observable (timestamp, seq, payload)
-        /// pop order and identical arena evolution under arbitrary
-        /// interleaved push / tie-push / pop / pop_batch / drain_until
-        /// sequences.
+        /// The arena heap vs. a reference `BinaryHeap`: identical
+        /// observable (timestamp, seq, payload) pop order under arbitrary
+        /// interleaved push / tie-push / pop / drain_until sequences.
         #[test]
-        fn prop_calendar_heap_and_reference_agree(ops in proptest::collection::vec(op_strategy(), 0..160)) {
+        fn prop_heap_and_reference_agree(ops in proptest::collection::vec(op_strategy(), 0..160)) {
             use std::collections::BinaryHeap;
 
-            let mut q = Trio {
-                heap: EventQueue::with_policy(QueuePolicy::Heap),
-                cal: EventQueue::with_policy(QueuePolicy::Calendar),
-                auto_q: EventQueue::with_policy(QueuePolicy::Auto),
-            };
+            let mut q: EventQueue<u32> = EventQueue::new();
             let mut reference: BinaryHeap<Scheduled<u32>> = BinaryHeap::new();
             let mut ref_seq = 0u64;
             // The reference has no monotonicity guard, so only advance time:
             // drop ops that would schedule before the last observed pop.
             let mut floor = SimTime::ZERO;
             let mut payload = 0u32;
-            let mut batch = Vec::new();
-
-            let push = |q: &mut Trio,
-                            reference: &mut BinaryHeap<Scheduled<u32>>,
-                            ref_seq: &mut u64,
-                            payload: &mut u32,
-                            at: SimTime| {
-                for queue in [&mut q.heap, &mut q.cal, &mut q.auto_q] {
-                    let seq = queue.schedule(at, *payload);
-                    assert_eq!(seq, *ref_seq);
-                }
-                reference.push(Scheduled { at, seq: *ref_seq, payload: *payload });
-                *ref_seq += 1;
-                *payload += 1;
-            };
 
             for op in ops {
+                let push_at = match op {
+                    Op::Push(ps) => Some(floor + SimDuration::from_ps(ps)),
+                    Op::PushTie => Some(floor),
+                    Op::Pop | Op::DrainUntil(_) => None,
+                };
+                if let Some(at) = push_at {
+                    prop_assert_eq!(q.schedule(at, payload), ref_seq);
+                    reference.push(Scheduled { at, seq: ref_seq, payload });
+                    ref_seq += 1;
+                    payload += 1;
+                }
                 match op {
-                    Op::Push(ps) => {
-                        let at = floor + SimDuration::from_ps(ps);
-                        push(&mut q, &mut reference, &mut ref_seq, &mut payload, at);
-                    }
-                    Op::PushTie => {
-                        push(&mut q, &mut reference, &mut ref_seq, &mut payload, floor);
-                    }
-                    Op::Pop => {
-                        let got = q.pop();
-                        let want = reference.pop();
-                        for g in &got {
-                            match (g, &want) {
-                                (None, None) => {}
-                                (Some(g), Some(w)) => {
-                                    prop_assert_eq!(g.at, w.at);
-                                    prop_assert_eq!(g.seq, w.seq);
-                                    prop_assert_eq!(g.payload, w.payload);
-                                    floor = g.at;
-                                }
-                                (g, w) => prop_assert!(false, "pop mismatch: {:?} vs {:?}", g, w),
-                            }
+                    Op::Push(_) | Op::PushTie => {}
+                    Op::Pop => match (q.pop(), reference.pop()) {
+                        (None, None) => {}
+                        (Some(g), Some(w)) => {
+                            prop_assert_eq!(g.at, w.at);
+                            prop_assert_eq!(g.seq, w.seq);
+                            prop_assert_eq!(g.payload, w.payload);
+                            floor = g.at;
                         }
-                    }
-                    Op::PopBatch => {
-                        let mut want = Vec::new();
-                        if let Some(first) = reference.peek().map(|e| e.at) {
-                            while reference.peek().is_some_and(|e| e.at == first) {
-                                let Some(e) = reference.pop() else { break };
-                                want.push(e);
-                            }
-                            floor = first;
-                        }
-                        for queue in [&mut q.heap, &mut q.cal, &mut q.auto_q] {
-                            let at = queue.pop_batch(&mut batch);
-                            prop_assert_eq!(at, want.first().map(|e| e.at));
-                            prop_assert_eq!(batch.len(), want.len());
-                            for (g, w) in batch.iter().zip(&want) {
-                                prop_assert_eq!(g.at, w.at);
-                                prop_assert_eq!(g.seq, w.seq);
-                                prop_assert_eq!(g.payload, w.payload);
-                            }
-                        }
-                    }
+                        (g, w) => prop_assert!(false, "pop mismatch: {:?} vs {:?}", g, w),
+                    },
                     Op::DrainUntil(ps) => {
                         let cut = floor + SimDuration::from_ps(ps);
                         let mut want = Vec::new();
@@ -1182,57 +452,50 @@ mod tests {
                             let Some(e) = reference.pop() else { break };
                             want.push(e);
                         }
-                        for queue in [&mut q.heap, &mut q.cal, &mut q.auto_q] {
-                            let mut got = Vec::new();
-                            queue.drain_until(cut, |ev| got.push(ev));
-                            prop_assert_eq!(got.len(), want.len());
-                            for (g, w) in got.iter().zip(&want) {
-                                prop_assert_eq!(g.at, w.at);
-                                prop_assert_eq!(g.seq, w.seq);
-                                prop_assert_eq!(g.payload, w.payload);
-                            }
+                        let mut got = Vec::new();
+                        q.drain_until(cut, |ev| got.push(ev));
+                        prop_assert_eq!(got.len(), want.len());
+                        for (g, w) in got.iter().zip(&want) {
+                            prop_assert_eq!(g.at, w.at);
+                            prop_assert_eq!(g.seq, w.seq);
+                            prop_assert_eq!(g.payload, w.payload);
                         }
                         if let Some(last) = want.last() {
                             floor = last.at;
                         }
                     }
                 }
-                for queue in [&q.heap, &q.cal, &q.auto_q] {
-                    prop_assert_eq!(queue.len(), reference.len());
-                    prop_assert_eq!(queue.peek_time(), reference.peek().map(|e| e.at));
-                }
-                // The free lists are recycled in identical order, so the
-                // payload arenas of all three queues evolve in lock-step.
-                prop_assert_eq!(q.heap.arena_len(), q.cal.arena_len());
-                prop_assert_eq!(q.heap.arena_len(), q.auto_q.arena_len());
+                prop_assert_eq!(q.len(), reference.len());
+                prop_assert_eq!(q.peek_time(), reference.peek().map(|e| e.at));
             }
         }
     }
 
     proptest! {
-        /// Deep-population differential run: enough events that Auto
-        /// promotes to the calendar and rebuilds fire, checked pop-by-pop.
+        /// Deep-population differential run against a reference
+        /// `BinaryHeap`, checked pop-by-pop.
         #[test]
         fn prop_deep_population_pops_identically(
             times in proptest::collection::vec(0u64..50_000, 300..600),
         ) {
-            let mut heap = EventQueue::with_policy(QueuePolicy::Heap);
-            let mut auto_q = EventQueue::with_policy(QueuePolicy::Auto);
+            use std::collections::BinaryHeap;
+
+            let mut q = EventQueue::new();
+            let mut reference = BinaryHeap::new();
             for (i, &ps) in times.iter().enumerate() {
-                heap.schedule(SimTime::from_ps(ps), i);
-                auto_q.schedule(SimTime::from_ps(ps), i);
+                let at = SimTime::from_ps(ps);
+                let seq = q.schedule(at, i);
+                reference.push(Scheduled { at, seq, payload: i });
             }
-            prop_assert!(auto_q.is_calendar());
             loop {
-                let (h, a) = (heap.pop(), auto_q.pop());
-                match (h, a) {
+                match (q.pop(), reference.pop()) {
                     (None, None) => break,
-                    (Some(h), Some(a)) => {
-                        prop_assert_eq!(h.at, a.at);
-                        prop_assert_eq!(h.seq, a.seq);
-                        prop_assert_eq!(h.payload, a.payload);
+                    (Some(g), Some(w)) => {
+                        prop_assert_eq!(g.at, w.at);
+                        prop_assert_eq!(g.seq, w.seq);
+                        prop_assert_eq!(g.payload, w.payload);
                     }
-                    (h, a) => prop_assert!(false, "pop mismatch: {:?} vs {:?}", h, a),
+                    (g, w) => prop_assert!(false, "pop mismatch: {:?} vs {:?}", g, w),
                 }
             }
         }

@@ -4,7 +4,9 @@
 //! clock with **picosecond resolution**. Costs of simulated operations
 //! (a DMA setup, a link traversal, a kernel dispatch) are expressed as
 //! [`SimDuration`]s; the state machines in the runtime crates advance a
-//! [`Clock`] or schedule completions on an [`EventQueue`].
+//! [`Clock`] or per-rank and per-engine timestamps in closed form. No
+//! runtime schedules on the [`EventQueue`]: it is the discrete-event
+//! reference that tests compare those closed forms against.
 //!
 //! Measurement noise — what turns a deterministic model into a distribution
 //! with a non-degenerate standard deviation across the paper's 100 "binary
@@ -31,14 +33,8 @@ pub mod time;
 pub mod trace;
 
 pub use clock::Clock;
-pub use event::{
-    default_queue_policy, set_default_queue_policy, EventQueue, QueuePolicy, Scheduled,
-};
+pub use event::{EventQueue, Scheduled};
 pub use noise::Jitter;
 pub use rng::SimRng;
-pub use shard::{
-    default_shard_policy, serial_exec, set_default_shard_policy, Lane, LaneCtx, ShardPolicy,
-    ShardRunner, ShardStats,
-};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Span, Trace};

@@ -51,14 +51,11 @@ fn alloc_delta(f: impl FnOnce()) -> u64 {
 
 use std::sync::Arc;
 
-use doebench::benchlib::set_jobs;
 use doebench::gpurt::testkit::dual_gpu_runtime;
 use doebench::gpurt::{Buffer, GpuRuntime};
-use doebench::mpi::{MpiConfig, MpiSim, ShardedStorm, Storm, StormConfig};
-use doebench::net::{
-    Fabric, FabricConfig, NetStorm, NetStormConfig, NetWorld, NicConfig, NodeId, ShardedNetStorm,
-};
-use doebench::simtime::{EventQueue, QueuePolicy, ShardPolicy, SimDuration, SimRng, SimTime};
+use doebench::mpi::{MpiConfig, MpiSim};
+use doebench::net::{Fabric, FabricConfig, NetWorld, NicConfig, NodeId};
+use doebench::simtime::{EventQueue, SimDuration, SimRng, SimTime};
 use doebench::topo::{CoreId, DeviceId, LinkKind, NodeBuilder, NumaId, SocketId, Vertex};
 
 fn two_numa_topo() -> Arc<doebench::topo::NodeTopology> {
@@ -197,89 +194,6 @@ fn netsim_phase(checks: bool) -> u64 {
     delta
 }
 
-/// A 1000-rank storm (500 pairs, calendar scheduler): the O(ranks)
-/// event-engine workload must hold the allocator still once the worlds,
-/// mailboxes, batch buffer, and calendar arena are warm.
-fn mpisim_storm_phase(checks: bool) -> u64 {
-    let cfg = StormConfig {
-        checks,
-        ..StormConfig::with_ranks(1_000)
-    };
-    let mut storm = Storm::new(&cfg, QueuePolicy::Calendar, 21).expect("storm world");
-    // Warm: ten full rounds, so every per-rank mailbox, copy port, the
-    // batch scratch, and (under --check) the clock pools hit capacity.
-    storm.run(5_000).expect("warm-up");
-    let delta = alloc_delta(|| {
-        storm.run(30_000).expect("steady state");
-    });
-    assert!(
-        storm.world().check_findings().is_empty(),
-        "storm must be clean"
-    );
-    delta
-}
-
-/// The fabric flavor: zero stagger keeps pairs in lock-step, so the
-/// steady state drains wide same-timestamp batches through `pop_batch`.
-fn netsim_storm_phase() -> u64 {
-    let cfg = NetStormConfig::with_ranks(1_000);
-    let mut storm = NetStorm::new(&cfg, QueuePolicy::Calendar, 23).expect("fabric storm");
-    storm.run(5_000).expect("warm-up");
-    alloc_delta(|| {
-        storm.run(30_000).expect("steady state");
-    })
-}
-
-/// The sharded conservative-window driver on the same 1000-rank storm:
-/// four lanes, run with `--jobs 1` so the executor takes its serial path
-/// (a plain loop — the forking path's scope bookkeeping would count
-/// scheduler allocations, not engine ones). Pins that the engine's window
-/// loop is allocation-free per worker once warm: lane batch buffers,
-/// outboxes, and the barrier-merge scratch are pooled, and the window
-/// error slot lives on the stack.
-fn mpisim_sharded_storm_phase(checks: bool) -> u64 {
-    set_jobs(1);
-    let cfg = StormConfig {
-        checks,
-        ..StormConfig::with_ranks(1_000)
-    };
-    // Horizons from a serial probe: warm to ~10 rounds, steady ~60 more.
-    let (h_warm, h_end) = {
-        let mut probe = Storm::new(&cfg, QueuePolicy::Calendar, 21).expect("probe");
-        probe.run(5_000).expect("probe warm");
-        let w = probe.report().final_time;
-        probe.run(35_000).expect("probe run");
-        (w, probe.report().final_time)
-    };
-    let mut storm = ShardedStorm::new(&cfg, ShardPolicy::Sharded(4), QueuePolicy::Calendar, 21)
-        .expect("sharded storm");
-    storm.run_until(h_warm).expect("warm-up");
-    let delta = alloc_delta(|| {
-        storm.run_until(h_end).expect("steady state");
-    });
-    assert!(storm.check_findings().is_empty(), "storm must be clean");
-    delta
-}
-
-/// Sharded twin of [`netsim_storm_phase`].
-fn netsim_sharded_storm_phase() -> u64 {
-    set_jobs(1);
-    let cfg = NetStormConfig::with_ranks(1_000);
-    let (h_warm, h_end) = {
-        let mut probe = NetStorm::new(&cfg, QueuePolicy::Calendar, 23).expect("probe");
-        probe.run(5_000).expect("probe warm");
-        let w = probe.report().final_time;
-        probe.run(35_000).expect("probe run");
-        (w, probe.report().final_time)
-    };
-    let mut storm = ShardedNetStorm::new(&cfg, ShardPolicy::Sharded(4), QueuePolicy::Calendar, 23)
-        .expect("sharded fabric storm");
-    storm.run_until(h_warm).expect("warm-up");
-    alloc_delta(|| {
-        storm.run_until(h_end).expect("steady state");
-    })
-}
-
 fn gpurt_phase() -> u64 {
     let mut rt = dual_gpu_runtime();
     let s = rt.create_stream(DeviceId(0)).expect("stream");
@@ -370,24 +284,6 @@ fn steady_state_hot_paths_allocate_nothing() {
         ),
         ("netsim pingpong", netsim_phase(false)),
         ("netsim pingpong under --check", netsim_phase(true)),
-        ("mpisim 1k-rank storm", mpisim_storm_phase(false)),
-        (
-            "mpisim 1k-rank storm under --check",
-            mpisim_storm_phase(true),
-        ),
-        ("netsim 1k-rank lock-step storm", netsim_storm_phase()),
-        (
-            "mpisim 1k-rank sharded storm",
-            mpisim_sharded_storm_phase(false),
-        ),
-        (
-            "mpisim 1k-rank sharded storm under --check",
-            mpisim_sharded_storm_phase(true),
-        ),
-        (
-            "netsim 1k-rank sharded lock-step storm",
-            netsim_sharded_storm_phase(),
-        ),
         ("gpurt memcpy loop", gpurt_phase()),
         ("gpurt repeat fast-forward", gpurt_repeat_phase(false)),
         (
