@@ -31,10 +31,12 @@
 //! cells into a [`QueryResult`] whose rendering is a pure function of the
 //! cell values — the byte-identical-body property the daemon tests pin.
 
-use std::sync::Arc;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
+use std::sync::{Arc, OnceLock};
 
 use doe_benchlib::Summary;
-use doe_machines::Machine;
+use doe_machines::{catalog, Machine};
 use doe_osu::{on_node_pair, on_socket_pair, osu_latency, OsuConfig};
 use doe_report::json::{self, Json};
 use doe_report::{CellValue, Format, TableResult, Unit};
@@ -49,12 +51,40 @@ pub const CODE_VERSION: &str = concat!(env!("CARGO_PKG_VERSION"), "+q1");
 /// 64-bit FNV-1a over a byte stream — the suite's content hash.
 // doebench::effects(pure)
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    let mut h = Fnv1a(FNV_OFFSET);
+    h.update(bytes);
+    h.0
+}
+
+/// [`fnv1a64`] of formatted text, streamed: the text is hashed as it is
+/// rendered and never materialized.
+// doebench::effects(pure)
+fn fnv1a_fmt(args: fmt::Arguments<'_>) -> u64 {
+    let mut h = Fnv1a(FNV_OFFSET);
+    h.write_fmt(args).expect("hashing sink never fails");
+    h.0
+}
+
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// FNV-1a state as a `fmt::Write` sink. FNV-1a consumes bytes in order,
+/// so hashing a rendering piece by piece equals hashing it whole.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
     }
-    h
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// A query-layer failure, mapped to HTTP 400 by the daemon.
@@ -251,7 +281,9 @@ impl OverrideField {
 /// One machine-parameter override.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpecOverride {
-    /// Machine the override applies to.
+    /// Machine the override applies to. The parsers store the catalog
+    /// spelling and reject names the catalog lacks; planning matches it
+    /// case-insensitively.
     pub machine: String,
     /// Which knob.
     pub field: OverrideField,
@@ -556,7 +588,7 @@ fn parse_override(spec: &str) -> Result<SpecOverride, QueryError> {
         return Err(QueryError::new("override value must be finite"));
     }
     Ok(SpecOverride {
-        machine: machine.to_string(),
+        machine: catalog_machine(machine)?.name.to_string(),
         field: OverrideField::from_str(field)?,
         value,
     })
@@ -606,7 +638,7 @@ fn parse_params(v: &Json) -> Result<QueryParams, QueryError> {
                 return Err(QueryError::new("override value must be finite"));
             }
             overrides.push(SpecOverride {
-                machine: machine.to_string(),
+                machine: catalog_machine(machine)?.name.to_string(),
                 field,
                 value,
             });
@@ -627,15 +659,24 @@ fn parse_params(v: &Json) -> Result<QueryParams, QueryError> {
 /// rendering, which derives through every model field (topology, memory
 /// model, GPU models, MPI config, jitter, software env). Any single
 /// field flip changes the digest — pinned by the seeded-mutation test.
+/// The rendering streams into the hash, so no 13 KB string is built.
 // doebench::effects(pure)
 pub fn machine_digest(m: &Machine) -> u64 {
-    fnv1a64(format!("{m:?}").as_bytes())
+    fnv1a_fmt(format_args!("{m:?}"))
+}
+
+/// [`machine_digest`] of every [`catalog`] machine, in catalog order,
+/// computed once per process. Planning takes a pristine machine's digest
+/// from here and streams only the machines an override changed.
+fn catalog_digests() -> &'static [u64] {
+    static DIGESTS: OnceLock<Vec<u64>> = OnceLock::new();
+    DIGESTS.get_or_init(|| catalog().iter().map(machine_digest).collect())
 }
 
 /// Content digest of the campaign (suite configs + master seed).
 // doebench::effects(pure)
 pub fn campaign_digest(c: &Campaign) -> u64 {
-    fnv1a64(format!("{c:?}").as_bytes())
+    fnv1a_fmt(format_args!("{c:?}"))
 }
 
 /// The content-addressed identity of one plan cell.
@@ -649,22 +690,6 @@ pub struct CellKey {
     pub table: &'static str,
     /// Machine the cell depends on — the invalidation unit.
     pub machine: String,
-}
-
-fn cell_key(table: &'static str, m: &Machine, c: &Campaign, extra: &str) -> CellKey {
-    let canon = format!(
-        "cell/v={CODE_VERSION}/t={table}/m={}/spec={:016x}/camp={:016x}{extra}",
-        m.name,
-        machine_digest(m),
-        campaign_digest(c),
-    );
-    let hash = fnv1a64(canon.as_bytes());
-    CellKey {
-        canon,
-        hash,
-        table,
-        machine: m.name.to_string(),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -721,8 +746,43 @@ enum CellSpec {
 pub struct PlannedCell {
     /// Content-addressed identity.
     pub key: CellKey,
-    machine: Machine,
+    machine: Cow<'static, Machine>,
     spec: CellSpec,
+}
+
+impl PlannedCell {
+    /// A cell keyed by its machine's spec digest — memoized for a
+    /// borrowed catalog entry, streamed for a clone an override changed —
+    /// and by `camp`, the plan's [`campaign_digest`].
+    fn new(
+        table: &'static str,
+        machine: Cow<'static, Machine>,
+        spec: CellSpec,
+        camp: u64,
+        extra: &str,
+    ) -> PlannedCell {
+        let digest = match &machine {
+            Cow::Borrowed(pristine) => {
+                let i = catalog()
+                    .iter()
+                    .position(|c| std::ptr::eq(c, *pristine))
+                    .expect("borrowed machines come from the catalog");
+                catalog_digests()[i]
+            }
+            Cow::Owned(changed) => machine_digest(changed),
+        };
+        let canon = format!(
+            "cell/v={CODE_VERSION}/t={table}/m={}/spec={digest:016x}/camp={camp:016x}{extra}",
+            machine.name,
+        );
+        let key = CellKey {
+            hash: fnv1a64(canon.as_bytes()),
+            canon,
+            table,
+            machine: machine.name.to_string(),
+        };
+        PlannedCell { key, machine, spec }
+    }
 }
 
 /// Which tables [`QueryPlan::assemble`] emits.
@@ -746,13 +806,21 @@ pub struct QueryPlan {
     sweep_cfg: Option<OsuConfig>,
 }
 
-/// Resolve a machine by name and apply its overrides.
-fn resolve_machine(name: &str, overrides: &[SpecOverride]) -> Result<Machine, QueryError> {
-    let mut m = doe_machines::by_name(name)
-        .ok_or_else(|| QueryError::new(format!("unknown machine: {name}")))?;
+/// The catalog machine named `name` (case-insensitive).
+fn catalog_machine(name: &str) -> Result<&'static Machine, QueryError> {
+    doe_machines::find(name).ok_or_else(|| QueryError::new(format!("unknown machine: {name}")))
+}
+
+/// A catalog machine with its overrides applied: borrowed when no
+/// override names it, cloned once when one does.
+fn resolve_machine(
+    pristine: &'static Machine,
+    overrides: &[SpecOverride],
+) -> Result<Cow<'static, Machine>, QueryError> {
+    let mut m = Cow::Borrowed(pristine);
     for o in overrides {
-        if o.machine == name {
-            o.field.apply(&mut m, o.value)?;
+        if o.machine.eq_ignore_ascii_case(pristine.name) {
+            o.field.apply(m.to_mut(), o.value)?;
         }
     }
     Ok(m)
@@ -760,20 +828,20 @@ fn resolve_machine(name: &str, overrides: &[SpecOverride]) -> Result<Machine, Qu
 
 fn select_machines(
     sel: &MachineSel,
-    pool: Vec<Machine>,
     want_accelerated: bool,
     table: &str,
     overrides: &[SpecOverride],
-) -> Result<Vec<Machine>, QueryError> {
+) -> Result<Vec<Cow<'static, Machine>>, QueryError> {
     match sel {
-        MachineSel::All => pool
-            .into_iter()
-            .map(|m| resolve_machine(m.name, overrides))
+        MachineSel::All => catalog()
+            .iter()
+            .filter(|m| m.is_accelerated() == want_accelerated)
+            .map(|m| resolve_machine(m, overrides))
             .collect(),
         MachineSel::Named(names) => names
             .iter()
             .map(|n| {
-                let m = resolve_machine(n, overrides)?;
+                let m = resolve_machine(catalog_machine(n)?, overrides)?;
                 if m.is_accelerated() != want_accelerated {
                     return Err(QueryError::new(format!(
                         "{n} is {} machine; {table} covers {} machines",
@@ -819,6 +887,7 @@ pub fn sweep_config(profile: Profile) -> OsuConfig {
 pub fn plan(q: &Query) -> Result<QueryPlan, QueryError> {
     let params = q.params();
     let campaign = params.campaign();
+    let camp = campaign_digest(&campaign);
     let canon = q.canonical();
     let mut cells = Vec::new();
     let mut sweep_cfg = None;
@@ -826,52 +895,29 @@ pub fn plan(q: &Query) -> Result<QueryPlan, QueryError> {
     match q {
         Query::Table { id, machines, .. } => {
             shape = Shape::One(*id);
-            plan_table(*id, machines, &params.overrides, &campaign, &mut cells)?;
+            plan_table(*id, machines, &params.overrides, camp, &mut cells)?;
         }
         Query::Suite { .. } => {
             shape = Shape::Suite;
-            plan_table(
-                TableId::Table4,
-                &MachineSel::All,
-                &params.overrides,
-                &campaign,
-                &mut cells,
-            )?;
-            plan_table(
-                TableId::Table5,
-                &MachineSel::All,
-                &params.overrides,
-                &campaign,
-                &mut cells,
-            )?;
-            plan_table(
-                TableId::Table6,
-                &MachineSel::All,
-                &params.overrides,
-                &campaign,
-                &mut cells,
-            )?;
+            for id in [TableId::Table4, TableId::Table5, TableId::Table6] {
+                plan_table(id, &MachineSel::All, &params.overrides, camp, &mut cells)?;
+            }
         }
         Query::Sweep { machines, .. } => {
             shape = Shape::Sweep;
             let cfg = sweep_config(params.profile);
-            let cfg_digest = fnv1a64(format!("{cfg:?}").as_bytes());
-            let extra = format!("/sweep={cfg_digest:016x}");
+            let extra = format!("/sweep={:016x}", fnv1a_fmt(format_args!("{cfg:?}")));
             for name in machines {
-                let m = resolve_machine(name, &params.overrides)?;
+                let m = resolve_machine(catalog_machine(name)?, &params.overrides)?;
                 if on_node_pair(&m.topo).is_none() || on_socket_pair(&m.topo).is_none() {
                     return Err(QueryError::new(format!("{name} is too small to sweep")));
                 }
-                cells.push(PlannedCell {
-                    key: cell_key("sweep", &m, &campaign, &extra),
-                    machine: m,
-                    spec: CellSpec::Sweep,
-                });
+                cells.push(PlannedCell::new("sweep", m, CellSpec::Sweep, camp, &extra));
             }
             sweep_cfg = Some(cfg);
         }
     }
-    let key = fnv1a64(format!("{canon}/camp={:016x}", campaign_digest(&campaign)).as_bytes());
+    let key = fnv1a_fmt(format_args!("{canon}/camp={camp:016x}"));
     Ok(QueryPlan {
         canon,
         key,
@@ -886,23 +932,13 @@ fn plan_table(
     id: TableId,
     machines: &MachineSel,
     overrides: &[SpecOverride],
-    campaign: &Campaign,
+    camp: u64,
     cells: &mut Vec<PlannedCell>,
 ) -> Result<(), QueryError> {
     match id {
         TableId::Table4 => {
-            for m in select_machines(
-                machines,
-                doe_machines::cpu_machines(),
-                false,
-                "table4",
-                overrides,
-            )? {
-                cells.push(PlannedCell {
-                    key: cell_key("table4", &m, campaign, ""),
-                    machine: m,
-                    spec: CellSpec::T4,
-                });
+            for m in select_machines(machines, false, "table4", overrides)? {
+                cells.push(PlannedCell::new("table4", m, CellSpec::T4, camp, ""));
             }
         }
         TableId::Table5 | TableId::Table6 => {
@@ -917,18 +953,8 @@ fn plan_table(
             } else {
                 "table6"
             };
-            for m in select_machines(
-                machines,
-                doe_machines::gpu_machines(),
-                true,
-                table,
-                overrides,
-            )? {
-                cells.push(PlannedCell {
-                    key: cell_key(tag, &m, campaign, ""),
-                    machine: m,
-                    spec,
-                });
+            for m in select_machines(machines, true, table, overrides)? {
+                cells.push(PlannedCell::new(tag, m, spec, camp, ""));
             }
         }
         TableId::Table7 => {
@@ -939,20 +965,8 @@ fn plan_table(
                     "table7 summarizes all accelerator machines; it takes no machine list",
                 ));
             }
-            plan_table(
-                TableId::Table5,
-                &MachineSel::All,
-                overrides,
-                campaign,
-                cells,
-            )?;
-            plan_table(
-                TableId::Table6,
-                &MachineSel::All,
-                overrides,
-                campaign,
-                cells,
-            )?;
+            plan_table(TableId::Table5, &MachineSel::All, overrides, camp, cells)?;
+            plan_table(TableId::Table6, &MachineSel::All, overrides, camp, cells)?;
         }
     }
     Ok(())
@@ -1216,6 +1230,119 @@ mod tests {
         assert_eq!(machine_digest(&a), machine_digest(&b));
         b.gpu_models[0].launch_overhead = doe_simtime::SimDuration::from_us(9.0);
         assert_ne!(machine_digest(&a), machine_digest(&b));
+    }
+
+    #[test]
+    fn streamed_digest_equals_hash_of_the_debug_text() {
+        for m in catalog() {
+            assert_eq!(
+                machine_digest(m),
+                fnv1a64(format!("{m:?}").as_bytes()),
+                "{}",
+                m.name
+            );
+        }
+        for (name, fields) in [
+            ("Eagle", &OverrideField::ALL[..7]),
+            ("Frontier", &OverrideField::ALL[..]),
+        ] {
+            for &field in fields {
+                let mut m = doe_machines::by_name(name).unwrap();
+                field.apply(&mut m, 0.375).unwrap();
+                assert_eq!(
+                    machine_digest(&m),
+                    fnv1a64(format!("{m:?}").as_bytes()),
+                    "{name}.{}",
+                    field.as_str()
+                );
+            }
+        }
+        let c = QueryParams::quick().campaign();
+        assert_eq!(campaign_digest(&c), fnv1a64(format!("{c:?}").as_bytes()));
+    }
+
+    #[test]
+    fn memoized_pristine_digests_equal_fresh_ones() {
+        assert_eq!(catalog_digests().len(), catalog().len());
+        for (m, &d) in catalog().iter().zip(catalog_digests()) {
+            assert_eq!(d, fnv1a64(format!("{m:?}").as_bytes()), "{}", m.name);
+        }
+    }
+
+    #[test]
+    fn only_an_overridden_machine_is_cloned() {
+        let eagle = doe_machines::find("Eagle").unwrap();
+        let set = |machine: &str| SpecOverride {
+            machine: machine.into(),
+            field: OverrideField::MpiShmLatencyUs,
+            value: 0.3,
+        };
+        assert!(matches!(
+            resolve_machine(eagle, &[set("Theta")]).unwrap(),
+            Cow::Borrowed(_)
+        ));
+        let changed = resolve_machine(eagle, &[set("Eagle")]).unwrap();
+        assert!(matches!(changed, Cow::Owned(_)));
+        let spec = format!(
+            "/spec={:016x}/",
+            fnv1a64(format!("{:?}", *changed).as_bytes())
+        );
+        let cell = PlannedCell::new("table4", changed, CellSpec::T4, 0, "");
+        assert!(cell.key.canon.contains(&spec), "{}", cell.key.canon);
+        let pristine = PlannedCell::new("table4", Cow::Borrowed(eagle), CellSpec::T4, 0, "");
+        assert_ne!(pristine.key.canon, cell.key.canon);
+    }
+
+    fn cell_keys(shorthand: &str) -> Vec<String> {
+        let p = plan(&Query::parse_shorthand(shorthand).unwrap()).unwrap();
+        p.cells().iter().map(|c| c.key.canon.clone()).collect()
+    }
+
+    #[test]
+    fn override_machine_names_resolve_case_insensitively() {
+        // A lower-case override on an unrestricted table applies, and
+        // canonicalizes to the catalog spelling.
+        let q = Query::parse_shorthand("table4 set eagle.mpi_shm_latency_us=0.3").unwrap();
+        assert_eq!(q.params().overrides[0].machine, "Eagle");
+        assert_eq!(
+            q,
+            Query::parse_shorthand("table4 set Eagle.mpi_shm_latency_us=0.3").unwrap()
+        );
+        assert_ne!(
+            cell_keys("table4 set eagle.mpi_shm_latency_us=0.3"),
+            cell_keys("table4")
+        );
+        // The override applies whatever spelling the machine list uses.
+        let pristine = cell_keys("table4 eagle");
+        for q in [
+            "table4 eagle set Eagle.mpi_shm_latency_us=0.3",
+            "table4 eagle set eagle.mpi_shm_latency_us=0.3",
+            "table4 Eagle set EAGLE.mpi_shm_latency_us=0.3",
+        ] {
+            assert_ne!(cell_keys(q), pristine, "{q}");
+            assert_eq!(
+                cell_keys(q),
+                cell_keys("table4 Eagle set Eagle.mpi_shm_latency_us=0.3"),
+                "{q}"
+            );
+        }
+        // The JSON form canonicalizes the same way.
+        let q = Query::parse(
+            r#"{"kind":"suite","overrides":[{"machine":"frontier","field":"gpu_launch_us","value":2.5}]}"#,
+        )
+        .unwrap();
+        assert_eq!(q.params().overrides[0].machine, "Frontier");
+    }
+
+    #[test]
+    fn unknown_override_machine_is_an_error() {
+        let e = Query::parse_shorthand("table4 set Nosuch.mpi_shm_latency_us=0.3").unwrap_err();
+        assert!(e.0.contains("unknown machine: Nosuch"), "{e}");
+        let e = Query::parse(
+            r#"{"kind":"suite","overrides":[{"machine":"Nosuch","field":"gpu_launch_us","value":2.5}]}"#,
+        )
+        .unwrap_err();
+        assert!(e.0.contains("unknown machine: Nosuch"), "{e}");
     }
 
     #[test]

@@ -69,6 +69,10 @@ fn bad_queries_are_400() {
     let r = client::query_shorthand(&addr, "table4 NoSuchMachine", "ascii").unwrap();
     assert_eq!(r.status, 400);
     assert!(r.text().contains("unknown machine"));
+    let r = client::query_shorthand(&addr, "table4 set Nosuch.mpi_shm_latency_us=0.3", "ascii")
+        .unwrap();
+    assert_eq!(r.status, 400);
+    assert!(r.text().contains("unknown machine: Nosuch"));
     server.stop();
 }
 

@@ -32,11 +32,20 @@ pub mod paper;
 pub mod software;
 pub mod units;
 
+use std::sync::OnceLock;
+
 pub use machine::{Machine, MachineCategory};
 pub use software::SoftwareEnv;
 
-/// All 13 machines, ordered by June 2023 Top500 rank.
-pub fn all_machines() -> Vec<Machine> {
+/// The 13 machines, built once per process and ordered by June 2023
+/// Top500 rank. The `Vec`-returning lookups below clone from it; [`find`]
+/// and the query planner borrow.
+pub fn catalog() -> &'static [Machine] {
+    static CATALOG: OnceLock<Vec<Machine>> = OnceLock::new();
+    CATALOG.get_or_init(build_catalog)
+}
+
+fn build_catalog() -> Vec<Machine> {
     let mut v = vec![
         amd::frontier(),
         nvidia::summit(),
@@ -56,27 +65,37 @@ pub fn all_machines() -> Vec<Machine> {
     v
 }
 
+/// All 13 machines, ordered by June 2023 Top500 rank.
+pub fn all_machines() -> Vec<Machine> {
+    catalog().to_vec()
+}
+
 /// The non-accelerator machines (Table 2 / Table 4), by rank.
 pub fn cpu_machines() -> Vec<Machine> {
-    all_machines()
-        .into_iter()
+    catalog()
+        .iter()
         .filter(|m| m.category == MachineCategory::NonAccelerator)
+        .cloned()
         .collect()
 }
 
 /// The accelerator machines (Table 3 / Tables 5–6), by rank.
 pub fn gpu_machines() -> Vec<Machine> {
-    all_machines()
-        .into_iter()
+    catalog()
+        .iter()
         .filter(|m| m.category == MachineCategory::Accelerator)
+        .cloned()
         .collect()
+}
+
+/// The catalog entry named `name`, compared case-insensitively.
+pub fn find(name: &str) -> Option<&'static Machine> {
+    catalog().iter().find(|m| m.name.eq_ignore_ascii_case(name))
 }
 
 /// Look a machine up by (case-insensitive) name.
 pub fn by_name(name: &str) -> Option<Machine> {
-    all_machines()
-        .into_iter()
-        .find(|m| m.name.eq_ignore_ascii_case(name))
+    find(name).cloned()
 }
 
 #[cfg(test)]
@@ -151,6 +170,15 @@ mod tests {
         for m in cpu_machines() {
             assert_eq!(m.topo.device_count(), 0, "{}", m.name);
             assert!(m.gpu_models.is_empty());
+        }
+    }
+
+    #[test]
+    fn catalog_matches_a_fresh_construction() {
+        let fresh = build_catalog();
+        assert_eq!(catalog().len(), fresh.len());
+        for (c, f) in catalog().iter().zip(&fresh) {
+            assert_eq!(format!("{c:?}"), format!("{f:?}"), "{}", f.name);
         }
     }
 
