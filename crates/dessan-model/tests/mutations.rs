@@ -138,7 +138,7 @@ fn fabric_bandwidth_ordering_violation_is_caught() {
     // A quad Infinity Fabric pair slower than the single-link pairs.
     let mut m = frontier();
     let mut topo = (*m.topo).clone();
-    for l in &mut topo.links {
+    for l in topo.links.as_mut_vec() {
         if matches!(l.kind, LinkKind::InfinityFabric { links: 4 }) {
             l.bandwidth_gb_s = 10.0;
         }

@@ -5,13 +5,18 @@
 //! line, a handful of headers, and an optional `Content-Length` body;
 //! write a status line, headers, and a body; `Connection: close` on
 //! every response so connection lifecycle stays trivial. No chunked
-//! encoding, no keep-alive, no TLS — campaign queries are long-lived
-//! computations, not a hot request path.
+//! encoding, no keep-alive, no TLS.
+//!
+//! Every read is bounded while it happens: the request line and headers
+//! share one 16 KiB budget, so a client that never sends a
+//! newline gets its 400 once the budget is spent, not after buffering
+//! whatever it sends until the connection times out.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
-/// Cap on header block and body sizes; a query is at most a few KB.
+/// Cap on the request line plus headers, and on the body; a query is at
+/// most a few KB.
 const MAX_HEADER_BYTES: usize = 16 * 1024;
 const MAX_BODY_BYTES: usize = 1024 * 1024;
 
@@ -93,15 +98,32 @@ pub fn percent_encode(s: &str) -> String {
     out
 }
 
+/// Read one line into `line`, taking it out of `budget`. A line that
+/// spends the whole budget is rejected as soon as the budget runs out.
+fn read_line_within(
+    reader: &mut impl BufRead,
+    line: &mut String,
+    budget: &mut usize,
+    what: &str,
+) -> Result<usize, HttpError> {
+    let n = reader
+        .take(*budget as u64)
+        .read_line(line)
+        .map_err(|e| err(format!("read {what}: {e}")))?;
+    if n == *budget {
+        return Err(err(format!("{what} too large")));
+    }
+    *budget -= n;
+    Ok(n)
+}
+
 /// Read and parse one request from a stream.
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    let mut header_bytes = 0;
+    let mut budget = MAX_HEADER_BYTES;
 
-    reader
-        .read_line(&mut line)
-        .map_err(|e| err(format!("read request line: {e}")))?;
+    read_line_within(&mut reader, &mut line, &mut budget, "request line")?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or_else(|| err("empty request line"))?;
     let target = parts
@@ -121,13 +143,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     let mut content_length = 0usize;
     loop {
         let mut h = String::new();
-        let n = reader
-            .read_line(&mut h)
-            .map_err(|e| err(format!("read header: {e}")))?;
-        header_bytes += n;
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err(err("header block too large"));
-        }
+        let n = read_line_within(&mut reader, &mut h, &mut budget, "header block")?;
         let h = h.trim_end();
         if n == 0 || h.is_empty() {
             break;

@@ -20,7 +20,7 @@
 //! can leak it into a cached payload.
 
 use std::io::Write as _;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -136,6 +136,11 @@ fn handle_connection(mut stream: TcpStream, state: Arc<ServerState>) {
     };
     let _ = response.write_to(&mut stream);
     let _ = stream.flush();
+    // Send the reply and the FIN now. Closing a socket with unread input
+    // (a request cut short at its size limit) resets the connection, and
+    // the reset would otherwise discard whatever of the reply the kernel
+    // still holds back.
+    let _ = stream.shutdown(Shutdown::Write);
     if shutdown {
         // Only now that the reply is on the wire: stop the accept loop
         // (a throwaway self-connection makes the blocking accept()

@@ -5,7 +5,7 @@
 //! cell count — every cell computed exactly once, no matter how the
 //! threads raced — and every body must be byte-identical.
 
-use std::io::Read as _;
+use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::thread;
 
@@ -187,6 +187,37 @@ fn idle_connection_is_closed_and_the_daemon_keeps_answering() {
     let after = client::query_shorthand(&addr, "table4 Eagle", "json").unwrap();
     assert_eq!(after.status, 200);
     assert_eq!(after.body, before.body, "same query, same bytes");
+    server.stop();
+}
+
+#[test]
+fn unterminated_request_line_is_400_before_it_ends() {
+    let (mut server, addr) = start();
+    let mut conn = TcpStream::connect(&addr).unwrap();
+    conn.set_read_timeout(Some(CONN_TIMEOUT * 6)).unwrap();
+    // 1 MiB of request line and no newline. The daemon stops reading once
+    // its header budget is spent, so the write may fail part-way; the
+    // reply must arrive either way, well before the connection timeout.
+    let mut writer = conn.try_clone().unwrap();
+    let flood = thread::spawn(move || {
+        let mut line = b"GET /query?q=".to_vec();
+        line.resize(1 << 20, b'a');
+        let _ = writer.write_all(&line);
+    });
+    let started = std::time::Instant::now();
+    let mut reply = Vec::new();
+    let _ = conn.read_to_end(&mut reply);
+    flood.join().unwrap();
+    let reply = String::from_utf8_lossy(&reply);
+    assert!(reply.starts_with("HTTP/1.1 400"), "got {reply:?}");
+    assert!(reply.contains("too large"), "got {reply:?}");
+    assert!(
+        started.elapsed() < CONN_TIMEOUT,
+        "answered only at the timeout"
+    );
+
+    let after = client::query_shorthand(&addr, "table4 Eagle", "json").unwrap();
+    assert_eq!(after.status, 200);
     server.stop();
 }
 

@@ -1,6 +1,5 @@
 //! The simulated device runtime.
 
-use std::cell::RefCell;
 use std::fmt::Write;
 use std::sync::Arc;
 
@@ -8,7 +7,7 @@ use dessan::{AccessHistory, AccessKind, RuntimeChecks, VectorClock};
 use doe_gpusim::{Engine, GpuModel};
 use doe_memmodel::{PlacementQuality, StreamOp};
 use doe_simtime::{Clock, SimDuration, SimRng, SimTime, Trace};
-use doe_topo::{DeviceId, NodeTopology, RouteCostCache, Vertex};
+use doe_topo::{DeviceId, NodeTopology, Vertex};
 
 use crate::buffer::{Buffer, MemLoc};
 use crate::error::GpuError;
@@ -306,10 +305,6 @@ pub struct GpuRuntime {
     /// wire-table indexing: numa domains first, then devices, then
     /// switches, each dense by id index.
     wire_dims: (usize, usize, usize),
-    /// Memoized Dijkstra results for [`Self::copy_parts`], which resolves
-    /// the same few vertex pairs on every copy of a campaign. Interior
-    /// mutability keeps [`Self::copy_duration`] a `&self` query.
-    routes: RefCell<RouteCostCache>,
     current: DeviceId,
     /// Optional operation trace (spans on per-stream / per-wire tracks).
     trace: Option<Trace>,
@@ -380,7 +375,6 @@ impl GpuRuntime {
             wire_slots: vec![None; nv * nv],
             wires: Vec::new(),
             wire_dims: (n_numa, n_dev, nv),
-            routes: RefCell::new(RouteCostCache::new()),
             current,
             trace: None,
             checks: dessan::checks_enabled().then(|| Box::new(GpuChecks::new(ndevices))),
@@ -783,9 +777,8 @@ impl GpuRuntime {
             }
             (MemLoc::Device(a), MemLoc::Device(b)) => {
                 let route = self
-                    .routes
-                    .borrow_mut()
-                    .costs(&self.topo, Vertex::Device(a), Vertex::Device(b))
+                    .topo
+                    .route_costs(Vertex::Device(a), Vertex::Device(b))
                     .ok_or_else(|| Self::no_route_err(a, b))?;
                 Ok(CopyParts {
                     setup_and_latency: m.copy_setup_peer + route.latency,
@@ -801,9 +794,8 @@ impl GpuRuntime {
                     (Vertex::Device(d), Vertex::Numa(numa))
                 };
                 let route = self
-                    .routes
-                    .borrow_mut()
-                    .costs(&self.topo, from, to)
+                    .topo
+                    .route_costs(from, to)
                     .ok_or_else(|| Self::no_route_err(numa, d))?;
                 let mut setup = m.copy_setup_host + route.latency;
                 let mut bw = route.bandwidth_gb_s;

@@ -2,7 +2,7 @@
 //! latency/bandwidth pair a message experiences.
 
 use doe_simtime::SimDuration;
-use doe_topo::{DeviceId, NodeTopology, NumaId, RouteCostCache, Vertex};
+use doe_topo::{DeviceId, NodeTopology, NumaId, Vertex};
 
 use crate::config::{DevicePath, MpiConfig};
 
@@ -42,6 +42,10 @@ pub enum BufferLoc {
 ///   stage paying software overhead, with a pipeline efficiency on the
 ///   bottleneck bandwidth;
 /// * host↔device (either direction): one staging boundary.
+///
+/// Route costs come from the topology's own table
+/// ([`NodeTopology::route_costs`]), so resolution runs no Dijkstra once
+/// the topology has been looked up before.
 pub fn resolve_path(
     topo: &NodeTopology,
     cfg: &MpiConfig,
@@ -50,40 +54,14 @@ pub fn resolve_path(
     to_numa: NumaId,
     to_buf: BufferLoc,
 ) -> Option<PathCosts> {
-    let mut routes = RouteCostCache::new();
-    resolve_path_cached(topo, &mut routes, cfg, from_numa, from_buf, to_numa, to_buf)
-}
-
-/// [`resolve_path`] with a caller-owned route-cost memo.
-///
-/// Path resolution runs Dijkstra up to three times per call; the simulator
-/// resolves the *same* endpoint pairs on every send of a 100-repetition
-/// campaign, so worlds thread their own [`RouteCostCache`] through here.
-/// Results are identical to the uncached form — the memo stores exactly
-/// the latency/bandwidth summaries the cost model reads.
-pub fn resolve_path_cached(
-    topo: &NodeTopology,
-    routes: &mut RouteCostCache,
-    cfg: &MpiConfig,
-    from_numa: NumaId,
-    from_buf: BufferLoc,
-    to_numa: NumaId,
-    to_buf: BufferLoc,
-) -> Option<PathCosts> {
-    fn host_path(
-        topo: &NodeTopology,
-        routes: &mut RouteCostCache,
-        cfg: &MpiConfig,
-        a: NumaId,
-        b: NumaId,
-    ) -> Option<PathCosts> {
+    fn host_path(topo: &NodeTopology, cfg: &MpiConfig, a: NumaId, b: NumaId) -> Option<PathCosts> {
         if a == b {
             Some(PathCosts {
                 latency: cfg.shm_latency,
                 bandwidth: cfg.shm_bandwidth,
             })
         } else {
-            let route = routes.costs(topo, Vertex::Numa(a), Vertex::Numa(b))?;
+            let route = topo.route_costs(Vertex::Numa(a), Vertex::Numa(b))?;
             Some(PathCosts {
                 latency: cfg.shm_latency + route.latency,
                 bandwidth: cfg.shm_bandwidth.min(route.bandwidth_gb_s),
@@ -92,7 +70,7 @@ pub fn resolve_path_cached(
     }
 
     match (from_buf, to_buf) {
-        (BufferLoc::Host, BufferLoc::Host) => host_path(topo, routes, cfg, from_numa, to_numa),
+        (BufferLoc::Host, BufferLoc::Host) => host_path(topo, cfg, from_numa, to_numa),
         (BufferLoc::Device(da), BufferLoc::Device(db)) => match cfg.device_path {
             DevicePath::Rma { extra_overhead } => {
                 if da == db {
@@ -102,7 +80,7 @@ pub fn resolve_path_cached(
                         bandwidth: cfg.shm_bandwidth.max(100.0),
                     });
                 }
-                let route = routes.costs(topo, Vertex::Device(da), Vertex::Device(db))?;
+                let route = topo.route_costs(Vertex::Device(da), Vertex::Device(db))?;
                 // Small-message RMA latency is dominated by the doorbell /
                 // IPC software path, not the fabric: the paper measures
                 // identical device MPI latency across all four Infinity
@@ -117,9 +95,9 @@ pub fn resolve_path_cached(
                 per_stage_overhead,
                 pipeline_efficiency,
             } => {
-                let d2h = routes.costs(topo, Vertex::Device(da), Vertex::Numa(from_numa))?;
-                let host = host_path(topo, routes, cfg, from_numa, to_numa)?;
-                let h2d = routes.costs(topo, Vertex::Numa(to_numa), Vertex::Device(db))?;
+                let d2h = topo.route_costs(Vertex::Device(da), Vertex::Numa(from_numa))?;
+                let host = host_path(topo, cfg, from_numa, to_numa)?;
+                let h2d = topo.route_costs(Vertex::Numa(to_numa), Vertex::Device(db))?;
                 let latency = per_stage_overhead * 3 + d2h.latency + host.latency + h2d.latency;
                 let bandwidth = d2h
                     .bandwidth_gb_s
@@ -134,14 +112,14 @@ pub fn resolve_path_cached(
                 BufferLoc::Device(_) => (from_numa, to_numa, d),
                 BufferLoc::Host => (to_numa, from_numa, d),
             };
-            let dev_route = routes.costs(topo, Vertex::Device(dev), Vertex::Numa(dev_numa))?;
+            let dev_route = topo.route_costs(Vertex::Device(dev), Vertex::Numa(dev_numa))?;
             let host = if dev_numa == host_numa {
                 PathCosts {
                     latency: SimDuration::ZERO,
                     bandwidth: f64::INFINITY,
                 }
             } else {
-                host_path(topo, routes, cfg, dev_numa, host_numa)?
+                host_path(topo, cfg, dev_numa, host_numa)?
             };
             let (stage_overhead, eff) = match cfg.device_path {
                 DevicePath::Rma { extra_overhead } => (extra_overhead, 1.0),
@@ -316,48 +294,6 @@ mod tests {
         .expect("path");
         assert_eq!(hd, dh);
         assert!(hd.latency > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn cached_resolution_matches_uncached_for_every_endpoint_combo() {
-        let t = topo();
-        for cfg in [cfg(), {
-            let mut c = cfg();
-            c.device_path = DevicePath::Rma {
-                extra_overhead: SimDuration::from_ns(100.0),
-            };
-            c
-        }] {
-            let mut routes = RouteCostCache::new();
-            let locs = [
-                BufferLoc::Host,
-                BufferLoc::Device(DeviceId(0)),
-                BufferLoc::Device(DeviceId(1)),
-            ];
-            for &fb in &locs {
-                for &tb in &locs {
-                    for fnuma in [NumaId(0), NumaId(1)] {
-                        for tnuma in [NumaId(0), NumaId(1)] {
-                            let plain = resolve_path(&t, &cfg, fnuma, fb, tnuma, tb);
-                            // Twice through the shared memo: first fill,
-                            // then hit.
-                            for _ in 0..2 {
-                                let cached = resolve_path_cached(
-                                    &t,
-                                    &mut routes,
-                                    &cfg,
-                                    fnuma,
-                                    fb,
-                                    tnuma,
-                                    tb,
-                                );
-                                assert_eq!(plain, cached);
-                            }
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -5,10 +5,10 @@ use std::sync::Arc;
 
 use dessan::{RuntimeChecks, VectorClock};
 use doe_simtime::{SimDuration, SimRng, SimTime};
-use doe_topo::{CoreId, NodeTopology, NumaId, RouteCostCache};
+use doe_topo::{CoreId, NodeTopology, NumaId};
 
 use crate::config::MpiConfig;
-use crate::transport::{resolve_path_cached, BufferLoc, PathCosts};
+use crate::transport::{resolve_path, BufferLoc, PathCosts};
 
 /// A rank handle.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -227,8 +227,6 @@ pub struct MpiSim {
     /// Core count per NUMA domain, dense by `NumaId::index()`, for the
     /// on-die distance fraction.
     numa_core_count: Vec<u32>,
-    /// Route-cost memo backing [`Self::class_paths`] misses.
-    routes: RouteCostCache,
     /// Common-mode run factor: one draw per world, scaling every software
     /// and transport cost. Run-to-run σ in the paper is dominated by this
     /// common mode (DVFS, OS state), not per-message noise — per-message
@@ -298,7 +296,6 @@ impl MpiSim {
             class_paths: Vec::new(),
             core_numa,
             numa_core_count,
-            routes: RouteCostCache::new(),
             run_factor,
             checks,
             boundary: Boundary::default(),
@@ -475,8 +472,8 @@ impl MpiSim {
         Ok(path)
     }
 
-    /// The memo-miss path: full endpoint resolution (Dijkstra via the
-    /// route-cost cache) for a class pair.
+    /// The memo-miss path: full endpoint resolution (over the topology's
+    /// route table) for a class pair.
     fn class_path_uncached(
         &mut self,
         cf: u32,
@@ -486,8 +483,7 @@ impl MpiSim {
     ) -> Result<PathCosts, MpiError> {
         let (fn_, fb) = self.classes[cf as usize];
         let (tn, tb) = self.classes[ct as usize];
-        resolve_path_cached(&self.topo, &mut self.routes, &self.cfg, fn_, fb, tn, tb)
-            .ok_or(MpiError::NoPath { from, to })
+        resolve_path(&self.topo, &self.cfg, fn_, fb, tn, tb).ok_or(MpiError::NoPath { from, to })
     }
 
     /// Blocking standard-mode send of `bytes` from `from` to `to`.

@@ -57,6 +57,6 @@ pub mod route;
 pub use builder::NodeBuilder;
 pub use class::LinkClass;
 pub use ids::{CoreId, DeviceId, NumaId, SocketId, SwitchId, Vertex};
-pub use link::{Link, LinkKind};
+pub use link::{Link, LinkKind, Links};
 pub use node::{Core, Device, NodeTopology, NumaDomain, Socket, TopologyError};
-pub use route::{Route, RouteCostCache, RouteCosts};
+pub use route::{Route, RouteCosts};

@@ -4,10 +4,18 @@
 //! paper: a traversal **latency** and a serialization **bandwidth**. The
 //! [`LinkKind`] records *what* the link physically is, which drives the A–D
 //! classification of Tables 5–6 and the labels in Figures 1–3.
+//!
+//! A node's links live in a [`Links`] list, which also owns the node's
+//! route-cost table.
+
+use std::fmt;
+use std::ops::Deref;
+use std::sync::OnceLock;
 
 use doe_simtime::SimDuration;
 
 use crate::ids::Vertex;
+use crate::route::RouteTable;
 
 /// The physical technology of a link.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -116,6 +124,58 @@ impl Link {
     /// Time for `bytes` to traverse this link (latency + serialization).
     pub fn traverse(&self, bytes: u64) -> SimDuration {
         self.latency + SimDuration::transfer(bytes, self.bandwidth_gb_s)
+    }
+}
+
+/// The link list of a node, together with the route-cost table derived
+/// from it.
+///
+/// Reads go through `Deref<Target = [Link]>`. The table fills on the first
+/// [`NodeTopology::route_costs`] lookup and is shared by every clone made
+/// after that; [`Self::push`] and [`Self::as_mut_vec`], the only ways to
+/// change the list, drop it. `Debug` prints the bare list, exactly as a
+/// `Vec<Link>`, so spec digests never see the table.
+///
+/// [`NodeTopology::route_costs`]: crate::NodeTopology::route_costs
+#[derive(Clone, Default)]
+pub struct Links {
+    list: Vec<Link>,
+    pub(crate) routes: OnceLock<RouteTable>,
+}
+
+impl Links {
+    /// Append a link.
+    pub fn push(&mut self, link: Link) {
+        self.as_mut_vec().push(link);
+    }
+
+    /// The list for in-place edits; drops the route table.
+    pub fn as_mut_vec(&mut self) -> &mut Vec<Link> {
+        self.routes.take();
+        &mut self.list
+    }
+}
+
+impl Deref for Links {
+    type Target = [Link];
+
+    fn deref(&self) -> &[Link] {
+        &self.list
+    }
+}
+
+impl<'a> IntoIterator for &'a Links {
+    type Item = &'a Link;
+    type IntoIter = std::slice::Iter<'a, Link>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.list.iter()
+    }
+}
+
+impl fmt::Debug for Links {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.list, f)
     }
 }
 

@@ -4,7 +4,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::ids::{CoreId, DeviceId, NumaId, SocketId, SwitchId, Vertex};
-use crate::link::Link;
+use crate::link::{Link, Links};
 
 /// A CPU socket (package).
 #[derive(Clone, Debug)]
@@ -94,8 +94,8 @@ pub struct NodeTopology {
     pub devices: Vec<Device>,
     /// Internal switches.
     pub switches: Vec<SwitchId>,
-    /// Bidirectional links.
-    pub links: Vec<Link>,
+    /// Bidirectional links, with the route-cost table derived from them.
+    pub links: Links,
 }
 
 impl NodeTopology {

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use doe_simtime::SimDuration;
 
-use crate::ids::Vertex;
+use crate::ids::{DeviceId, NumaId, SwitchId, Vertex};
 use crate::link::Link;
 use crate::node::NodeTopology;
 
@@ -108,52 +108,88 @@ pub struct RouteCosts {
     pub bottleneck: Option<(Vertex, Vertex)>,
 }
 
-/// A lazily-filled memo of [`RouteCosts`] per `(from, to)` vertex pair.
+/// [`RouteCosts`] for every ordered pair of link endpoints, dense by vertex
+/// index: NUMA domains first, then devices, then switches, each by id.
 ///
 /// Dijkstra in [`NodeTopology::route`] allocates two hash maps, a binary
-/// heap, and per-edge link clones on every call — fine for one-off queries,
-/// ruinous when a 100-repetition campaign resolves the same handful of
-/// pairs per simulated operation. Worlds own one cache each (a topology's
-/// public fields are mutable, so the memo cannot live inside
-/// [`NodeTopology`] itself); the cache fills during the first iterations of
-/// a rep and every later lookup is a short linear scan over the few pairs a
-/// benchmark actually exercises, allocation-free once warm.
-#[derive(Clone, Debug, Default)]
-pub struct RouteCostCache {
-    entries: Vec<((Vertex, Vertex), Option<RouteCosts>)>,
+/// heap and per-edge link clones on every call. The table runs it once per
+/// pair, when a topology's costs are first looked up, so every simulated
+/// world built over the topology afterwards reads its costs without
+/// allocating. [`Links`](crate::Links) owns it and drops it on mutation.
+#[derive(Clone)]
+pub(crate) struct RouteTable {
+    /// Vertices per kind: `[numa, device, switch]`.
+    dims: [usize; 3],
+    /// Dense by `from * n + to`, `n` being the sum of `dims`.
+    costs: Vec<Option<RouteCosts>>,
 }
 
-impl RouteCostCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        RouteCostCache::default()
-    }
-
-    /// The costs of the lowest-latency route `from → to`, computed on first
-    /// use and memoized (including the negative: a disconnected pair is
-    /// remembered as `None`).
-    pub fn costs(&mut self, topo: &NodeTopology, from: Vertex, to: Vertex) -> Option<RouteCosts> {
-        let key = (from, to);
-        if let Some((_, costs)) = self.entries.iter().find(|(k, _)| *k == key) {
-            return *costs;
+impl RouteTable {
+    fn build(topo: &NodeTopology) -> RouteTable {
+        let mut dims = [0usize; 3];
+        for l in &topo.links {
+            for v in [l.a, l.b] {
+                let (kind, i) = kind_index(v);
+                dims[kind] = dims[kind].max(i + 1);
+            }
         }
-        let costs = topo.route(from, to).map(|r| r.costs());
-        self.entries.push((key, costs));
-        costs
+        let [numa, device, switch] = dims.map(|d| d as u32);
+        let vertices: Vec<Vertex> = (0..numa)
+            .map(|i| Vertex::Numa(NumaId(i)))
+            .chain((0..device).map(|i| Vertex::Device(DeviceId(i))))
+            .chain((0..switch).map(|i| Vertex::Switch(SwitchId(i))))
+            .collect();
+        let costs = vertices
+            .iter()
+            .flat_map(|&a| vertices.iter().map(move |&b| (a, b)))
+            .map(|(a, b)| topo.route(a, b).map(|r| r.costs()))
+            .collect();
+        RouteTable { dims, costs }
     }
 
-    /// Number of memoized pairs (diagnostics/tests).
-    pub fn len(&self) -> usize {
-        self.entries.len()
+    fn index(&self, v: Vertex) -> Option<usize> {
+        let (kind, i) = kind_index(v);
+        (i < self.dims[kind]).then(|| self.dims[..kind].iter().sum::<usize>() + i)
     }
 
-    /// True if nothing has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    fn get(&self, from: Vertex, to: Vertex) -> Option<RouteCosts> {
+        let n: usize = self.dims.iter().sum();
+        self.costs[self.index(from)? * n + self.index(to)?]
+    }
+}
+
+/// A vertex's kind (`0` numa, `1` device, `2` switch) and id index.
+fn kind_index(v: Vertex) -> (usize, usize) {
+    match v {
+        Vertex::Numa(n) => (0, n.index()),
+        Vertex::Device(d) => (1, d.index()),
+        Vertex::Switch(s) => (2, s.index()),
     }
 }
 
 impl NodeTopology {
+    /// The costs of [`Self::route`]`(from, to)`, without running Dijkstra:
+    /// a loopback pair is answered directly, every other pair from the
+    /// route table of [`Self::links`], filled on the first call. Any pair
+    /// with an endpoint outside the link graph is `None`, as from `route`.
+    // doebench::hot
+    pub fn route_costs(&self, from: Vertex, to: Vertex) -> Option<RouteCosts> {
+        if from == to {
+            return Some(RouteCosts {
+                latency: SimDuration::ZERO,
+                bandwidth_gb_s: f64::INFINITY,
+                hops: 0,
+                bottleneck: None,
+            });
+        }
+        self.links
+            .routes
+            // The fill runs once per topology, not once per lookup.
+            // doebench::cold-call
+            .get_or_init(|| RouteTable::build(self))
+            .get(from, to)
+    }
+
     /// The lowest-latency route between two vertices, or `None` if the pair
     /// is disconnected (never the case for a validated topology).
     pub fn route(&self, from: Vertex, to: Vertex) -> Option<Route> {
@@ -386,22 +422,25 @@ mod tests {
     }
 
     #[test]
-    fn cache_memoizes_and_agrees_with_route() {
+    fn route_costs_agree_with_route_and_survive_clone() {
         let t = dual();
-        let mut cache = RouteCostCache::new();
-        assert!(cache.is_empty());
-        let a = Vertex::Device(DeviceId(0));
-        let b = Vertex::Device(DeviceId(1));
-        let first = cache.costs(&t, a, b).expect("connected");
-        assert_eq!(cache.len(), 1);
-        // Second lookup hits the memo — no growth.
-        let second = cache.costs(&t, a, b).expect("connected");
-        assert_eq!(cache.len(), 1);
-        assert_eq!(first, second);
-        assert_eq!(first, t.route(a, b).expect("connected").costs());
-        // Direction is part of the key.
-        cache.costs(&t, b, a);
-        assert_eq!(cache.len(), 2);
+        let mut pairs = Vec::new();
+        for &a in &t.vertices() {
+            for &b in &t.vertices() {
+                pairs.push((a, b));
+            }
+        }
+        let stranger = Vertex::Device(DeviceId(9));
+        pairs.push((stranger, stranger));
+        pairs.push((stranger, Vertex::Numa(NumaId(0))));
+        for (a, b) in pairs {
+            assert_eq!(t.route_costs(a, b), t.route(a, b).map(|r| r.costs()));
+        }
+        // A clone made after the fill shares the filled table.
+        let c = t.clone();
+        assert!(c.links.routes.get().is_some());
+        let (a, b) = (Vertex::Device(DeviceId(0)), Vertex::Device(DeviceId(1)));
+        assert_eq!(c.route_costs(a, b), t.route_costs(a, b));
     }
 
     proptest! {

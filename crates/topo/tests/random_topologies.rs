@@ -137,6 +137,18 @@ proptest! {
         }
     }
 
+    /// The route table agrees with Dijkstra on every ordered vertex pair.
+    #[test]
+    fn route_costs_equal_route_everywhere(node in random_node_strategy()) {
+        let t = build(&node);
+        let vs = t.vertices();
+        for &a in &vs {
+            for &b in &vs {
+                prop_assert_eq!(t.route_costs(a, b), t.route(a, b).map(|r| r.costs()));
+            }
+        }
+    }
+
     /// Pair classification is total and symmetric over devices, and every
     /// class that `representative_pairs` reports really occurs.
     #[test]

@@ -107,13 +107,13 @@ fn event_queue_phase() -> u64 {
 fn mpisim_phase(checks: bool) -> u64 {
     let mut w = MpiSim::new(two_numa_topo(), MpiConfig::default_host(), 7);
     // One rank per NUMA domain so every message crosses the socket link
-    // (dense ports + route cache + rank-pair path memo all in play).
+    // (dense ports + route table + rank-pair path memo all in play).
     let a = w.add_host_rank(CoreId(0)).expect("core 0");
     let b = w.add_host_rank(CoreId(4)).expect("core 4");
     if checks {
         w.enable_checks();
     }
-    // Warm-up: fill the path memo, route cache, message queue capacity,
+    // Warm-up: fill the path memo, route table, message queue capacity,
     // and (under --check) the vector-clock snapshot pool.
     for _ in 0..8 {
         w.send(a, b, 8).expect("send");
@@ -147,7 +147,7 @@ fn mpisim_pingpong_phase(checks: bool) -> u64 {
         w.enable_checks();
     }
     let sizes = [8, w.config().eager_threshold + 1];
-    // Warm-up: path memo, route cache, mailbox capacity, the boundary
+    // Warm-up: path memo, route table, mailbox capacity, the boundary
     // scratch and (under --check) the clock pool and barrier LUB.
     for bytes in sizes {
         w.pingpong(a, b, bytes, 8).expect("warm-up");
@@ -200,7 +200,7 @@ fn gpurt_phase() -> u64 {
     let host = Buffer::pinned_host(NumaId(0), 1 << 20);
     let dev = Buffer::device(DeviceId(0), 1 << 20);
     let peer = Buffer::device(DeviceId(1), 1 << 20);
-    // Warm-up: route cache, wire engines, stream state.
+    // Warm-up: route table, wire engines, stream state.
     for _ in 0..8 {
         rt.memcpy_async(&dev, &host, 4096, &s).expect("h2d");
         rt.memcpy_async(&peer, &dev, 4096, &s).expect("d2d");
@@ -247,7 +247,7 @@ fn gpurt_repeat_phase(checks: bool) -> u64 {
         rt.repeat(iters, GpuRuntime::device_synchronize)
             .expect("device sync");
     };
-    // Warm-up: route cache, wire engines, the boundary scratch and (under
+    // Warm-up: route table, wire engines, the boundary scratch and (under
     // --check) the stream clocks and buffer histories.
     batch(&mut rt, 64);
     let delta = alloc_delta(|| {
@@ -257,6 +257,38 @@ fn gpurt_repeat_phase(checks: bool) -> u64 {
     });
     assert!(rt.check_findings().is_empty(), "batches must be clean");
     delta
+}
+
+/// `NodeTopology::route_costs` over every ordered vertex pair of every
+/// catalog topology: once a topology's table is filled, a lookup is an
+/// index into it.
+fn route_table_phase() -> u64 {
+    let topos: Vec<_> = doebench::machines::catalog()
+        .iter()
+        .map(|m| {
+            let vs = m.topo.vertices();
+            let pairs: Vec<(Vertex, Vertex)> = vs
+                .iter()
+                .flat_map(|&a| vs.iter().map(move |&b| (a, b)))
+                .collect();
+            (Arc::clone(&m.topo), pairs)
+        })
+        .collect();
+    // Warm: the first lookup of a pair of distinct vertices fills a table.
+    for (t, pairs) in &topos {
+        for &(a, b) in pairs {
+            t.route_costs(a, b);
+        }
+    }
+    alloc_delta(|| {
+        for _ in 0..100 {
+            for (t, pairs) in &topos {
+                for &(a, b) in pairs {
+                    std::hint::black_box(t.route_costs(a, b));
+                }
+            }
+        }
+    })
 }
 
 fn noise_phase() -> u64 {
@@ -290,6 +322,7 @@ fn steady_state_hot_paths_allocate_nothing() {
             "gpurt repeat (op by op) under --check",
             gpurt_repeat_phase(true),
         ),
+        ("route table lookups", route_table_phase()),
         ("batch gaussian fill", noise_phase()),
     ];
     let dirty: Vec<String> = phases
