@@ -1,22 +1,18 @@
 //! Workspace determinism lint gate.
 //!
 //! ```text
-//! cargo run -p dessan --bin dessan-lint \
-//!     [--format json|text] [--timings] [--no-cache] [workspace-root]
+//! cargo run --release -p dessan --bin dessan-lint \
+//!     [--format json|text] [--timings] [workspace-root]
 //! ```
 //!
-//! Scans `crates/*/src/**/*.rs`, applies the `dessan.toml` grandfather
-//! allowlist, prints violations, and exits nonzero if any remain. Unused
-//! allowlist entries are a hard failure so the list only shrinks.
+//! Scans `crates/*/src/**/*.rs`, prints violations, and exits nonzero if
+//! any remain. Justified sites carry in-source
+//! `dessan::allow(<rule>): <reason>` waivers. `--timings` prints a
+//! per-phase wall-time scoreboard to stderr (host clock — never simulated
+//! time).
 //!
-//! Per-file findings are memoized under `target/dessan-cache/` keyed by
-//! content hash, so warm runs re-lint only changed files; `--no-cache`
-//! bypasses the memo entirely. `--timings` prints a per-phase wall-time
-//! scoreboard to stderr (host clock — never simulated time).
-//!
-//! Exit codes: `0` clean, `1` findings or unused allowlist entries,
-//! `2` scan/internal errors (unreadable root, malformed `dessan.toml`,
-//! bad CLI arguments).
+//! Exit codes: `0` clean, `1` findings, `2` scan/internal errors
+//! (unreadable root, bad CLI arguments).
 //!
 //! `--format json` emits a single machine-readable object on stdout:
 //!
@@ -24,14 +20,11 @@
 //! {
 //!   "files": 107,
 //!   "violations": 1,
-//!   "grandfathered": 0,
 //!   "rules": ["wall-clock", "…", "effect-contract", "lock-order", "key-coverage"],
-//!   "cache": {"hits": 100, "misses": 7},
 //!   "findings": [
 //!     {"rule": "nondet-taint", "path": "crates/cli/src/main.rs",
 //!      "line": 358, "message": "…", "chain": ["…", "…"]}
-//!   ],
-//!   "unused_allows": []
+//!   ]
 //! }
 //! ```
 
@@ -62,14 +55,13 @@ fn json_list(items: impl Iterator<Item = String>) -> String {
 }
 
 fn usage_exit() -> ! {
-    eprintln!("usage: dessan-lint [--format json|text] [--timings] [--no-cache] [workspace-root]");
+    eprintln!("usage: dessan-lint [--format json|text] [--timings] [workspace-root]");
     std::process::exit(2);
 }
 
 fn main() {
     let mut format_json = false;
     let mut timings = false;
-    let mut opts = dessan::lint::RunOpts::default();
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -82,7 +74,6 @@ fn main() {
             "--format=json" => format_json = true,
             "--format=text" => format_json = false,
             "--timings" => timings = true,
-            "--no-cache" => opts.use_cache = false,
             a if a.starts_with('-') => usage_exit(),
             a if root.is_none() => root = Some(PathBuf::from(a)),
             _ => usage_exit(),
@@ -90,7 +81,7 @@ fn main() {
     }
     let root = root.unwrap_or_else(|| PathBuf::from("."));
 
-    let report = match dessan::lint::run_with(&root, opts) {
+    let report = match dessan::lint::run(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("dessan-lint: cannot scan {}: {e}", root.display());
@@ -121,40 +112,25 @@ fn main() {
                 json_list(f.chain.iter().map(|h| json_str(h))),
             )
         }));
-        let unused = json_list(report.unused_allows.iter().map(|(rule, path)| {
-            format!(
-                "{{\"rule\":{},\"path\":{}}}",
-                json_str(rule),
-                json_str(path)
-            )
-        }));
         let rules = json_list(dessan::lint::Rule::ALL.iter().map(|r| json_str(r.id())));
         println!(
-            "{{\"files\":{},\"violations\":{},\"grandfathered\":{},\"rules\":{},\"cache\":{{\"hits\":{},\"misses\":{}}},\"findings\":{},\"unused_allows\":{}}}",
+            "{{\"files\":{},\"violations\":{},\"rules\":{},\"findings\":{}}}",
             report.files,
             report.findings.len(),
-            report.allowed,
             rules,
-            report.cache_hits,
-            report.cache_misses,
             findings,
-            unused,
         );
     } else {
         for f in &report.findings {
             println!("{f}");
         }
-        for (rule, path) in &report.unused_allows {
-            eprintln!("error: unused allowlist entry `{rule} {path}` — delete it from dessan.toml");
-        }
         eprintln!(
-            "dessan-lint: {} file(s), {} violation(s), {} grandfathered",
+            "dessan-lint: {} file(s), {} violation(s)",
             report.files,
-            report.findings.len(),
-            report.allowed
+            report.findings.len()
         );
     }
-    if !report.is_clean() || !report.unused_allows.is_empty() {
+    if !report.is_clean() {
         std::process::exit(1);
     }
 }

@@ -1,5 +1,6 @@
-//! A workspace-wide, heuristically name-resolved call graph, and the
-//! transitive hot-path-alloc walk that runs on top of it.
+//! A workspace-wide, heuristically name-resolved call graph: the call
+//! and allocation scanners plus the name index that the effect summaries
+//! ([`crate::effects`]) and the interprocedural taint step resolve over.
 //!
 //! Resolution is deliberately conservative — the goal is a useful gate
 //! with near-zero false positives, not a compiler:
@@ -22,7 +23,7 @@ use std::collections::BTreeMap;
 
 use crate::items::FileItems;
 use crate::lex::{TokKind, Token};
-use crate::lint::{LintFinding, Rule};
+use crate::lint::crate_of;
 
 /// One allocation site inside a function body.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -278,16 +279,9 @@ pub struct WsFile {
 /// `(file index, fn index)` node id.
 pub type Node = (usize, usize);
 
-/// The crate a workspace-relative path belongs to.
-fn crate_of(path: &str) -> &str {
-    path.strip_prefix("crates/")
-        .and_then(|r| r.split('/').next())
-        .unwrap_or("")
-}
-
 /// Name indices over a workspace's non-test, non-cold fns with bodies —
-/// the shared resolution substrate for the transitive hot-path walk and
-/// the interprocedural taint analysis. Deliberately under-approximate:
+/// the shared resolution substrate for the effect summaries and the
+/// interprocedural taint analysis. Deliberately under-approximate:
 /// a call that cannot be resolved confidently resolves to nothing.
 pub struct CallIndex<'a> {
     by_name: BTreeMap<&'a str, Vec<Node>>,
@@ -315,213 +309,88 @@ impl<'a> CallIndex<'a> {
 
     /// Resolve one call site to candidate workspace fns (possibly empty).
     pub fn resolve(&self, call: &Call, caller: Node, files: &[WsFile]) -> Vec<Node> {
-        resolve(call, caller, files, &self.by_name, &self.by_qual)
-    }
-}
-
-/// Walk the call graph from every hot root and report allocating callees
-/// any depth away. Waivers for `hot-path-alloc-transitive` at the root's
-/// call site (or file-wide in the root's file) suppress the finding.
-pub fn transitive_findings(files: &[WsFile]) -> Vec<LintFinding> {
-    let index = CallIndex::build(files);
-
-    // Per-node call edges and allocation sites.
-    let mut edges: BTreeMap<Node, Vec<(Node, usize)>> = BTreeMap::new();
-    let mut allocs: BTreeMap<Node, Vec<Alloc>> = BTreeMap::new();
-    for (fi, file) in files.iter().enumerate() {
-        for (gi, f) in file.items.fns.iter().enumerate() {
-            if f.in_test || f.body_tokens.is_empty() {
-                continue;
-            }
-            let node = (fi, gi);
-            allocs.insert(
-                node,
-                body_allocs(&file.src, &file.tokens, f.body_tokens.clone()),
-            );
-            let mut es = Vec::new();
-            for call in body_calls(&file.src, &file.tokens, f.body_tokens.clone()) {
-                if file.items.cold_call_at(call.line) {
-                    continue;
-                }
-                for target in index.resolve(&call, node, files) {
-                    if target != node {
-                        es.push((target, call.line));
-                    }
-                }
-            }
-            edges.insert(node, es);
-        }
-    }
-
-    // BFS from each hot root; report the first edge's call line so the
-    // finding points into the hot function itself.
-    let mut findings = Vec::new();
-    for (fi, file) in files.iter().enumerate() {
-        for (gi, f) in file.items.fns.iter().enumerate() {
-            if !f.hot || f.in_test || f.body_tokens.is_empty() {
-                continue;
-            }
-            let root = (fi, gi);
-            // (node, first-hop line, path names)
-            let mut queue = std::collections::VecDeque::new();
-            let mut seen = std::collections::BTreeSet::new();
-            seen.insert(root);
-            for &(n, line) in edges.get(&root).into_iter().flatten() {
-                if seen.insert(n) {
-                    queue.push_back((n, line, vec![f.name.clone()]));
-                }
-            }
-            while let Some((node, first_line, path)) = queue.pop_front() {
-                let callee = &files[node.0].items.fns[node.1];
-                let mut chain = path.clone();
-                chain.push(callee.name.clone());
-                // A hot callee's own allocations are the direct rule's
-                // business; transitive findings cover what it cannot see.
-                if !callee.hot {
-                    if let Some(a) = allocs.get(&node).and_then(|v| v.first()) {
-                        if !file
-                            .items
-                            .waived(Rule::HotPathAllocTransitive.id(), first_line)
-                        {
-                            findings.push(LintFinding {
-                                rule: Rule::HotPathAllocTransitive,
-                                path: file.path.clone(),
-                                line: first_line,
-                                chain: chain.clone(),
-                                message: format!(
-                                    "hot fn `{}` reaches `{}` in `{}` ({}:{}) via {}; hoist the allocation or mark the call `// doebench::cold-call`",
-                                    f.name,
-                                    a.token,
-                                    callee.name,
-                                    files[node.0].path,
-                                    a.line,
-                                    chain.join(" -> "),
-                                ),
-                            });
-                        }
-                    }
-                }
-                for &(n, _) in edges.get(&node).into_iter().flatten() {
-                    if seen.insert(n) {
-                        queue.push_back((n, first_line, chain.clone()));
-                    }
-                }
-            }
-        }
-    }
-    findings.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    findings
-}
-
-/// Resolve one call site to candidate workspace fns.
-fn resolve(
-    call: &Call,
-    caller: Node,
-    files: &[WsFile],
-    by_name: &BTreeMap<&str, Vec<Node>>,
-    by_qual: &BTreeMap<(&str, &str), Vec<Node>>,
-) -> Vec<Node> {
-    let caller_fn = &files[caller.0].items.fns[caller.1];
-    let caller_path = &files[caller.0].path;
-    match (&call.qual, call.recv) {
-        (Some(q), _) => {
-            let q = if q == "Self" {
-                match &caller_fn.qual {
-                    Some(t) => t.as_str(),
-                    None => return Vec::new(),
-                }
-            } else {
-                q.as_str()
-            };
-            let typed = by_qual
-                .get(&(q, call.name.as_str()))
-                .cloned()
-                .unwrap_or_default();
-            if !typed.is_empty() {
-                return typed;
-            }
-            // A module-style path (`helpers::grow(...)`): fall back to
-            // free fns, same crate first, unless the qualifier is a std
-            // module (then the callee lives outside the workspace).
-            if STD_MODULES.contains(&q) {
-                return Vec::new();
-            }
-            let free: Vec<Node> = by_name
-                .get(call.name.as_str())
+        let caller_fn = &files[caller.0].items.fns[caller.1];
+        let name = call.name.as_str();
+        let named = || self.by_name.get(name).cloned().unwrap_or_default();
+        // Free fns bearing the name: the caller's own file first (bare
+        // calls only), then its crate, then a workspace-unique fn unless
+        // the name is a common std method.
+        let free = |same_file_first: bool| -> Vec<Node> {
+            let free: Vec<Node> = named()
                 .into_iter()
-                .flatten()
-                .copied()
                 .filter(|&(fi, gi)| files[fi].items.fns[gi].qual.is_none())
                 .collect();
-            let same_crate: Vec<Node> = free
-                .iter()
-                .copied()
-                .filter(|&(fi, _)| crate_of(&files[fi].path) == crate_of(caller_path))
-                .collect();
-            if !same_crate.is_empty() {
-                return same_crate;
-            }
-            if free.len() == 1 && !STD_METHODS.contains(&call.name.as_str()) {
-                return free;
-            }
-            Vec::new()
-        }
-        (None, Recv::SelfDot) => {
-            let Some(q) = &caller_fn.qual else {
-                return Vec::new();
+            let pick = |keep: &dyn Fn(Node) -> bool| -> Vec<Node> {
+                free.iter().copied().filter(|&n| keep(n)).collect()
             };
-            let all = by_qual
-                .get(&(q.as_str(), call.name.as_str()))
-                .cloned()
-                .unwrap_or_default();
-            let same_file: Vec<Node> = all.iter().copied().filter(|n| n.0 == caller.0).collect();
-            if same_file.is_empty() {
-                all
-            } else {
-                same_file
+            if same_file_first {
+                let same_file = pick(&|n| n.0 == caller.0);
+                if !same_file.is_empty() {
+                    return same_file;
+                }
             }
-        }
-        (None, Recv::Bare) => {
-            let all = by_name.get(call.name.as_str()).cloned().unwrap_or_default();
-            let free: Vec<Node> = all
-                .iter()
-                .copied()
-                .filter(|&(fi, gi)| files[fi].items.fns[gi].qual.is_none())
-                .collect();
-            let same_file: Vec<Node> = free.iter().copied().filter(|n| n.0 == caller.0).collect();
-            if !same_file.is_empty() {
-                return same_file;
-            }
-            let same_crate: Vec<Node> = free
-                .iter()
-                .copied()
-                .filter(|&(fi, _)| crate_of(&files[fi].path) == crate_of(caller_path))
-                .collect();
+            let same_crate =
+                pick(&|n| crate_of(&files[n.0].path) == crate_of(&files[caller.0].path));
             if !same_crate.is_empty() {
                 return same_crate;
             }
-            if free.len() == 1 && !STD_METHODS.contains(&call.name.as_str()) {
+            if free.len() == 1 && !STD_METHODS.contains(&name) {
                 return free;
             }
             Vec::new()
-        }
-        (None, Recv::OtherDot) => {
-            if STD_METHODS.contains(&call.name.as_str()) {
-                return Vec::new();
+        };
+        let typed = |q: &str| self.by_qual.get(&(q, name)).cloned().unwrap_or_default();
+        match (&call.qual, call.recv) {
+            (Some(q), _) => {
+                let q = if q == "Self" {
+                    match &caller_fn.qual {
+                        Some(t) => t.as_str(),
+                        None => return Vec::new(),
+                    }
+                } else {
+                    q.as_str()
+                };
+                let typed = typed(q);
+                if !typed.is_empty() {
+                    return typed;
+                }
+                // A module-style path (`helpers::grow(...)`): fall back to
+                // free fns, unless the qualifier is a std module (then the
+                // callee lives outside the workspace).
+                if STD_MODULES.contains(&q) {
+                    return Vec::new();
+                }
+                free(false)
             }
-            let all = by_name.get(call.name.as_str()).cloned().unwrap_or_default();
-            if all.len() == 1 {
-                all
-            } else {
-                Vec::new()
+            (None, Recv::SelfDot) => {
+                let Some(q) = &caller_fn.qual else {
+                    return Vec::new();
+                };
+                let all = typed(q);
+                let same_file: Vec<Node> =
+                    all.iter().copied().filter(|n| n.0 == caller.0).collect();
+                if same_file.is_empty() {
+                    all
+                } else {
+                    same_file
+                }
+            }
+            (None, Recv::Bare) => free(true),
+            (None, Recv::OtherDot) => {
+                let all = named();
+                if all.len() == 1 && !STD_METHODS.contains(&name) {
+                    all
+                } else {
+                    Vec::new()
+                }
             }
         }
     }
 }
 
 /// Build a [`WsFile`] from a path and source text.
-pub fn ws_file(path: &str, src: &str, extra_hot: &[String]) -> WsFile {
-    let (tokens, items) = crate::items::parse_source(src, extra_hot);
+pub fn ws_file(path: &str, src: &str) -> WsFile {
+    let (tokens, items) = crate::items::parse_source(src);
     WsFile {
         path: path.to_string(),
         src: src.to_string(),
@@ -533,15 +402,18 @@ pub fn ws_file(path: &str, src: &str, extra_hot: &[String]) -> WsFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::effects::{hot_alloc_findings, summaries};
+    use crate::lint::{LintFinding, Rule};
 
     fn single(path: &str, src: &str) -> Vec<LintFinding> {
-        transitive_findings(&[ws_file(path, src, &[])])
+        let files = [ws_file(path, src)];
+        hot_alloc_findings(&files, &summaries(&files))
     }
 
     #[test]
     fn allocs_detected_with_clone_from_exempt() {
         let src = "fn f() {\n    let a = x.clone();\n    b.clone_from(&x);\n    let v = vec![1];\n    let s = format!(\"x\");\n    let bx = Box::new(1);\n    let t = y.to_string();\n}\n";
-        let (tokens, items) = crate::items::parse_source(src, &[]);
+        let (tokens, items) = crate::items::parse_source(src);
         let allocs = body_allocs(src, &tokens, items.fns[0].body_tokens.clone());
         let toks: Vec<_> = allocs.iter().map(|a| a.token).collect();
         assert_eq!(
@@ -639,10 +511,10 @@ impl Q {
         let a = "// doebench::hot\nfn pump() {\n    Pool::acquire();\n}\n";
         let b = "struct Pool;\nimpl Pool {\n    fn acquire() {\n        let v = vec![1];\n        let _ = v;\n    }\n}\n";
         let files = [
-            ws_file("crates/x/src/a.rs", a, &[]),
-            ws_file("crates/y/src/b.rs", b, &[]),
+            ws_file("crates/x/src/a.rs", a),
+            ws_file("crates/y/src/b.rs", b),
         ];
-        let f = transitive_findings(&files);
+        let f = hot_alloc_findings(&files, &summaries(&files));
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].path, "crates/x/src/a.rs");
     }

@@ -774,7 +774,7 @@ mod tests {
     use crate::items::parse_source;
 
     fn cfg_of(src: &str, shape: LoopShape) -> (Cfg, String, Vec<Token>) {
-        let (tokens, items) = parse_source(src, &[]);
+        let (tokens, items) = parse_source(src);
         let f = &items.fns[0];
         let cfg = build(src, &tokens, f.body_tokens.clone(), shape);
         (cfg, src.to_string(), tokens)

@@ -129,7 +129,7 @@ mod tests {
 
     fn diamond() -> crate::cfg::Cfg {
         let src = "fn f(c: bool) { if c { t(); } else { e(); } after(); }";
-        let (tokens, items) = parse_source(src, &[]);
+        let (tokens, items) = parse_source(src);
         build(
             src,
             &tokens,
@@ -192,7 +192,7 @@ mod tests {
         // recv() only in the then-branch: at entry, a backward must-
         // analysis of "recv happens later" must NOT hold.
         let src = "fn f(c: bool) { send(); if c { recv(); } tail(); }";
-        let (tokens, items) = parse_source(src, &[]);
+        let (tokens, items) = parse_source(src);
         let cfg = build(
             src,
             &tokens,
@@ -256,7 +256,7 @@ mod tests {
     #[test]
     fn loop_fixpoint_terminates_and_propagates_around_back_edge() {
         let src = "fn f(n: u32) { let mut x = 0; while x < n { x = step(x); } done(x); }";
-        let (tokens, items) = parse_source(src, &[]);
+        let (tokens, items) = parse_source(src);
         let cfg = build(
             src,
             &tokens,
@@ -306,7 +306,7 @@ mod tests {
     #[test]
     fn unreachable_blocks_keep_init() {
         let src = "fn f() { return; }";
-        let (tokens, items) = parse_source(src, &[]);
+        let (tokens, items) = parse_source(src);
         let cfg = build(
             src,
             &tokens,

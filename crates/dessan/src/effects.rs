@@ -15,13 +15,18 @@
 //! | `blocks`      | `Condvar::wait` on a lock guard, `.join()`, `.recv()`, `thread::sleep` |
 //! | `io`          | `fs::` / `Command::` / socket and stdio handles         |
 //!
-//! Detection is token-level and deliberately conservative; resolution
-//! reuses the call graph's under-approximate name resolution, and a
-//! `// doebench::cold-call` marker cuts the walk at a call site exactly
-//! as it does for the transitive hot-path rule (the marked call is off
-//! the measured path).
+//! Detection is token-level and deliberately conservative: the clock,
+//! RNG, env and hash-container names come from the lint's shared hazard
+//! table (`lint::HAZARDS`). Resolution reuses the call graph's
+//! under-approximate name resolution, and a `// doebench::cold-call`
+//! marker cuts the walk at a call site (the marked call is off the
+//! measured path).
 //!
-//! The point of the summaries is *declared contracts*: a
+//! The summaries drive two rules. `hot-path-alloc-transitive` reports
+//! every call out of a `// doebench::hot` fn whose callee's summary has
+//! `alloc`; a hot fn's own allocation sites are the direct
+//! `hot-path-alloc` rule's business, so a hot fn carries no direct
+//! `alloc` origin. The other rule checks *declared contracts*: a
 //! `// doebench::effects(pure)` marker before a `fn` forbids every
 //! effect except allocation in the fn's whole call closure (allocation
 //! is deterministic — it cannot change a result, only its cost, and the
@@ -38,11 +43,11 @@
 //! body — simulated waits advance virtual time and are exactly what
 //! `no-block` code is supposed to do instead of parking the OS thread.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{body_allocs, body_calls, CallIndex, Node, WsFile};
 use crate::lex::TokKind;
-use crate::lint::{LintFinding, Rule};
+use crate::lint::{is_hash_container, LintFinding, Rule, HAZARDS};
 
 /// One observable effect class.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -66,6 +71,16 @@ pub enum Effect {
 }
 
 impl Effect {
+    /// The effect a read pattern of the hazard table exhibits.
+    fn of_hazard(rule: Rule) -> Option<Effect> {
+        match rule {
+            Rule::WallClock => Some(Effect::WallClock),
+            Rule::AdHocRng => Some(Effect::Rng),
+            Rule::EnvRead => Some(Effect::EnvRead),
+            _ => None,
+        }
+    }
+
     /// Human-readable effect name used in messages.
     pub fn name(self) -> &'static str {
         match self {
@@ -99,6 +114,16 @@ pub const CHAIN_CAP: usize = 12;
 /// A function's effect summary: each effect present maps to the first
 /// (deterministically chosen) origin that introduced it.
 pub type EffectSet = BTreeMap<Effect, Origin>;
+
+/// The workspace's effect summaries and the call edges they were
+/// propagated over.
+pub struct Summaries {
+    /// Effect summary of every non-test fn with a body.
+    pub sets: BTreeMap<Node, EffectSet>,
+    /// Resolved `(callee, call line)` edges of each such fn, in call
+    /// order; `// doebench::cold-call` sites are cut.
+    pub calls: BTreeMap<Node, Vec<(Node, usize)>>,
+}
 
 /// Guard variables bound from a `.lock(` in one body's code-token stream:
 /// every `X` in `let [mut] X = … .lock( …` up to the statement's `;`.
@@ -171,28 +196,16 @@ fn direct_effects(
         tokens[i].line >= sig_line
             && i < body.end
             && matches!(tokens[i].kind, TokKind::Ident)
-            && matches!(tokens[i].text(src), "HashMap" | "HashSet")
+            && is_hash_container(tokens[i].text(src))
     });
 
     for k in 0..texts.len() {
         let line = line_of(k);
-        // wall-clock
-        if seq_at(k, &["Instant", ":", ":", "now"]) {
-            push(Effect::WallClock, "Instant::now", line);
-        }
-        if seq_at(k, &["SystemTime", ":", ":", "now"]) {
-            push(Effect::WallClock, "SystemTime::now", line);
-        }
-        // rng
-        if texts[k] == "thread_rng" {
-            push(Effect::Rng, "thread_rng", line);
-        }
-        if seq_at(k, &["rand", ":", ":", "random"]) {
-            push(Effect::Rng, "rand::random", line);
-        }
-        // env-read
-        if seq_at(k, &["env", ":", ":", "var"]) || seq_at(k, &["env", ":", ":", "vars"]) {
-            push(Effect::EnvRead, "env::var", line);
+        // wall-clock, rng, env-read: the read patterns of the hazard table.
+        for &(rule, display, pattern, reads) in &HAZARDS {
+            if let Some(eff) = Effect::of_hazard(rule).filter(|_| reads && seq_at(k, pattern)) {
+                push(eff, display, line);
+            }
         }
         // hash-iter: iteration methods only count in a body that names a
         // hash container at all — cheap and quiet on BTree-only code.
@@ -273,10 +286,10 @@ fn direct_effects(
 /// Compute the effect summary of every non-test function with a body.
 /// Deterministic: nodes are iterated in `(file, fn)` order, calls in line
 /// order, and the first origin recorded for an effect is kept.
-pub fn summaries(files: &[WsFile]) -> BTreeMap<Node, EffectSet> {
+pub fn summaries(files: &[WsFile]) -> Summaries {
     let index = CallIndex::build(files);
-    let mut sums: BTreeMap<Node, EffectSet> = BTreeMap::new();
-    let mut edges: BTreeMap<Node, Vec<Node>> = BTreeMap::new();
+    let mut sets: BTreeMap<Node, EffectSet> = BTreeMap::new();
+    let mut calls: BTreeMap<Node, Vec<(Node, usize)>> = BTreeMap::new();
     for (fi, file) in files.iter().enumerate() {
         for (gi, f) in file.items.fns.iter().enumerate() {
             if f.in_test || f.body_tokens.is_empty() {
@@ -285,6 +298,9 @@ pub fn summaries(files: &[WsFile]) -> BTreeMap<Node, EffectSet> {
             let node = (fi, gi);
             let mut set = EffectSet::new();
             for (eff, desc, _line) in direct_effects(file, f.sig_line, f.body_tokens.clone()) {
+                if eff == Effect::Alloc && f.hot {
+                    continue;
+                }
                 set.insert(
                     eff,
                     Origin {
@@ -293,29 +309,29 @@ pub fn summaries(files: &[WsFile]) -> BTreeMap<Node, EffectSet> {
                     },
                 );
             }
-            sums.insert(node, set);
+            sets.insert(node, set);
             let mut es = Vec::new();
             for call in body_calls(&file.src, &file.tokens, f.body_tokens.clone()) {
                 if file.items.cold_call_at(call.line) {
                     continue;
                 }
                 for target in index.resolve(&call, node, files) {
-                    if target != node && !es.contains(&target) {
-                        es.push(target);
+                    if target != node && !es.contains(&(target, call.line)) {
+                        es.push((target, call.line));
                     }
                 }
             }
-            edges.insert(node, es);
+            calls.insert(node, es);
         }
     }
     // Monotone fixpoint: effects only accumulate, so this terminates.
     loop {
         let mut pending: Vec<(Node, Effect, Origin)> = Vec::new();
-        for (&node, es) in &edges {
-            let have = &sums[&node];
+        for (&node, es) in &calls {
+            let have = &sets[&node];
             let caller_name = files[node.0].items.fns[node.1].name.clone();
-            for &callee in es {
-                let Some(cs) = sums.get(&callee) else {
+            for &(callee, _) in es {
+                let Some(cs) = sets.get(&callee) else {
                     continue;
                 };
                 for (&eff, origin) in cs {
@@ -340,10 +356,53 @@ pub fn summaries(files: &[WsFile]) -> BTreeMap<Node, EffectSet> {
             break;
         }
         for (node, eff, origin) in pending {
-            sums.get_mut(&node).unwrap().entry(eff).or_insert(origin);
+            sets.get_mut(&node).unwrap().entry(eff).or_insert(origin);
         }
     }
-    sums
+    Summaries { sets, calls }
+}
+
+/// `hot-path-alloc-transitive`: every call out of a `// doebench::hot` fn
+/// whose callee's summary has [`Effect::Alloc`], reported at the call
+/// line with the chain from the hot fn to the allocation. Each allocation
+/// site is reported once per hot fn, at the first call that reaches it.
+/// A waiver for the rule at that line (or file-wide) suppresses the
+/// finding.
+pub fn hot_alloc_findings(files: &[WsFile], sums: &Summaries) -> Vec<LintFinding> {
+    let mut out = Vec::new();
+    for (fi, file) in files.iter().enumerate() {
+        for (gi, f) in file.items.fns.iter().enumerate() {
+            if !f.hot {
+                continue;
+            }
+            let mut reached = BTreeSet::new();
+            for &(callee, line) in sums.calls.get(&(fi, gi)).into_iter().flatten() {
+                let Some(origin) = sums.sets[&callee].get(&Effect::Alloc) else {
+                    continue;
+                };
+                if !reached.insert(&origin.desc)
+                    || file.items.waived(Rule::HotPathAllocTransitive.id(), line)
+                {
+                    continue;
+                }
+                let mut chain = vec![f.name.clone()];
+                chain.extend(origin.chain.iter().cloned());
+                out.push(LintFinding {
+                    rule: Rule::HotPathAllocTransitive,
+                    path: file.path.clone(),
+                    line,
+                    message: format!(
+                        "hot fn `{}` reaches {} via {}; hoist the allocation or mark the call `// doebench::cold-call`",
+                        f.name,
+                        origin.desc,
+                        chain.join(" -> "),
+                    ),
+                    chain,
+                });
+            }
+        }
+    }
+    out
 }
 
 /// Effects a contract forbids.
@@ -366,15 +425,14 @@ fn forbidden(contract: &str) -> &'static [Effect] {
 /// Check every declared `doebench::effects(...)` contract against the
 /// computed summaries. Findings report at the contract fn's signature
 /// line with the full call chain to the offending site.
-pub fn findings(files: &[WsFile]) -> Vec<LintFinding> {
-    let sums = summaries(files);
+pub fn contract_findings(files: &[WsFile], sums: &Summaries) -> Vec<LintFinding> {
     let mut out = Vec::new();
     for (fi, file) in files.iter().enumerate() {
         for (gi, f) in file.items.fns.iter().enumerate() {
             let Some(contract) = &f.effects else {
                 continue;
             };
-            let Some(set) = sums.get(&(fi, gi)) else {
+            let Some(set) = sums.sets.get(&(fi, gi)) else {
                 continue;
             };
             if file.items.waived(Rule::EffectContract.id(), f.sig_line) {
@@ -414,7 +472,8 @@ mod tests {
     use crate::callgraph::ws_file;
 
     fn single(src: &str) -> Vec<LintFinding> {
-        findings(&[ws_file("crates/x/src/lib.rs", src, &[])])
+        let files = [ws_file("crates/x/src/lib.rs", src)];
+        contract_findings(&files, &summaries(&files))
     }
 
     #[test]
@@ -528,8 +587,8 @@ fn entry(h: std::thread::JoinHandle<()>) {
 
     #[test]
     fn summaries_subsume_transitive_hot_alloc() {
-        // Every fn the hot-path-alloc-transitive rule would flag has the
-        // alloc effect in its summary — the engines agree on reachability.
+        // The transitive rule reads the hot root's first-hop callee's
+        // summary: the finding carries the chain down to the allocation.
         let src = "\
 // doebench::hot
 fn pump() {
@@ -543,14 +602,15 @@ fn grow() {
     let _ = v;
 }
 ";
-        let files = [ws_file("crates/x/src/lib.rs", src, &[])];
-        let sums = summaries(&files);
-        let trans = crate::callgraph::transitive_findings(&files);
+        let files = [ws_file("crates/x/src/lib.rs", src)];
+        let trans = hot_alloc_findings(&files, &summaries(&files));
         assert_eq!(trans.len(), 1);
-        let (fi, gi) = (0, 0); // pump
-        assert_eq!(files[fi].items.fns[gi].name, "pump");
-        let origin = &sums[&(fi, gi)][&Effect::Alloc];
-        assert_eq!(origin.chain, vec!["pump", "step", "grow"]);
+        assert_eq!(trans[0].chain, vec!["pump", "step", "grow"]);
+        assert!(
+            trans[0].message.contains("`vec!` at crates/x/src/lib.rs:9"),
+            "{}",
+            trans[0].message
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! * `// dessan::allow(<rule>): <reason>` — waives `<rule>` on this line
 //!   and the next. As an inner doc comment (`//! dessan::allow(...)`) it
 //!   applies to the whole file. The reason is mandatory: a waiver without
-//!   one suppresses nothing.
+//!   one suppresses nothing. Like every marker, it must lead its comment.
 
 use crate::lex::{lex, TokKind, Token};
 
@@ -44,7 +44,7 @@ pub struct FnItem {
     /// Token-index range of the body, braces included; empty when the
     /// declaration has no body.
     pub body_tokens: std::ops::Range<usize>,
-    /// Armed by a `doebench::hot` marker or a `hot-fn` designation.
+    /// Armed by a `doebench::hot` marker.
     pub hot: bool,
     /// Carries a `#[cold]` attribute — never part of a hot path.
     pub cold: bool,
@@ -127,9 +127,12 @@ fn parse_effects(comment: &str) -> Option<String> {
 }
 
 /// Parse a `dessan::allow(<rule>): <reason>` waiver out of comment text.
-/// Returns the rule only when a non-empty reason follows the colon.
+/// The marker must lead the comment, so prose that mentions a waiver
+/// waives nothing. Returns the rule only when a non-empty reason follows
+/// the colon.
 fn parse_allow(comment: &str) -> Option<String> {
-    let rest = comment.split("dessan::allow(").nth(1)?;
+    let body = comment.trim_start_matches(['/', '*', '!']).trim_start();
+    let rest = body.strip_prefix("dessan::allow(")?;
     let (rule, tail) = rest.split_once(')')?;
     let reason = tail.strip_prefix(':')?.trim();
     if rule.trim().is_empty() || reason.is_empty() {
@@ -150,9 +153,7 @@ struct Scope {
 }
 
 /// Parse `src` (with its tokens from [`lex`]) into [`FileItems`].
-/// `extra_hot` designates additional hot function names (the `hot-fn`
-/// lines of `dessan.toml`).
-pub fn parse(src: &str, tokens: &[Token], extra_hot: &[String]) -> FileItems {
+pub fn parse(src: &str, tokens: &[Token]) -> FileItems {
     let line_count = src.lines().count().max(1);
     let mut items = FileItems {
         test_lines: vec![false; line_count],
@@ -322,12 +323,12 @@ pub fn parse(src: &str, tokens: &[Token], extra_hot: &[String]) -> FileItems {
                             .then(|| pending_attrs.first().map(|&(_, l)| l))
                             .flatten();
                         items.fns.push(FnItem {
-                            name: name.clone(),
+                            name,
                             qual: None, // attributed after the pass
                             sig_line: test_attr_line.unwrap_or(sig_line).min(sig_line),
                             end_line: sig_line,
                             body_tokens: code[ci]..code[ci],
-                            hot: attr("doebench::hot") || extra_hot.iter().any(|h| h == &name),
+                            hot: attr("doebench::hot"),
                             cold: attr("#[cold]") || attr("[cold]"),
                             taint_source: false, // attributed after the pass
                             effects: None,       // attributed after the pass
@@ -467,9 +468,9 @@ fn impl_self_type(code: &[usize], tokens: &[Token], src: &str, impl_ci: usize) -
 }
 
 /// Convenience: lex and parse in one call.
-pub fn parse_source(src: &str, extra_hot: &[String]) -> (Vec<Token>, FileItems) {
+pub fn parse_source(src: &str) -> (Vec<Token>, FileItems) {
     let tokens = lex(src);
-    let items = parse(src, &tokens, extra_hot);
+    let items = parse(src, &tokens);
     (tokens, items)
 }
 
@@ -649,7 +650,7 @@ mod tests {
     use super::*;
 
     fn items_of(src: &str) -> FileItems {
-        parse_source(src, &[]).1
+        parse_source(src).1
     }
 
     #[test]
@@ -791,7 +792,7 @@ mod tests {
     #[test]
     fn struct_defs_extract_fields_types_and_derives() {
         let src = "#[derive(Clone, Debug)]\npub struct Flight<V> {\n    state: Mutex<FlightState<V>>,\n    pub done: Condvar,\n}\nstruct Unit;\nstruct Tup(u32, u32);\n";
-        let (tokens, _) = parse_source(src, &[]);
+        let (tokens, _) = parse_source(src);
         let defs = struct_defs(src, &tokens);
         assert_eq!(defs.len(), 1, "tuple and unit structs are skipped");
         let f = &defs[0];
@@ -809,7 +810,7 @@ mod tests {
     #[test]
     fn struct_defs_skip_nested_braces_and_generic_commas() {
         let src = "struct S {\n    map: HashMap<Arc<str>, Slot<V>>,\n    cb: Box<dyn Fn(u32, u32) -> u32>,\n    n: usize,\n}\n";
-        let (tokens, _) = parse_source(src, &[]);
+        let (tokens, _) = parse_source(src);
         let defs = struct_defs(src, &tokens);
         let names: Vec<&str> = defs[0].fields.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["map", "cb", "n"]);

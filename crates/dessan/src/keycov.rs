@@ -194,7 +194,7 @@ mod tests {
     use crate::callgraph::ws_file;
 
     fn single(src: &str) -> Vec<LintFinding> {
-        findings(&[ws_file("crates/x/src/lib.rs", src, &[])])
+        findings(&[ws_file("crates/x/src/lib.rs", src)])
     }
 
     #[test]
@@ -343,8 +343,8 @@ pub fn machine_digest(m: &Machine) -> u64 {
 }
 ";
         let files = [
-            ws_file("crates/machines/src/machine.rs", machine, &[]),
-            ws_file("crates/core/src/query.rs", digest, &[]),
+            ws_file("crates/machines/src/machine.rs", machine),
+            ws_file("crates/core/src/query.rs", digest),
         ];
         assert!(findings(&files).is_empty());
     }

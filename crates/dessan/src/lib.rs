@@ -10,27 +10,27 @@
 //!    hash-ordered rendering, ambient env reads, unjustified `unsafe`,
 //!    panics in simulated runtimes, and allocations in or transitively
 //!    reachable from `// doebench::hot` functions). Run it with
-//!    `cargo run -p dessan --bin dessan-lint` (add `--format json` for
-//!    machine-readable output); justified sites carry in-source
-//!    `dessan::allow(<rule>): <reason>` waivers next to the code they
-//!    excuse. On top of the same token stream sits a dataflow layer: an
-//!    intraprocedural CFG builder ([`cfg`]) and worklist solver
-//!    ([`dataflow`]) powering nondeterminism-taint tracking ([`taint`]:
-//!    source→sink chains from wall-clock/RNG/hash-order/env reads into
-//!    event timestamps, table cells, and FNV digests), units-flow
-//!    checking ([`unitsflow`]: mixed GB/GiB, ns/µs, byte arithmetic in
-//!    the sim crates), and API-protocol typestate checking ([`protocol`]:
-//!    `send_nb`/wait pairing, `event_record` before `stream_wait_event`,
-//!    buffer annotation before instrumented copies, no queue use after
-//!    `drain_until` without reschedule). A call-graph fixpoint layer adds
+//!    `cargo run --release -p dessan --bin dessan-lint` (add
+//!    `--format json` for machine-readable output); justified sites carry
+//!    in-source `dessan::allow(<rule>): <reason>` waivers next to the code
+//!    they excuse. The token rules, the taint sources and the effect scan
+//!    share one hazard vocabulary ([`lint`]'s `HAZARDS` table). On top of
+//!    the same token stream sits a dataflow layer: an intraprocedural CFG
+//!    builder ([`cfg`]) and worklist solver ([`dataflow`]) powering
+//!    nondeterminism-taint tracking ([`taint`]: source→sink chains from
+//!    wall-clock/RNG/hash-order/env reads into event timestamps, table
+//!    cells, and FNV digests), units-flow checking ([`unitsflow`]: mixed
+//!    GB/GiB, ns/µs, byte arithmetic in the sim crates), and API-protocol
+//!    typestate checking ([`protocol`]: `send_nb`/wait pairing,
+//!    `event_record` before `stream_wait_event`, buffer annotation before
+//!    instrumented copies). A call-graph fixpoint layer adds
 //!    interprocedural effect summaries ([`effects`]: per-function effect
-//!    sets checked against declared `// doebench::effects(...)`
-//!    contracts), lock-order/condvar protocol checking ([`locks`]:
-//!    double-lock, global acquisition-order cycles, guard-across-wait,
-//!    wait-outside-loop), and cache-key field-coverage proofs
-//!    ([`keycov`]: every field of the key structs must flow into the
-//!    canonical key derivation). Per-file results are memoized across
-//!    runs by [`incr`] (`target/dessan-cache/`, `--no-cache` to bypass).
+//!    sets, read both by the transitive hot-path-alloc rule and by the
+//!    check of declared `// doebench::effects(...)` contracts),
+//!    lock-order/condvar protocol checking ([`locks`]: double-lock, global
+//!    acquisition-order cycles, guard-across-wait, wait-outside-loop), and
+//!    cache-key field-coverage proofs ([`keycov`]: every field of the key
+//!    structs must flow into the canonical key derivation).
 //!
 //! 2. **Dynamic happens-before sanitizer** ([`checks`], [`vc`]): vector
 //!    clocks attached to ompsim threads, mpisim ranks, and gpurt
@@ -46,7 +46,6 @@ pub mod cfg;
 pub mod checks;
 pub mod dataflow;
 pub mod effects;
-pub mod incr;
 pub mod items;
 pub mod keycov;
 pub mod lex;
@@ -61,5 +60,5 @@ pub use checks::{
     checks_enabled, set_checks_enabled, take_global_findings, verify_claimed_cover,
     verify_partition, AccessHistory, AccessKind, Finding, ForkJoin, RuntimeChecks,
 };
-pub use lint::{lint_file, Allowlist, LintFinding, LintReport, Rule};
+pub use lint::{lint_file, LintFinding, LintReport, Rule};
 pub use vc::VectorClock;

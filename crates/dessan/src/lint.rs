@@ -3,7 +3,7 @@
 //! Since dessan v2 this is a syntax-aware scan: files are tokenized by the
 //! hand-rolled lossless lexer ([`crate::lex`]), structured into fn/impl/
 //! test-region items with line spans ([`crate::items`]), and linked into a
-//! workspace call graph ([`crate::callgraph`]). Seventeen rule classes:
+//! workspace call graph ([`crate::callgraph`]). Sixteen rule classes:
 //!
 //! | id                        | hazard                                              |
 //! |---------------------------|-----------------------------------------------------|
@@ -14,40 +14,40 @@
 //! | `unsafe-no-safety`        | `unsafe` without a nearby `// SAFETY:` comment      |
 //! | `unwrap-in-sim`           | `unwrap()`/`expect()` in sim-crate non-test code    |
 //! | `hot-path-alloc`          | per-call allocation in a `doebench::hot` function   |
-//! | `hot-path-alloc-transitive` | allocation reachable from a hot fn via the call graph |
+//! | `hot-path-alloc-transitive` | allocation reachable from a hot fn via the call graph ([`crate::effects`]) |
 //! | `nondet-taint`            | nondeterministic value flows into an event time, table cell, or digest ([`crate::taint`]) |
 //! | `units-flow`              | mixed-unit arithmetic/comparison in the sim crates ([`crate::unitsflow`]) |
 //! | `protocol-send-wait`      | `send_nb` with no matching `recv`/wait on some path ([`crate::protocol`]) |
 //! | `protocol-event-order`    | `stream_wait_event` on an event not yet recorded    |
 //! | `protocol-buffer-annotate` | `memcpy_async` while launches have unannotated buffers |
-//! | `protocol-queue-drain`    | `EventQueue` read after `drain_until` without reschedule |
 //! | `effect-contract`         | a fn's call closure violates its `doebench::effects(...)` contract ([`crate::effects`]) |
 //! | `lock-order`              | lock-order cycle, double-lock, or condvar protocol misuse ([`crate::locks`]) |
 //! | `key-coverage`            | a spec/query struct field missing from the canonical cache key ([`crate::keycov`]) |
 //!
-//! `nondet-taint` through `protocol-queue-drain` run on the dataflow
+//! The first four rules, the taint sources and the effect scan share one
+//! hazard vocabulary, `HAZARDS`; each applies its own scoping.
+//! `nondet-taint` through `protocol-buffer-annotate` run on the dataflow
 //! layer ([`crate::cfg`] + [`crate::dataflow`]) rather than on raw token
 //! sequences, so their findings are path-aware: a `send_nb` answered on
 //! every control-flow path is clean, and a taint finding carries its
-//! source→sink chain. `effect-contract` is an interprocedural fixpoint
-//! over the call graph, `lock-order` a must-hold dataflow over guard
-//! bindings, and `key-coverage` a structural proof over struct
-//! definitions and the canonical serialization functions.
+//! source→sink chain. `hot-path-alloc-transitive` and `effect-contract`
+//! read one interprocedural fixpoint over the call graph (the effect
+//! summaries), `lock-order` is a must-hold dataflow over guard bindings,
+//! and `key-coverage` a structural proof over struct definitions and the
+//! canonical serialization functions.
 //!
 //! A function becomes hot by carrying a `doebench::hot` marker comment
-//! before (or on) its `fn` line, or by a `hot-fn path fn-name` line in
-//! `dessan.toml`. Inside a hot body, `Box::new`, `vec!`, `format!`,
-//! `.to_string()`, `.to_owned()` and `.clone()` are flagged
+//! before (or on) its `fn` line. Inside a hot body, `Box::new`, `vec!`,
+//! `format!`, `.to_string()`, `.to_owned()` and `.clone()` are flagged
 //! (`.clone_from(...)` reuses its destination buffer and is fine), and the
 //! transitive rule follows calls out of the hot body to allocations any
 //! depth away (`// doebench::cold-call` cuts an edge, `#[cold]` a callee).
 //!
 //! Justified sites are waived *in source*, next to the code they excuse:
-//! `// dessan::allow(<rule>): <reason>` on the offending line or the line
-//! above, or `//! dessan::allow(<rule>): <reason>` for a whole file. The
-//! reason is mandatory. `dessan.toml` keeps only `hot-fn` designations;
-//! any grandfather entry left unused there is a hard error, so the gate
-//! only ratchets tighter.
+//! a comment that leads with `dessan::allow(<rule>): <reason>` on the
+//! offending line or the line above, or an inner doc comment
+//! (`//! dessan::allow(<rule>): <reason>`) for a whole file. The reason
+//! is mandatory.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -56,8 +56,6 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use crate::callgraph::{self, WsFile};
-use crate::items;
-use crate::lex;
 
 /// The crates whose non-test code must be panic-free (`unwrap-in-sim`).
 const SIM_CRATES: [&str; 7] = [
@@ -95,8 +93,6 @@ pub enum Rule {
     /// Instrumented `memcpy_async` while a launch's buffers are
     /// unannotated.
     ProtocolBufferAnnotate,
-    /// `EventQueue` read after `drain_until` with no reschedule between.
-    ProtocolQueueDrain,
     /// A function's transitive call closure exhibits an effect its
     /// declared `doebench::effects(...)` contract forbids.
     EffectContract,
@@ -109,7 +105,7 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// The stable identifier used in reports, waivers, and `dessan.toml`.
+    /// The stable identifier used in reports and waivers.
     pub fn id(self) -> &'static str {
         match self {
             Rule::WallClock => "wall-clock",
@@ -125,20 +121,14 @@ impl Rule {
             Rule::ProtocolSendWait => "protocol-send-wait",
             Rule::ProtocolEventOrder => "protocol-event-order",
             Rule::ProtocolBufferAnnotate => "protocol-buffer-annotate",
-            Rule::ProtocolQueueDrain => "protocol-queue-drain",
             Rule::EffectContract => "effect-contract",
             Rule::LockOrder => "lock-order",
             Rule::KeyCoverage => "key-coverage",
         }
     }
 
-    /// The rule with the given stable id, if any.
-    pub fn from_id(id: &str) -> Option<Rule> {
-        Rule::ALL.iter().copied().find(|r| r.id() == id)
-    }
-
     /// Every rule, in report order.
-    pub const ALL: [Rule; 17] = [
+    pub const ALL: [Rule; 16] = [
         Rule::WallClock,
         Rule::AdHocRng,
         Rule::HashOrder,
@@ -152,7 +142,6 @@ impl Rule {
         Rule::ProtocolSendWait,
         Rule::ProtocolEventOrder,
         Rule::ProtocolBufferAnnotate,
-        Rule::ProtocolQueueDrain,
         Rule::EffectContract,
         Rule::LockOrder,
         Rule::KeyCoverage,
@@ -165,6 +154,64 @@ impl Rule {
             .position(|r| *r == self)
             .unwrap_or(usize::MAX)
     }
+}
+
+/// One pattern of the hazard vocabulary: `(rule, display, pattern,
+/// reads)`. `rule` is the token rule that reports it (its id doubles as
+/// the taint origin); `display` is how findings spell it; `pattern` is
+/// the code-token sequence (`::` is two `:` tokens: the lexer emits
+/// single-char punctuation); `reads` marks a pattern that produces a value
+/// (a clock reading, a random draw, an env var) rather than only naming a
+/// type — such sites seed taint and carry an effect.
+pub(crate) type Hazard = (Rule, &'static str, &'static [&'static str], bool);
+
+/// The hazard vocabulary shared by the token rules, the taint sources
+/// ([`crate::taint`]) and the direct effect scan ([`crate::effects`]), in
+/// reporting precedence: where several patterns of one rule start on a
+/// line, the first names the finding.
+pub(crate) const HAZARDS: [Hazard; 10] = [
+    (
+        Rule::WallClock,
+        "std::time::Instant",
+        &["std", ":", ":", "time", ":", ":", "Instant"],
+        false,
+    ),
+    (
+        Rule::WallClock,
+        "std::time::SystemTime",
+        &["std", ":", ":", "time", ":", ":", "SystemTime"],
+        false,
+    ),
+    (
+        Rule::WallClock,
+        "Instant::now",
+        &["Instant", ":", ":", "now"],
+        true,
+    ),
+    (
+        Rule::WallClock,
+        "SystemTime::now",
+        &["SystemTime", ":", ":", "now"],
+        true,
+    ),
+    (Rule::AdHocRng, "thread_rng", &["thread_rng"], true),
+    (
+        Rule::AdHocRng,
+        "rand::random",
+        &["rand", ":", ":", "random"],
+        true,
+    ),
+    (Rule::EnvRead, "env::var", &["env", ":", ":", "var"], true),
+    (Rule::EnvRead, "env::vars", &["env", ":", ":", "vars"], true),
+    (Rule::HashOrder, "HashMap", &["HashMap"], false),
+    (Rule::HashOrder, "HashSet", &["HashSet"], false),
+];
+
+/// Does `name` name a hash container (iteration order unspecified)?
+pub(crate) fn is_hash_container(name: &str) -> bool {
+    HAZARDS
+        .iter()
+        .any(|&(rule, _, pattern, _)| rule == Rule::HashOrder && pattern == [name])
 }
 
 /// One lint violation.
@@ -362,9 +409,10 @@ pub fn strip_comments_and_strings(src: &str) -> String {
 }
 
 /// The crate a workspace-relative path belongs to (`crates/<name>/…`).
-fn crate_of(path: &str) -> Option<&str> {
-    let rest = path.strip_prefix("crates/")?;
-    rest.split('/').next()
+pub(crate) fn crate_of(path: &str) -> &str {
+    path.strip_prefix("crates/")
+        .and_then(|r| r.split('/').next())
+        .unwrap_or("")
 }
 
 /// File stem of a path (`world.rs` → `world`).
@@ -381,43 +429,24 @@ fn is_output_path(path: &str) -> bool {
     let stem = stem_of(path);
     stem.starts_with("table")
         || matches!(stem, "render" | "chart" | "compare" | "report" | "bundle")
-        || crate_of(path) == Some("report")
+        || crate_of(path) == "report"
 }
 
-/// Lint one file's source text. `path` must be workspace-relative
-/// (`crates/<crate>/src/...`) so crate- and module-scoped rules resolve.
-/// Workspace-level rules (`hot-path-alloc-transitive`) run in [`run`].
+/// Lint one file's source text as a one-file workspace: every rule runs,
+/// the call-graph rules over the calls this file resolves by itself.
+/// `path` must be workspace-relative (`crates/<crate>/src/...`) so crate-
+/// and module-scoped rules resolve.
 pub fn lint_file(path: &str, src: &str) -> Vec<LintFinding> {
-    lint_file_with_hot(path, src, &[])
-}
-
-/// [`lint_file`] with extra hot-function designations for this file
-/// (the `hot-fn` lines of `dessan.toml`, marker comments aside). Runs the
-/// token rules plus the single-file dataflow analyses (units-flow,
-/// protocol, intra-file taint); cross-file taint and the transitive
-/// hot-path walk need the whole workspace and run only in [`run`].
-pub fn lint_file_with_hot(path: &str, src: &str, extra_hot: &[String]) -> Vec<LintFinding> {
-    let file = callgraph::ws_file(path, src, extra_hot);
-    let mut findings = lint_parsed(path, src, &file.tokens, &file.items);
-    findings.extend(crate::unitsflow::findings(&file));
-    findings.extend(crate::protocol::findings(&file));
-    let slice = std::slice::from_ref(&file);
-    findings.extend(crate::taint::findings(slice));
-    findings.extend(crate::effects::findings(slice));
-    findings.extend(crate::locks::findings(slice));
-    findings.extend(crate::keycov::findings(slice));
+    let ws = [callgraph::ws_file(path, src)];
+    let mut findings = lint_workspace(&ws, &mut Vec::new());
     findings.sort_by_key(|f| (f.line, f.rule.order()));
     findings
 }
 
-/// The per-file rules, over an already-lexed and parsed file.
-fn lint_parsed(
-    path: &str,
-    src: &str,
-    tokens: &[lex::Token],
-    its: &items::FileItems,
-) -> Vec<LintFinding> {
-    let krate = crate_of(path).unwrap_or("");
+/// The token rules over one already-lexed and parsed file.
+fn lint_parsed(file: &WsFile) -> Vec<LintFinding> {
+    let (path, src, tokens, its) = (&file.path, &file.src, &file.tokens, &file.items);
+    let krate = crate_of(path);
     let stem = stem_of(path);
     let in_sim_crate = SIM_CRATES.contains(&krate);
     let env_exempt = krate == "cli" || matches!(stem, "config" | "env" | "cli");
@@ -430,8 +459,7 @@ fn lint_parsed(
         .collect();
     let texts: Vec<&str> = code.iter().map(|&i| tokens[i].text(src)).collect();
     let tok_lines: Vec<usize> = code.iter().map(|&i| tokens[i].line).collect();
-    // Lines where the code-token sequence `pattern` starts (`::` written
-    // as two `:` entries — the lexer emits single-char punctuation).
+    // Lines where the code-token sequence `pattern` starts.
     let seq_lines = |pattern: &[&str]| -> BTreeSet<usize> {
         let mut lines = BTreeSet::new();
         if texts.len() >= pattern.len() {
@@ -458,75 +486,31 @@ fn lint_parsed(
         }
     };
 
-    // wall-clock: reading host time inside simulated/deterministic code.
-    // One finding per line, first pattern wins.
+    // wall-clock, ad-hoc-rng, hash-order, env-read: the hazard table.
+    // Hash containers matter only where iteration order reaches rendered
+    // output; env reads belong in config/cli modules. One finding per
+    // rule and line, first pattern wins.
     let mut claimed = BTreeSet::new();
-    for (disp, pat) in [
-        (
-            "std::time::Instant",
-            &["std", ":", ":", "time", ":", ":", "Instant"][..],
-        ),
-        (
-            "std::time::SystemTime",
-            &["std", ":", ":", "time", ":", ":", "SystemTime"][..],
-        ),
-        ("Instant::now", &["Instant", ":", ":", "now"][..]),
-        ("SystemTime::now", &["SystemTime", ":", ":", "now"][..]),
-    ] {
-        for line in seq_lines(pat) {
-            if claimed.insert(line) {
-                push(
-                    Rule::WallClock,
-                    line,
-                    format!("wall-clock read `{disp}` breaks run-to-run determinism; use simulated time (`SimTime`) or waive native-measurement code with `// dessan::allow(wall-clock): <reason>`"),
-                );
-            }
+    for &(rule, disp, pattern, _) in &HAZARDS {
+        let applies = match rule {
+            Rule::HashOrder => output_path,
+            Rule::EnvRead => !env_exempt,
+            _ => true,
+        };
+        if !applies {
+            continue;
         }
-    }
-
-    // ad-hoc-rng: randomness not derived from the campaign seed.
-    let mut claimed = BTreeSet::new();
-    for (disp, pat) in [
-        ("thread_rng", &["thread_rng"][..]),
-        ("rand::random", &["rand", ":", ":", "random"][..]),
-    ] {
-        for line in seq_lines(pat) {
-            if claimed.insert(line) {
-                push(
-                    Rule::AdHocRng,
-                    line,
-                    format!("unseeded randomness `{disp}`; derive a stream from `SimRng` instead"),
-                );
+        for line in seq_lines(pattern) {
+            if !claimed.insert((rule.order(), line)) {
+                continue;
             }
-        }
-    }
-
-    // hash-order: nondeterministic iteration order in rendered output.
-    if output_path {
-        let mut claimed = BTreeSet::new();
-        for pat in ["HashMap", "HashSet"] {
-            for line in seq_lines(&[pat]) {
-                if claimed.insert(line) {
-                    push(
-                        Rule::HashOrder,
-                        line,
-                        format!("`{pat}` in an output path; iteration order is unspecified — use `BTreeMap`/`BTreeSet` or sort explicitly"),
-                    );
-                }
-            }
-        }
-    }
-
-    // env-read: ambient configuration outside config/cli modules.
-    if !env_exempt {
-        let mut lines: BTreeSet<usize> = seq_lines(&["env", ":", ":", "var"]);
-        lines.extend(seq_lines(&["env", ":", ":", "vars"]));
-        for line in lines {
-            push(
-                Rule::EnvRead,
-                line,
-                "environment read outside a config/cli module makes behaviour depend on ambient state".to_string(),
-            );
+            let message = match rule {
+                Rule::WallClock => format!("wall-clock read `{disp}` breaks run-to-run determinism; use simulated time (`SimTime`) or waive native-measurement code with `// dessan::allow(wall-clock): <reason>`"),
+                Rule::AdHocRng => format!("unseeded randomness `{disp}`; derive a stream from `SimRng` instead"),
+                Rule::HashOrder => format!("`{disp}` in an output path; iteration order is unspecified — use `BTreeMap`/`BTreeSet` or sort explicitly"),
+                _ => format!("environment read `{disp}` outside a config/cli module makes behaviour depend on ambient state"),
+            };
+            push(rule, line, message);
         }
     }
 
@@ -587,122 +571,22 @@ fn lint_parsed(
         }
     }
 
-    findings.sort_by_key(|f| (f.line, f.rule.order()));
     findings
-}
-
-/// The allowlist at `dessan.toml`: `hot-fn path fn-name` designation lines
-/// plus (legacy) `rule path` grandfather pairs, `#` comments allowed.
-///
-/// Grandfather pairs still parse and apply so the ratchet can report them:
-/// an entry that matches nothing is a hard error in the CLI, and new
-/// waivers belong in source (`// dessan::allow(...)`), not here.
-#[derive(Debug, Default)]
-pub struct Allowlist {
-    entries: Vec<(String, String)>,
-    used: Vec<bool>,
-    /// `(path, fn-name)` hot-function designations.
-    hot_fns: Vec<(String, String)>,
-}
-
-impl Allowlist {
-    /// Parse `dessan.toml` text. Unknown rule ids are an error so typos
-    /// cannot silently allow everything.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut entries = Vec::new();
-        let mut hot_fns = Vec::new();
-        for (i, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() || line.starts_with('[') {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let (Some(rule), Some(path)) = (parts.next(), parts.next()) else {
-                return Err(format!(
-                    "dessan.toml line {}: expected `rule path`, got `{raw}`",
-                    i + 1
-                ));
-            };
-            if rule == "hot-fn" {
-                let Some(name) = parts.next() else {
-                    return Err(format!(
-                        "dessan.toml line {}: expected `hot-fn path fn-name`, got `{raw}`",
-                        i + 1
-                    ));
-                };
-                hot_fns.push((path.to_string(), name.to_string()));
-                continue;
-            }
-            if !Rule::ALL.iter().any(|r| r.id() == rule) {
-                return Err(format!(
-                    "dessan.toml line {}: unknown rule `{rule}` (known: {})",
-                    i + 1,
-                    Rule::ALL.map(|r| r.id()).join(", ")
-                ));
-            }
-            entries.push((rule.to_string(), path.to_string()));
-        }
-        let used = vec![false; entries.len()];
-        Ok(Allowlist {
-            entries,
-            used,
-            hot_fns,
-        })
-    }
-
-    /// The `hot-fn` designations naming functions in `path`.
-    pub fn hot_fns_for(&self, path: &str) -> Vec<String> {
-        self.hot_fns
-            .iter()
-            .filter(|(p, _)| p == path)
-            .map(|(_, f)| f.clone())
-            .collect()
-    }
-
-    /// Is `finding` grandfathered? Marks the matching entry as used.
-    pub fn permits(&mut self, finding: &LintFinding) -> bool {
-        for (i, (rule, path)) in self.entries.iter().enumerate() {
-            if rule == finding.rule.id() && path == &finding.path {
-                self.used[i] = true;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Entries that never matched a finding — dead weight that must be
-    /// deleted (the CLI fails on them), so the allowlist only shrinks.
-    pub fn unused(&self) -> Vec<(String, String)> {
-        self.entries
-            .iter()
-            .zip(&self.used)
-            .filter(|(_, &u)| !u)
-            .map(|(e, _)| e.clone())
-            .collect()
-    }
 }
 
 /// The outcome of a full lint run.
 #[derive(Debug, Default)]
 pub struct LintReport {
-    /// Violations not covered by the allowlist.
+    /// Violations, ordered by path, line and rule.
     pub findings: Vec<LintFinding>,
-    /// Grandfathered violation count.
-    pub allowed: usize,
     /// Files scanned.
     pub files: usize,
-    /// Allowlist entries that matched nothing.
-    pub unused_allows: Vec<(String, String)>,
     /// Per-phase wall time, in run order, for `--timings`.
-    pub timings: Vec<(String, Duration)>,
-    /// Files whose per-file findings came from the incremental cache.
-    pub cache_hits: usize,
-    /// Files whose per-file rules had to run (result stored for next time).
-    pub cache_misses: usize,
+    pub timings: Vec<(&'static str, Duration)>,
 }
 
 impl LintReport {
-    /// Zero exit code? (The CLI additionally fails on `unused_allows`.)
+    /// Zero exit code?
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }
@@ -726,47 +610,48 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> std::io::R
     Ok(())
 }
 
-/// Options for a full workspace lint run ([`run_with`]).
-#[derive(Clone, Copy, Debug)]
-pub struct RunOpts {
-    /// Reuse per-file findings cached under `target/dessan-cache`, keyed
-    /// by content hash (`--no-cache` clears this). Workspace-level
-    /// analyses always run — only the per-file rule work is memoized.
-    pub use_cache: bool,
-}
-
-impl Default for RunOpts {
-    fn default() -> Self {
-        RunOpts { use_cache: true }
-    }
-}
-
 /// Read the host clock for the `--timings` scoreboard.
 fn phase_clock() -> Instant {
     // dessan::allow(wall-clock): measures the linter's own phases, never simulated code.
     Instant::now()
 }
 
-/// Lint every `crates/*/src/**/*.rs` under `root` with default options:
-/// the per-file rules, then the workspace-level analyses (transitive
-/// hot-path-alloc, cross-file taint, effect contracts, lock order, key
-/// coverage), applying the allowlist at `root/dessan.toml` if present.
-pub fn run(root: &Path) -> std::io::Result<LintReport> {
-    run_with(root, RunOpts::default())
+/// Every rule over a parsed workspace: the per-file rules, then the
+/// call-graph and cross-file analyses. The effect summaries are computed
+/// once and read by both `hot-path-alloc-transitive` and
+/// `effect-contract`. Appends each phase's wall time to `timings`.
+fn lint_workspace(ws: &[WsFile], timings: &mut Vec<(&'static str, Duration)>) -> Vec<LintFinding> {
+    let mut clock = phase_clock();
+    let mut lap = |name: &'static str| {
+        let now = phase_clock();
+        timings.push((name, now - clock));
+        clock = now;
+    };
+    let mut out = Vec::new();
+    for file in ws {
+        out.extend(lint_parsed(file));
+        out.extend(crate::unitsflow::findings(file));
+        out.extend(crate::protocol::findings(file));
+    }
+    lap("per-file rules (token, units-flow, protocol)");
+    let sums = crate::effects::summaries(ws);
+    lap("effect summaries");
+    out.extend(crate::effects::hot_alloc_findings(ws, &sums));
+    lap("hot-path-alloc-transitive");
+    out.extend(crate::taint::findings(ws));
+    lap("nondet-taint");
+    out.extend(crate::effects::contract_findings(ws, &sums));
+    lap("effect-contract");
+    out.extend(crate::locks::findings(ws));
+    lap("lock-order");
+    out.extend(crate::keycov::findings(ws));
+    lap("key-coverage");
+    out
 }
 
-/// [`run`] with explicit [`RunOpts`].
-pub fn run_with(root: &Path, opts: RunOpts) -> std::io::Result<LintReport> {
-    let allow_text = match std::fs::read_to_string(root.join("dessan.toml")) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(e),
-    };
-    let mut allow = Allowlist::parse(&allow_text)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-
-    let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<_> = std::fs::read_dir(&crates_dir)?
+/// Lint every `crates/*/src/**/*.rs` under `root`.
+pub fn run(root: &Path) -> std::io::Result<LintReport> {
+    let mut crate_dirs: Vec<_> = std::fs::read_dir(root.join("crates"))?
         .collect::<Result<Vec<_>, _>>()?
         .into_iter()
         .map(|e| e.path())
@@ -774,17 +659,9 @@ pub fn run_with(root: &Path, opts: RunOpts) -> std::io::Result<LintReport> {
         .collect();
     crate_dirs.sort();
 
-    let mut cache = if opts.use_cache {
-        crate::incr::IncrCache::load(root)
-    } else {
-        crate::incr::IncrCache::disabled()
-    };
-
     let mut report = LintReport::default();
     let mut ws: Vec<WsFile> = Vec::new();
-    let mut raw_findings = Vec::new();
     let mut t_parse = Duration::ZERO;
-    let mut t_perfile = Duration::ZERO;
     for cd in crate_dirs {
         let src = cd.join("src");
         if !src.is_dir() {
@@ -799,64 +676,17 @@ pub fn run_with(root: &Path, opts: RunOpts) -> std::io::Result<LintReport> {
                 .to_string_lossy()
                 .replace('\\', "/");
             let text = std::fs::read_to_string(&f)?;
-            report.files += 1;
-            let hot = allow.hot_fns_for(&rel);
-            // Lex + parse always run: the workspace analyses below need
-            // live token streams even on a cache hit.
             let t0 = phase_clock();
-            let file = callgraph::ws_file(&rel, &text, &hot);
+            ws.push(callgraph::ws_file(&rel, &text));
             t_parse += t0.elapsed();
-            let t0 = phase_clock();
-            if let Some(cached) = cache.lookup(&rel, &text, &hot) {
-                report.cache_hits += 1;
-                raw_findings.extend(cached);
-            } else {
-                report.cache_misses += 1;
-                let mut per = lint_parsed(&rel, &text, &file.tokens, &file.items);
-                per.extend(crate::unitsflow::findings(&file));
-                per.extend(crate::protocol::findings(&file));
-                cache.store(&rel, &text, &hot, &per);
-                raw_findings.extend(per);
-            }
-            t_perfile += t0.elapsed();
-            ws.push(file);
         }
     }
-    report.timings.push(("lex+parse".to_string(), t_parse));
-    report.timings.push((
-        "per-file rules (token, units-flow, protocol)".to_string(),
-        t_perfile,
-    ));
-    let mut ws_phase =
-        |name: &str, pass: &dyn Fn(&[WsFile]) -> Vec<LintFinding>, sink: &mut Vec<LintFinding>| {
-            let t0 = phase_clock();
-            sink.extend(pass(&ws));
-            report.timings.push((name.to_string(), t0.elapsed()));
-        };
-    ws_phase(
-        "hot-path-alloc-transitive",
-        &callgraph::transitive_findings,
-        &mut raw_findings,
-    );
-    ws_phase("nondet-taint", &crate::taint::findings, &mut raw_findings);
-    ws_phase(
-        "effect-contract",
-        &crate::effects::findings,
-        &mut raw_findings,
-    );
-    ws_phase("lock-order", &crate::locks::findings, &mut raw_findings);
-    ws_phase("key-coverage", &crate::keycov::findings, &mut raw_findings);
-    cache.save(root); // best-effort: a read-only target/ is not an error
-    raw_findings
+    report.files = ws.len();
+    report.timings.push(("lex+parse", t_parse));
+    report.findings = lint_workspace(&ws, &mut report.timings);
+    report
+        .findings
         .sort_by(|a, b| (&a.path, a.line, a.rule.order()).cmp(&(&b.path, b.line, b.rule.order())));
-    for finding in raw_findings {
-        if allow.permits(&finding) {
-            report.allowed += 1;
-        } else {
-            report.findings.push(finding);
-        }
-    }
-    report.unused_allows = allow.unused();
     Ok(report)
 }
 
@@ -996,18 +826,6 @@ fn slow(&mut self) {
     }
 
     #[test]
-    fn hot_fn_designation_from_allowlist_flags_named_fn() {
-        let src = "fn pump(&mut self) { let v = vec![0u8; 8]; }\nfn other() { let v = vec![1]; }\n";
-        let f = lint_file_with_hot("crates/foo/src/lib.rs", src, &["pump".to_string()]);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::HotPathAlloc);
-        assert_eq!(f[0].line, 1);
-        // A prefix of the name must not match.
-        let f = lint_file_with_hot("crates/foo/src/lib.rs", src, &["pum".to_string()]);
-        assert!(f.is_empty());
-    }
-
-    #[test]
     fn hot_marker_in_test_region_is_ignored() {
         let src =
             "#[cfg(test)]\nmod tests {\n    // doebench::hot\n    fn t() { let x = vec![1]; }\n}\n";
@@ -1091,53 +909,27 @@ fn fast() { // closes like fn ghost() {
     }
 
     #[test]
+    fn waiver_mentioned_in_prose_does_not_waive() {
+        let src = "// Unlike the native backend, which uses dessan::allow(wall-clock): here, this must not read the clock.\nfn f() { let t = std::time::Instant::now(); let _ = t; }\n";
+        assert_eq!(
+            rules_of("crates/mpisim/src/x.rs", src),
+            vec![Rule::WallClock]
+        );
+    }
+
+    #[test]
+    fn waiver_quoted_in_a_doc_comment_does_not_waive() {
+        let src = "/// Waive with `dessan::allow(wall-clock): <reason>` next to the site.\nfn f() { let t = std::time::Instant::now(); let _ = t; }\n";
+        assert_eq!(
+            rules_of("crates/mpisim/src/x.rs", src),
+            vec![Rule::WallClock]
+        );
+    }
+
+    #[test]
     fn file_level_waiver_covers_every_site() {
         let src = "//! dessan::allow(unwrap-in-sim): panics are this module's documented contract.\nfn f(x: Option<u32>) { x.unwrap(); }\nfn g(y: Option<u32>) { y.unwrap(); }\n";
         assert_eq!(rules_of("crates/simtime/src/time.rs", src), vec![]);
-    }
-
-    #[test]
-    fn allowlist_parses_hot_fn_lines() {
-        let allow =
-            Allowlist::parse("hot-fn crates/foo/src/lib.rs pump\nwall-clock crates/bar/src/x.rs\n")
-                .unwrap();
-        assert_eq!(allow.hot_fns_for("crates/foo/src/lib.rs"), vec!["pump"]);
-        assert!(allow.hot_fns_for("crates/bar/src/x.rs").is_empty());
-        // hot-fn demands a function name.
-        assert!(Allowlist::parse("hot-fn crates/foo/src/lib.rs").is_err());
-    }
-
-    #[test]
-    fn allowlist_permits_and_tracks_usage() {
-        let mut allow = Allowlist::parse(
-            "# comment\nwall-clock crates/foo/src/lib.rs\nenv-read crates/bar/src/x.rs\n",
-        )
-        .unwrap();
-        let f = LintFinding {
-            rule: Rule::WallClock,
-            path: "crates/foo/src/lib.rs".into(),
-            line: 1,
-            message: String::new(),
-            chain: Vec::new(),
-        };
-        assert!(allow.permits(&f));
-        assert!(!allow.permits(&LintFinding {
-            rule: Rule::AdHocRng,
-            ..f.clone()
-        }));
-        assert_eq!(allow.unused().len(), 1);
-        assert_eq!(allow.unused()[0].0, "env-read");
-    }
-
-    #[test]
-    fn allowlist_rejects_unknown_rules() {
-        assert!(Allowlist::parse("definitely-not-a-rule crates/x/src/y.rs").is_err());
-        assert!(Allowlist::parse("wall-clock").is_err());
-    }
-
-    #[test]
-    fn allowlist_accepts_the_transitive_rule_id() {
-        assert!(Allowlist::parse("hot-path-alloc-transitive crates/x/src/y.rs").is_ok());
     }
 
     #[test]
@@ -1155,16 +947,15 @@ fn fast() { // closes like fn ghost() {
         assert_eq!(report.findings.len(), 2);
         assert_eq!(report.files, 1);
 
-        // Grandfathering both sites makes the same tree clean.
+        // Waiving both sites in source makes the same tree clean.
         std::fs::write(
-            dir.join("dessan.toml"),
-            "wall-clock crates/fix/src/lib.rs\nenv-read crates/fix/src/lib.rs\n",
+            src.join("lib.rs"),
+            "// dessan::allow(wall-clock): fixture.\nuse std::time::Instant;\n// dessan::allow(env-read): fixture.\nfn f() { let _ = std::env::var(\"HOME\"); }\n",
         )
         .unwrap();
         let report = run(&dir).unwrap();
-        assert!(report.is_clean());
-        assert_eq!(report.allowed, 2);
-        assert!(report.unused_allows.is_empty());
+        assert!(report.is_clean(), "{:?}", report.findings);
+        assert_eq!(report.files, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

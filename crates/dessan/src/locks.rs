@@ -618,7 +618,7 @@ mod tests {
     use crate::callgraph::ws_file;
 
     fn single(src: &str) -> Vec<LintFinding> {
-        findings(&[ws_file("crates/x/src/lib.rs", src, &[])])
+        findings(&[ws_file("crates/x/src/lib.rs", src)])
     }
 
     const STRUCTS: &str = "\

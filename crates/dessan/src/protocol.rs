@@ -1,7 +1,7 @@
 //! Protocol / typestate analysis: API call-order contracts on the
 //! simulation runtimes, checked intraprocedurally over the CFG.
 //!
-//! Four rules, all dataflow problems over small local lattices:
+//! Three rules, all dataflow problems over small local lattices:
 //!
 //! * `protocol-send-wait` — every `send_nb(from, to)` must reach a
 //!   matching completion (`recv(to, from)`, `wait`, `wait_all`, or
@@ -23,12 +23,8 @@
 //!   full synchronize). Forward may-analysis over outstanding launch
 //!   lines: a `memcpy_async` reachable from any un-annotated launch is
 //!   flagged.
-//! * `protocol-queue-drain` — after `q.drain_until(..)` the queue is
-//!   conceptually empty; popping/peeking it again without an intervening
-//!   `q.schedule(..)` replays stale state. Forward may-analysis over
-//!   drained receiver names.
 //!
-//! All four rules skip `#[test]` regions: tests exercise half-protocols
+//! All three rules skip `#[test]` regions: tests exercise half-protocols
 //! on purpose (e.g. asserting that an unwaited send is detected by the
 //! runtime itself).
 
@@ -153,16 +149,6 @@ impl<'a> Ctx<'a> {
             [t] if self.is_ident(*t) => Some(self.text(*t)),
             _ => None,
         }
-    }
-
-    /// The receiver of `X.method(`: the identifier directly before the
-    /// dot before `toks[j]`; `"?"` wildcard for complex receivers.
-    fn receiver_of(&self, toks: &[usize], j: usize) -> &'a str {
-        // `self.q.pop(..)` → receiver is the field name `q`.
-        if j >= 2 && self.text(toks[j - 1]) == "." && self.is_ident(toks[j - 2]) {
-            return self.text(toks[j - 2]);
-        }
-        "?"
     }
 }
 
@@ -507,77 +493,8 @@ fn check_buffer_annotate(ctx: &Ctx, cfg: &Cfg, out: &mut Vec<LintFinding>) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule (d): no EventQueue use after drain_until without a reschedule.
-// ---------------------------------------------------------------------------
 
-const QUEUE_USES: [&str; 3] = ["pop", "pop_until", "peek_time"];
-
-fn check_queue_drain(ctx: &Ctx, cfg: &Cfg, out: &mut Vec<LintFinding>) {
-    let gen_kill = |toks: &[usize], fact: &mut MaySet<String>| {
-        for j in ctx.calls_of(toks, "schedule") {
-            let recv = ctx.receiver_of(toks, j);
-            fact.0.remove(recv);
-            if recv == "?" {
-                // Unknown receiver rescheduled: conservatively clear.
-                fact.0.clear();
-            }
-        }
-        for j in ctx.calls_of(toks, "drain_until") {
-            fact.0.insert(ctx.receiver_of(toks, j).to_string());
-        }
-    };
-    let inputs = solve(
-        cfg,
-        Dir::Forward,
-        MaySet(BTreeSet::new()),
-        MaySet(BTreeSet::new()),
-        |b, input: &MaySet<String>| {
-            let mut fact = input.clone();
-            for step in &cfg.blocks[b].steps {
-                if let Step::Code(toks) = step {
-                    gen_kill(toks, &mut fact);
-                }
-            }
-            fact
-        },
-    );
-    for (b, input) in inputs.iter().enumerate() {
-        let mut fact = input.clone();
-        for step in &cfg.blocks[b].steps {
-            let Step::Code(toks) = step else { continue };
-            // Check before gen: `q.drain_until(..)` then `q.pop()` in the
-            // SAME statement would be pathological; keep it simple.
-            for use_name in QUEUE_USES {
-                for j in ctx.calls_of(toks, use_name) {
-                    let recv = ctx.receiver_of(toks, j);
-                    let hit = fact.0.contains(recv)
-                        || (recv != "?" && fact.0.contains("?"))
-                        || (recv == "?" && !fact.0.is_empty());
-                    if hit {
-                        let line = ctx.line(toks[j]);
-                        out.extend(mk_finding(
-                            ctx,
-                            Rule::ProtocolQueueDrain,
-                            line,
-                            format!(
-                                "`{recv}.{use_name}(..)` may run after `drain_until` emptied the queue with no intervening `schedule`; post-drain reads observe stale queue state"
-                            ),
-                            vec![
-                                format!("drain_until on `{recv}`"),
-                                format!("{use_name} at line {line} with no reschedule"),
-                            ],
-                        ));
-                    }
-                }
-            }
-            gen_kill(toks, &mut fact);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-
-/// Run all four protocol rules over one file.
+/// Run all three protocol rules over one file.
 pub fn findings(file: &WsFile) -> Vec<LintFinding> {
     let ctx = Ctx { file };
     let mut out = Vec::new();
@@ -600,7 +517,6 @@ pub fn findings(file: &WsFile) -> Vec<LintFinding> {
         check_send_wait(&ctx, &exactly_once, &mut out);
         check_event_order(&ctx, &natural, &mut out);
         check_buffer_annotate(&ctx, &natural, &mut out);
-        check_queue_drain(&ctx, &natural, &mut out);
     }
     out.sort_by(|a, b| {
         (a.line, a.rule.order(), &a.message).cmp(&(b.line, b.rule.order(), &b.message))
@@ -615,7 +531,7 @@ mod tests {
     use crate::callgraph::ws_file;
 
     fn proto_findings(src: &str) -> Vec<LintFinding> {
-        let file = ws_file("crates/mpisim/src/fake.rs", src, &[]);
+        let file = ws_file("crates/mpisim/src/fake.rs", src);
         findings(&file)
     }
 
@@ -797,57 +713,6 @@ fn f(rt: &mut Rt, s: &S, buf: B) {
 }
 ";
         assert!(proto_findings(src).is_empty());
-    }
-
-    #[test]
-    fn pop_after_drain_is_flagged() {
-        let src = "\
-fn f(q: &mut Q) {
-    q.drain_until(100);
-    let _ = q.pop();
-}
-";
-        let f = proto_findings(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, Rule::ProtocolQueueDrain);
-    }
-
-    #[test]
-    fn reschedule_after_drain_is_clean() {
-        let src = "\
-fn f(q: &mut Q, ev: Ev) {
-    q.drain_until(100);
-    q.schedule(200, ev);
-    let _ = q.pop();
-}
-";
-        assert!(proto_findings(src).is_empty());
-    }
-
-    #[test]
-    fn distinct_queues_do_not_interfere() {
-        let src = "\
-fn f(q: &mut Q, r: &mut Q) {
-    q.drain_until(100);
-    let _ = r.pop();
-    q.schedule(200, ev);
-    let _ = q.pop();
-}
-";
-        assert!(proto_findings(src).is_empty());
-    }
-
-    #[test]
-    fn drain_in_loop_then_pop_after_is_flagged() {
-        let src = "\
-fn f(q: &mut Q, ts: &[u64]) {
-    for t in ts {
-        q.drain_until(*t);
-    }
-    let _ = q.peek_time();
-}
-";
-        assert_eq!(proto_findings(src).len(), 1);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Nondeterminism taint analysis.
 //!
-//! Sources are the values the token rules already distrust — wall-clock
-//! reads, ad-hoc RNG, env reads, hash-ordered iteration — plus any
+//! Sources are the values the token rules already distrust — the read
+//! patterns of the shared hazard table (`lint::HAZARDS`: clock
+//! reads, ad-hoc RNG, env reads) and hash-ordered iteration — plus any
 //! function armed with a `// dessan::taint-source` marker. Taint flows
 //! through `let` bindings, reassignments, compound assignments,
 //! destructuring binds (`for`/`match`/`if let`), and function calls whose
@@ -34,7 +35,7 @@ use crate::callgraph::{body_calls, Call, CallIndex, Node, WsFile};
 use crate::cfg::{self, LoopShape, Step};
 use crate::dataflow::{solve, Dir, Lattice};
 use crate::lex::TokKind;
-use crate::lint::{LintFinding, Rule};
+use crate::lint::{is_hash_container, LintFinding, Rule, HAZARDS};
 
 /// Longest chain narrated in a finding; hops beyond it are elided.
 const MAX_CHAIN: usize = 8;
@@ -140,37 +141,27 @@ impl<'a> FnCtx<'a> {
         toks.len() >= i + pat.len() && (0..pat.len()).all(|j| self.text(toks[i + j]) == pat[j])
     }
 
-    /// A direct nondeterminism source inside an expression.
+    /// A direct nondeterminism source inside an expression: the first
+    /// read pattern of the hazard table.
     fn direct_source(&self, toks: &[usize]) -> Option<Taint> {
         for i in 0..toks.len() {
-            let found: Option<(&'static str, &str)> =
-                if self.seq_at(toks, i, &["Instant", ":", ":", "now"]) {
-                    Some(("wall-clock", "Instant::now()"))
-                } else if self.seq_at(toks, i, &["SystemTime", ":", ":", "now"]) {
-                    Some(("wall-clock", "SystemTime::now()"))
-                } else if self.seq_at(toks, i, &["thread_rng"]) && self.is_ident(toks[i]) {
-                    Some(("ad-hoc-rng", "thread_rng()"))
-                } else if self.seq_at(toks, i, &["rand", ":", ":", "random"]) {
-                    Some(("ad-hoc-rng", "rand::random()"))
-                } else if self.seq_at(toks, i, &["env", ":", ":", "var"])
-                    || self.seq_at(toks, i, &["env", ":", ":", "vars"])
-                {
-                    Some(("env-read", "env::var read"))
-                } else {
-                    None
-                };
-            if let Some((origin, desc)) = found {
-                let line = self.line(toks[i]);
-                return Some(Taint {
-                    origin,
-                    desc: desc.to_string(),
-                    line,
-                    chain: vec![format!(
-                        "{}:{line}: {origin} source `{desc}`",
-                        self.file.path
-                    )],
-                });
-            }
+            let Some(&(rule, desc, _, _)) = HAZARDS
+                .iter()
+                .find(|&&(_, _, pattern, reads)| reads && self.seq_at(toks, i, pattern))
+            else {
+                continue;
+            };
+            let origin = rule.id();
+            let line = self.line(toks[i]);
+            return Some(Taint {
+                origin,
+                desc: desc.to_string(),
+                line,
+                chain: vec![format!(
+                    "{}:{line}: {origin} source `{desc}`",
+                    self.file.path
+                )],
+            });
         }
         None
     }
@@ -178,7 +169,7 @@ impl<'a> FnCtx<'a> {
     /// Does the expression construct a hash container?
     fn constructs_hash_container(&self, toks: &[usize]) -> bool {
         (0..toks.len()).any(|i| {
-            (self.text(toks[i]) == "HashMap" || self.text(toks[i]) == "HashSet")
+            is_hash_container(self.text(toks[i]))
                 && self.is_ident(toks[i])
                 && self.seq_at(toks, i + 1, &[":", ":"])
         })
@@ -707,7 +698,7 @@ mod tests {
     use crate::callgraph::ws_file;
 
     fn taint_findings(src: &str) -> Vec<LintFinding> {
-        let file = ws_file("crates/simtime/src/fake.rs", src, &[]);
+        let file = ws_file("crates/simtime/src/fake.rs", src);
         findings(std::slice::from_ref(&file))
     }
 

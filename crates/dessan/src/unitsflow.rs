@@ -546,12 +546,7 @@ fn unit_of_sum(ctx: &Ctx, toks: &[usize], vars: &BTreeMap<String, UnitDim>) -> O
 
 /// Run the units-flow analysis over one file.
 pub fn findings(file: &WsFile) -> Vec<LintFinding> {
-    let krate = file
-        .path
-        .strip_prefix("crates/")
-        .and_then(|r| r.split('/').next())
-        .unwrap_or("");
-    if !SCOPE_CRATES.contains(&krate) {
+    if !SCOPE_CRATES.contains(&crate::lint::crate_of(&file.path)) {
         return Vec::new();
     }
     let ctx = Ctx { file };
@@ -602,7 +597,7 @@ mod tests {
     use crate::callgraph::ws_file;
 
     fn units_findings(src: &str) -> Vec<LintFinding> {
-        let file = ws_file("crates/machines/src/fake.rs", src, &[]);
+        let file = ws_file("crates/machines/src/fake.rs", src);
         findings(&file)
     }
 
@@ -705,7 +700,7 @@ mod tests {
     #[test]
     fn out_of_scope_crates_are_skipped() {
         let src = "fn f(a_us: f64, b_ns: f64) -> f64 { a_us + b_ns }\n";
-        let file = ws_file("crates/report/src/fake.rs", src, &[]);
+        let file = ws_file("crates/report/src/fake.rs", src);
         assert!(findings(&file).is_empty());
     }
 

@@ -108,7 +108,6 @@ fn fixtures_cover_all_dataflow_rules() {
         "protocol-send-wait",
         "protocol-event-order",
         "protocol-buffer-annotate",
-        "protocol-queue-drain",
         "effect-contract",
         "lock-order",
         "key-coverage",

@@ -1,15 +1,18 @@
-//! Seeded-mutation smoke tests for the dataflow analyses.
+//! Seeded-mutation smoke tests for every lint rule.
 //!
-//! Each test takes a REAL workspace source file, verifies the pristine
-//! text carries no finding of the rule under test, applies a one-line
+//! Each seed takes a REAL workspace source file, verifies the pristine
+//! text carries no finding of the rule under test, applies a small
 //! mutation of the kind the rule exists to catch (drop a recv, reorder
 //! an event_record, strip a buffer annotation, break a unit conversion,
-//! render a wall-clock reading into a table cell), and asserts the mutant is
-//! flagged. This is the end-to-end guarantee that the checkers detect
-//! the bug classes they claim to — not just on fixtures, but on the
-//! actual code they gate.
+//! render a wall-clock reading into a table cell, allocate in a hot fn),
+//! and asserts the mutant is flagged. This is the end-to-end guarantee
+//! that the checkers detect the bug classes they claim to — not just on
+//! fixtures, but on the actual code they gate. Every rule needs at least
+//! one seed.
 
 use std::path::{Path, PathBuf};
+
+use dessan::lint::Rule;
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -19,20 +22,6 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Load a workspace file, assert the mutation pattern is present exactly
-/// once, and return `(pristine, mutant)` texts.
-fn mutate(rel: &str, from: &str, to: &str) -> (String, String) {
-    let path = workspace_root().join(rel);
-    let pristine = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{rel}: {e}"));
-    assert_eq!(
-        pristine.matches(from).count(),
-        1,
-        "{rel}: mutation site `{from}` must appear exactly once (file drifted?)"
-    );
-    let mutant = pristine.replacen(from, to, 1);
-    (pristine, mutant)
-}
-
 fn rules_of(path: &str, src: &str) -> Vec<&'static str> {
     dessan::lint::lint_file(path, src)
         .into_iter()
@@ -40,140 +29,175 @@ fn rules_of(path: &str, src: &str) -> Vec<&'static str> {
         .collect()
 }
 
-fn assert_mutation_detected(rel: &str, from: &str, to: &str, rule: &str) {
-    let (pristine, mutant) = mutate(rel, from, to);
-    let before = rules_of(rel, &pristine);
-    assert!(
-        !before.contains(&rule),
-        "{rel}: pristine file already has a `{rule}` finding: {before:?}"
-    );
-    let after = rules_of(rel, &mutant);
-    assert!(
-        after.contains(&rule),
-        "{rel}: `{rule}` missed the seeded mutation `{from}` -> `{to}`; found {after:?}"
-    );
+/// One seeded mutation: replace `from` (present exactly once) in the
+/// workspace file `file` with `to`, and expect a `rule` finding.
+struct Seed {
+    rule: Rule,
+    file: &'static str,
+    from: &'static str,
+    to: &'static str,
 }
 
-#[test]
-fn dropped_recv_is_caught_by_send_wait() {
+impl Seed {
+    fn assert_detected(&self) {
+        let (rel, from, to, rule) = (self.file, self.from, self.to, self.rule.id());
+        let pristine = std::fs::read_to_string(workspace_root().join(rel))
+            .unwrap_or_else(|e| panic!("{rel}: {e}"));
+        assert_eq!(
+            pristine.matches(from).count(),
+            1,
+            "{rel}: mutation site `{from}` must appear exactly once (file drifted?)"
+        );
+        let before = rules_of(rel, &pristine);
+        assert!(
+            !before.contains(&rule),
+            "{rel}: pristine file already has a `{rule}` finding: {before:?}"
+        );
+        let after = rules_of(rel, &pristine.replacen(from, to, 1));
+        assert!(
+            after.contains(&rule),
+            "{rel}: `{rule}` missed the seeded mutation `{from}` -> `{to}`; found {after:?}"
+        );
+    }
+}
+
+/// Declares the seeds: each `test_name: Rule in "file", from => to;`
+/// becomes one `#[test]` and one entry of `SEEDS`.
+macro_rules! seeds {
+    ($($test:ident: $rule:ident in $file:literal, $from:expr => $to:expr;)*) => {
+        const SEEDS: &[Seed] = &[$(Seed { rule: Rule::$rule, file: $file, from: $from, to: $to }),*];
+        $(
+            #[test]
+            fn $test() {
+                Seed { rule: Rule::$rule, file: $file, from: $from, to: $to }.assert_detected();
+            }
+        )*
+    };
+}
+
+/// `MpiSim::advance`, where the token-rule seeds land.
+const MPI_ADVANCE: &str = "        *c += d;\n        Ok(())";
+/// The top of the hot `MpiSim::pingpong`.
+const PINGPONG_ENTRY: &str =
+    "let fast = self.checks.is_none() && self.mailboxes.iter().all(VecDeque::is_empty);";
+
+seeds! {
     // `exchange` posts two nonblocking sends and collects both; deleting
     // one recv leaves its partner send in flight forever.
-    assert_mutation_detected(
-        "crates/osu/src/collectives.rs",
-        "world.recv(a, b, bytes).expect(\"recv\");",
-        "",
-        "protocol-send-wait",
-    );
-}
+    dropped_recv_is_caught_by_send_wait: ProtocolSendWait in "crates/osu/src/collectives.rs",
+        "world.recv(a, b, bytes).expect(\"recv\");" => "";
 
-#[test]
-fn reordered_event_record_is_caught_by_event_order() {
     // Swap the record and the wait: the cross-stream pipeline now waits
     // on an event that has not been recorded yet.
-    assert_mutation_detected(
-        "crates/gpurt/src/testkit.rs",
-        "let done = rt.event_record(&s1)?;\n    rt.stream_wait_event(&s2, &done)?;",
-        "rt.stream_wait_event(&s2, &done)?;\n    let done = rt.event_record(&s1)?;",
-        "protocol-event-order",
-    );
-}
+    reordered_event_record_is_caught_by_event_order: ProtocolEventOrder in "crates/gpurt/src/testkit.rs",
+        "let done = rt.event_record(&s1)?;\n    rt.stream_wait_event(&s2, &done)?;"
+        => "rt.stream_wait_event(&s2, &done)?;\n    let done = rt.event_record(&s1)?;";
 
-#[test]
-fn stripped_annotation_is_caught_by_buffer_annotate() {
     // Without annotate_kernel_buffers between the launch and the copy,
     // the race detector cannot attribute the copy's buffers.
-    assert_mutation_detected(
-        "crates/gpurt/src/testkit.rs",
-        "rt.annotate_kernel_buffers(&s1, &[], &[shared]);\n",
-        "",
-        "protocol-buffer-annotate",
-    );
-}
+    stripped_annotation_is_caught_by_buffer_annotate: ProtocolBufferAnnotate in "crates/gpurt/src/testkit.rs",
+        "rt.annotate_kernel_buffers(&s1, &[], &[shared]);\n" => "";
 
-#[test]
-fn broken_unit_conversion_is_caught_by_units_flow() {
     // The on-socket MPI calibration sums three µs components; extracting
     // one as ns silently skews the sum by 1000x.
-    assert_mutation_detected(
-        "crates/machines/src/cpu.rs",
-        "+ m.mpi.shm_latency.as_us()",
-        "+ m.mpi.shm_latency.as_ns()",
-        "units-flow",
-    );
-}
+    broken_unit_conversion_is_caught_by_units_flow: UnitsFlow in "crates/machines/src/cpu.rs",
+        "+ m.mpi.shm_latency.as_us()" => "+ m.mpi.shm_latency.as_ns()";
 
-#[test]
-fn wall_clock_timestamp_is_caught_by_nondet_taint() {
     // Rendering a host-clock reading into a table cell makes the table
     // bytes differ from run to run.
-    assert_mutation_detected(
-        "crates/core/src/table4.rs",
-        "                CellValue::Text(r.peak.to_string()),\n",
-        "                CellValue::Text(Instant::now().elapsed().as_nanos().to_string()),\n",
-        "nondet-taint",
-    );
-}
+    wall_clock_timestamp_is_caught_by_nondet_taint: NondetTaint in "crates/core/src/table4.rs",
+        "                CellValue::Text(r.peak.to_string()),\n"
+        => "                CellValue::Text(Instant::now().elapsed().as_nanos().to_string()),\n";
 
-#[test]
-fn unhashed_override_field_is_caught_by_key_coverage() {
     // Dropping the `value` pair from the canonical query serialization
     // makes two overrides that differ only in value share one cache key.
-    assert_mutation_detected(
-        "crates/core/src/query.rs",
-        "                        (\"value\", Json::Num(o.value)),\n",
-        "",
-        "key-coverage",
-    );
-}
+    unhashed_override_field_is_caught_by_key_coverage: KeyCoverage in "crates/core/src/query.rs",
+        "                        (\"value\", Json::Num(o.value)),\n" => "";
 
-#[test]
-fn reacquired_shard_lock_is_caught_by_lock_order() {
     // A second `.lock()` on the same shard while the first guard is live
     // self-deadlocks (std Mutex is not reentrant).
-    assert_mutation_detected(
-        "crates/doebenchd/src/cache.rs",
+    reacquired_shard_lock_is_caught_by_lock_order: LockOrder in "crates/doebenchd/src/cache.rs",
         "fn evict_inflight(&self, key: &Key, flight: &Arc<Flight<V>>) {\n        \
-         let mut map = self.shard(key).lock().unwrap();",
-        "fn evict_inflight(&self, key: &Key, flight: &Arc<Flight<V>>) {\n        \
-         let mut map = self.shard(key).lock().unwrap();\n        \
-         let map2 = self.shard(key).lock().unwrap();\n        drop(map2);",
-        "lock-order",
-    );
-}
+         let mut map = self.shard(key).lock().unwrap();"
+        => "fn evict_inflight(&self, key: &Key, flight: &Arc<Flight<V>>) {\n        \
+            let mut map = self.shard(key).lock().unwrap();\n        \
+            let map2 = self.shard(key).lock().unwrap();\n        drop(map2);";
 
-#[test]
-fn wait_stripped_of_its_loop_is_caught_by_lock_order() {
     // Rewriting the canonical `loop { match … wait }` as a single `if`
     // check is unsound under spurious wakeups.
-    assert_mutation_detected(
-        "crates/doebenchd/src/cache.rs",
+    wait_stripped_of_its_loop_is_caught_by_lock_order: LockOrder in "crates/doebenchd/src/cache.rs",
         "        let mut st = flight.state.lock().unwrap();\n        \
          loop {\n            \
          match &*st {\n                \
          FlightState::Finished(v) => return v.clone(),\n                \
          FlightState::Pending => st = flight.done.wait(st).unwrap(),\n            \
-         }\n        }",
-        "        let mut st = flight.state.lock().unwrap();\n        \
-         if let FlightState::Pending = &*st {\n            \
-         st = flight.done.wait(st).unwrap();\n        }\n        \
-         match &*st {\n            \
-         FlightState::Finished(v) => v.clone(),\n            \
-         FlightState::Pending => None,\n        }",
-        "lock-order",
-    );
+         }\n        }"
+        => "        let mut st = flight.state.lock().unwrap();\n        \
+            if let FlightState::Pending = &*st {\n            \
+            st = flight.done.wait(st).unwrap();\n        }\n        \
+            match &*st {\n            \
+            FlightState::Finished(v) => v.clone(),\n            \
+            FlightState::Pending => None,\n        }";
+
+    // `Cache::acquire` declares `effects(no-block)`; an injected sleep is
+    // an OS-level block on every daemon cache lookup.
+    sleep_in_hot_drain_is_caught_by_effect_contract: EffectContract in "crates/doebenchd/src/cache.rs",
+        "        let mut map = self.inner.shard(key).lock().unwrap();\n        match map.get(&key.canon) {"
+        => "        std::thread::sleep(std::time::Duration::from_millis(1));\n        \
+            let mut map = self.inner.shard(key).lock().unwrap();\n        match map.get(&key.canon) {";
+
+    // Reading the host clock while advancing a simulated rank clock.
+    host_clock_in_advance_is_caught_by_wall_clock: WallClock in "crates/mpisim/src/world.rs",
+        MPI_ADVANCE => "        let _host = std::time::Instant::now();\n        *c += d;\n        Ok(())";
+
+    // Unseeded jitter: a different draw on every run.
+    unseeded_jitter_is_caught_by_ad_hoc_rng: AdHocRng in "crates/mpisim/src/world.rs",
+        MPI_ADVANCE => "        *c += d * rand::random::<u64>();\n        Ok(())";
+
+    // An ambient knob read deep inside the runtime.
+    env_knob_is_caught_by_env_read: EnvRead in "crates/mpisim/src/world.rs",
+        MPI_ADVANCE => "        let _scale = std::env::var(\"MPI_SCALE\");\n        *c += d;\n        Ok(())";
+
+    // An out-of-range rank panics instead of returning `InvalidRank`.
+    unwrapped_rank_lookup_is_caught_by_unwrap_in_sim: UnwrapInSim in "crates/mpisim/src/world.rs",
+        "let c = self.clocks.get_mut(r.0).ok_or(MpiError::InvalidRank(r.0))?;"
+        => "let c = self.clocks.get_mut(r.0).unwrap();";
+
+    // JSON objects stored in a hash map render their keys in arbitrary
+    // order.
+    hashed_json_object_is_caught_by_hash_order: HashOrder in "crates/report/src/json.rs",
+        "    Obj(BTreeMap<String, Json>)," => "    Obj(std::collections::HashMap<String, Json>),";
+
+    // The native STREAM copy kernel loses the justification of its
+    // `unsafe`.
+    unjustified_unsafe_is_caught_by_unsafe_no_safety: UnsafeNoSafety in "crates/babelstream/src/native.rs",
+        "        // SAFETY: `parallel_for`'s static schedule hands each worker a\n        \
+         // distinct chunk of 0..len, so `r` is in bounds for `c` (same\n        \
+         // length as `a`) and no other worker holds a slice overlapping it.\n        \
+         let c = unsafe { cp.slice(r.clone()) };\n        c.copy_from_slice(&a[r]);"
+        => "        let c = unsafe { cp.slice(r.clone()) };\n        c.copy_from_slice(&a[r]);";
+
+    // A scratch buffer allocated on every ping-pong call.
+    alloc_in_pingpong_is_caught_by_hot_path_alloc: HotPathAlloc in "crates/mpisim/src/world.rs",
+        PINGPONG_ENTRY => "let fast = self.checks.is_none() && self.mailboxes.iter().all(VecDeque::is_empty);\n        \
+                           let scratch = vec![0u8; 64];\n        drop(scratch);";
+
+    // The hot ping-pong loop calls the allocating, non-hot
+    // `check_findings`.
+    allocating_helper_in_pingpong_is_caught_by_hot_path_alloc_transitive: HotPathAllocTransitive in "crates/mpisim/src/world.rs",
+        PINGPONG_ENTRY => "let fast = self.checks.is_none() && self.mailboxes.iter().all(VecDeque::is_empty);\n        \
+                           let _ = self.check_findings();";
 }
 
 #[test]
-fn sleep_in_hot_drain_is_caught_by_effect_contract() {
-    // `Cache::acquire` declares `effects(no-block)`; an injected sleep is
-    // an OS-level block on every daemon cache lookup.
-    assert_mutation_detected(
-        "crates/doebenchd/src/cache.rs",
-        "        let mut map = self.inner.shard(key).lock().unwrap();\n        match map.get(&key.canon) {",
-        "        std::thread::sleep(std::time::Duration::from_millis(1));\n        \
-         let mut map = self.inner.shard(key).lock().unwrap();\n        match map.get(&key.canon) {",
-        "effect-contract",
-    );
+fn every_rule_has_a_seed() {
+    for rule in Rule::ALL {
+        assert!(
+            SEEDS.iter().any(|s| s.rule == rule),
+            "no mutation seed exercises `{}`; add one to `seeds!`",
+            rule.id()
+        );
+    }
 }
 
 #[test]
@@ -181,14 +205,7 @@ fn unmutated_targets_are_clean_across_all_rules() {
     // The mutation targets must stay finding-free in their pristine form
     // for every rule, not just the one under test — otherwise a mutation
     // "detection" could be noise from an unrelated pre-existing finding.
-    for rel in [
-        "crates/osu/src/collectives.rs",
-        "crates/gpurt/src/testkit.rs",
-        "crates/machines/src/cpu.rs",
-        "crates/core/src/table4.rs",
-        "crates/core/src/query.rs",
-        "crates/doebenchd/src/cache.rs",
-    ] {
+    for rel in SEEDS.iter().map(|s| s.file) {
         let src = std::fs::read_to_string(workspace_root().join(rel))
             .unwrap_or_else(|e| panic!("{rel}: {e}"));
         let found = rules_of(rel, &src);
