@@ -4,23 +4,36 @@
 //! benchmark, rep) cell derives an independent seed, so cells can run on
 //! any thread in any order as long as results land back in their original
 //! slots. This module provides that guarantee: [`parallel_map_indexed`]
-//! splits `0..n` into contiguous chunks across a `std::thread::scope`
-//! worker pool and writes each result into a pre-sized buffer indexed by
-//! `i`, so the output `Vec` is bit-identical to the serial `(0..n).map(f)`
-//! regardless of thread count. [`run_reps_par`] is the rep-loop instance
-//! of it, the parallel twin of [`crate::run_reps`].
+//! hands `0..n` to a process-wide pool of parked helper threads; the
+//! caller and its helpers claim indices from one atomic counter and write
+//! each result into the slot of its index, so the output `Vec` is
+//! bit-identical to the serial `(0..n).map(f)` whatever the thread count
+//! and whichever thread ran which index. [`run_reps_par`] is the rep-loop
+//! instance of it, the parallel twin of [`crate::run_reps`].
 //!
 //! Worker count resolution (first match wins):
 //! 1. an explicit [`set_jobs`] call (the CLI's `--jobs N`);
 //! 2. the `DOEBENCH_JOBS` environment variable;
 //! 3. `std::thread::available_parallelism()`.
 //!
-//! Nested calls degrade to serial: a `parallel_map_indexed` reached from
-//! inside a worker runs inline on that worker, so fanning a campaign grid
-//! out at the cell level does not multiply threads per rep loop.
+//! The pool spawns its helpers on first use, `jobs - 1` of them, and
+//! grows (never shrinks) when a later call asks for more; a call with
+//! fewer jobs lets only `jobs - 1` helpers join. No thread is spawned per
+//! call, so a fork-join costs a wake-up rather than a thread creation.
+//!
+//! One fork-join holds the pool at a time. A call that finds it busy (a
+//! second daemon connection fanning out while the first still is) runs
+//! inline on its own thread. Nested calls degrade to serial: a
+//! `parallel_map_indexed` reached from inside a fork-join runs inline,
+//! so fanning a campaign grid out at the cell level does not multiply
+//! threads per rep loop. A panic in `f` reaches the caller once every
+//! helper has left the job, and the pool stays usable.
 
+use std::any::Any;
 use std::cell::Cell;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::stats::Samples;
 
@@ -28,8 +41,8 @@ use crate::stats::Samples;
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// True while this thread is a pool worker (or the caller's share of
-    /// one fork-join); nested parallel calls then run inline.
+    /// True on pool helpers, and on a caller while it works its own share
+    /// of a fork-join; nested parallel calls then run inline.
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -70,22 +83,159 @@ pub fn effective_jobs() -> usize {
     })
 }
 
-/// Split `[0, n)` into `parts` near-equal contiguous chunk lengths.
-fn chunk_lens(n: usize, parts: usize) -> Vec<usize> {
-    let base = n / parts;
-    let rem = n % parts;
-    (0..parts).map(|i| base + usize::from(i < rem)).collect()
+/// One fork-join's work as a helper sees it: claim indices until none
+/// are left. It never unwinds; a panic in `f` is caught inside it.
+type Work = &'static (dyn Fn() + Sync);
+
+/// The pool's shared state.
+struct Team {
+    /// Helper threads spawned so far; never decreases.
+    helpers: usize,
+    /// A caller holds the pool, from posting its work to the end of its
+    /// join.
+    busy: bool,
+    /// The posted work, while helpers may still join it.
+    work: Option<Work>,
+    /// How many more helpers may join the posted work.
+    seats: usize,
+    /// Helpers running the posted work right now.
+    active: usize,
+}
+
+/// The process-wide fork-join pool.
+struct Pool {
+    team: Mutex<Team>,
+    /// Signalled once per seat when work is posted.
+    posted: Condvar,
+    /// Signalled when the last helper leaves the work.
+    left: Condvar,
+}
+
+static POOL: Pool = Pool {
+    team: Mutex::new(Team {
+        helpers: 0,
+        busy: false,
+        work: None,
+        seats: 0,
+        active: 0,
+    }),
+    posted: Condvar::new(),
+    left: Condvar::new(),
+};
+
+impl Pool {
+    /// The team state. No code panics while holding it (only counter
+    /// updates run under the lock), so a poisoned lock still holds
+    /// consistent state.
+    fn lock(&self) -> MutexGuard<'_, Team> {
+        self.team.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claim the pool and post `work` with `seats` helper seats, spawning
+    /// the helpers the pool lacks. False, with nothing posted, when
+    /// another caller holds the pool.
+    fn post(&'static self, work: Work, seats: usize) -> bool {
+        let mut team = self.lock();
+        if team.busy {
+            return false;
+        }
+        if team.helpers < seats {
+            self.grow(&mut team, seats);
+        }
+        team.busy = true;
+        team.work = Some(work);
+        team.seats = seats;
+        drop(team);
+        for _ in 0..seats {
+            self.posted.notify_one();
+        }
+        true
+    }
+
+    /// Spawn helpers until there are `seats`. This runs once per larger
+    /// jobs count, not once per call; each helper blocks only on its own
+    /// thread.
+    #[cold]
+    fn grow(&'static self, team: &mut Team, seats: usize) {
+        while team.helpers < seats {
+            let spawned = std::thread::Builder::new()
+                .name("doebench-par".into())
+                .spawn(move || self.helper());
+            // Without the thread the seat stays empty: the caller and the
+            // other helpers still claim every index.
+            if spawned.is_err() {
+                break;
+            }
+            team.helpers += 1;
+        }
+    }
+
+    /// A helper's life: wait for a seat, run the work, leave, forever.
+    /// Helpers are never joined; they park on `posted` between jobs and
+    /// end with the process.
+    fn helper(&self) {
+        IN_POOL.with(|p| p.set(true));
+        loop {
+            let work = self.take_seat();
+            work();
+            let mut team = self.lock();
+            team.active -= 1;
+            if team.active == 0 {
+                self.left.notify_one();
+            }
+        }
+    }
+
+    /// Wait until a seat is open, then take it.
+    fn take_seat(&self) -> Work {
+        let mut team = self.lock();
+        while team.seats == 0 {
+            team = self
+                .posted
+                .wait(team)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        team.seats -= 1;
+        team.active += 1;
+        team.work.expect("seats are open only while work is posted")
+    }
+
+    /// Close the seats, wait until every helper that joined has left, and
+    /// release the pool. After this no helper holds the posted work.
+    fn join(&self) {
+        let mut team = self.lock();
+        team.seats = 0;
+        team.work = None;
+        while team.active > 0 {
+            team = self.left.wait(team).unwrap_or_else(PoisonError::into_inner);
+        }
+        team.busy = false;
+    }
+}
+
+/// Joins the pool when dropped, so the frame that posted work cannot be
+/// left, by return or unwind, while a helper still runs it.
+struct JoinOnDrop;
+
+impl Drop for JoinOnDrop {
+    fn drop(&mut self) {
+        POOL.join();
+    }
 }
 
 /// Map `f` over `0..n`, preserving index order exactly.
 ///
-/// With more than one effective job this forks a `std::thread::scope`
-/// pool: indices split into contiguous chunks, one worker per chunk, each
-/// writing into its disjoint slice of the pre-sized output buffer — so
-/// the result is the same `Vec` the serial loop produces, element for
-/// element. The calling thread works the first chunk. With one job, on
-/// `n <= 1`, or when already inside a pool worker, it is exactly the
-/// serial loop.
+/// With more than one effective job the calling thread posts the map to
+/// the process-wide pool and works it alongside up to `jobs - 1` helpers:
+/// each claims the next unclaimed index from one atomic counter and
+/// stores `f(i)` in slot `i` of a pre-sized buffer — so the result is the
+/// same `Vec` the serial loop produces, element for element, however the
+/// indices fell to threads. With one job, on `n <= 1`, when already
+/// inside a fork-join, or when another caller holds the pool, it is
+/// exactly the serial loop.
+///
+/// If `f` panics, the remaining indices are abandoned and the first
+/// panic resumes on the caller once every helper has left.
 pub fn parallel_map_indexed<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -96,41 +246,60 @@ where
         return (0..n).map(f).collect();
     }
 
-    let mut out: Vec<Option<T>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-
-    std::thread::scope(|s| {
-        let f = &f;
-        let mut rest = out.as_mut_slice();
-        let mut start = 0;
-        let mut first: Option<(usize, &mut [Option<T>])> = None;
-        for (w, len) in chunk_lens(n, jobs).into_iter().enumerate() {
-            let (chunk, tail) = rest.split_at_mut(len);
-            rest = tail;
-            if w == 0 {
-                first = Some((start, chunk));
-            } else {
-                s.spawn(move || {
-                    IN_POOL.with(|p| p.set(true));
-                    for (off, slot) in chunk.iter_mut().enumerate() {
-                        *slot = Some(f(start + off));
-                    }
-                    IN_POOL.with(|p| p.set(false));
-                });
+    // The counter publishes nothing: each result travels through its
+    // slot's mutex, and the join's lock orders every helper's writes
+    // before the caller's reads.
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+    let work = || {
+        let run = panic::catch_unwind(AssertUnwindSafe(|| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
             }
-            start += len;
+            let value = f(i);
+            *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
+        }));
+        if let Err(payload) = run {
+            // Stop the other threads claiming; keep the first panic.
+            next.store(n, Ordering::Relaxed);
+            panicked
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get_or_insert(payload);
         }
-        // The calling thread takes the first chunk, like a team master.
-        let (base, chunk) = first.expect("jobs >= 1");
+    };
+    let local: &(dyn Fn() + Sync) = &work;
+    // SAFETY: only the lifetime is erased. Helpers reach `work` only via
+    // `Team::work`, between `post` and `join`; `join` waits until none runs
+    // it, and `_join` below joins before `work` drops, on return or unwind.
+    let erased: Work = unsafe { std::mem::transmute::<&(dyn Fn() + Sync), Work>(local) };
+    if !POOL.post(erased, jobs - 1) {
+        return (0..n).map(f).collect();
+    }
+    {
+        let _join = JoinOnDrop;
+        // The calling thread works alongside the helpers, like a team
+        // master.
         IN_POOL.with(|p| p.set(true));
-        for (off, slot) in chunk.iter_mut().enumerate() {
-            *slot = Some(f(base + off));
-        }
+        work();
         IN_POOL.with(|p| p.set(false));
-    });
+    }
 
-    out.into_iter()
-        .map(|slot| slot.expect("every index filled"))
+    if let Some(payload) = panicked
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
+        panic::resume_unwind(payload);
+    }
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("every index filled")
+        })
         .collect()
 }
 
@@ -169,13 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn chunks_cover_everything() {
-        assert_eq!(chunk_lens(10, 4), vec![3, 3, 2, 2]);
-        assert_eq!(chunk_lens(3, 8), vec![1, 1, 1, 0, 0, 0, 0, 0]);
-        assert_eq!(chunk_lens(0, 2), vec![0, 0]);
-    }
-
-    #[test]
     fn parallel_map_preserves_index_order() {
         let serial: Vec<u64> = (0..1000).map(|i| (i as u64).wrapping_mul(31)).collect();
         for jobs in [1, 2, 3, 8, 64] {
@@ -210,6 +372,84 @@ mod tests {
             })
         });
         assert_eq!(out, vec![0, 10, 20, 30, 40, 0, 10, 20]);
+    }
+
+    #[test]
+    fn a_panic_reaches_the_caller_after_every_helper_left() {
+        let running = AtomicUsize::new(0);
+        let caught = with_jobs(4, || {
+            panic::catch_unwind(AssertUnwindSafe(|| {
+                parallel_map_indexed(64, |i| {
+                    running.fetch_add(1, Ordering::SeqCst);
+                    if i == 5 {
+                        running.fetch_sub(1, Ordering::SeqCst);
+                        panic!("index {i} failed");
+                    }
+                    // Keep the other indices in flight while the panic
+                    // travels.
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    running.fetch_sub(1, Ordering::SeqCst);
+                    i
+                })
+            }))
+        });
+        assert_eq!(
+            running.load(Ordering::SeqCst),
+            0,
+            "a helper outlived the call"
+        );
+        let payload = caught.expect_err("the panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("index 5 failed")
+        );
+        // The pool is released and still maps correctly.
+        let serial: Vec<usize> = (0..100).map(|i| i * 3).collect();
+        assert_eq!(
+            with_jobs(4, || parallel_map_indexed(100, |i| i * 3)),
+            serial
+        );
+    }
+
+    #[test]
+    fn concurrent_callers_each_get_the_serial_result() {
+        const CALLERS: usize = 4;
+        let f = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let serial: Vec<u64> = (0..500).map(f).collect();
+        let start = std::sync::Barrier::new(CALLERS);
+        with_jobs(4, || {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..CALLERS)
+                    .map(|_| {
+                        s.spawn(|| {
+                            start.wait();
+                            (0..20)
+                                .map(|_| parallel_map_indexed(500, f))
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                for h in handles {
+                    for out in h.join().expect("caller thread") {
+                        assert_eq!(out, serial);
+                    }
+                }
+            })
+        });
+    }
+
+    #[test]
+    fn the_pool_grows_when_jobs_rise() {
+        let serial: Vec<usize> = (0..300).map(|i| i ^ 0x55).collect();
+        assert_eq!(
+            with_jobs(2, || parallel_map_indexed(300, |i| i ^ 0x55)),
+            serial
+        );
+        assert_eq!(
+            with_jobs(8, || parallel_map_indexed(300, |i| i ^ 0x55)),
+            serial
+        );
+        assert!(POOL.lock().helpers >= 7, "the pool grew to seven helpers");
     }
 
     #[test]

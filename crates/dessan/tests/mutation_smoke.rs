@@ -139,6 +139,12 @@ seeds! {
             FlightState::Finished(v) => v.clone(),\n            \
             FlightState::Pending => None,\n        }";
 
+    // The fork-join pool's join, de-looped: a spurious wakeup returns
+    // while a helper still runs the caller's borrowed work.
+    pool_join_stripped_of_its_loop_is_caught_by_lock_order: LockOrder in "crates/benchlib/src/par.rs",
+        "        while team.active > 0 {\n            team = self.left.wait(team)"
+        => "        if team.active > 0 {\n            team = self.left.wait(team)";
+
     // `Cache::acquire` declares `effects(no-block)`; an injected sleep is
     // an OS-level block on every daemon cache lookup.
     sleep_in_hot_drain_is_caught_by_effect_contract: EffectContract in "crates/doebenchd/src/cache.rs",

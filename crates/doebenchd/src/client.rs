@@ -58,13 +58,15 @@ pub fn request(
     body: &[u8],
 ) -> Result<ClientResponse, ClientError> {
     let mut stream = TcpStream::connect(addr).map_err(|e| err(format!("connect {addr}: {e}")))?;
-    let mut head = format!("{method} {target} HTTP/1.1\r\nHost: {addr}\r\n");
+    // Head and body go out in one write.
+    let mut msg = format!("{method} {target} HTTP/1.1\r\nHost: {addr}\r\n");
     if !body.is_empty() {
-        head.push_str(&format!("Content-Length: {}\r\n", body.len()));
+        msg.push_str(&format!("Content-Length: {}\r\n", body.len()));
     }
-    head.push_str("Connection: close\r\n\r\n");
-    stream.write_all(head.as_bytes()).map_err(err)?;
-    stream.write_all(body).map_err(err)?;
+    msg.push_str("Connection: close\r\n\r\n");
+    let mut msg = msg.into_bytes();
+    msg.extend_from_slice(body);
+    stream.write_all(&msg).map_err(err)?;
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw).map_err(err)?;
     parse_response(&raw)

@@ -222,21 +222,33 @@ impl Response {
             404 => "Not Found",
             405 => "Method Not Allowed",
             500 => "Internal Server Error",
+            503 => "Service Unavailable",
             _ => "Unknown",
         }
     }
 
-    /// Serialize and send over a stream (always `Connection: close`).
+    /// Serialize and send over a stream (always `Connection: close`):
+    /// status line, headers and body go out in one write.
     pub fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
-        let mut head = format!("HTTP/1.1 {} {}\r\n", self.status, self.reason());
-        head.push_str(&format!("Content-Type: {}\r\n", self.content_type));
-        head.push_str(&format!("Content-Length: {}\r\n", self.body.len()));
+        // The status line and headers take well under 512 bytes.
+        let mut msg = Vec::with_capacity(512 + self.body.len());
+        write!(
+            msg,
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
+            self.status,
+            self.reason(),
+            self.content_type,
+            self.body.len()
+        )?;
         for (k, v) in &self.headers {
-            head.push_str(&format!("{k}: {v}\r\n"));
+            msg.extend_from_slice(k.as_bytes());
+            msg.extend_from_slice(b": ");
+            msg.extend_from_slice(v.as_bytes());
+            msg.extend_from_slice(b"\r\n");
         }
-        head.push_str("Connection: close\r\n\r\n");
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(&self.body)?;
+        msg.extend_from_slice(b"Connection: close\r\n\r\n");
+        msg.extend_from_slice(&self.body);
+        stream.write_all(&msg)?;
         stream.flush()
     }
 }

@@ -14,7 +14,8 @@
 //! * [`cache`] — sharded single-flight cache (waiter/ready state machine)
 //! * [`service`] — plan → acquire → batched fan-out → assemble
 //! * [`http`] — minimal HTTP/1.1 request/response framing
-//! * [`server`] — routes, thread-per-connection loop, graceful stop
+//! * [`server`] — routes, a fixed worker pool behind a bounded backlog,
+//!   graceful stop
 //! * [`client`] — tiny blocking client (CLI `query`, tests, CI smoke)
 
 pub mod cache;

@@ -1,5 +1,12 @@
-//! The daemon: a thread-per-connection HTTP server over
-//! [`QueryService`].
+//! The daemon: an HTTP server over [`QueryService`] with a fixed
+//! worker pool.
+//!
+//! One accept thread hands each connection through a bounded backlog
+//! ([`BACKLOG`]) to `max(2, available_parallelism())` worker threads that
+//! live as long as the server; no thread is spawned per request. When
+//! the backlog is full, the accept thread itself answers `503` with
+//! `Retry-After: 1`. A handler that panics answers `500`, and its worker
+//! goes on to the next connection.
 //!
 //! Routes:
 //!
@@ -21,8 +28,10 @@
 
 use std::io::Write as _;
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -38,8 +47,12 @@ pub const DEFAULT_PORT: u16 = 7733;
 
 /// How long a connection may stall — sending its request, or taking the
 /// reply — before the daemon gives up on it. Without a bound, a client
-/// that connects and never sends pins its connection thread forever.
+/// that connects and never sends pins its worker forever.
 pub const CONN_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Connections accepted but not yet taken by a worker. A connection that
+/// arrives while this many wait is answered `503` at once.
+pub const BACKLOG: usize = 64;
 
 struct ServerState {
     service: QueryService,
@@ -52,6 +65,7 @@ struct ServerState {
 pub struct Server {
     addr: std::net::SocketAddr,
     state: Arc<ServerState>,
+    workers: usize,
     accept_thread: Option<thread::JoinHandle<()>>,
 }
 
@@ -67,14 +81,31 @@ impl Server {
             queries: AtomicU64::new(0),
             addr,
         });
+        let (backlog, queue) = mpsc::sync_channel(BACKLOG);
+        let queue = Arc::new(Mutex::new(queue));
+        let workers = thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .max(2);
+        // Workers are not joined: one may be waiting out a silent
+        // client's `CONN_TIMEOUT`, and stopping must not wait on a client.
+        // Each exits once the accept thread has dropped the backlog's
+        // sender and the backlog is drained; handler panics are caught,
+        // so a detached worker hides none.
+        for _ in 0..workers {
+            let queue = Arc::clone(&queue);
+            let state = Arc::clone(&state);
+            thread::Builder::new()
+                .name("doebenchd-worker".into())
+                .spawn(move || worker_loop(&queue, |stream| handle_connection(stream, &state)))?;
+        }
         let accept_state = Arc::clone(&state);
         let accept_thread = thread::Builder::new()
             .name("doebenchd-accept".into())
-            .spawn(move || accept_loop(listener, accept_state))
-            .expect("spawn accept thread");
+            .spawn(move || accept_loop(listener, &accept_state, backlog))?;
         Ok(Server {
             addr,
             state,
+            workers,
             accept_thread: Some(accept_thread),
         })
     }
@@ -82,6 +113,11 @@ impl Server {
     /// The bound address.
     pub fn addr(&self) -> std::net::SocketAddr {
         self.addr
+    }
+
+    /// How many worker threads serve connections.
+    pub fn workers(&self) -> usize {
+        self.workers
     }
 
     /// Request a stop and wait for the accept loop to exit. Idempotent.
@@ -108,39 +144,65 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
+fn accept_loop(listener: TcpListener, state: &ServerState, backlog: SyncSender<TcpStream>) {
     for stream in listener.incoming() {
         if state.stop.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        let state = Arc::clone(&state);
-        let _ = thread::Builder::new()
-            .name("doebenchd-conn".into())
-            .spawn(move || handle_connection(stream, state));
+        // `Disconnected` cannot happen: the workers hold the receiver and
+        // never exit while this sender lives.
+        if let Err(TrySendError::Full(mut stream)) = backlog.try_send(stream) {
+            // A fresh socket's send buffer is empty, so this short reply
+            // fits without waiting; non-blocking mode makes sure a client
+            // cannot stall the accept thread.
+            let _ = stream.set_nonblocking(true);
+            let busy = Response::text(503, "busy: every worker is serving; retry\n")
+                .header("Retry-After", "1");
+            finish(&mut stream, &busy);
+        }
     }
 }
 
-fn handle_connection(mut stream: TcpStream, state: Arc<ServerState>) {
+/// Serve connections from `queue` with `handle` until the queue's sender
+/// is gone. A panicking `handle` answers 500, and the loop goes on.
+fn worker_loop(queue: &Mutex<Receiver<TcpStream>>, handle: impl Fn(&mut TcpStream)) {
+    loop {
+        // The guard lives to the end of this statement: one idle worker
+        // waits in `recv`, the others on the mutex. Nothing panics while
+        // holding it, so poisoning cannot happen.
+        let next = queue.lock().expect("backlog lock is never poisoned").recv();
+        let Ok(mut stream) = next else { return };
+        if panic::catch_unwind(AssertUnwindSafe(|| handle(&mut stream))).is_err() {
+            finish(&mut stream, &Response::text(500, "internal error\n"));
+        }
+    }
+}
+
+/// Send `response` and the FIN. Closing a socket with unread input (a
+/// request cut short at its size limit, or one never read) resets the
+/// connection, and the reset would otherwise discard whatever of the
+/// reply the kernel still holds back.
+fn finish(stream: &mut TcpStream, response: &Response) {
+    let _ = response.write_to(stream);
+    let _ = stream.flush();
+    let _ = stream.shutdown(Shutdown::Write);
+}
+
+fn handle_connection(stream: &mut TcpStream, state: &ServerState) {
     // A stalled read or write then fails with a timeout error: the read
-    // side answers 400 below, and either way the thread returns and the
+    // side answers 400 below, and either way the worker moves on and the
     // socket closes. Setting a nonzero timeout cannot fail.
     let _ = stream.set_read_timeout(Some(CONN_TIMEOUT));
     let _ = stream.set_write_timeout(Some(CONN_TIMEOUT));
-    let (response, shutdown) = match read_request(&mut stream) {
+    let (response, shutdown) = match read_request(stream) {
         Ok(req) => {
             let shutdown = req.method == "POST" && req.path == "/shutdown";
-            (route(&req, &state), shutdown)
+            (route(&req, state), shutdown)
         }
         Err(e) => (Response::text(400, format!("bad request: {e}\n")), false),
     };
-    let _ = response.write_to(&mut stream);
-    let _ = stream.flush();
-    // Send the reply and the FIN now. Closing a socket with unread input
-    // (a request cut short at its size limit) resets the connection, and
-    // the reset would otherwise discard whatever of the reply the kernel
-    // still holds back.
-    let _ = stream.shutdown(Shutdown::Write);
+    finish(stream, &response);
     if shutdown {
         // Only now that the reply is on the wire: stop the accept loop
         // (a throwaway self-connection makes the blocking accept()
@@ -166,7 +228,7 @@ Serving metadata is in X-Doebench-* response headers; bodies are
 byte-identical whether served cold or from cache.
 ";
 
-fn route(req: &Request, state: &Arc<ServerState>) -> Response {
+fn route(req: &Request, state: &ServerState) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/") => Response::text(200, INDEX),
         ("GET", "/healthz") => Response::text(200, "ok\n"),
@@ -205,7 +267,7 @@ fn route(req: &Request, state: &Arc<ServerState>) -> Response {
     }
 }
 
-fn stats(state: &Arc<ServerState>) -> Response {
+fn stats(state: &ServerState) -> Response {
     let s = &state.service.cache().stats;
     let body = Json::obj([
         ("code_version", Json::s(CODE_VERSION)),
@@ -232,7 +294,7 @@ fn stats(state: &Arc<ServerState>) -> Response {
     Response::json(200, body.canonical() + "\n")
 }
 
-fn answer_shorthand(q: &str, req: &Request, state: &Arc<ServerState>) -> Response {
+fn answer_shorthand(q: &str, req: &Request, state: &ServerState) -> Response {
     match Query::parse_shorthand(q) {
         Ok(query) => answer(&query, req, state),
         Err(e) => Response::text(400, format!("bad query: {e}\n")),
@@ -246,7 +308,7 @@ fn parse_format(req: &Request) -> Result<Format, QueryError> {
     }
 }
 
-fn answer(q: &Query, req: &Request, state: &Arc<ServerState>) -> Response {
+fn answer(q: &Query, req: &Request, state: &ServerState) -> Response {
     let format = match parse_format(req) {
         Ok(f) => f,
         Err(e) => return Response::text(400, format!("{e}\n")),
@@ -273,4 +335,34 @@ fn attach_meta(resp: Response, key: &str, meta: &ServeMeta) -> Response {
         .header("X-Doebench-Cells-Coalesced", meta.coalesced.to_string())
         .header("X-Doebench-Key", key)
         .header("X-Doebench-Code-Version", CODE_VERSION)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_handler_answers_500_and_the_worker_serves_on() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind ephemeral port");
+        let addr = listener.local_addr().expect("bound address").to_string();
+        let (backlog, queue) = mpsc::sync_channel(1);
+        let worker = thread::spawn(move || {
+            worker_loop(&Mutex::new(queue), |stream| {
+                let req = read_request(stream).expect("well-formed request");
+                assert_ne!(req.path, "/boom", "the handler fails on /boom");
+                finish(stream, &Response::text(200, "fine\n"));
+            })
+        });
+        for (path, status) in [("/boom", 500), ("/fine", 200)] {
+            let addr = addr.clone();
+            let client = thread::spawn(move || crate::client::request(&addr, "GET", path, &[]));
+            let (stream, _) = listener.accept().expect("accept the client");
+            backlog.send(stream).expect("the worker is alive");
+            let reply = client.join().expect("client thread").expect("a reply");
+            assert_eq!(reply.status, status, "GET {path}");
+        }
+        // Dropping the sender ends the worker.
+        drop(backlog);
+        worker.join().expect("the worker exits cleanly");
+    }
 }

@@ -6,12 +6,13 @@
 //! threads raced — and every body must be byte-identical.
 
 use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::thread;
+use std::time::Instant;
 
 use doe_report::json::{self, Json};
 use doebenchd::client;
-use doebenchd::server::CONN_TIMEOUT;
+use doebenchd::server::{BACKLOG, CONN_TIMEOUT};
 use doebenchd::Server;
 
 fn start() -> (Server, String) {
@@ -187,6 +188,68 @@ fn idle_connection_is_closed_and_the_daemon_keeps_answering() {
     let after = client::query_shorthand(&addr, "table4 Eagle", "json").unwrap();
     assert_eq!(after.status, 200);
     assert_eq!(after.body, before.body, "same query, same bytes");
+    server.stop();
+}
+
+#[test]
+fn a_silent_connection_does_not_hold_up_another_client() {
+    let (mut server, addr) = start();
+    let silent = TcpStream::connect(&addr).unwrap();
+    let started = Instant::now();
+    let r = client::query_shorthand(&addr, "table4 Eagle", "json").unwrap();
+    assert_eq!(r.status, 200);
+    assert!(
+        started.elapsed() < CONN_TIMEOUT / 2,
+        "answered only after {:?}",
+        started.elapsed()
+    );
+    drop(silent);
+    server.stop();
+}
+
+#[test]
+fn a_full_backlog_is_answered_503_until_it_drains() {
+    let (mut server, addr) = start();
+    // The backlog is first in, first out, so the first `held` silent
+    // connections go to the workers and the next `BACKLOG` fill it.
+    let held = server.workers();
+    let silent: Vec<TcpStream> = (0..held + BACKLOG)
+        .map(|_| TcpStream::connect(&addr).unwrap())
+        .collect();
+
+    // The next connection is refused well before `CONN_TIMEOUT`. A
+    // worker that takes its connection late frees one slot, which a
+    // probe then fills; so at most `held` probes queue before one is
+    // refused.
+    let mut queued = Vec::new();
+    let reply = loop {
+        assert!(queued.len() <= held, "no connection was refused");
+        let mut probe = TcpStream::connect(&addr).unwrap();
+        probe.set_read_timeout(Some(CONN_TIMEOUT / 2)).unwrap();
+        let mut reply = Vec::new();
+        let _ = probe.read_to_end(&mut reply);
+        if reply.is_empty() {
+            queued.push(probe);
+        } else {
+            break String::from_utf8_lossy(&reply).into_owned();
+        }
+    };
+    assert!(reply.starts_with("HTTP/1.1 503 "), "got {reply:?}");
+    assert!(reply.contains("\r\nRetry-After: 1\r\n"), "got {reply:?}");
+
+    // The backlogged connections hang up; the ones the workers hold stay
+    // silent until the daemon times them out. Once the daemon has closed
+    // every one of them, the backlog is empty again.
+    for conn in silent[held..].iter().chain(&queued) {
+        let _ = conn.shutdown(Shutdown::Write);
+    }
+    for mut conn in silent.into_iter().chain(queued) {
+        conn.set_read_timeout(Some(CONN_TIMEOUT * 6)).unwrap();
+        let mut rest = Vec::new();
+        let _ = conn.read_to_end(&mut rest);
+    }
+    let after = client::query_shorthand(&addr, "table4 Eagle", "json").unwrap();
+    assert_eq!(after.status, 200);
     server.stop();
 }
 
