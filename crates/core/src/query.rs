@@ -1037,16 +1037,17 @@ impl QueryPlan {
         if values.len() != self.cells.len() {
             return Err(QueryError::new("cell value count mismatch"));
         }
+        // The tables borrow the (possibly cached) rows; nothing is cloned.
         let mut t4 = Vec::new();
         let mut t5 = Vec::new();
         let mut t6 = Vec::new();
         let mut sweeps = Vec::new();
         for v in values {
             match v.as_ref() {
-                RowValue::T4(r) => t4.push(r.clone()),
-                RowValue::T5(r) => t5.push(r.clone()),
-                RowValue::T6(r) => t6.push(r.clone()),
-                RowValue::Sweep(r) => sweeps.push(r.clone()),
+                RowValue::T4(r) => t4.push(r),
+                RowValue::T5(r) => t5.push(r),
+                RowValue::T6(r) => t6.push(r),
+                RowValue::Sweep(r) => sweeps.push(r),
             }
         }
         let tables = match self.shape {
@@ -1054,13 +1055,13 @@ impl QueryPlan {
             Shape::One(TableId::Table5) => vec![table5::result(&t5)],
             Shape::One(TableId::Table6) => vec![table6::result(&t6)],
             Shape::One(TableId::Table7) => {
-                vec![table7::result(&table7::summarize(&t5, &t6))]
+                vec![table7::result(&table7::summarize_by(&t5, &t6))]
             }
             Shape::Suite => vec![
                 table4::result(&t4),
                 table5::result(&t5),
                 table6::result(&t6),
-                table7::result(&table7::summarize(&t5, &t6)),
+                table7::result(&table7::summarize_by(&t5, &t6)),
             ],
             Shape::Sweep => vec![sweep_result(&sweeps)],
         };
@@ -1074,7 +1075,7 @@ impl QueryPlan {
 }
 
 /// Assemble sweep columns into the comparison table.
-fn sweep_result(rows: &[SweepRow]) -> TableResult {
+fn sweep_result(rows: &[&SweepRow]) -> TableResult {
     let mut t = TableResult::new("sweep", "OSU point-to-point latency sweep (us)");
     t.push_column("Bytes", Unit::Bytes);
     for r in rows {
@@ -1103,7 +1104,9 @@ fn sweep_result(rows: &[SweepRow]) -> TableResult {
 /// travels separately, in the daemon's response headers).
 #[derive(Clone, Debug, PartialEq)]
 pub struct QueryResult {
-    /// Canonical serialization of the query answered.
+    /// Canonical serialization of the query answered
+    /// ([`Query::canonical`]); the JSON body splices it in verbatim, so
+    /// it must be canonical JSON text.
     pub query: String,
     /// `%016x` FNV content hash of (query, campaign digest).
     pub key: String,
@@ -1114,37 +1117,41 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
-    /// The JSON envelope (tables rendered structurally).
-    pub fn to_json(&self) -> Json {
-        let query = json::parse(&self.query).unwrap_or_else(|_| Json::s(self.query.clone()));
-        Json::obj([
-            ("code_version", Json::s(self.code_version.clone())),
-            ("key", Json::s(self.key.clone())),
-            ("query", query),
-            (
-                "tables",
-                Json::Arr(self.tables.iter().map(TableResult::to_json).collect()),
-            ),
-        ])
-    }
-
-    /// Render the response body in a format — the single render path
-    /// shared by the CLI and the daemon. Text formats concatenate
-    /// tables exactly the way the legacy subcommands printed them.
-    pub fn body(&self, f: Format) -> String {
+    /// Append the response body in a format to `out` — the single render
+    /// path shared by the CLI and the daemon. JSON is the envelope
+    /// object (keys in canonical order, `query` spliced in verbatim);
+    /// text formats concatenate tables exactly the way the legacy
+    /// subcommands printed them.
+    // doebench::hot
+    pub fn write_body(&self, f: Format, out: &mut String) {
         match f {
-            Format::Json => self.to_json().canonical(),
+            Format::Json => {
+                out.push_str("{\"code_version\":");
+                json::write_str(&self.code_version, out);
+                out.push_str(",\"key\":");
+                json::write_str(&self.key, out);
+                out.push_str(",\"query\":");
+                out.push_str(&self.query);
+                out.push_str(",\"tables\":");
+                json::write_array(&self.tables, out, |t, out| t.write(f, out));
+                out.push('}');
+            }
             text => {
-                let mut out = String::new();
                 for (i, t) in self.tables.iter().enumerate() {
                     if i > 0 {
                         out.push('\n');
                     }
-                    out.push_str(&doe_report::render(t, text));
+                    t.write(text, out);
                 }
-                out
             }
         }
+    }
+
+    /// [`QueryResult::write_body`] into a fresh string.
+    pub fn body(&self, f: Format) -> String {
+        let mut out = String::new();
+        self.write_body(f, &mut out);
+        out
     }
 }
 
@@ -1432,6 +1439,25 @@ mod tests {
             res.body(Format::Ascii),
             doe_report::render(&direct, Format::Ascii)
         );
+    }
+
+    #[test]
+    fn json_body_is_the_canonical_envelope() {
+        let q = Query::parse_shorthand("table4 Eagle seed=0x7 set Eagle.mpi_shm_latency_us=0.3")
+            .unwrap();
+        let res = run_query(&q).unwrap();
+        let tables = res
+            .tables
+            .iter()
+            .map(|t| json::parse(&doe_report::render(t, Format::Json)).unwrap())
+            .collect();
+        let envelope = Json::obj([
+            ("code_version", Json::s(res.code_version.clone())),
+            ("key", Json::s(res.key.clone())),
+            ("query", json::parse(&res.query).unwrap()),
+            ("tables", Json::Arr(tables)),
+        ]);
+        assert_eq!(res.body(Format::Json), envelope.canonical());
     }
 
     #[test]

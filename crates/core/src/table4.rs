@@ -1,5 +1,7 @@
 //! Table 4: memory bandwidth and MPI latency on non-accelerator machines.
 
+use std::borrow::Borrow;
+
 use doe_babelstream::{run_sim_cpu, CpuStreamReport};
 use doe_benchlib::Summary;
 use doe_machines::{paper, Machine};
@@ -116,8 +118,9 @@ pub fn run(c: &Campaign) -> Vec<Row> {
         .collect()
 }
 
-/// Assemble rows into the structured table (the paper's layout, typed).
-pub fn result(rows: &[Row]) -> TableResult {
+/// Assemble rows, owned or borrowed, into the structured table (the
+/// paper's layout, typed).
+pub fn result<R: Borrow<Row>>(rows: &[R]) -> TableResult {
     let mut t = TableResult::new(
         "table4",
         "Table 4: memory bandwidth (GB/s) and MPI latency (us), non-accelerator systems",
@@ -128,7 +131,7 @@ pub fn result(rows: &[Row]) -> TableResult {
     t.push_column("Peak", Unit::GbPerS);
     t.push_column("On-Socket", Unit::Micros);
     t.push_column("On-Node", Unit::Micros);
-    for r in rows {
+    for r in rows.iter().map(R::borrow) {
         t.push_row(
             Some(&r.machine),
             vec![

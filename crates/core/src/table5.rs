@@ -1,6 +1,7 @@
 //! Table 5: device memory bandwidth and MPI latencies on accelerator
 //! machines.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -166,8 +167,9 @@ fn class_cell(r: &BTreeMap<LinkClass, Summary>, class: LinkClass) -> CellValue {
         .unwrap_or(CellValue::Missing)
 }
 
-/// Assemble rows into the structured table (the paper's layout, typed).
-pub fn result(rows: &[Row]) -> TableResult {
+/// Assemble rows, owned or borrowed, into the structured table (the
+/// paper's layout, typed).
+pub fn result<R: Borrow<Row>>(rows: &[R]) -> TableResult {
     let mut t = TableResult::new(
         "table5",
         "Table 5: device bandwidth (GB/s) and MPI latency (us), accelerator systems",
@@ -179,7 +181,7 @@ pub fn result(rows: &[Row]) -> TableResult {
     for class in ["A", "B", "C", "D"] {
         t.push_column(class, Unit::Micros);
     }
-    for r in rows {
+    for r in rows.iter().map(R::borrow) {
         t.push_row(
             Some(&r.machine),
             vec![

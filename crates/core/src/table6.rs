@@ -1,5 +1,7 @@
 //! Table 6: Comm|Scope kernel and memcpy costs on accelerator machines.
 
+use std::borrow::Borrow;
+
 use doe_commscope::{run_commscope, CommScopeReport};
 use doe_machines::{paper, Machine};
 use doe_report::{CellValue, Comparison, Table, TableResult, Unit};
@@ -56,8 +58,9 @@ fn class_cell(r: &Row, class: LinkClass) -> CellValue {
         .unwrap_or(CellValue::Missing)
 }
 
-/// Assemble rows into the structured table (the paper's layout, typed).
-pub fn result(rows: &[Row]) -> TableResult {
+/// Assemble rows, owned or borrowed, into the structured table (the
+/// paper's layout, typed).
+pub fn result<R: Borrow<Row>>(rows: &[R]) -> TableResult {
     let mut t = TableResult::new(
         "table6",
         "Table 6: kernel launch/wait latencies (us), memcpy latency (us) and bandwidth (GB/s)",
@@ -70,7 +73,7 @@ pub fn result(rows: &[Row]) -> TableResult {
     for class in ["A", "B", "C", "D"] {
         t.push_column(class, Unit::Micros);
     }
-    for r in rows {
+    for r in rows.iter().map(R::borrow) {
         t.push_row(
             Some(&r.machine),
             vec![

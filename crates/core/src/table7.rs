@@ -5,6 +5,8 @@
 //! by providing ranges for all of the mean values reported in the
 //! tables").
 
+use std::borrow::Borrow;
+
 use doe_report::{CellValue, Table, TableResult, Unit};
 
 use crate::{table5, table6};
@@ -97,15 +99,25 @@ pub struct Row {
 
 /// Aggregate Table 5 + Table 6 rows into Table 7's ranges.
 pub fn summarize(t5: &[table5::Row], t6: &[table6::Row]) -> Vec<Row> {
+    summarize_by(t5, t6)
+}
+
+/// [`summarize`] over owned or borrowed rows.
+pub(crate) fn summarize_by<R5: Borrow<table5::Row>, R6: Borrow<table6::Row>>(
+    t5: &[R5],
+    t6: &[R6],
+) -> Vec<Row> {
     Accelerator::ALL
         .iter()
         .filter_map(|&acc| {
             let in5: Vec<&table5::Row> = t5
                 .iter()
+                .map(R5::borrow)
                 .filter(|r| Accelerator::of_machine(&r.machine) == Some(acc))
                 .collect();
             let in6: Vec<&table6::Row> = t6
                 .iter()
+                .map(R6::borrow)
                 .filter(|r| Accelerator::of_machine(&r.machine) == Some(acc))
                 .collect();
             if in5.is_empty() || in6.is_empty() {

@@ -188,6 +188,11 @@ seeds! {
         PINGPONG_ENTRY => "let fast = self.checks.is_none() && self.mailboxes.iter().all(VecDeque::is_empty);\n        \
                            let scratch = vec![0u8; 64];\n        drop(scratch);";
 
+    // A `format!` in the JSON stat-cell writer allocates for every
+    // statistic of every rendered cache hit.
+    format_in_json_stat_writer_is_caught_by_hot_path_alloc: HotPathAlloc in "crates/report/src/result.rs",
+        "(\"n\", s.n as f64)," => "(\"n\", format!(\"{}\", s.n).len() as f64),";
+
     // The hot ping-pong loop calls the allocating, non-hot
     // `check_findings`.
     allocating_helper_in_pingpong_is_caught_by_hot_path_alloc_transitive: HotPathAllocTransitive in "crates/mpisim/src/world.rs",

@@ -12,6 +12,7 @@
 //! newline gets its 400 once the budget is spent, not after buffering
 //! whatever it sends until the connection times out.
 
+use std::borrow::Cow;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
@@ -177,40 +178,50 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
 }
 
 /// A response under construction.
-pub struct Response {
+pub struct Response<'a> {
     /// HTTP status code.
     pub status: u16,
     /// Extra headers (name, value) beyond the standard set.
     pub headers: Vec<(String, String)>,
-    /// Body bytes.
-    pub body: Vec<u8>,
+    /// Body bytes, owned or borrowed from a caller's render buffer.
+    pub body: Cow<'a, [u8]>,
     /// `Content-Type` value.
     pub content_type: &'static str,
 }
 
-impl Response {
+impl Response<'static> {
     /// A plain-text response.
-    pub fn text(status: u16, body: impl Into<String>) -> Response {
-        Response {
+    pub fn text(status: u16, body: impl Into<String>) -> Self {
+        Response::new(
             status,
-            headers: Vec::new(),
-            body: body.into().into_bytes(),
-            content_type: "text/plain; charset=utf-8",
-        }
+            "text/plain; charset=utf-8",
+            body.into().into_bytes(),
+        )
     }
 
     /// A JSON response.
-    pub fn json(status: u16, body: impl Into<String>) -> Response {
+    pub fn json(status: u16, body: impl Into<String>) -> Self {
+        Response::new(status, "application/json", body.into().into_bytes())
+    }
+}
+
+impl<'a> Response<'a> {
+    /// A response with a body of any media type.
+    pub fn new(
+        status: u16,
+        content_type: &'static str,
+        body: impl Into<Cow<'a, [u8]>>,
+    ) -> Response<'a> {
         Response {
             status,
             headers: Vec::new(),
-            body: body.into().into_bytes(),
-            content_type: "application/json",
+            body: body.into(),
+            content_type,
         }
     }
 
     /// Append a header.
-    pub fn header(mut self, name: impl Into<String>, value: impl Into<String>) -> Response {
+    pub fn header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
         self.headers.push((name.into(), value.into()));
         self
     }
@@ -227,11 +238,11 @@ impl Response {
         }
     }
 
-    /// Serialize and send over a stream (always `Connection: close`):
-    /// status line, headers and body go out in one write.
-    pub fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
-        // The status line and headers take well under 512 bytes.
-        let mut msg = Vec::with_capacity(512 + self.body.len());
+    /// Serialize into `msg` (emptied first) and send it over a stream
+    /// in one write (always `Connection: close`): status line, headers,
+    /// then the body.
+    pub fn write_to(&self, stream: &mut TcpStream, msg: &mut Vec<u8>) -> std::io::Result<()> {
+        msg.clear();
         write!(
             msg,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
@@ -248,7 +259,7 @@ impl Response {
         }
         msg.extend_from_slice(b"Connection: close\r\n\r\n");
         msg.extend_from_slice(&self.body);
-        stream.write_all(&msg)?;
+        stream.write_all(msg)?;
         stream.flush()
     }
 }

@@ -96,7 +96,12 @@ impl Server {
             let state = Arc::clone(&state);
             thread::Builder::new()
                 .name("doebenchd-worker".into())
-                .spawn(move || worker_loop(&queue, |stream| handle_connection(stream, &state)))?;
+                .spawn(move || {
+                    let mut bufs = Buffers::default();
+                    worker_loop(&queue, |stream| {
+                        handle_connection(stream, &state, &mut bufs)
+                    })
+                })?;
         }
         let accept_state = Arc::clone(&state);
         let accept_thread = thread::Builder::new()
@@ -159,14 +164,14 @@ fn accept_loop(listener: TcpListener, state: &ServerState, backlog: SyncSender<T
             let _ = stream.set_nonblocking(true);
             let busy = Response::text(503, "busy: every worker is serving; retry\n")
                 .header("Retry-After", "1");
-            finish(&mut stream, &busy);
+            finish(&mut stream, &busy, &mut Vec::new());
         }
     }
 }
 
 /// Serve connections from `queue` with `handle` until the queue's sender
 /// is gone. A panicking `handle` answers 500, and the loop goes on.
-fn worker_loop(queue: &Mutex<Receiver<TcpStream>>, handle: impl Fn(&mut TcpStream)) {
+fn worker_loop(queue: &Mutex<Receiver<TcpStream>>, mut handle: impl FnMut(&mut TcpStream)) {
     loop {
         // The guard lives to the end of this statement: one idle worker
         // waits in `recv`, the others on the mutex. Nothing panics while
@@ -174,35 +179,46 @@ fn worker_loop(queue: &Mutex<Receiver<TcpStream>>, handle: impl Fn(&mut TcpStrea
         let next = queue.lock().expect("backlog lock is never poisoned").recv();
         let Ok(mut stream) = next else { return };
         if panic::catch_unwind(AssertUnwindSafe(|| handle(&mut stream))).is_err() {
-            finish(&mut stream, &Response::text(500, "internal error\n"));
+            let error = Response::text(500, "internal error\n");
+            finish(&mut stream, &error, &mut Vec::new());
         }
     }
 }
 
-/// Send `response` and the FIN. Closing a socket with unread input (a
-/// request cut short at its size limit, or one never read) resets the
-/// connection, and the reset would otherwise discard whatever of the
-/// reply the kernel still holds back.
-fn finish(stream: &mut TcpStream, response: &Response) {
-    let _ = response.write_to(stream);
+/// Send `response`, serialized in `msg`, and the FIN. Closing a socket
+/// with unread input (a request cut short at its size limit, or one never
+/// read) resets the connection, and the reset would otherwise discard
+/// whatever of the reply the kernel still holds back.
+fn finish(stream: &mut TcpStream, response: &Response, msg: &mut Vec<u8>) {
+    let _ = response.write_to(stream, msg);
     let _ = stream.flush();
     let _ = stream.shutdown(Shutdown::Write);
 }
 
-fn handle_connection(stream: &mut TcpStream, state: &ServerState) {
+/// What a worker keeps from one connection to the next: the body a
+/// query answer renders into, and the message that carries it.
+#[derive(Default)]
+struct Buffers {
+    body: String,
+    msg: Vec<u8>,
+}
+
+fn handle_connection(stream: &mut TcpStream, state: &ServerState, bufs: &mut Buffers) {
     // A stalled read or write then fails with a timeout error: the read
     // side answers 400 below, and either way the worker moves on and the
     // socket closes. Setting a nonzero timeout cannot fail.
     let _ = stream.set_read_timeout(Some(CONN_TIMEOUT));
     let _ = stream.set_write_timeout(Some(CONN_TIMEOUT));
+    let Buffers { body, msg } = bufs;
+    body.clear();
     let (response, shutdown) = match read_request(stream) {
         Ok(req) => {
             let shutdown = req.method == "POST" && req.path == "/shutdown";
-            (route(&req, state), shutdown)
+            (route(&req, state, body), shutdown)
         }
         Err(e) => (Response::text(400, format!("bad request: {e}\n")), false),
     };
-    finish(stream, &response);
+    finish(stream, &response, msg);
     if shutdown {
         // Only now that the reply is on the wire: stop the accept loop
         // (a throwaway self-connection makes the blocking accept()
@@ -228,7 +244,8 @@ Serving metadata is in X-Doebench-* response headers; bodies are
 byte-identical whether served cold or from cache.
 ";
 
-fn route(req: &Request, state: &ServerState) -> Response {
+/// Answer `req`; a query answer renders its body into `body`.
+fn route<'a>(req: &Request, state: &ServerState, body: &'a mut String) -> Response<'a> {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/") => Response::text(200, INDEX),
         ("GET", "/healthz") => Response::text(200, "ok\n"),
@@ -237,26 +254,26 @@ fn route(req: &Request, state: &ServerState) -> Response {
         // has been written, so the client always sees the 200.
         ("POST", "/shutdown") => Response::text(200, "shutting down\n"),
         ("GET", "/query") => match req.param("q") {
-            Some(q) => answer_shorthand(&q, req, state),
+            Some(q) => answer_shorthand(&q, req, state, body),
             None => Response::text(400, "missing ?q=<shorthand query>\n"),
         },
         ("POST", "/query") => {
-            let body = String::from_utf8_lossy(&req.body);
-            let text = body.trim();
+            let text = String::from_utf8_lossy(&req.body);
+            let text = text.trim();
             let parsed = if text.starts_with('{') {
                 Query::parse(text)
             } else {
                 Query::parse_shorthand(text)
             };
             match parsed {
-                Ok(q) => answer(&q, req, state),
+                Ok(q) => answer(&q, req, state, body),
                 Err(e) => Response::text(400, format!("bad query: {e}\n")),
             }
         }
         ("GET", path) if path.starts_with("/table/") => {
             let n = &path["/table/".len()..];
             match n {
-                "4" | "5" | "6" | "7" => answer_shorthand(&format!("table{n}"), req, state),
+                "4" | "5" | "6" | "7" => answer_shorthand(&format!("table{n}"), req, state, body),
                 _ => Response::text(404, "no such table (try /table/4 .. /table/7)\n"),
             }
         }
@@ -267,7 +284,7 @@ fn route(req: &Request, state: &ServerState) -> Response {
     }
 }
 
-fn stats(state: &ServerState) -> Response {
+fn stats(state: &ServerState) -> Response<'static> {
     let s = &state.service.cache().stats;
     let body = Json::obj([
         ("code_version", Json::s(CODE_VERSION)),
@@ -294,9 +311,14 @@ fn stats(state: &ServerState) -> Response {
     Response::json(200, body.canonical() + "\n")
 }
 
-fn answer_shorthand(q: &str, req: &Request, state: &ServerState) -> Response {
+fn answer_shorthand<'a>(
+    q: &str,
+    req: &Request,
+    state: &ServerState,
+    body: &'a mut String,
+) -> Response<'a> {
     match Query::parse_shorthand(q) {
-        Ok(query) => answer(&query, req, state),
+        Ok(query) => answer(&query, req, state, body),
         Err(e) => Response::text(400, format!("bad query: {e}\n")),
     }
 }
@@ -308,7 +330,18 @@ fn parse_format(req: &Request) -> Result<Format, QueryError> {
     }
 }
 
-fn answer(q: &Query, req: &Request, state: &ServerState) -> Response {
+/// The media type of a body format: RFC 4180 for CSV, RFC 7763 for
+/// Markdown.
+fn content_type(f: Format) -> &'static str {
+    match f {
+        Format::Ascii => "text/plain; charset=utf-8",
+        Format::Markdown => "text/markdown; charset=utf-8",
+        Format::Csv => "text/csv; charset=utf-8",
+        Format::Json => "application/json",
+    }
+}
+
+fn answer<'a>(q: &Query, req: &Request, state: &ServerState, body: &'a mut String) -> Response<'a> {
     let format = match parse_format(req) {
         Ok(f) => f,
         Err(e) => return Response::text(400, format!("{e}\n")),
@@ -316,19 +349,16 @@ fn answer(q: &Query, req: &Request, state: &ServerState) -> Response {
     state.queries.fetch_add(1, Ordering::Relaxed);
     match state.service.answer(q) {
         Ok((result, meta)) => {
-            let body = result.body(format);
-            let resp = if format == Format::Json {
-                Response::json(200, body)
-            } else {
-                Response::text(200, body)
-            };
+            result.write_body(format, body);
+            let body: &'a String = body;
+            let resp = Response::new(200, content_type(format), body.as_bytes());
             attach_meta(resp, &result.key, &meta)
         }
         Err(e) => Response::text(400, format!("query failed: {e}\n")),
     }
 }
 
-fn attach_meta(resp: Response, key: &str, meta: &ServeMeta) -> Response {
+fn attach_meta<'a>(resp: Response<'a>, key: &str, meta: &ServeMeta) -> Response<'a> {
     resp.header("X-Doebench-Cache", meta.verdict())
         .header("X-Doebench-Cells-Cached", meta.cached.to_string())
         .header("X-Doebench-Cells-Executed", meta.executed.to_string())
@@ -350,7 +380,7 @@ mod tests {
             worker_loop(&Mutex::new(queue), |stream| {
                 let req = read_request(stream).expect("well-formed request");
                 assert_ne!(req.path, "/boom", "the handler fails on /boom");
-                finish(stream, &Response::text(200, "fine\n"));
+                finish(stream, &Response::text(200, "fine\n"), &mut Vec::new());
             })
         });
         for (path, status) in [("/boom", 500), ("/fine", 200)] {

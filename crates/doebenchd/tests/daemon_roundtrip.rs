@@ -11,6 +11,8 @@ use std::thread;
 use std::time::Instant;
 
 use doe_report::json::{self, Json};
+use doe_report::Format;
+use doebench::query::Query;
 use doebenchd::client;
 use doebenchd::server::{BACKLOG, CONN_TIMEOUT};
 use doebenchd::Server;
@@ -167,6 +169,25 @@ fn table_shortcut_and_sweep() {
     let sweep = client::query_shorthand(&addr, "sweep Eagle Theta", "csv").unwrap();
     assert_eq!(sweep.status, 200);
     assert!(sweep.text().contains("Eagle On-Socket"));
+    server.stop();
+}
+
+#[test]
+fn each_format_is_served_with_its_media_type_and_the_offline_bytes() {
+    let (mut server, addr) = start();
+    let offline = doebench::query::run_query(&Query::parse_shorthand("table7").unwrap()).unwrap();
+    for (name, media) in [
+        ("ascii", "text/plain; charset=utf-8"),
+        ("md", "text/markdown; charset=utf-8"),
+        ("csv", "text/csv; charset=utf-8"),
+        ("json", "application/json"),
+    ] {
+        let r = client::query_shorthand(&addr, "table7", name).unwrap();
+        assert_eq!(r.status, 200, "{name}");
+        assert_eq!(r.header("content-type"), Some(media), "{name}");
+        let format = Format::parse(name).unwrap();
+        assert_eq!(r.text(), offline.body(format), "{name}");
+    }
     server.stop();
 }
 

@@ -92,16 +92,7 @@ impl Json {
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => write_num(*n, out),
             Json::Str(s) => write_str(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
+            Json::Arr(items) => write_array(items, out, Json::write),
             Json::Obj(map) => {
                 out.push('{');
                 for (i, (k, v)) in map.iter().enumerate() {
@@ -118,9 +109,9 @@ impl Json {
     }
 }
 
-/// Shortest-round-trip number rendering; non-finite values have no JSON
-/// representation and render as `null`.
-fn write_num(n: f64, out: &mut String) {
+/// Append the canonical number: shortest-round-trip rendering, with
+/// `null` for non-finite values, which JSON cannot represent.
+pub fn write_num(n: f64, out: &mut String) {
     if n.is_finite() {
         let _ = write!(out, "{n}");
     } else {
@@ -128,7 +119,8 @@ fn write_num(n: f64, out: &mut String) {
     }
 }
 
-fn write_str(s: &str, out: &mut String) {
+/// Append `s` as a canonical JSON string literal.
+pub fn write_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -144,6 +136,18 @@ fn write_str(s: &str, out: &mut String) {
         }
     }
     out.push('"');
+}
+
+/// Append `[item,item,…]`, writing each element with `item`.
+pub fn write_array<T>(items: &[T], out: &mut String, mut item: impl FnMut(&T, &mut String)) {
+    out.push('[');
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(x, out);
+    }
+    out.push(']');
 }
 
 /// A parse failure with byte offset and message.

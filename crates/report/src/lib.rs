@@ -1,10 +1,13 @@
 //! Table and figure rendering with paper-reference comparison.
 //!
 //! The suite's deliverable is the paper's tables regenerated from
-//! simulation. This crate owns the presentation layer: a small [`Table`]
-//! model with ASCII / Markdown / CSV renderers, the `mean ± σ` cell
-//! format the paper uses, and [`Comparison`] cells that show
+//! simulation. This crate owns the presentation layer: the typed
+//! [`TableResult`] and a small string [`Table`], both written by one
+//! set of ASCII / Markdown / CSV / JSON writers; the `mean ± σ` cell
+//! format the paper uses; and [`Comparison`] cells that show
 //! paper-vs-measured deltas for EXPERIMENTS.md.
+
+use std::fmt::Write as _;
 
 pub mod chart;
 pub mod compare;
@@ -20,7 +23,15 @@ pub use table::Table;
 
 /// Format a mean/σ pair the way the paper's tables print them.
 pub fn pm(mean: f64, std: f64) -> String {
-    format!("{mean:.2} ± {std:.2}")
+    let mut out = String::new();
+    write_pm(mean, std, &mut out);
+    out
+}
+
+/// Append [`pm`]'s rendering to `out`.
+// doebench::hot
+fn write_pm(mean: f64, std: f64, out: &mut String) {
+    let _ = write!(out, "{mean:.2} ± {std:.2}");
 }
 
 /// Format a [`doe_benchlib::Summary`] the same way.

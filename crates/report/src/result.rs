@@ -6,19 +6,29 @@
 //! re-rendered into any format without re-running anything. This module
 //! is that contract: a [`TableResult`] keeps typed cells
 //! ([`CellValue`]), per-column [`Unit`]s, and the citation keys its
-//! text cells reference, and [`render`] is the one place any surface —
-//! CLI, daemon, report bundle — turns it into ascii / markdown / csv /
-//! json.
+//! text cells reference, and [`TableResult::write`] is the one place any
+//! surface — CLI, daemon, report bundle — turns it into ascii / markdown
+//! / csv / json.
+//!
+//! Every format is written in one pass straight into the caller's
+//! buffer. JSON goes out field by field in the canonical (sorted) key
+//! order of [`crate::json`], through its string and number writers, with
+//! no `Json` tree in between. The text formats format each cell once
+//! into a per-thread arena and lay out from it (see [`crate::table`]),
+//! the same writers [`Table`] renders through. A warm thread renders
+//! without allocating.
 //!
 //! Rendering is a pure function of the value, so a `TableResult`
 //! assembled from cached cells renders byte-identically to one from a
 //! cold run — the property the daemon's cache-hit contract tests pin.
 
+use std::fmt::Write as _;
+
 use doe_benchlib::Summary;
 
-use crate::json::Json;
-use crate::pm_summary;
-use crate::table::Table;
+use crate::json::{write_array, write_num, write_str};
+use crate::table::{with_cells, write_ascii, write_csv, write_markdown, Cells, Table};
+use crate::write_pm;
 
 /// Physical unit of a column, carried for API consumers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,32 +85,63 @@ pub enum CellValue {
 impl CellValue {
     /// The display string — exactly what the legacy tables printed.
     pub fn display(&self) -> String {
+        let mut out = String::new();
+        self.write_display(&mut out);
+        out
+    }
+
+    /// Append the display string to `out`.
+    // doebench::hot
+    fn write_display(&self, out: &mut String) {
         match self {
-            CellValue::Text(s) => s.clone(),
-            CellValue::Stat(s) => pm_summary(s),
-            CellValue::Range { min, max } => format!("{min:.2}-{max:.2}"),
-            CellValue::Missing => String::new(),
+            CellValue::Text(s) => out.push_str(s),
+            CellValue::Stat(s) => write_pm(s.mean, s.std, out),
+            CellValue::Range { min, max } => {
+                let _ = write!(out, "{min:.2}-{max:.2}");
+            }
+            CellValue::Missing => {}
         }
     }
 
-    fn to_json(&self) -> Json {
+    /// Append the canonical JSON value: a string, a statistic object, a
+    /// range object or `null`.
+    // doebench::hot
+    fn write_json(&self, out: &mut String) {
         match self {
-            CellValue::Text(s) => Json::s(s.clone()),
-            CellValue::Stat(s) => Json::obj([
-                ("mean", Json::Num(s.mean)),
-                ("std", Json::Num(s.std)),
-                ("n", Json::Num(s.n as f64)),
-                ("min", Json::Num(s.min)),
-                ("max", Json::Num(s.max)),
-                ("median", Json::Num(s.median)),
-                ("ci95", Json::Num(s.ci95_half_width)),
-            ]),
-            CellValue::Range { min, max } => {
-                Json::obj([("min", Json::Num(*min)), ("max", Json::Num(*max))])
-            }
-            CellValue::Missing => Json::Null,
+            CellValue::Text(s) => write_str(s, out),
+            CellValue::Stat(s) => write_num_object(
+                &[
+                    ("ci95", s.ci95_half_width),
+                    ("max", s.max),
+                    ("mean", s.mean),
+                    ("median", s.median),
+                    ("min", s.min),
+                    ("n", s.n as f64),
+                    ("std", s.std),
+                ],
+                out,
+            ),
+            CellValue::Range { min, max } => write_num_object(&[("max", *max), ("min", *min)], out),
+            CellValue::Missing => out.push_str("null"),
         }
     }
+}
+
+/// Append `{"key":number,…}`. `fields` come in sorted key order, and the
+/// keys need no escaping.
+// doebench::hot
+fn write_num_object(fields: &[(&str, f64)], out: &mut String) {
+    out.push('{');
+    for (i, &(key, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        out.push_str(key);
+        out.push_str("\":");
+        write_num(value, out);
+    }
+    out.push('}');
 }
 
 /// One row: the cells (first cell is the row label) plus the machine the
@@ -174,10 +215,10 @@ impl TableResult {
         });
     }
 
-    /// Lower to the stringly [`Table`] (the legacy model all three text
-    /// renderers consume). Display strings are identical to what the
-    /// pre-refactor builders pushed, so ascii/markdown/csv output is
-    /// byte-identical.
+    /// Lower to the stringly [`Table`] (the model the bundle, the
+    /// EXPERIMENTS report and the benches print). Its cells are the
+    /// display strings [`TableResult::write`] lays out, so both render
+    /// the same bytes.
     pub fn to_table(&self) -> Table {
         let headers: Vec<&str> = self.columns.iter().map(|c| c.name.as_str()).collect();
         let mut t = Table::new(self.title.clone(), &headers);
@@ -187,50 +228,74 @@ impl TableResult {
         t
     }
 
-    /// Structured JSON rendering (the daemon's response payload).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("id", Json::s(self.id.clone())),
-            ("title", Json::s(self.title.clone())),
-            (
-                "columns",
-                Json::Arr(
-                    self.columns
-                        .iter()
-                        .map(|c| {
-                            Json::obj([
-                                ("name", Json::s(c.name.clone())),
-                                ("unit", Json::s(c.unit.as_str())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "rows",
-                Json::Arr(
-                    self.rows
-                        .iter()
-                        .map(|r| {
-                            Json::obj([
-                                (
-                                    "machine",
-                                    r.machine.clone().map(Json::Str).unwrap_or(Json::Null),
-                                ),
-                                (
-                                    "cells",
-                                    Json::Arr(r.cells.iter().map(CellValue::to_json).collect()),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "citations",
-                Json::Arr(self.citations.iter().cloned().map(Json::Str).collect()),
-            ),
-        ])
+    /// Append the table in format `f` to `out` — the one render path.
+    // doebench::hot
+    pub fn write(&self, f: Format, out: &mut String) {
+        match f {
+            Format::Json => self.write_json(out),
+            Format::Ascii => with_cells(|cells| {
+                self.lay_out(cells);
+                write_ascii(&self.title, cells, out);
+            }),
+            Format::Markdown => with_cells(|cells| {
+                self.lay_out(cells);
+                write_markdown(&self.title, cells, out);
+            }),
+            Format::Csv => with_cells(|cells| {
+                self.lay_out(cells);
+                write_csv(cells, out);
+            }),
+        }
+    }
+
+    /// Format the header row and every cell once into `cells`.
+    // doebench::hot
+    fn lay_out(&self, cells: &mut Cells) {
+        for c in &self.columns {
+            cells.text.push_str(&c.name);
+            cells.end_cell();
+        }
+        cells.end_row();
+        for row in &self.rows {
+            for c in &row.cells {
+                c.write_display(&mut cells.text);
+                cells.end_cell();
+            }
+            cells.end_row();
+        }
+    }
+
+    /// Append the canonical JSON object. Keys go out in sorted order:
+    /// `citations`, `columns` (`name`, `unit`), `id`, `rows` (`cells`,
+    /// `machine`), `title`.
+    // doebench::hot
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"citations\":");
+        write_array(&self.citations, out, |c, out| write_str(c, out));
+        out.push_str(",\"columns\":");
+        write_array(&self.columns, out, |c, out| {
+            out.push_str("{\"name\":");
+            write_str(&c.name, out);
+            out.push_str(",\"unit\":");
+            write_str(c.unit.as_str(), out);
+            out.push('}');
+        });
+        out.push_str(",\"id\":");
+        write_str(&self.id, out);
+        out.push_str(",\"rows\":");
+        write_array(&self.rows, out, |r, out| {
+            out.push_str("{\"cells\":");
+            write_array(&r.cells, out, CellValue::write_json);
+            out.push_str(",\"machine\":");
+            match &r.machine {
+                Some(m) => write_str(m, out),
+                None => out.push_str("null"),
+            }
+            out.push('}');
+        });
+        out.push_str(",\"title\":");
+        write_str(&self.title, out);
+        out.push('}');
     }
 }
 
@@ -260,14 +325,11 @@ impl Format {
     }
 }
 
-/// The one render path: any structured table, any format.
+/// [`TableResult::write`] into a fresh string.
 pub fn render(t: &TableResult, f: Format) -> String {
-    match f {
-        Format::Ascii => t.to_table().to_ascii(),
-        Format::Markdown => t.to_table().to_markdown(),
-        Format::Csv => t.to_table().to_csv(),
-        Format::Json => t.to_json().canonical(),
-    }
+    let mut out = String::new();
+    t.write(f, &mut out);
+    out
 }
 
 /// Harvest bracketed citation keys (`[13]`, `[4]`) from a cell string
@@ -283,9 +345,9 @@ pub fn extract_citations(text: &str, out: &mut Vec<String>) {
         let end = start + 1 + close;
         let inner = &text[start + 1..end];
         if !inner.is_empty() && inner.bytes().all(|b| b.is_ascii_digit()) {
-            let key = format!("[{inner}]");
-            if let Err(pos) = out.binary_search(&key) {
-                out.insert(pos, key);
+            let key = &text[start..=end];
+            if let Err(pos) = out.binary_search_by(|k| k.as_str().cmp(key)) {
+                out.insert(pos, key.to_string());
             }
         }
         i = end + 1;

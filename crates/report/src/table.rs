@@ -1,6 +1,13 @@
-//! A minimal table model with three renderers.
+//! A minimal table model and the three text writers.
+//!
+//! Every text table — a [`Table`] of strings or a typed
+//! [`crate::TableResult`] — is first laid out as `Cells`: each cell's
+//! text formatted once into one arena, with its end offset and its width
+//! in `chars()`. The ASCII, Markdown and CSV writers then pad, join or
+//! quote from that arena straight into the caller's buffer. The arena is
+//! per thread and reused, so a warm thread renders without allocating.
 
-use std::fmt::Write as _;
+use std::cell::RefCell;
 
 /// A rectangular table with a title, headers, and string cells.
 #[derive(Clone, Debug, Default)]
@@ -28,107 +35,214 @@ impl Table {
         self.rows.push(cells);
     }
 
-    fn widths(&self) -> Vec<usize> {
-        let cols = self
-            .headers
-            .len()
-            .max(self.rows.iter().map(|r| r.len()).max().unwrap_or(0));
-        let mut w = vec![0usize; cols];
-        for (i, h) in self.headers.iter().enumerate() {
-            w[i] = w[i].max(h.chars().count());
-        }
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                w[i] = w[i].max(c.chars().count());
+    /// Lay the table out and hand the cells to `write`.
+    fn write_with(&self, write: impl FnOnce(&mut Cells, &mut String)) -> String {
+        let mut out = String::new();
+        with_cells(|cells| {
+            for row in std::iter::once(&self.headers).chain(&self.rows) {
+                for c in row {
+                    cells.text.push_str(c);
+                    cells.end_cell();
+                }
+                cells.end_row();
             }
-        }
-        w
-    }
-
-    fn cell(row: &[String], i: usize) -> &str {
-        row.get(i).map(String::as_str).unwrap_or("")
+            write(cells, &mut out);
+        });
+        out
     }
 
     /// Fixed-width ASCII rendering for terminals.
     pub fn to_ascii(&self) -> String {
-        let w = self.widths();
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", self.title);
-        let rule: String = w
-            .iter()
-            .map(|&n| "-".repeat(n + 2))
-            .collect::<Vec<_>>()
-            .join("+");
-        let fmt_row = |cells: &[String]| -> String {
-            (0..w.len())
-                .map(|i| format!(" {:<width$} ", Self::cell(cells, i), width = w[i]))
-                .collect::<Vec<_>>()
-                .join("|")
-        };
-        let _ = writeln!(out, "{rule}");
-        let _ = writeln!(out, "{}", fmt_row(&self.headers));
-        let _ = writeln!(out, "{rule}");
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", fmt_row(row));
-        }
-        let _ = writeln!(out, "{rule}");
-        out
+        self.write_with(|cells, out| write_ascii(&self.title, cells, out))
     }
 
     /// GitHub-flavoured Markdown rendering.
     pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "**{}**", self.title);
-        let _ = writeln!(out);
-        let _ = writeln!(out, "| {} |", self.headers.join(" | "));
-        let _ = writeln!(
-            out,
-            "|{}|",
-            self.headers
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|")
-        );
-        for row in &self.rows {
-            let cells: Vec<&str> = (0..self.headers.len())
-                .map(|i| Self::cell(row, i))
-                .collect();
-            let _ = writeln!(out, "| {} |", cells.join(" | "));
-        }
-        out
+        self.write_with(|cells, out| write_markdown(&self.title, cells, out))
     }
 
     /// RFC-4180-ish CSV rendering (quotes cells containing separators).
     pub fn to_csv(&self) -> String {
-        let esc = |s: &str| -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{}",
-            self.headers
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{}",
-                (0..self.headers.len())
-                    .map(|i| esc(Self::cell(row, i)))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            );
+        self.write_with(|cells, out| write_csv(cells, out))
+    }
+}
+
+/// A table's cells laid out for the text writers: row 0 holds the
+/// headers, and rows may be ragged.
+#[derive(Debug, Default)]
+pub(crate) struct Cells {
+    /// Every cell's text, back to back. A cell under construction is the
+    /// tail after the last closed cell.
+    pub(crate) text: String,
+    /// Per closed cell: its end offset in `text` and its width in chars.
+    spans: Vec<(usize, usize)>,
+    /// One past each row's last span.
+    rows: Vec<usize>,
+    /// Column widths (ASCII only).
+    widths: Vec<usize>,
+}
+
+thread_local! {
+    static CELLS: RefCell<Cells> = RefCell::default();
+}
+
+/// Run `f` on this thread's arena, emptied first. The writers never
+/// re-enter this function.
+pub(crate) fn with_cells<R>(f: impl FnOnce(&mut Cells) -> R) -> R {
+    CELLS.with(|cells| {
+        let mut cells = cells.borrow_mut();
+        cells.text.clear();
+        cells.spans.clear();
+        cells.rows.clear();
+        f(&mut cells)
+    })
+}
+
+impl Cells {
+    /// Close the cell whose text was appended since the last one closed.
+    pub(crate) fn end_cell(&mut self) {
+        let start = self.spans.last().map_or(0, |&(end, _)| end);
+        let end = self.text.len();
+        self.spans
+            .push((end, self.text[start..end].chars().count()));
+    }
+
+    /// Close the row of the cells closed since the last row closed.
+    pub(crate) fn end_row(&mut self) {
+        self.rows.push(self.spans.len());
+    }
+
+    fn n_rows(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn span_range(&self, r: usize) -> (usize, usize) {
+        (if r == 0 { 0 } else { self.rows[r - 1] }, self.rows[r])
+    }
+
+    fn row_len(&self, r: usize) -> usize {
+        let (lo, hi) = self.span_range(r);
+        hi - lo
+    }
+
+    /// Cell `i` of row `r` and its width; past a ragged row's end, `""`.
+    fn cell(&self, r: usize, i: usize) -> (&str, usize) {
+        let (lo, hi) = self.span_range(r);
+        let k = lo + i;
+        if k >= hi {
+            return ("", 0);
         }
-        out
+        let start = if k == 0 { 0 } else { self.spans[k - 1].0 };
+        let (end, width) = self.spans[k];
+        (&self.text[start..end], width)
+    }
+}
+
+/// Fixed-width ASCII: every row padded to the longest row, each column
+/// to its widest cell.
+// doebench::hot
+pub(crate) fn write_ascii(title: &str, cells: &mut Cells, out: &mut String) {
+    let cols = (0..cells.n_rows())
+        .map(|r| cells.row_len(r))
+        .max()
+        .unwrap_or(0);
+    cells.widths.clear();
+    for i in 0..cols {
+        let w = (0..cells.n_rows())
+            .map(|r| cells.cell(r, i).1)
+            .max()
+            .unwrap_or(0);
+        cells.widths.push(w);
+    }
+    let cells = &*cells;
+    let rule = |out: &mut String| {
+        for (i, &w) in cells.widths.iter().enumerate() {
+            if i > 0 {
+                out.push('+');
+            }
+            out.extend(std::iter::repeat_n('-', w + 2));
+        }
+        out.push('\n');
+    };
+    let row = |out: &mut String, r: usize| {
+        for (i, &w) in cells.widths.iter().enumerate() {
+            if i > 0 {
+                out.push('|');
+            }
+            let (text, width) = cells.cell(r, i);
+            out.push(' ');
+            out.push_str(text);
+            out.extend(std::iter::repeat_n(' ', w - width + 1));
+        }
+        out.push('\n');
+    };
+    out.push_str(title);
+    out.push('\n');
+    rule(out);
+    row(out, 0);
+    rule(out);
+    for r in 1..cells.n_rows() {
+        row(out, r);
+    }
+    rule(out);
+}
+
+/// GitHub-flavoured Markdown; rows stop at the header count.
+// doebench::hot
+pub(crate) fn write_markdown(title: &str, cells: &Cells, out: &mut String) {
+    let cols = cells.row_len(0);
+    out.push_str("**");
+    out.push_str(title);
+    out.push_str("**\n\n");
+    let row = |out: &mut String, r: usize| {
+        out.push_str("| ");
+        for i in 0..cols {
+            if i > 0 {
+                out.push_str(" | ");
+            }
+            out.push_str(cells.cell(r, i).0);
+        }
+        out.push_str(" |\n");
+    };
+    row(out, 0);
+    out.push('|');
+    for i in 0..cols {
+        if i > 0 {
+            out.push('|');
+        }
+        out.push_str("---");
+    }
+    out.push_str("|\n");
+    for r in 1..cells.n_rows() {
+        row(out, r);
+    }
+}
+
+/// CSV, quoting a cell that holds a comma, a quote or a newline; rows
+/// stop at the header count.
+// doebench::hot
+pub(crate) fn write_csv(cells: &Cells, out: &mut String) {
+    let cols = cells.row_len(0);
+    for r in 0..cells.n_rows() {
+        for i in 0..cols {
+            if i > 0 {
+                out.push(',');
+            }
+            let text = cells.cell(r, i).0;
+            if text.contains([',', '"', '\n']) {
+                out.push('"');
+                for c in text.chars() {
+                    if c == '"' {
+                        out.push('"');
+                    }
+                    out.push(c);
+                }
+                out.push('"');
+            } else {
+                out.push_str(text);
+            }
+        }
+        out.push('\n');
     }
 }
 

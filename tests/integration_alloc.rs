@@ -5,7 +5,8 @@
 //! enqueue copies — touches the allocator zero times once warm. This test
 //! pins that down with a counting global allocator: warm each world up,
 //! snapshot the allocation counter, run the steady-state loop, and assert
-//! the counter did not move.
+//! the counter did not move. The same holds for rendering a cached
+//! answer: a warm render writes straight into a reused buffer.
 //!
 //! Kept as a single `#[test]` in its own binary: the counter is
 //! process-global, and a concurrently running test would perturb it.
@@ -55,6 +56,8 @@ use doebench::gpurt::testkit::dual_gpu_runtime;
 use doebench::gpurt::{Buffer, GpuRuntime};
 use doebench::mpi::{MpiConfig, MpiSim};
 use doebench::net::{Fabric, FabricConfig, NetWorld, NicConfig, NodeId};
+use doebench::query::{run_query, Query, QueryResult};
+use doebench::report::Format;
 use doebench::simtime::{EventQueue, SimDuration, SimRng, SimTime};
 use doebench::topo::{CoreId, DeviceId, LinkKind, NodeBuilder, NumaId, SocketId, Vertex};
 
@@ -302,6 +305,34 @@ fn noise_phase() -> u64 {
     })
 }
 
+/// `QueryResult::write_body` of warm `suite@paper` and sweep answers in
+/// all four formats: once the body buffer and this thread's cell arena
+/// have grown to the largest body, a render touches the allocator zero
+/// times.
+fn render_phase() -> u64 {
+    let results: Vec<QueryResult> = ["suite@paper", "sweep Frontier Summit"]
+        .iter()
+        .map(|q| run_query(&Query::parse_shorthand(q).expect("parses")).expect("runs"))
+        .collect();
+    let formats = [Format::Json, Format::Ascii, Format::Markdown, Format::Csv];
+    let mut body = String::new();
+    let render_all = |body: &mut String| {
+        for r in &results {
+            for f in formats {
+                body.clear();
+                r.write_body(f, body);
+                std::hint::black_box(&*body);
+            }
+        }
+    };
+    render_all(&mut body);
+    alloc_delta(|| {
+        for _ in 0..20 {
+            render_all(&mut body);
+        }
+    })
+}
+
 #[test]
 fn steady_state_hot_paths_allocate_nothing() {
     // (phase name, allocation events during steady state)
@@ -324,6 +355,7 @@ fn steady_state_hot_paths_allocate_nothing() {
         ),
         ("route table lookups", route_table_phase()),
         ("batch gaussian fill", noise_phase()),
+        ("query body render", render_phase()),
     ];
     let dirty: Vec<String> = phases
         .iter()

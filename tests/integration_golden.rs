@@ -1,5 +1,6 @@
 //! Golden response-body digests: the rendered JSON body of a fixed set of
-//! queries, pinned as FNV-1a 64 constants.
+//! queries, and the ASCII, Markdown and CSV bodies of a second set,
+//! pinned as FNV-1a 64 constants.
 //!
 //! The determinism, `--check` and queue/shard A/B tests compare two runs
 //! of the *same* code on the quick campaign. These digests compare the
@@ -10,6 +11,11 @@
 //! one sweep at the paper's iteration counts (1000 / 100 round trips per
 //! rep), and Table 6 at the paper's profile (10 ms adaptive batches and
 //! 1 GiB copies).
+//!
+//! The text digests pin what the daemon-vs-offline checks cannot: those
+//! compare two renderings by the same writer, so a writer change that
+//! moved a byte would pass them. These compare the writers against the
+//! bodies of the `Table`-of-`String`s renderers they replaced.
 //!
 //! A digest changes only when a body changes. If a change is meant to
 //! move results, update the constants from the failure message and say
@@ -74,6 +80,34 @@ const GOLDEN: &[(&str, u64)] = &[
     ("table6@paper", 0x7596fe53ee1fc992),
 ];
 
+/// (shorthand query, FNV-1a 64 of its ASCII, Markdown and CSV bodies).
+const GOLDEN_TEXT: &[(&str, [u64; 3])] = &[
+    (
+        "table4",
+        [0x7a7e3f6fbe296be3, 0x87a60b00a6d62915, 0x5aca9c517d4bdeda],
+    ),
+    (
+        "table5",
+        [0xb3644f688131e66e, 0xe6a909208cb0fd98, 0x2e8be3b5aa545757],
+    ),
+    (
+        "table6",
+        [0x7fa61e2c88e437ce, 0x41376ea7f1d3e353, 0xe4302e87109dc1df],
+    ),
+    (
+        "table7",
+        [0x8d446407e783e708, 0x5ec2fb23b2873966, 0x6d8d8761e3824b75],
+    ),
+    (
+        "suite@paper",
+        [0x0ad19a128d9456b4, 0x4dd6b0f02f6a1fc2, 0x882ef32409194301],
+    ),
+    (
+        "sweep Frontier Summit",
+        [0x8c07aeadb328949a, 0x0f259b48b4a65efe, 0x89b2002b03478866],
+    ),
+];
+
 fn body_digest(shorthand: &str) -> u64 {
     let q = Query::parse_shorthand(shorthand).expect("golden query parses");
     let r = run_query(&q).expect("golden query runs");
@@ -109,5 +143,33 @@ fn response_bodies_match_golden_digests() {
     assert!(
         got == GOLDEN,
         "response bodies moved; current digests:\n{listing}"
+    );
+}
+
+#[test]
+fn text_bodies_match_golden_digests() {
+    let got: Vec<(&str, [u64; 3])> = GOLDEN_TEXT
+        .iter()
+        .map(|&(q, _)| {
+            let r = run_query(&Query::parse_shorthand(q).expect("golden query parses"))
+                .expect("golden query runs");
+            let digest = |f| fnv1a64(r.body(f).as_bytes());
+            (
+                q,
+                [
+                    digest(Format::Ascii),
+                    digest(Format::Markdown),
+                    digest(Format::Csv),
+                ],
+            )
+        })
+        .collect();
+    let listing: String = got
+        .iter()
+        .map(|(q, [a, m, c])| format!("    (\"{q}\", [{a:#018x}, {m:#018x}, {c:#018x}]),\n"))
+        .collect();
+    assert!(
+        got == GOLDEN_TEXT,
+        "text bodies moved; current digests:\n{listing}"
     );
 }
