@@ -1,10 +1,9 @@
 //! The substrate hot-path perf-regression gate.
 //!
 //! Measures the allocation-free inner loops the campaign executor spends
-//! its time in — event-queue cycles, MPI pingpongs, GPU memcpy chains,
-//! vector-clock joins, batch gaussian fills — plus the serial quick
-//! campaign end to end, and writes `benchmarks/substrate_hotpath.json` at
-//! the repo root.
+//! its time in — MPI pingpongs, GPU memcpy chains, vector-clock joins,
+//! batch gaussian fills — plus the serial quick campaign end to end, and
+//! writes `benchmarks/substrate_hotpath.json` at the repo root.
 //!
 //! Raw nanoseconds do not transfer between hosts, so every metric is also
 //! *normalized by a calibration loop* (a fixed xoshiro-summing workload
@@ -30,7 +29,7 @@ use doebench::dessan::VectorClock;
 use doebench::gpurt::testkit::dual_gpu_runtime;
 use doebench::gpurt::Buffer;
 use doebench::mpi::{MpiConfig, MpiSim};
-use doebench::simtime::{EventQueue, SimRng, SimTime};
+use doebench::simtime::SimRng;
 use doebench::topo::{CoreId, DeviceId, NumaId};
 use doebench::{table4, table5, table6, table7, Campaign};
 
@@ -78,22 +77,6 @@ fn quick_campaign_ms() -> f64 {
             table7::render(&t7).to_ascii(),
         ));
     }) / 1e6
-}
-
-fn event_queue_cycle_ns() -> f64 {
-    const CYCLES: u64 = 1_000_000;
-    let mut q = EventQueue::with_capacity(64);
-    for i in 0..32u64 {
-        q.schedule(SimTime::from_ps(i * 100), i);
-    }
-    let mut t = 32u64;
-    time_ns(|| {
-        for _ in 0..CYCLES {
-            let ev = q.pop().expect("depth stays 32");
-            t += 1;
-            q.schedule(SimTime::from_ps(t * 100), ev.payload);
-        }
-    }) / CYCLES as f64
 }
 
 fn mpisim_pingpong_ns() -> f64 {
@@ -183,9 +166,8 @@ fn main() {
 
     // (key, measure, unit) — every metric is gated on value/calib.
     type Metric = (&'static str, fn() -> f64, &'static str);
-    let suite: [Metric; 6] = [
+    let suite: [Metric; 5] = [
         ("quick_campaign_ms", quick_campaign_ms, "ms"),
-        ("event_queue_cycle_ns", event_queue_cycle_ns, "ns"),
         ("mpisim_pingpong_ns", mpisim_pingpong_ns, "ns"),
         ("gpurt_memcpy_iter_ns", gpurt_memcpy_iter_ns, "ns"),
         ("vc_join_assign_ns", vc_join_assign_ns, "ns"),
@@ -200,7 +182,7 @@ fn main() {
     // A background-noise burst then costs one round of one metric, not a
     // whole back-to-back sample of it.
     let mut calib = f64::INFINITY;
-    let mut mins = [f64::INFINITY; 6];
+    let mut mins = suite.map(|_| f64::INFINITY);
     for _ in 0..REPS {
         calib = calib.min(calibration_ns_per_op());
         for (i, (_, measure, _)) in suite.iter().enumerate() {

@@ -126,7 +126,7 @@ pub fn d2h_transfer(
 
 /// `PinnedToGPU` with a *pageable* host buffer instead — not part of the
 /// paper's protocol (Comm|Scope pins), but the comparison quantifies why
-/// pinning matters; used by the `ablations` bench.
+/// pinning matters; used by `examples/ablations.rs`.
 pub fn h2d_pageable_transfer(
     topo: &Arc<NodeTopology>,
     models: &[GpuModel],

@@ -82,20 +82,6 @@ impl RuntimeChecks {
         }
     }
 
-    /// A handle honouring the process-global `--check` switch.
-    pub fn from_global() -> Self {
-        if checks_enabled() {
-            Self::enabled()
-        } else {
-            Self::disabled()
-        }
-    }
-
-    /// Whether this handle is recording.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Record a finding (no-op when disabled).
     pub fn report(&mut self, rule: &'static str, message: String) {
         if self.enabled {
@@ -111,20 +97,6 @@ impl RuntimeChecks {
     /// True when enabled and nothing was flagged.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
-    }
-
-    /// Panic with a readable report if anything was flagged (test helper).
-    pub fn assert_clean(&self) {
-        assert!(
-            self.is_clean(),
-            "sanitizer found {} problem(s):\n{}",
-            self.findings.len(),
-            self.findings
-                .iter()
-                .map(|f| format!("  {f}"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
     }
 }
 

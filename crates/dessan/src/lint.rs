@@ -814,7 +814,7 @@ fn slow(&mut self) {
     let s = format!(\"x\");
 }
 ";
-        let f = lint_file("crates/simtime/src/event.rs", src);
+        let f = lint_file("crates/mpisim/src/world.rs", src);
         let hot: Vec<_> = f
             .iter()
             .filter(|f| f.rule == Rule::HotPathAlloc)

@@ -574,12 +574,6 @@ impl GpuRuntime {
         self.clock.now()
     }
 
-    /// Advance the host clock by benchmark-loop overhead outside the
-    /// runtime's control (used sparingly by harnesses).
-    pub fn advance_host(&mut self, d: SimDuration) {
-        self.clock.advance(d);
-    }
-
     /// Create a new stream on `dev`.
     pub fn create_stream(&mut self, dev: DeviceId) -> Result<StreamHandle, GpuError> {
         if self.topo.device(dev).is_none() {

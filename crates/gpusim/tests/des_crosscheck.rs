@@ -3,15 +3,17 @@
 //!
 //! [`Engine`] computes completion times in closed form (`start =
 //! max(submit, tail)`). This test replays random submission schedules
-//! through an explicit discrete-event simulation built on
-//! [`doe_simtime::EventQueue`] — commands become events, the processor
-//! picks up the next command when the previous one completes — and checks
-//! that both models agree on every completion time. If the analytic
-//! shortcut ever diverges from first-principles event processing, this
-//! catches it.
+//! through an explicit discrete-event simulation — commands become events
+//! on a local time-ordered heap, the processor picks up the next command
+//! when the previous one completes — and checks that both models agree on
+//! every completion time. If the analytic shortcut ever diverges from
+//! first-principles event processing, this catches it.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use doe_gpusim::Engine;
-use doe_simtime::{EventQueue, SimDuration, SimTime};
+use doe_simtime::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// A command: submitted at `submit`, runs for `duration`.
@@ -22,7 +24,14 @@ struct Command {
 }
 
 fn schedule() -> impl Strategy<Value = Vec<Command>> {
-    prop::collection::vec((0u64..1_000_000u64, 0u64..500_000u64), 1..100).prop_map(|raw| {
+    // About half the cases squeeze submits and durations into 32 ps, so
+    // every run replays same-instant Submit/Submit and Submit/Complete
+    // ties, where FIFO order among equal timestamps decides the answer.
+    prop_oneof![
+        prop::collection::vec((0u64..1_000_000u64, 0u64..500_000u64), 1..100),
+        prop::collection::vec((0u64..32u64, 0u64..32u64), 1..100),
+    ]
+    .prop_map(|raw| {
         // Submissions must be in non-decreasing order (a single host
         // thread submits); sort to enforce it.
         let mut subs: Vec<u64> = raw.iter().map(|&(s, _)| s).collect();
@@ -48,35 +57,41 @@ fn run_engine(cmds: &[Command]) -> Vec<SimTime> {
 /// First-principles DES: two event kinds drive an explicit processor
 /// state machine.
 fn run_des(cmds: &[Command]) -> Vec<SimTime> {
-    #[derive(Debug)]
+    #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
     enum Ev {
         Submit(usize),
         Complete(usize),
     }
 
-    let mut q: EventQueue<Ev> = EventQueue::new();
+    // Min-heap on (time, push sequence): equal timestamps pop FIFO.
+    let mut q = BinaryHeap::new();
+    let mut seq = 0u64;
+    let mut push = |q: &mut BinaryHeap<_>, at: SimTime, ev: Ev| {
+        q.push(Reverse((at, seq, ev)));
+        seq += 1;
+    };
     for (i, c) in cmds.iter().enumerate() {
-        q.schedule(c.submit, Ev::Submit(i));
+        push(&mut q, c.submit, Ev::Submit(i));
     }
 
     let mut pending: std::collections::VecDeque<usize> = Default::default();
     let mut busy = false;
     let mut completions = vec![SimTime::ZERO; cmds.len()];
 
-    while let Some(ev) = q.pop() {
-        match ev.payload {
+    while let Some(Reverse((at, _, ev))) = q.pop() {
+        match ev {
             Ev::Submit(i) => {
                 pending.push_back(i);
                 if !busy {
                     busy = true;
                     let next = pending.pop_front().expect("just pushed");
-                    q.schedule(ev.at + cmds[next].duration, Ev::Complete(next));
+                    push(&mut q, at + cmds[next].duration, Ev::Complete(next));
                 }
             }
             Ev::Complete(i) => {
-                completions[i] = ev.at;
+                completions[i] = at;
                 if let Some(next) = pending.pop_front() {
-                    q.schedule(ev.at + cmds[next].duration, Ev::Complete(next));
+                    push(&mut q, at + cmds[next].duration, Ev::Complete(next));
                 } else {
                     busy = false;
                 }

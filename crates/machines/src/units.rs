@@ -186,11 +186,6 @@ impl Machine {
         GbPerS(self.host_mem.peak_bw_gb_s)
     }
 
-    /// Host all-core sustained bandwidth (peak × sustained efficiency).
-    pub fn host_sustained(&self) -> GbPerS {
-        GbPerS(self.host_mem.peak_bw_gb_s * self.host_mem.sustained_efficiency)
-    }
-
     /// Device HBM peak bandwidth of the first GPU (all devices on a node
     /// are identical), if this machine has any.
     pub fn device_peak(&self) -> Option<GbPerS> {

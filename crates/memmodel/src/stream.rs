@@ -6,7 +6,7 @@
 //! allocation size for copy, mul, and dot, and three times the allocation
 //! size for add and triad" (§3.1 of the paper). We reproduce exactly that
 //! numerator, and separately expose the *actual* traffic (with
-//! write-allocate) so the `ablation_wa` bench can quantify the difference.
+//! write-allocate) so `examples/ablations.rs` can quantify the difference.
 
 use std::fmt;
 
@@ -57,11 +57,6 @@ impl StreamOp {
     /// Reported bytes moved for vectors of `n` `f64` elements.
     pub fn reported_bytes(self, n: u64) -> u64 {
         self.reported_arrays() * 8 * n
-    }
-
-    /// Actual bytes (with write-allocate) for vectors of `n` elements.
-    pub fn actual_bytes(self, n: u64) -> u64 {
-        self.actual_arrays() * 8 * n
     }
 
     /// Ratio of reported to actual traffic — the factor by which

@@ -4,8 +4,8 @@
 //! matching receives and returns a small acknowledgment; bandwidth is
 //! `window × bytes × iters / elapsed`. (The paper's tables report only
 //! latency, but the bandwidth benchmark is part of the OSU suite the
-//! artifact describes, and the crossover behaviour it exposes is used by
-//! the `ablation_eager` bench.)
+//! artifact describes; it exposes the same eager/rendezvous crossover that
+//! `examples/ablations.rs` shows in latency.)
 
 use std::sync::Arc;
 

@@ -1,12 +1,10 @@
-//! Virtual time, discrete-event scheduling, and deterministic noise models.
+//! Virtual time and deterministic noise models.
 //!
 //! Everything in the `doebench` simulation stack is clocked by a virtual
 //! clock with **picosecond resolution**. Costs of simulated operations
 //! (a DMA setup, a link traversal, a kernel dispatch) are expressed as
 //! [`SimDuration`]s; the state machines in the runtime crates advance a
-//! [`Clock`] or per-rank and per-engine timestamps in closed form. No
-//! runtime schedules on the [`EventQueue`]: it is the discrete-event
-//! reference that tests compare those closed forms against.
+//! [`Clock`] or per-rank and per-engine timestamps in closed form.
 //!
 //! Measurement noise — what turns a deterministic model into a distribution
 //! with a non-degenerate standard deviation across the paper's 100 "binary
@@ -25,7 +23,6 @@
 //! ```
 
 pub mod clock;
-pub mod event;
 pub mod noise;
 pub mod rng;
 pub mod shard;
@@ -33,7 +30,6 @@ pub mod time;
 pub mod trace;
 
 pub use clock::Clock;
-pub use event::{EventQueue, Scheduled};
 pub use noise::Jitter;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -162,12 +162,6 @@ impl SimRng {
     pub fn normal(&mut self, mean: f64, sigma: f64) -> f64 {
         mean + sigma * self.gaussian()
     }
-
-    /// Log-normal variate: `exp(N(mu, sigma))`.
-    #[inline]
-    pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
-    }
 }
 
 #[cfg(test)]

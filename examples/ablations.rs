@@ -7,10 +7,13 @@
 //! 3. **Write-allocate accounting** — reported vs achieved bandwidth under
 //!    BabelStream's numerator convention.
 //! 4. **Placement policy** — the Table 1 combos on a dual-socket model.
+//! 5. **Pinning and duplex** — pinned vs pageable H2D and the bidirectional
+//!    aggregate on one PCIe4 link.
 //!
-//! `cargo bench -p doe-bench --bench ablations`
+//! ```text
+//! cargo run --release --example ablations
+//! ```
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use doebench::memmodel::{MemDomainModel, PlacementQuality, StreamOp};
 use doebench::mpi::DevicePath;
 use doebench::omp::{resolve_placement, EnvCombo};
@@ -135,32 +138,10 @@ fn ablation_duplex_and_pinning() {
     println!("  duplex agg   : {:>17.2} GB/s", duplex.mean);
 }
 
-fn bench_ablations(c: &mut Criterion) {
+fn main() {
     ablation_eager_threshold();
     ablation_device_path();
     ablation_write_allocate();
     ablation_placement();
     ablation_duplex_and_pinning();
-
-    let m = doebench::machines::by_name("Eagle").expect("machine");
-    let cores = on_socket_pair(&m.topo).expect("pair");
-    let mut g = c.benchmark_group("ablations");
-    g.sample_size(10);
-    g.bench_function("eager_curve", |b| {
-        let mut cfg = OsuConfig::quick();
-        cfg.reps = 3;
-        cfg.sizes = vec![4096, 8192, 16384];
-        b.iter(|| std::hint::black_box(osu_latency(&m.topo, &m.mpi, cores, &cfg, 7)))
-    });
-    g.bench_function("placement_resolution", |b| {
-        b.iter(|| {
-            for combo in EnvCombo::table1() {
-                std::hint::black_box(resolve_placement(&m.topo, &combo));
-            }
-        })
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench_ablations);
-criterion_main!(benches);

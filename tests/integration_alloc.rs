@@ -1,41 +1,51 @@
 //! The allocation-free hot-path contract.
 //!
 //! The substrate's arenas, pools, and dense tables exist so that a
-//! steady-state repetition loop — schedule/pop events, send/recv messages,
-//! enqueue copies — touches the allocator zero times once warm. This test
-//! pins that down with a counting global allocator: warm each world up,
-//! snapshot the allocation counter, run the steady-state loop, and assert
-//! the counter did not move. The same holds for rendering a cached
-//! answer: a warm render writes straight into a reused buffer.
+//! steady-state repetition loop — send/recv messages, enqueue copies —
+//! touches the allocator zero times once warm. This test pins that down
+//! with a counting global allocator: warm each world up, snapshot the
+//! allocation counter, run the steady-state loop, and assert the counter
+//! did not move. The same holds for rendering a cached answer: a warm
+//! render writes straight into a reused buffer.
 //!
-//! Kept as a single `#[test]` in its own binary: the counter is
-//! process-global, and a concurrently running test would perturb it.
+//! Every steady-state loop runs on the test's own thread, so the counter
+//! is per thread. A process-wide counter also saw the test harness's own
+//! bookkeeping: libtest's main thread makes 4 allocations after spawning
+//! the test, and on a loaded host they landed inside the first phase.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Counts allocation events (alloc/realloc/alloc_zeroed); frees are not
 /// interesting here — a hot path that only frees still shrinks arenas.
 struct CountingAlloc;
 
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor, so reading it from
+    // inside the allocator never allocates.
+    static ALLOC_EVENTS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_event() {
+    ALLOC_EVENTS.with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: defers entirely to the system allocator; the counter is a
-// side-channel with relaxed ordering and does not affect allocation.
+// thread-local side-channel and does not affect allocation.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_event();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_event();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_event();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -43,11 +53,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocation events that happened while `f` ran.
+/// Allocation events this thread made while `f` ran.
 fn alloc_delta(f: impl FnOnce()) -> u64 {
-    let before = ALLOC_EVENTS.load(Ordering::Relaxed);
+    let before = ALLOC_EVENTS.with(Cell::get);
     f();
-    ALLOC_EVENTS.load(Ordering::Relaxed) - before
+    ALLOC_EVENTS.with(Cell::get) - before
 }
 
 use std::sync::Arc;
@@ -58,7 +68,7 @@ use doebench::mpi::{MpiConfig, MpiSim};
 use doebench::net::{Fabric, FabricConfig, NetWorld, NicConfig, NodeId};
 use doebench::query::{run_query, Query, QueryResult};
 use doebench::report::Format;
-use doebench::simtime::{EventQueue, SimDuration, SimRng, SimTime};
+use doebench::simtime::{SimDuration, SimRng};
 use doebench::topo::{CoreId, DeviceId, LinkKind, NodeBuilder, NumaId, SocketId, Vertex};
 
 fn two_numa_topo() -> Arc<doebench::topo::NodeTopology> {
@@ -88,23 +98,6 @@ fn two_numa_topo() -> Arc<doebench::topo::NodeTopology> {
             .build()
             .expect("valid topology"),
     )
-}
-
-fn event_queue_phase() -> u64 {
-    let mut q = EventQueue::with_capacity(64);
-    // Warm to a depth of 32 in-flight events.
-    for i in 0..32u64 {
-        q.schedule(SimTime::from_ps(i * 100), i);
-    }
-    let mut t = 32u64;
-    alloc_delta(|| {
-        // Steady state: one pop, one schedule, 100k times.
-        for _ in 0..100_000 {
-            let ev = q.pop().expect("queue stays at depth 32");
-            t += 1;
-            q.schedule(SimTime::from_ps(t * 100), ev.payload);
-        }
-    })
 }
 
 fn mpisim_phase(checks: bool) -> u64 {
@@ -337,7 +330,6 @@ fn render_phase() -> u64 {
 fn steady_state_hot_paths_allocate_nothing() {
     // (phase name, allocation events during steady state)
     let phases = [
-        ("event queue schedule/pop", event_queue_phase()),
         ("mpisim pingpong", mpisim_phase(false)),
         ("mpisim pingpong under --check", mpisim_phase(true)),
         ("mpisim pingpong fast-forward", mpisim_pingpong_phase(false)),
