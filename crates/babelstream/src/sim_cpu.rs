@@ -11,7 +11,7 @@
 //! OS noise): one jitter draw scales every kernel in that run.
 
 use doe_benchlib::{parallel_map_indexed, Samples, Summary};
-use doe_memmodel::{MemDomainModel, StreamOp};
+use doe_memmodel::{MemDomainModel, PlacementQuality, StreamOp};
 use doe_omp::{resolve_placement, EnvCombo};
 use doe_simtime::{Clock, Jitter, SimDuration, SimRng};
 use doe_topo::NodeTopology;
@@ -51,11 +51,27 @@ pub fn run_sim_cpu(
     assert!(cfg.reps > 0, "need at least one repetition");
     let sizes = cfg.sizes();
     let combos = EnvCombo::table1();
+    let placements: Vec<PlacementQuality> = combos
+        .iter()
+        .map(|combo| resolve_placement(topo, combo))
+        .collect();
+    // Unjittered kernel times, one row of ops per (size, combo) in loop
+    // order. They depend on the cell, not the rep, so every rep reads
+    // them instead of re-deriving them.
+    let kernel_times: Vec<[SimDuration; StreamOp::ALL.len()]> = sizes
+        .iter()
+        .flat_map(|&n| {
+            placements
+                .iter()
+                .map(move |&placement| StreamOp::ALL.map(|op| mem.kernel_time(op, n, placement)))
+        })
+        .collect();
+    let largest = *sizes.last().expect("nonempty sizes");
 
-    // Each rep builds its own clock and RNG from the rep index, so reps
+    // Each rep derives its own RNG and clock from the rep index, so reps
     // are independent and can run on any pool worker in any order.
     let per_rep = parallel_map_indexed(cfg.reps, |rep| {
-        let mut rng = SimRng::stream(seed, &format!("babelstream-cpu/{}", topo.name), rep as u64);
+        let mut rng = SimRng::stream(seed, &["babelstream-cpu/", &topo.name], rep as u64);
         // Common-mode run factor.
         let factor = run_jitter.sample_scalar(1.0, &mut rng).max(0.05);
         let mut clock = Clock::new();
@@ -66,22 +82,19 @@ pub fn run_sim_cpu(
         let mut best_all_combo = combos[0];
         let mut curve: Vec<(u64, f64)> = Vec::with_capacity(sizes.len());
 
-        for &n in &sizes {
+        for (&n, row) in sizes.iter().zip(kernel_times.chunks(combos.len())) {
             let mut best_at_size = 0.0f64;
-            for combo in &combos {
-                let placement = resolve_placement(topo, combo);
-                for &op in &StreamOp::ALL {
+            for ((combo, placement), times) in combos.iter().zip(&placements).zip(row) {
+                for (&op, &t) in StreamOp::ALL.iter().zip(times) {
                     // Time inner_iters kernel invocations on the virtual
                     // clock, then derive bandwidth the way BabelStream
                     // does: bytes / best time. With a common-mode factor,
-                    // every iteration in the run is identical.
-                    let t_kernel = mem.kernel_time(op, n, placement) * (1.0 / factor)
-                        + cfg.overhead_per_kernel;
-                    for _ in 0..cfg.inner_iters {
-                        clock.advance(t_kernel);
-                    }
+                    // every iteration in the run is identical, so the
+                    // clock advances by inner_iters equal integer steps.
+                    let t_kernel = t * (1.0 / factor) + cfg.overhead_per_kernel;
+                    clock.advance(t_kernel * u64::from(cfg.inner_iters));
                     let bw = t_kernel.bandwidth_gb_s(op.reported_bytes(n));
-                    if n == *sizes.last().expect("nonempty sizes") {
+                    if n == largest {
                         let single = placement.threads == 1;
                         if single && bw > best_single {
                             best_single = bw;

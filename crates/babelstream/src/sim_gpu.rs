@@ -12,6 +12,7 @@ use doe_benchlib::{parallel_map_indexed, Samples, Summary};
 use doe_gpurt::GpuRuntime;
 use doe_gpusim::GpuModel;
 use doe_memmodel::StreamOp;
+use doe_simtime::SimDuration;
 use doe_topo::NodeTopology;
 
 use crate::config::SweepConfig;
@@ -40,26 +41,36 @@ pub fn run_sim_gpu(
     );
     assert!(cfg.reps > 0, "need at least one repetition");
     let sizes = cfg.sizes();
+    let dev = topo.devices[0].id;
+    // Unjittered kernel times on device 0, one row of ops per size: they
+    // depend on the cell, not the rep. The runtime applies the rep's run
+    // factor at each launch, exactly as `launch_stream_op` would.
+    let model = models.get(dev.index()).expect("one GpuModel per device");
+    let kernel_times: Vec<[SimDuration; StreamOp::ALL.len()]> = sizes
+        .iter()
+        .map(|&n| StreamOp::ALL.map(|op| model.stream_kernel_time(op, n)))
+        .collect();
+    let models: Arc<[GpuModel]> = models.into();
 
-    // Each rep builds its own runtime from the rep index, so reps are
-    // independent and can run on any pool worker in any order.
+    // A rep builds only its runtime, from the rep index: the seed fixes
+    // its run factor, and the models and kernel times are the cell's. So
+    // reps are independent and can run on any pool worker in any order.
     let per_rep = parallel_map_indexed(cfg.reps, |rep| {
         let mut rt = GpuRuntime::new(
             Arc::clone(&topo),
-            models.to_vec(),
+            Arc::clone(&models),
             seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
-        let dev = rt.current_device();
         let stream = rt.default_stream(dev).expect("device 0 exists");
         let mut best = 0.0f64;
         let mut best_op = StreamOp::Copy;
         let mut curve: Vec<(u64, f64)> = Vec::with_capacity(sizes.len());
-        for &n in &sizes {
+        for (&n, times) in sizes.iter().zip(&kernel_times) {
             let mut best_at_size = 0.0f64;
-            for &op in &StreamOp::ALL {
+            for (&op, &t) in StreamOp::ALL.iter().zip(times) {
                 let t0 = rt.now();
                 for _ in 0..cfg.inner_iters {
-                    rt.launch_stream_op(&stream, op, n).expect("launch");
+                    rt.launch_kernel(&stream, t).expect("launch");
                 }
                 rt.stream_synchronize(&stream).expect("sync");
                 let elapsed = rt.now().since(t0);
@@ -91,7 +102,6 @@ pub fn run_sim_gpu(
 mod tests {
     use super::*;
     use doe_memmodel::MemDomainModel;
-    use doe_simtime::SimDuration;
     use doe_topo::{DeviceId, LinkKind, NodeBuilder, NumaId, SocketId, Vertex};
 
     fn gpu_node() -> (Arc<NodeTopology>, Vec<GpuModel>) {

@@ -566,7 +566,7 @@ fn run_command(spec: &'static CmdSpec, p: &Parsed, campaign: &Campaign, full: bo
             }
             let mut rt = doebench::gpurt::GpuRuntime::new(
                 m.topo.clone(),
-                m.gpu_models.clone(),
+                m.gpu_models.into(),
                 campaign.seed,
             );
             rt.enable_tracing();

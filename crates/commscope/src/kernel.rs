@@ -17,7 +17,7 @@ fn rep_seed(seed: u64, rep: usize) -> u64 {
 /// zero-argument kernels. Returns µs, mean ± σ over the outer runs.
 pub fn launch_latency(
     topo: &Arc<NodeTopology>,
-    models: &[GpuModel],
+    models: &Arc<[GpuModel]>,
     dev: DeviceId,
     cfg: &CommScopeConfig,
     seed: u64,
@@ -25,7 +25,7 @@ pub fn launch_latency(
     // Each rep builds its own runtime from the rep index, so reps can run
     // on any pool worker in any order.
     run_reps_par(cfg.reps, |rep| {
-        let mut rt = GpuRuntime::new(Arc::clone(topo), models.to_vec(), rep_seed(seed, rep));
+        let mut rt = GpuRuntime::new(Arc::clone(topo), Arc::clone(models), rep_seed(seed, rep));
         rt.set_device(dev).expect("device exists");
         let stream = rt.default_stream(dev).expect("stream");
         let (_iters, per) = adaptive_iterations(cfg.adaptive, |n| {
@@ -44,13 +44,13 @@ pub fn launch_latency(
 /// an empty work queue. Returns µs, mean ± σ over the outer runs.
 pub fn wait_latency(
     topo: &Arc<NodeTopology>,
-    models: &[GpuModel],
+    models: &Arc<[GpuModel]>,
     dev: DeviceId,
     cfg: &CommScopeConfig,
     seed: u64,
 ) -> Summary {
     run_reps_par(cfg.reps, |rep| {
-        let mut rt = GpuRuntime::new(Arc::clone(topo), models.to_vec(), rep_seed(seed, rep));
+        let mut rt = GpuRuntime::new(Arc::clone(topo), Arc::clone(models), rep_seed(seed, rep));
         rt.set_device(dev).expect("device exists");
         let (_iters, per) = adaptive_iterations(cfg.adaptive, |n| {
             rt.repeat(n, GpuRuntime::device_synchronize).expect("sync")
@@ -67,7 +67,7 @@ mod tests {
     use doe_simtime::SimDuration;
     use doe_topo::{LinkKind, NodeBuilder, NumaId, SocketId, Vertex};
 
-    fn node() -> (Arc<NodeTopology>, Vec<GpuModel>) {
+    fn node() -> (Arc<NodeTopology>, Arc<[GpuModel]>) {
         let topo = NodeBuilder::new("cs-test")
             .socket("CPU")
             .numa(SocketId(0))
@@ -85,7 +85,7 @@ mod tests {
         let mut m = GpuModel::new("G", MemDomainModel::new("HBM", 1555.2, 30.0));
         m.launch_overhead = SimDuration::from_us(1.77);
         m.sync_overhead = SimDuration::from_us(0.98);
-        (Arc::new(topo), vec![m])
+        (Arc::new(topo), [m].into())
     }
 
     #[test]

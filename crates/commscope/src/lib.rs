@@ -23,7 +23,8 @@
 //!
 //! let m = doe_machines::by_name("Polaris").unwrap();
 //! let dev = m.topo.devices[0].id;
-//! let s = launch_latency(&m.topo, &m.gpu_models, dev, &CommScopeConfig::quick(), 1);
+//! let models = m.gpu_models.into();
+//! let s = launch_latency(&m.topo, &models, dev, &CommScopeConfig::quick(), 1);
 //! // Polaris' paper launch latency is 1.83 us.
 //! assert!((s.mean - 1.83).abs() < 0.1);
 //! ```

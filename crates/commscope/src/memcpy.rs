@@ -47,7 +47,7 @@ fn copy_time_us(
 
 fn transfer_between(
     topo: &Arc<NodeTopology>,
-    models: &[GpuModel],
+    models: &Arc<[GpuModel]>,
     make_bufs: impl Fn(u64) -> (Buffer, Buffer) + Sync,
     exec_dev: DeviceId,
     cfg: &CommScopeConfig,
@@ -59,7 +59,7 @@ fn transfer_between(
     let per_rep = parallel_map_indexed(cfg.reps, |rep| {
         let mut rt = GpuRuntime::new(
             Arc::clone(topo),
-            models.to_vec(),
+            Arc::clone(models),
             rep_seed(seed ^ label, rep),
         );
         rt.set_device(exec_dev).expect("device exists");
@@ -87,7 +87,7 @@ fn transfer_between(
 /// to device memory.
 pub fn h2d_transfer(
     topo: &Arc<NodeTopology>,
-    models: &[GpuModel],
+    models: &Arc<[GpuModel]>,
     dev: DeviceId,
     cfg: &CommScopeConfig,
     seed: u64,
@@ -107,7 +107,7 @@ pub fn h2d_transfer(
 /// `GPUToPinned`: device memory to pinned host memory.
 pub fn d2h_transfer(
     topo: &Arc<NodeTopology>,
-    models: &[GpuModel],
+    models: &Arc<[GpuModel]>,
     dev: DeviceId,
     cfg: &CommScopeConfig,
     seed: u64,
@@ -129,7 +129,7 @@ pub fn d2h_transfer(
 /// pinning matters; used by `examples/ablations.rs`.
 pub fn h2d_pageable_transfer(
     topo: &Arc<NodeTopology>,
-    models: &[GpuModel],
+    models: &Arc<[GpuModel]>,
     dev: DeviceId,
     cfg: &CommScopeConfig,
     seed: u64,
@@ -156,7 +156,7 @@ pub fn h2d_pageable_transfer(
 /// the latency columns cannot.
 pub fn d2d_bandwidth_by_class(
     topo: &Arc<NodeTopology>,
-    models: &[GpuModel],
+    models: &Arc<[GpuModel]>,
     cfg: &CommScopeConfig,
     seed: u64,
 ) -> BTreeMap<LinkClass, Summary> {
@@ -166,7 +166,7 @@ pub fn d2d_bandwidth_by_class(
             let samples = run_reps_par(cfg.reps, |rep| {
                 let mut rt = GpuRuntime::new(
                     Arc::clone(topo),
-                    models.to_vec(),
+                    Arc::clone(models),
                     rep_seed(seed ^ 0xB0 ^ (class as u64), rep),
                 );
                 rt.set_device(src).expect("device exists");
@@ -190,7 +190,7 @@ pub fn d2d_bandwidth_by_class(
 /// approaches twice the unidirectional figure.
 pub fn duplex_bandwidth(
     topo: &Arc<NodeTopology>,
-    models: &[GpuModel],
+    models: &Arc<[GpuModel]>,
     dev: DeviceId,
     cfg: &CommScopeConfig,
     seed: u64,
@@ -199,7 +199,7 @@ pub fn duplex_bandwidth(
     run_reps_par(cfg.reps, |rep| {
         let mut rt = GpuRuntime::new(
             Arc::clone(topo),
-            models.to_vec(),
+            Arc::clone(models),
             rep_seed(seed ^ 0xD0_B1D1, rep),
         );
         rt.set_device(dev).expect("device exists");
@@ -230,7 +230,7 @@ pub fn duplex_bandwidth(
 /// present on the node (Tables 5/6's A–D columns).
 pub fn d2d_latency_by_class(
     topo: &Arc<NodeTopology>,
-    models: &[GpuModel],
+    models: &Arc<[GpuModel]>,
     cfg: &CommScopeConfig,
     seed: u64,
 ) -> BTreeMap<LinkClass, Summary> {
@@ -240,7 +240,7 @@ pub fn d2d_latency_by_class(
             let samples = run_reps_par(cfg.reps, |rep| {
                 let mut rt = GpuRuntime::new(
                     Arc::clone(topo),
-                    models.to_vec(),
+                    Arc::clone(models),
                     rep_seed(seed ^ (class as u64), rep),
                 );
                 rt.set_device(src).expect("device exists");
@@ -260,7 +260,7 @@ mod tests {
     use doe_simtime::SimDuration;
     use doe_topo::{LinkKind, NodeBuilder, NumaId, SocketId, Vertex};
 
-    fn node() -> (Arc<NodeTopology>, Vec<GpuModel>) {
+    fn node() -> (Arc<NodeTopology>, Arc<[GpuModel]>) {
         let topo = NodeBuilder::new("cs-memcpy")
             .socket("CPU")
             .numa(SocketId(0))
@@ -301,7 +301,7 @@ mod tests {
         m.sync_overhead = SimDuration::from_us(1.0);
         m.copy_setup_host = SimDuration::from_us(1.5);
         m.copy_setup_peer = SimDuration::from_us(11.0);
-        (Arc::new(topo), vec![m.clone(), m.clone(), m])
+        (Arc::new(topo), [m.clone(), m.clone(), m].into())
     }
 
     #[test]

@@ -57,11 +57,14 @@ pub fn run_commscope(
         "Comm|Scope requires an accelerator node"
     );
     let dev = topo.devices[0].id;
-    let launch_us = launch_latency(topo, models, dev, cfg, seed);
-    let wait_us = wait_latency(topo, models, dev, cfg, seed ^ 0x57);
-    let h2d = h2d_transfer(topo, models, dev, cfg, seed ^ 0x1234);
-    let d2h = d2h_transfer(topo, models, dev, cfg, seed ^ 0x4321);
-    let d2d_latency_us = d2d_latency_by_class(topo, models, cfg, seed ^ 0xD2D);
+    // Each rep of each Comm|Scope test builds a runtime; all of them
+    // share one copy of the models.
+    let models: Arc<[GpuModel]> = models.into();
+    let launch_us = launch_latency(topo, &models, dev, cfg, seed);
+    let wait_us = wait_latency(topo, &models, dev, cfg, seed ^ 0x57);
+    let h2d = h2d_transfer(topo, &models, dev, cfg, seed ^ 0x1234);
+    let d2h = d2h_transfer(topo, &models, dev, cfg, seed ^ 0x4321);
+    let d2d_latency_us = d2d_latency_by_class(topo, &models, cfg, seed ^ 0xD2D);
     CommScopeReport {
         launch_us,
         wait_us,

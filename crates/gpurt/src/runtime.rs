@@ -275,7 +275,9 @@ impl GpuEvent {
 #[derive(Debug)]
 pub struct GpuRuntime {
     topo: Arc<NodeTopology>,
-    models: Vec<GpuModel>,
+    /// One model per device, in device-id order, shared by every runtime
+    /// a campaign builds for the same node.
+    models: Arc<[GpuModel]>,
     clock: Clock,
     /// Common-mode run factor: one draw per runtime instance, scaling
     /// every driver-path cost. Run-to-run σ in the paper's Table 6 is a
@@ -317,12 +319,13 @@ pub struct GpuRuntime {
 
 impl GpuRuntime {
     /// Build a runtime for `topo` with one [`GpuModel`] per device, in
-    /// device-id order. `seed` drives measurement jitter.
+    /// device-id order. `seed` drives measurement jitter. A campaign that
+    /// builds a runtime per rep shares one model slice across all of them.
     ///
     /// # Panics
     /// Panics if the model count does not match the device count or the
     /// node has no devices.
-    pub fn new(topo: Arc<NodeTopology>, models: Vec<GpuModel>, seed: u64) -> Self {
+    pub fn new(topo: Arc<NodeTopology>, models: Arc<[GpuModel]>, seed: u64) -> Self {
         assert!(
             !topo.devices.is_empty(),
             "GpuRuntime requires at least one device"
@@ -333,7 +336,7 @@ impl GpuRuntime {
             "one GpuModel per device required"
         );
         let current = topo.devices[0].id;
-        let mut rng = SimRng::stream(seed, &format!("gpurt/{}", topo.name), 0);
+        let mut rng = SimRng::stream(seed, &["gpurt/", &topo.name], 0);
         let run_factor = models[0].jitter.sample_scalar(1.0, &mut rng).max(0.05);
         let n_numa = topo
             .numa_domains

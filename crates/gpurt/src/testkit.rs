@@ -40,7 +40,7 @@ pub fn single_gpu_runtime_with_seed(seed: u64) -> GpuRuntime {
         )
         .build()
         .unwrap_or_else(|e| panic!("testkit topology is valid: {e}"));
-    GpuRuntime::new(Arc::new(topo), vec![test_gpu_model()], seed)
+    GpuRuntime::new(Arc::new(topo), [test_gpu_model()].into(), seed)
 }
 
 /// [`single_gpu_runtime_with_seed`] with a fixed seed.
@@ -85,7 +85,7 @@ pub fn dual_gpu_runtime_with_seed(seed: u64) -> GpuRuntime {
         .unwrap_or_else(|e| panic!("testkit topology is valid: {e}"));
     GpuRuntime::new(
         Arc::new(topo),
-        vec![test_gpu_model(), test_gpu_model()],
+        [test_gpu_model(), test_gpu_model()].into(),
         seed,
     )
 }

@@ -184,7 +184,11 @@ fn setup(m: &Machine, case: &Case) -> Setup {
 
 /// A runtime in the case's entry state, with every stream it will use.
 fn build(m: &Machine, case: &Case, s: &Setup, checks: bool) -> (GpuRuntime, Vec<StreamHandle>) {
-    let mut rt = GpuRuntime::new(Arc::clone(&m.topo), m.gpu_models.clone(), case.seed);
+    let mut rt = GpuRuntime::new(
+        Arc::clone(&m.topo),
+        m.gpu_models.as_slice().into(),
+        case.seed,
+    );
     if checks {
         rt.enable_checks();
     }

@@ -183,6 +183,34 @@ mod tests {
     }
 
     #[test]
+    fn per_machine_rng_streams_keep_their_concatenated_label_keys() {
+        use doe_simtime::SimRng;
+        // The derivation the runtimes used when they formatted the whole
+        // label: FNV-1a 64 of the string, mixed with the index and seed.
+        fn concatenated(seed: u64, label: &str, index: u64) -> SimRng {
+            let h = label.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+            });
+            let key = h ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            SimRng::from_seed(seed ^ key.rotate_left(17))
+        }
+        let names = catalog()
+            .iter()
+            .flat_map(|m| [m.name, m.topo.name.as_str()]);
+        for name in names {
+            for prefix in ["mpi/", "gpurt/", "babelstream-cpu/"] {
+                for (seed, index) in [(0, 0), (1, 7), (u64::MAX, 99)] {
+                    let mut parts = SimRng::stream(seed, &[prefix, name], index);
+                    let mut whole = concatenated(seed, &format!("{prefix}{name}"), index);
+                    for _ in 0..4 {
+                        assert_eq!(parts.next_u64(), whole.next_u64(), "{prefix}{name}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn lookup_is_case_insensitive() {
         assert!(by_name("frontier").is_some());
         assert!(by_name("FRONTIER").is_some());

@@ -258,7 +258,7 @@ impl MpiSim {
         if let Err(why) = cfg.validate() {
             return Err(MpiError::InvalidConfig(why));
         }
-        let mut rng = SimRng::stream(seed, &format!("mpi/{}", topo.name), 0);
+        let mut rng = SimRng::stream(seed, &["mpi/", &topo.name], 0);
         let run_factor = cfg.jitter.sample_scalar(1.0, &mut rng).max(0.05);
         let checks = dessan::checks_enabled().then(|| Box::new(MpiChecks::new(0)));
         let nports = topo

@@ -124,7 +124,7 @@ pub struct NetWorld {
 impl NetWorld {
     /// Create a world on a fabric.
     pub fn new(fabric: Fabric, nic: NicConfig, seed: u64) -> Self {
-        let mut rng = SimRng::stream(seed, "netsim", 0);
+        let mut rng = SimRng::stream(seed, &["netsim"], 0);
         let run_factor = nic.jitter.sample_scalar(1.0, &mut rng).max(0.05);
         let checks = dessan::checks_enabled().then(|| Box::new(NetChecks::new(0)));
         NetWorld {

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use doe_benchlib::{run_reps_par, Summary};
+use doe_benchlib::{parallel_map_indexed, Samples, Summary};
 use doe_mpi::{MpiConfig, MpiSim, Rank};
 use doe_topo::{CoreId, DeviceId, NodeTopology};
 
@@ -57,26 +57,39 @@ fn run_campaign(
     cfg: &OsuConfig,
     seed: u64,
 ) -> Vec<LatencyPoint> {
+    assert!(cfg.reps > 0, "need at least one repetition");
+    // One world per rep, built from the rep index, so reps can run on any
+    // pool worker in any order. The world's only draw is its run factor,
+    // at construction, and a barrier leaves every port horizon at or
+    // below the common clock: each size then runs on a fresh world
+    // shifted in time, with the same integer-picosecond result
+    // (DESIGN.md §3).
+    let per_rep = parallel_map_indexed(cfg.reps, |rep| {
+        let (mut world, a, b) = build_pair(
+            topo,
+            mpi,
+            cores,
+            bufs,
+            seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        );
+        cfg.sizes
+            .iter()
+            .map(|&bytes| {
+                world.barrier();
+                pingpong_once(&mut world, a, b, bytes, cfg.warmup, cfg.iters_for(bytes))
+            })
+            .collect::<Vec<f64>>()
+    });
     cfg.sizes
         .iter()
-        .map(|&bytes| {
-            let iters = cfg.iters_for(bytes);
-            // Each rep builds its own sim world from the rep index, so
-            // reps can run on any pool worker in any order.
-            let samples = run_reps_par(cfg.reps, |rep| {
-                let (mut world, a, b) = build_pair(
-                    topo,
-                    mpi,
-                    cores,
-                    bufs,
-                    seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                pingpong_once(&mut world, a, b, bytes, cfg.warmup, iters)
-            });
-            LatencyPoint {
-                bytes,
-                one_way_us: samples.summary(),
-            }
+        .enumerate()
+        .map(|(i, &bytes)| LatencyPoint {
+            bytes,
+            one_way_us: per_rep
+                .iter()
+                .map(|row| row[i])
+                .collect::<Samples>()
+                .summary(),
         })
         .collect()
 }

@@ -338,9 +338,12 @@ impl Parser<'_> {
                                     self.pos += 1;
                                     self.eat(b'u')?;
                                     let lo = self.hex4()?;
-                                    let combined =
-                                        0x10000 + ((cp - 0xD800) << 10) + (lo.wrapping_sub(0xDC00));
-                                    char::from_u32(combined)
+                                    // Only a low surrogate completes the
+                                    // pair; anything else is malformed.
+                                    (0xDC00..0xE000)
+                                        .contains(&lo)
+                                        .then(|| 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00))
+                                        .and_then(char::from_u32)
                                 } else {
                                     None
                                 }
@@ -363,9 +366,11 @@ impl Parser<'_> {
         if end > self.bytes.len() {
             return Err(self.err("short \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        // Exactly four hex digits: no sign, unlike `u32::from_str_radix`.
+        let v = self.bytes[self.pos..end]
+            .iter()
+            .try_fold(0, |v, &d| Some(v << 4 | char::from(d).to_digit(16)?))
+            .ok_or_else(|| self.err("invalid \\u escape"))?;
         self.pos = end;
         Ok(v)
     }
@@ -438,6 +443,28 @@ mod tests {
     #[test]
     fn surrogate_pair_parses() {
         assert_eq!(parse(r#""😀""#).unwrap(), Json::s("😀"));
+        assert_eq!(parse(r#""\uD83D\uDE00""#).unwrap(), Json::s("😀"));
+        assert_eq!(parse(r#""\uDBFF\uDFFF""#).unwrap(), Json::s("\u{10FFFF}"));
+    }
+
+    #[test]
+    fn malformed_surrogate_pairs_are_errors() {
+        // A high surrogate must be followed by an escaped low one: a
+        // second half outside DC00..E000 once overflowed the code-point
+        // arithmetic, or aliased another pair.
+        for bad in [
+            r#""\uD800""#,
+            r#""\uD800x""#,
+            r#""\uD800\u0041""#,
+            r#""\uDBFF\uFFFF""#,
+            r#""\uD800\uE000""#,
+            r#""\uD800\uD800""#,
+            r#""\uDC00""#,
+            r#""\u+041""#,
+            r#""\u-041""#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -17,10 +17,14 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a hash of a byte string, for deriving stream keys from labels.
+/// FNV-1a offset basis: the hash of the empty label.
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Continue an FNV-1a hash `h` over `bytes`. FNV-1a folds one byte at a
+/// time, so hashing two strings in sequence equals hashing their
+/// concatenation.
 #[inline]
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
@@ -55,8 +59,15 @@ impl SimRng {
     /// Derive a stream for a labelled subsystem. Streams derived with
     /// different labels or indices are statistically independent; the same
     /// `(seed, label, index)` always produces the same stream.
-    pub fn stream(seed: u64, label: &str, index: u64) -> Self {
-        let key = fnv1a(label.as_bytes()) ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    ///
+    /// The label is the concatenation of its parts, hashed in sequence:
+    /// `&["mpi/", name]` keys the same stream as the one-part label
+    /// `&[&format!("mpi/{name}")]`, without building that string.
+    pub fn stream(seed: u64, label: &[&str], index: u64) -> Self {
+        let h = label
+            .iter()
+            .fold(FNV_OFFSET, |h, part| fnv1a_extend(h, part.as_bytes()));
+        let key = h ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         SimRng::from_seed(seed ^ key.rotate_left(17))
     }
 
@@ -189,19 +200,33 @@ mod tests {
     #[test]
     fn streams_are_stable_and_distinct() {
         let a1: Vec<u64> = {
-            let mut r = SimRng::stream(7, "frontier/osu", 3);
+            let mut r = SimRng::stream(7, &["frontier/osu"], 3);
             (0..8).map(|_| r.next_u64()).collect()
         };
         let a2: Vec<u64> = {
-            let mut r = SimRng::stream(7, "frontier/osu", 3);
+            let mut r = SimRng::stream(7, &["frontier/osu"], 3);
             (0..8).map(|_| r.next_u64()).collect()
         };
         let b: Vec<u64> = {
-            let mut r = SimRng::stream(7, "frontier/osu", 4);
+            let mut r = SimRng::stream(7, &["frontier/osu"], 4);
             (0..8).map(|_| r.next_u64()).collect()
         };
         assert_eq!(a1, a2);
         assert_ne!(a1, b);
+    }
+
+    #[test]
+    fn label_parts_hash_as_their_concatenation() {
+        let draws = |label: &[&str]| -> Vec<u64> {
+            let mut r = SimRng::stream(7, label, 3);
+            (0..4).map(|_| r.next_u64()).collect()
+        };
+        let whole = draws(&["frontier/osu"]);
+        assert_eq!(draws(&["frontier/", "osu"]), whole);
+        assert_eq!(draws(&["", "frontier/osu", ""]), whole);
+        assert_eq!(draws(&["f", "rontier", "/", "osu"]), whole);
+        assert_eq!(draws(&[]), draws(&[""]));
+        assert_ne!(draws(&["frontier/", "osv"]), whole);
     }
 
     #[test]

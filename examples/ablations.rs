@@ -123,9 +123,10 @@ fn ablation_duplex_and_pinning() {
     let m = doebench::machines::by_name("Perlmutter").expect("machine");
     let cfg = CommScopeConfig::quick();
     let dev = m.topo.devices[0].id;
-    let pinned = h2d_transfer(&m.topo, &m.gpu_models, dev, &cfg, 5);
-    let pageable = h2d_pageable_transfer(&m.topo, &m.gpu_models, dev, &cfg, 5);
-    let duplex = duplex_bandwidth(&m.topo, &m.gpu_models, dev, &cfg, 5);
+    let models = m.gpu_models.into();
+    let pinned = h2d_transfer(&m.topo, &models, dev, &cfg, 5);
+    let pageable = h2d_pageable_transfer(&m.topo, &models, dev, &cfg, 5);
+    let duplex = duplex_bandwidth(&m.topo, &models, dev, &cfg, 5);
     println!("\nAblation 5: pinning and duplex on Perlmutter's PCIe4 link");
     println!(
         "  pinned H2D   : {:>7.2} us, {:>6.2} GB/s",

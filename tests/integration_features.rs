@@ -34,7 +34,8 @@ fn explanations_agree_with_paper_values_inline() {
 #[test]
 fn gpu_trace_covers_a_full_benchmark_iteration() {
     let m = doebench::machines::by_name("Perlmutter").expect("machine");
-    let mut rt = doebench::gpurt::GpuRuntime::new(m.topo.clone(), m.gpu_models.clone(), 7);
+    let mut rt =
+        doebench::gpurt::GpuRuntime::new(m.topo.clone(), m.gpu_models.as_slice().into(), 7);
     rt.enable_tracing();
     let dev = rt.current_device();
     let s = rt.default_stream(dev).expect("stream");

@@ -9,8 +9,10 @@
 //! reach what the quick campaign does not: every sweepable machine across
 //! the whole OSU size ladder (eager and rendezvous sizes, at two seeds),
 //! one sweep at the paper's iteration counts (1000 / 100 round trips per
-//! rep), and Table 6 at the paper's profile (10 ms adaptive batches and
-//! 1 GiB copies).
+//! rep), Table 6 at the paper's profile (10 ms adaptive batches and
+//! 1 GiB copies), and Tables 4 and 5 at the paper's profile (100 reps of
+//! the CPU and GPU STREAM campaigns, digested at full f64 precision
+//! rather than through `suite@paper`'s two-decimal text).
 //!
 //! The text digests pin what the daemon-vs-offline checks cannot: those
 //! compare two renderings by the same writer, so a writer change that
@@ -78,6 +80,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("sweep Manzano seed=2", 0x6fe8801914472306),
     ("sweep@paper Theta", 0x3f7cffb9c7f182d3),
     ("table6@paper", 0x7596fe53ee1fc992),
+    ("table4@paper", 0xdae9f202e9ac433b),
+    ("table5@paper", 0xfbf92ec4c39d991d),
 ];
 
 /// (shorthand query, FNV-1a 64 of its ASCII, Markdown and CSV bodies).

@@ -317,3 +317,110 @@ fn profile_and_seed_partition_the_key_space() {
     assert_ne!(quick.key, paper.key);
     assert_ne!(quick.key, seeded.key);
 }
+
+// ---------------------------------------------------------------------
+// Hostile input: the parsers answer every byte string with Ok or Err
+// ---------------------------------------------------------------------
+
+/// Valid shorthand forms the mutation fuzzer starts from.
+const SHORTHANDS: &[&str] = &[
+    "table4",
+    "table5@paper Frontier",
+    "sweep Eagle Theta seed=0x2a",
+    "suite set Frontier.gpu_launch_us=2.5",
+    "table6 machines=Summit,Polaris profile=paper",
+    "tables@quick seed=17",
+];
+
+/// Fragments the fuzzer splices in: JSON structure, escapes (including
+/// lone and mismatched surrogates), extreme numbers, and shorthand
+/// syntax.
+const SPLICES: &[&str] = &[
+    "\"",
+    "\\",
+    "{",
+    "}",
+    "[",
+    "]",
+    ":",
+    ",",
+    "\\u",
+    "\\uD800",
+    "\\uDBFF\\u0041",
+    "\\uDC00",
+    "\\uD83D\\uDE00",
+    "\\u+0041",
+    "1e999",
+    "-0",
+    "0.",
+    "nul",
+    "@",
+    "=",
+    ".",
+    " set ",
+    "seed=",
+    "0x",
+    "machines=,",
+    "\u{FFFD}",
+    "\u{0}",
+];
+
+/// Apply `edits` to `seed`'s bytes, then read them back as lossy UTF-8,
+/// as the daemon does with a request's query bytes.
+fn mutate(seed: &str, edits: &[(u8, usize, u8)]) -> String {
+    let mut bytes = seed.as_bytes().to_vec();
+    for &(op, at, b) in edits {
+        let at = at % (bytes.len() + 1);
+        match op {
+            0 if at < bytes.len() => bytes[at] = b,
+            1 => bytes.insert(at, b),
+            2 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            3 => {
+                let splice = SPLICES[b as usize % SPLICES.len()].as_bytes();
+                bytes.splice(at..at, splice.iter().copied());
+            }
+            _ => bytes.truncate(at),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Both parsers on `text`: neither may panic, and whatever parses must
+/// survive a round trip through its canonical form.
+fn parse_both(text: &str) {
+    let parsed = [Query::parse(text), Query::parse_shorthand(text)];
+    for q in parsed.into_iter().flatten() {
+        let again = Query::parse(&q.canonical()).expect("canonical form parses");
+        assert_eq!(again, q, "from {text:?}");
+    }
+}
+
+fn edits() -> impl Strategy<Value = Vec<(u8, usize, u8)>> {
+    proptest::collection::vec((0u8..5, any::<usize>(), any::<u8>()), 1..8)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn parsers_never_panic_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..160),
+    ) {
+        parse_both(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn parsers_never_panic_on_mutated_json_queries(q in query_strategy(), edits in edits()) {
+        parse_both(&mutate(&q.canonical(), &edits));
+    }
+
+    #[test]
+    fn parsers_never_panic_on_mutated_shorthand(
+        seed in proptest::sample::select(SHORTHANDS.to_vec()),
+        edits in edits(),
+    ) {
+        parse_both(&mutate(seed, &edits));
+    }
+}
