@@ -12,8 +12,8 @@
 //! * **exit** — the normal-return node; `return` statements and the body's
 //!   fall-through both edge here.
 //! * **abort** — the early-error node; every statement containing a `?`
-//!   operator gets an edge here, so protocol obligations are excused on
-//!   error paths (a failed `send_nb(..)?` has nothing to wait for).
+//!   operator gets an edge here, so the facts at exit describe normal
+//!   returns only.
 //!
 //! Loops come in two shapes, selected per analysis:
 //!
@@ -21,10 +21,11 @@
 //!   what taint propagation needs (loop-carried facts flow around the back
 //!   edge).
 //! * [`LoopShape::ExactlyOnce`] models every loop body as executing once:
-//!   no back edge, no zero-trip bypass. Must-analyses over protocol
-//!   obligations use this shape, because "the matching `recv` lives in the
-//!   next loop" is correct pairing in every real caller, and the zero-trip
-//!   path would otherwise flag it. This trades a class of false positives
+//!   no back edge, no zero-trip bypass. The lock-order must-analysis
+//!   ([`crate::locks`]) uses this shape: a guard bound inside a loop body
+//!   is released at the end of each iteration, which its held-set facts do
+//!   not model, so a back edge would report the next iteration's
+//!   acquisition as a double-lock. This trades a class of false positives
 //!   for a (documented) class of false negatives — dessan's usual stance.
 //!
 //! Known approximations, all deliberate: struct literals and block
@@ -87,19 +88,6 @@ pub struct Cfg {
     /// First-token indices of statements whose value leaves the function:
     /// explicit `return expr` payloads and the body's tail expression.
     pub return_steps: BTreeSet<usize>,
-}
-
-impl Cfg {
-    /// Predecessor lists, computed from the successor edges.
-    pub fn preds(&self) -> Vec<Vec<usize>> {
-        let mut p = vec![Vec::new(); self.blocks.len()];
-        for (b, blk) in self.blocks.iter().enumerate() {
-            for &s in &blk.succs {
-                p[s].push(b);
-            }
-        }
-        p
-    }
 }
 
 /// The parsed statement tree, internal to the builder.
@@ -967,11 +955,10 @@ mod tests {
         check_well_formed(&cfg);
         // `loop` has no zero-trip edge: `after()` is only reachable via
         // the break edge.
-        let preds = cfg.preds();
         let after_blk = (0..cfg.blocks.len())
             .find(|&b| !cfg.blocks[b].steps.is_empty() && cfg.blocks[b].succs == vec![cfg.exit])
             .unwrap();
-        assert!(!preds[after_blk].is_empty());
+        assert!(cfg.blocks.iter().any(|b| b.succs.contains(&after_blk)));
     }
 
     #[test]

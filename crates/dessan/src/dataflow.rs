@@ -1,9 +1,8 @@
-//! A small worklist dataflow solver over [`crate::cfg::Cfg`].
+//! A small forward worklist dataflow solver over [`crate::cfg::Cfg`].
 //!
 //! Analyses define a join-semilattice of facts ([`Lattice`]) and a
 //! per-block transfer function; [`solve`] iterates to a fixpoint and
-//! returns the fact at each block's *input* edge (entry facts for forward
-//! analyses, exit facts for backward ones). The caller then replays the
+//! returns the fact on entry to each block. The caller then replays the
 //! transfer function inside interesting blocks to get per-step facts —
 //! this keeps the solver oblivious to step structure.
 //!
@@ -21,44 +20,23 @@ pub trait Lattice: Clone + PartialEq {
     fn join(&mut self, other: &Self) -> bool;
 }
 
-/// Direction of propagation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Dir {
-    /// Facts flow entry → exit along successor edges.
-    Forward,
-    /// Facts flow exit → entry along predecessor edges.
-    Backward,
-}
-
-/// Solve a dataflow problem to fixpoint.
+/// Solve a forward dataflow problem to fixpoint.
 ///
-/// * `boundary` — the fact at the boundary block's input (the entry block
-///   for [`Dir::Forward`], the exit block for [`Dir::Backward`]).
+/// * `boundary` — the fact on entry to the entry block.
 /// * `init` — the optimistic initial fact for every other block (⊥ for
 ///   may-analyses, ⊤ for must-analyses).
 /// * `transfer(block, input) -> output` — the per-block transfer function.
 ///
-/// Returns the *input* fact of every block: what holds on entry to the
-/// block for forward analyses, on exit from it for backward ones. Blocks
-/// unreachable in the chosen direction keep `init`.
-pub fn solve<F, T>(cfg: &Cfg, dir: Dir, boundary: F, init: F, mut transfer: T) -> Vec<F>
+/// Returns the fact on entry to every block, joined over its incoming
+/// edges. Blocks unreachable from entry keep `init`.
+pub fn solve<F, T>(cfg: &Cfg, boundary: F, init: F, mut transfer: T) -> Vec<F>
 where
     F: Lattice,
     T: FnMut(usize, &F) -> F,
 {
     let n = cfg.blocks.len();
-    // Edges in the direction of propagation.
-    let flows_to: Vec<Vec<usize>> = match dir {
-        Dir::Forward => cfg.blocks.iter().map(|b| b.succs.clone()).collect(),
-        Dir::Backward => cfg.preds(),
-    };
-    let boundary_block = match dir {
-        Dir::Forward => cfg.entry,
-        Dir::Backward => cfg.exit,
-    };
-
     let mut input: Vec<F> = vec![init; n];
-    input[boundary_block] = boundary;
+    input[cfg.entry] = boundary;
 
     let mut on_list = vec![false; n];
     let mut worklist: Vec<usize> = (0..n).collect();
@@ -77,7 +55,7 @@ where
         }
         fuel -= 1;
         let out = transfer(b, &input[b]);
-        for &next in &flows_to[b] {
+        for &next in &cfg.blocks[b].succs {
             if input[next].join(&out) && !on_list[next] {
                 on_list[next] = true;
                 worklist.push(next);
@@ -144,7 +122,6 @@ mod tests {
         // Mark each non-empty block with its own label; union them forward.
         let facts = solve(
             &cfg,
-            Dir::Forward,
             Union(BTreeSet::from(["start"])),
             Union::default(),
             |b, input| {
@@ -166,91 +143,19 @@ mod tests {
         // Gen a branch-specific fact in each branch block; the join keeps
         // only what BOTH paths establish.
         let branch_blocks: Vec<usize> = cfg.blocks[cfg.entry].succs.clone();
-        let facts = solve(
-            &cfg,
-            Dir::Forward,
-            Must(Some(BTreeSet::new())),
-            Must(None),
-            |b, input| {
-                let mut out = input.clone();
-                if let Some(s) = &mut out.0 {
-                    s.insert("always");
-                    if b == branch_blocks[0] {
-                        s.insert("left-only");
-                    }
+        let facts = solve(&cfg, Must(Some(BTreeSet::new())), Must(None), |b, input| {
+            let mut out = input.clone();
+            if let Some(s) = &mut out.0 {
+                s.insert("always");
+                if b == branch_blocks[0] {
+                    s.insert("left-only");
                 }
-                out
-            },
-        );
+            }
+            out
+        });
         let at_exit = facts[cfg.exit].0.as_ref().unwrap();
         assert!(at_exit.contains("always"));
         assert!(!at_exit.contains("left-only"));
-    }
-
-    #[test]
-    fn backward_must_requires_fact_on_all_paths() {
-        // recv() only in the then-branch: at entry, a backward must-
-        // analysis of "recv happens later" must NOT hold.
-        let src = "fn f(c: bool) { send(); if c { recv(); } tail(); }";
-        let (tokens, items) = parse_source(src);
-        let cfg = build(
-            src,
-            &tokens,
-            items.fns[0].body_tokens.clone(),
-            LoopShape::Natural,
-        );
-        let texts: Vec<String> = cfg
-            .blocks
-            .iter()
-            .map(|b| {
-                b.steps
-                    .iter()
-                    .map(|s| match s {
-                        crate::cfg::Step::Code(ts) => ts
-                            .iter()
-                            .map(|&t| tokens[t].text(src))
-                            .collect::<Vec<_>>()
-                            .join(" "),
-                        _ => String::new(),
-                    })
-                    .collect::<Vec<_>>()
-                    .join(";")
-            })
-            .collect();
-        let facts = solve(
-            &cfg,
-            Dir::Backward,
-            Must(Some(BTreeSet::new())),
-            Must(None),
-            |b, input| {
-                let mut out = input.clone();
-                if let Some(s) = &mut out.0 {
-                    if texts[b].contains("recv") {
-                        s.insert("recv-ahead");
-                    }
-                }
-                out
-            },
-        );
-        // facts[] for Backward = exit fact of each block. The entry
-        // block's exit is post-`send(); c` — recv is not on all paths.
-        assert!(!facts[cfg.entry]
-            .0
-            .as_ref()
-            .is_some_and(|s| s.contains("recv-ahead")));
-        // But the then-branch block itself does guarantee it.
-        let then_b = cfg.blocks[cfg.entry]
-            .succs
-            .iter()
-            .copied()
-            .find(|&b| texts[b].contains("recv"))
-            .unwrap();
-        // Input (exit-side) fact joined from inside: transfer adds it.
-        let mut inside = facts[then_b].clone();
-        if let Some(s) = &mut inside.0 {
-            s.insert("recv-ahead");
-        }
-        assert!(inside.0.unwrap().contains("recv-ahead"));
     }
 
     #[test]
@@ -286,7 +191,6 @@ mod tests {
         let body_blk = texts.iter().position(|t| t.contains("step")).unwrap();
         let facts = solve(
             &cfg,
-            Dir::Forward,
             Union(BTreeSet::new()),
             Union::default(),
             |b, input| {
@@ -315,7 +219,6 @@ mod tests {
         );
         let facts = solve(
             &cfg,
-            Dir::Forward,
             Union(BTreeSet::from(["live"])),
             Union::default(),
             |_, input| input.clone(),

@@ -8,8 +8,9 @@
 //!    rejects the hazard classes that can silently break the campaign's
 //!    bit-identical-output guarantee (wall-clock reads, unseeded RNG,
 //!    hash-ordered rendering, ambient env reads, unjustified `unsafe`,
-//!    panics in simulated runtimes, and allocations in or transitively
-//!    reachable from `// doebench::hot` functions). Run it with
+//!    panics in simulated runtimes, allocations in or transitively
+//!    reachable from `// doebench::hot` functions, and bare `f64`s
+//!    extracted in ns or s in the unit-bearing crates). Run it with
 //!    `cargo run --release -p dessan --bin dessan-lint` (add
 //!    `--format json` for machine-readable output); justified sites carry
 //!    in-source `dessan::allow(<rule>): <reason>` waivers next to the code
@@ -19,14 +20,15 @@
 //!    builder ([`cfg`]) and worklist solver ([`dataflow`]) powering
 //!    nondeterminism-taint tracking ([`taint`]: source→sink chains from
 //!    wall-clock/RNG/hash-order/env reads into event timestamps, table
-//!    cells, and FNV digests), units-flow checking ([`unitsflow`]: mixed
-//!    GB/GiB, ns/µs, byte arithmetic in the sim crates), and API-protocol
-//!    typestate checking ([`protocol`]: `send_nb`/wait pairing,
-//!    `event_record` before `stream_wait_event`, buffer annotation before
-//!    instrumented copies). A call-graph fixpoint layer adds
-//!    interprocedural effect summaries ([`effects`]: per-function effect
-//!    sets, read both by the transitive hot-path-alloc rule and by the
-//!    check of declared `// doebench::effects(...)` contracts),
+//!    cells, and FNV digests). Contracts the compiler or the sanitizer
+//!    already enforces get no lint: mixed units do not type-check
+//!    (`SimDuration`, the `doe_machines::units` newtypes), a `GpuEvent`
+//!    exists only once `event_record` has made it, and an unanswered
+//!    send or an unannotated racy copy is a `--check` finding. A
+//!    call-graph fixpoint layer adds interprocedural effect summaries
+//!    ([`effects`]: per-function effect sets, read both by the transitive
+//!    hot-path-alloc rule and by the check of declared
+//!    `// doebench::effects(...)` contracts),
 //!    lock-order/condvar protocol checking ([`locks`]: double-lock, global
 //!    acquisition-order cycles, guard-across-wait, wait-outside-loop), and
 //!    cache-key field-coverage proofs ([`keycov`]: every field of the key
@@ -51,9 +53,7 @@ pub mod keycov;
 pub mod lex;
 pub mod lint;
 pub mod locks;
-pub mod protocol;
 pub mod taint;
-pub mod unitsflow;
 pub mod vc;
 
 pub use checks::{

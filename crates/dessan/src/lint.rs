@@ -3,7 +3,7 @@
 //! Since dessan v2 this is a syntax-aware scan: files are tokenized by the
 //! hand-rolled lossless lexer ([`crate::lex`]), structured into fn/impl/
 //! test-region items with line spans ([`crate::items`]), and linked into a
-//! workspace call graph ([`crate::callgraph`]). Sixteen rule classes:
+//! workspace call graph ([`crate::callgraph`]). Thirteen rule classes:
 //!
 //! | id                        | hazard                                              |
 //! |---------------------------|-----------------------------------------------------|
@@ -13,27 +13,26 @@
 //! | `env-read`                | `std::env::var` outside `config`/`cli` modules      |
 //! | `unsafe-no-safety`        | `unsafe` without a nearby `// SAFETY:` comment      |
 //! | `unwrap-in-sim`           | `unwrap()`/`expect()` in sim-crate non-test code    |
+//! | `unit-extract`            | `.as_ns()`/`.as_secs()` in a unit-bearing crate     |
 //! | `hot-path-alloc`          | per-call allocation in a `doebench::hot` function   |
 //! | `hot-path-alloc-transitive` | allocation reachable from a hot fn via the call graph ([`crate::effects`]) |
 //! | `nondet-taint`            | nondeterministic value flows into an event time, table cell, or digest ([`crate::taint`]) |
-//! | `units-flow`              | mixed-unit arithmetic/comparison in the sim crates ([`crate::unitsflow`]) |
-//! | `protocol-send-wait`      | `send_nb` with no matching `recv`/wait on some path ([`crate::protocol`]) |
-//! | `protocol-event-order`    | `stream_wait_event` on an event not yet recorded    |
-//! | `protocol-buffer-annotate` | `memcpy_async` while launches have unannotated buffers |
 //! | `effect-contract`         | a fn's call closure violates its `doebench::effects(...)` contract ([`crate::effects`]) |
 //! | `lock-order`              | lock-order cycle, double-lock, or condvar protocol misuse ([`crate::locks`]) |
 //! | `key-coverage`            | a spec/query struct field missing from the canonical cache key ([`crate::keycov`]) |
 //!
-//! The first four rules, the taint sources and the effect scan share one
-//! hazard vocabulary, `HAZARDS`; each applies its own scoping.
-//! `nondet-taint` through `protocol-buffer-annotate` run on the dataflow
+//! The first four rules, `unit-extract`, the taint sources and the effect
+//! scan share one hazard vocabulary, `HAZARDS`; each applies its own
+//! scoping. `unit-extract` keeps every bare `f64` time in the unit-bearing
+//! crates in µs (`as_us`); mixing typed quantities is a compile error
+//! (`SimDuration`, `doe_machines::units`), so only the extraction to a
+//! non-canonical `f64` needs a rule. `nondet-taint` runs on the dataflow
 //! layer ([`crate::cfg`] + [`crate::dataflow`]) rather than on raw token
-//! sequences, so their findings are path-aware: a `send_nb` answered on
-//! every control-flow path is clean, and a taint finding carries its
-//! source→sink chain. `hot-path-alloc-transitive` and `effect-contract`
-//! read one interprocedural fixpoint over the call graph (the effect
-//! summaries), `lock-order` is a must-hold dataflow over guard bindings,
-//! and `key-coverage` a structural proof over struct definitions and the
+//! sequences, so its findings are path-aware and carry their source→sink
+//! chain. `hot-path-alloc-transitive` and `effect-contract` read one
+//! interprocedural fixpoint over the call graph (the effect summaries),
+//! `lock-order` is a must-hold dataflow over guard bindings, and
+//! `key-coverage` a structural proof over struct definitions and the
 //! canonical serialization functions.
 //!
 //! A function becomes hot by carrying a `doebench::hot` marker comment
@@ -62,6 +61,9 @@ const SIM_CRATES: [&str; 7] = [
     "simtime", "gpurt", "mpisim", "netsim", "ompsim", "gpusim", "memmodel",
 ];
 
+/// The crates whose arithmetic carries physical units (`unit-extract`).
+const UNIT_CRATES: [&str; 4] = ["memmodel", "simtime", "netsim", "machines"];
+
 /// A lint rule class.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Rule {
@@ -77,6 +79,9 @@ pub enum Rule {
     UnsafeNoSafety,
     /// `unwrap()`/`expect()` in sim-crate non-test code.
     UnwrapInSim,
+    /// A bare `f64` extracted in a unit other than µs (`.as_ns()`,
+    /// `.as_secs()`) in a unit-bearing crate.
+    UnitExtract,
     /// Per-call heap allocation inside a `doebench::hot` function.
     HotPathAlloc,
     /// Allocation reachable from a hot function through the call graph.
@@ -84,15 +89,6 @@ pub enum Rule {
     /// A nondeterministic value reaches an event time, table cell, or
     /// FNV digest (dataflow taint, source→sink chain attached).
     NondetTaint,
-    /// Mixed-unit arithmetic or comparison (µs vs ns, GB vs GiB, …).
-    UnitsFlow,
-    /// A `send_nb` that some path never answers with a recv/wait.
-    ProtocolSendWait,
-    /// `stream_wait_event` on an event with no prior `event_record`.
-    ProtocolEventOrder,
-    /// Instrumented `memcpy_async` while a launch's buffers are
-    /// unannotated.
-    ProtocolBufferAnnotate,
     /// A function's transitive call closure exhibits an effect its
     /// declared `doebench::effects(...)` contract forbids.
     EffectContract,
@@ -114,13 +110,10 @@ impl Rule {
             Rule::EnvRead => "env-read",
             Rule::UnsafeNoSafety => "unsafe-no-safety",
             Rule::UnwrapInSim => "unwrap-in-sim",
+            Rule::UnitExtract => "unit-extract",
             Rule::HotPathAlloc => "hot-path-alloc",
             Rule::HotPathAllocTransitive => "hot-path-alloc-transitive",
             Rule::NondetTaint => "nondet-taint",
-            Rule::UnitsFlow => "units-flow",
-            Rule::ProtocolSendWait => "protocol-send-wait",
-            Rule::ProtocolEventOrder => "protocol-event-order",
-            Rule::ProtocolBufferAnnotate => "protocol-buffer-annotate",
             Rule::EffectContract => "effect-contract",
             Rule::LockOrder => "lock-order",
             Rule::KeyCoverage => "key-coverage",
@@ -128,20 +121,17 @@ impl Rule {
     }
 
     /// Every rule, in report order.
-    pub const ALL: [Rule; 16] = [
+    pub const ALL: [Rule; 13] = [
         Rule::WallClock,
         Rule::AdHocRng,
         Rule::HashOrder,
         Rule::EnvRead,
         Rule::UnsafeNoSafety,
         Rule::UnwrapInSim,
+        Rule::UnitExtract,
         Rule::HotPathAlloc,
         Rule::HotPathAllocTransitive,
         Rule::NondetTaint,
-        Rule::UnitsFlow,
-        Rule::ProtocolSendWait,
-        Rule::ProtocolEventOrder,
-        Rule::ProtocolBufferAnnotate,
         Rule::EffectContract,
         Rule::LockOrder,
         Rule::KeyCoverage,
@@ -169,7 +159,7 @@ pub(crate) type Hazard = (Rule, &'static str, &'static [&'static str], bool);
 /// ([`crate::taint`]) and the direct effect scan ([`crate::effects`]), in
 /// reporting precedence: where several patterns of one rule start on a
 /// line, the first names the finding.
-pub(crate) const HAZARDS: [Hazard; 10] = [
+pub(crate) const HAZARDS: [Hazard; 12] = [
     (
         Rule::WallClock,
         "std::time::Instant",
@@ -205,6 +195,18 @@ pub(crate) const HAZARDS: [Hazard; 10] = [
     (Rule::EnvRead, "env::vars", &["env", ":", ":", "vars"], true),
     (Rule::HashOrder, "HashMap", &["HashMap"], false),
     (Rule::HashOrder, "HashSet", &["HashSet"], false),
+    (
+        Rule::UnitExtract,
+        ".as_ns()",
+        &[".", "as_ns", "(", ")"],
+        false,
+    ),
+    (
+        Rule::UnitExtract,
+        ".as_secs()",
+        &[".", "as_secs", "(", ")"],
+        false,
+    ),
 ];
 
 /// Does `name` name a hash container (iteration order unspecified)?
@@ -449,6 +451,7 @@ fn lint_parsed(file: &WsFile) -> Vec<LintFinding> {
     let krate = crate_of(path);
     let stem = stem_of(path);
     let in_sim_crate = SIM_CRATES.contains(&krate);
+    let in_unit_crate = UNIT_CRATES.contains(&krate);
     let env_exempt = krate == "cli" || matches!(stem, "config" | "env" | "cli");
     let output_path = is_output_path(path);
     let original_lines: Vec<&str> = src.lines().collect();
@@ -486,15 +489,18 @@ fn lint_parsed(file: &WsFile) -> Vec<LintFinding> {
         }
     };
 
-    // wall-clock, ad-hoc-rng, hash-order, env-read: the hazard table.
-    // Hash containers matter only where iteration order reaches rendered
-    // output; env reads belong in config/cli modules. One finding per
-    // rule and line, first pattern wins.
+    // wall-clock, ad-hoc-rng, hash-order, env-read, unit-extract: the
+    // hazard table. Hash containers matter only where iteration order
+    // reaches rendered output; env reads belong in config/cli modules;
+    // unit extractions matter in the unit-bearing crates, test regions
+    // included (a calibration assertion in ns is the same slip). One
+    // finding per rule and line, first pattern wins.
     let mut claimed = BTreeSet::new();
     for &(rule, disp, pattern, _) in &HAZARDS {
         let applies = match rule {
             Rule::HashOrder => output_path,
             Rule::EnvRead => !env_exempt,
+            Rule::UnitExtract => in_unit_crate,
             _ => true,
         };
         if !applies {
@@ -508,6 +514,7 @@ fn lint_parsed(file: &WsFile) -> Vec<LintFinding> {
                 Rule::WallClock => format!("wall-clock read `{disp}` breaks run-to-run determinism; use simulated time (`SimTime`) or waive native-measurement code with `// dessan::allow(wall-clock): <reason>`"),
                 Rule::AdHocRng => format!("unseeded randomness `{disp}`; derive a stream from `SimRng` instead"),
                 Rule::HashOrder => format!("`{disp}` in an output path; iteration order is unspecified — use `BTreeMap`/`BTreeSet` or sort explicitly"),
+                Rule::UnitExtract => format!("`{disp}` extracts a bare f64 in a non-canonical unit; f64 times here are µs (`as_us`) — compare `SimDuration`s or `doe_machines::units` values, or waive an output/conversion site with `// dessan::allow(unit-extract): <reason>`"),
                 _ => format!("environment read `{disp}` outside a config/cli module makes behaviour depend on ambient state"),
             };
             push(rule, line, message);
@@ -630,10 +637,8 @@ fn lint_workspace(ws: &[WsFile], timings: &mut Vec<(&'static str, Duration)>) ->
     let mut out = Vec::new();
     for file in ws {
         out.extend(lint_parsed(file));
-        out.extend(crate::unitsflow::findings(file));
-        out.extend(crate::protocol::findings(file));
     }
-    lap("per-file rules (token, units-flow, protocol)");
+    lap("per-file rules");
     let sums = crate::effects::summaries(ws);
     lap("effect summaries");
     out.extend(crate::effects::hot_alloc_findings(ws, &sums));
@@ -760,6 +765,16 @@ mod tests {
             vec![Rule::UnwrapInSim]
         );
         assert_eq!(rules_of("crates/core/src/table4.rs", src), vec![]);
+    }
+
+    #[test]
+    fn unit_extract_flagged_in_unit_crates_including_tests() {
+        let src = "fn f(d: SimDuration) -> f64 { d.as_ns() + d.as_us() }\n#[cfg(test)]\nmod tests {\n    fn t() { assert!(d().as_secs() > 0.0); }\n}\n";
+        assert_eq!(
+            rules_of("crates/netsim/src/fabric.rs", src),
+            vec![Rule::UnitExtract, Rule::UnitExtract]
+        );
+        assert_eq!(rules_of("crates/gpurt/src/runtime.rs", src), vec![]);
     }
 
     #[test]

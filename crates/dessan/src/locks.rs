@@ -40,7 +40,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{body_calls, Call, CallIndex, Node, Recv, WsFile};
 use crate::cfg::{self, LoopShape, Step};
-use crate::dataflow::{self, Dir, Lattice};
+use crate::dataflow::{self, Lattice};
 use crate::items::struct_defs;
 use crate::lex::TokKind;
 use crate::lint::{LintFinding, Rule};
@@ -482,12 +482,8 @@ pub fn findings(files: &[WsFile]) -> Vec<LintFinding> {
                 f.body_tokens.clone(),
                 LoopShape::ExactlyOnce,
             );
-            let facts = dataflow::solve(
-                &cfg,
-                Dir::Forward,
-                Held(Some(BTreeMap::new())),
-                Held(None),
-                |b, input| {
+            let facts =
+                dataflow::solve(&cfg, Held(Some(BTreeMap::new())), Held(None), |b, input| {
                     let mut held = match &input.0 {
                         Some(m) => m.clone(),
                         None => return input.clone(),
@@ -496,8 +492,7 @@ pub fn findings(files: &[WsFile]) -> Vec<LintFinding> {
                         exec_step(file, &resolver, caller, step, &mut held, None);
                     }
                     Held(Some(held))
-                },
-            );
+                });
             // Replay reachable blocks to collect events at exact lines.
             let mut events = Vec::new();
             for (b, block) in cfg.blocks.iter().enumerate() {

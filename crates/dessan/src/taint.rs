@@ -33,7 +33,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{body_calls, Call, CallIndex, Node, WsFile};
 use crate::cfg::{self, LoopShape, Step};
-use crate::dataflow::{solve, Dir, Lattice};
+use crate::dataflow::{solve, Lattice};
 use crate::lex::TokKind;
 use crate::lint::{is_hash_container, LintFinding, Rule, HAZARDS};
 
@@ -577,29 +577,23 @@ fn analyze_fn(
         node,
     };
     let mut sink_scratch = None;
-    let inputs = solve(
-        &cfg,
-        Dir::Forward,
-        Facts::default(),
-        Facts::default(),
-        |b, i| {
-            let mut facts = i.clone();
-            for step in &cfg.blocks[b].steps {
-                apply_step(
-                    &ctx,
-                    step,
-                    &mut facts,
-                    files,
-                    index,
-                    summaries,
-                    &cfg.return_steps,
-                    None,
-                    &mut sink_scratch,
-                );
-            }
-            facts
-        },
-    );
+    let inputs = solve(&cfg, Facts::default(), Facts::default(), |b, i| {
+        let mut facts = i.clone();
+        for step in &cfg.blocks[b].steps {
+            apply_step(
+                &ctx,
+                step,
+                &mut facts,
+                files,
+                index,
+                summaries,
+                &cfg.return_steps,
+                None,
+                &mut sink_scratch,
+            );
+        }
+        facts
+    });
 
     // Replay each block once with its solved input: collect sinks and the
     // return taint.

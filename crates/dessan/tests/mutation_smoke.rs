@@ -2,10 +2,9 @@
 //!
 //! Each seed takes a REAL workspace source file, verifies the pristine
 //! text carries no finding of the rule under test, applies a small
-//! mutation of the kind the rule exists to catch (drop a recv, reorder
-//! an event_record, strip a buffer annotation, break a unit conversion,
-//! render a wall-clock reading into a table cell, allocate in a hot fn),
-//! and asserts the mutant is flagged. This is the end-to-end guarantee
+//! mutation of the kind the rule exists to catch (break a unit
+//! conversion, render a wall-clock reading into a table cell, allocate in
+//! a hot fn, drop a key field), and asserts the mutant is flagged. This is the end-to-end guarantee
 //! that the checkers detect the bug classes they claim to — not just on
 //! fixtures, but on the actual code they gate. Every rule needs at least
 //! one seed.
@@ -82,25 +81,9 @@ const PINGPONG_ENTRY: &str =
     "let fast = self.checks.is_none() && self.mailboxes.iter().all(VecDeque::is_empty);";
 
 seeds! {
-    // `exchange` posts two nonblocking sends and collects both; deleting
-    // one recv leaves its partner send in flight forever.
-    dropped_recv_is_caught_by_send_wait: ProtocolSendWait in "crates/osu/src/collectives.rs",
-        "world.recv(a, b, bytes).expect(\"recv\");" => "";
-
-    // Swap the record and the wait: the cross-stream pipeline now waits
-    // on an event that has not been recorded yet.
-    reordered_event_record_is_caught_by_event_order: ProtocolEventOrder in "crates/gpurt/src/testkit.rs",
-        "let done = rt.event_record(&s1)?;\n    rt.stream_wait_event(&s2, &done)?;"
-        => "rt.stream_wait_event(&s2, &done)?;\n    let done = rt.event_record(&s1)?;";
-
-    // Without annotate_kernel_buffers between the launch and the copy,
-    // the race detector cannot attribute the copy's buffers.
-    stripped_annotation_is_caught_by_buffer_annotate: ProtocolBufferAnnotate in "crates/gpurt/src/testkit.rs",
-        "rt.annotate_kernel_buffers(&s1, &[], &[shared]);\n" => "";
-
     // The on-socket MPI calibration sums three µs components; extracting
     // one as ns silently skews the sum by 1000x.
-    broken_unit_conversion_is_caught_by_units_flow: UnitsFlow in "crates/machines/src/cpu.rs",
+    broken_unit_conversion_is_caught_by_unit_extract: UnitExtract in "crates/machines/src/cpu.rs",
         "+ m.mpi.shm_latency.as_us()" => "+ m.mpi.shm_latency.as_ns()";
 
     // Rendering a host-clock reading into a table cell makes the table

@@ -57,24 +57,23 @@ fn err(msg: impl Into<String>) -> HttpError {
     HttpError(msg.into())
 }
 
-/// Decode `%XX` escapes and `+` (form-style spaces).
+/// Decode `%XX` escapes and `+` (form-style spaces). An escape is `%`
+/// and exactly two ASCII hex digits; any other `%` stays literal.
 pub fn percent_decode(s: &str) -> String {
     let bytes = s.as_bytes();
+    let hex = |k: usize| bytes.get(k).and_then(|&b| char::from(b).to_digit(16));
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
         match bytes[i] {
             b'+' => out.push(b' '),
-            b'%' => {
-                let hex = bytes.get(i + 1..i + 3);
-                match hex.and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()) {
-                    Some(b) => {
-                        out.push(b);
-                        i += 2;
-                    }
-                    None => out.push(b'%'),
+            b'%' => match (hex(i + 1), hex(i + 2)) {
+                (Some(hi), Some(lo)) => {
+                    out.push((hi << 4 | lo) as u8);
+                    i += 2;
                 }
-            }
+                _ => out.push(b'%'),
+            },
             b => out.push(b),
         }
         i += 1;
@@ -118,8 +117,9 @@ fn read_line_within(
     Ok(n)
 }
 
-/// Read and parse one request from a stream.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
+/// Read and parse one request from a stream. Never panics: malformed or
+/// oversized input, or a failed read, is an [`HttpError`].
+pub fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     let mut budget = MAX_HEADER_BYTES;
@@ -267,6 +267,8 @@ impl<'a> Response<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::{collection, sample};
 
     #[test]
     fn percent_roundtrip() {
@@ -276,5 +278,85 @@ mod tests {
         assert_eq!(percent_decode(&enc), raw);
         assert_eq!(percent_decode("a+b%20c"), "a b c");
         assert_eq!(percent_decode("100%"), "100%");
+        // An escape needs exactly two hex digits: a sign is not one (the
+        // `+` then decodes as a space), and a short or non-hex tail stays
+        // literal.
+        assert_eq!(percent_decode("%+f"), "% f");
+        assert_eq!(percent_decode("%2"), "%2");
+        assert_eq!(percent_decode("%zz"), "%zz");
+    }
+
+    /// Well-formed requests the mutation fuzzer starts from.
+    const REQUESTS: &[&str] = &[
+        "GET /query?q=table4%40paper&format=json HTTP/1.1\r\nHost: x\r\n\r\n",
+        "GET /healthz HTTP/1.0\r\n\r\n",
+        "POST /query HTTP/1.1\r\nContent-Length: 6\r\nX-A: b\r\n\r\ntable5",
+        "POST /shutdown HTTP/1.1\r\ncontent-length: 0\r\n\r\n",
+    ];
+
+    /// Apply `(op, at, byte)` edits: overwrite, insert, delete, truncate.
+    fn mutate(seed: &str, edits: &[(u8, usize, u8)]) -> Vec<u8> {
+        let mut bytes = seed.as_bytes().to_vec();
+        for &(op, at, b) in edits {
+            let at = at % (bytes.len() + 1);
+            match op {
+                0 if at < bytes.len() => bytes[at] = b,
+                1 => bytes.insert(at, b),
+                2 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ => bytes.truncate(at),
+            }
+        }
+        bytes
+    }
+
+    #[test]
+    fn seed_requests_parse() {
+        for seed in REQUESTS {
+            let req = read_request(&mut seed.as_bytes()).expect(seed);
+            assert!(req.path.starts_with('/'), "{seed:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in collection::vec(any::<u8>(), 0..512)) {
+            if let Ok(req) = read_request(&mut &bytes[..]) {
+                prop_assert!(req.body.len() <= MAX_BODY_BYTES);
+            }
+        }
+
+        #[test]
+        fn mutated_requests_never_panic(
+            seed in sample::select(REQUESTS.to_vec()),
+            edits in collection::vec((0u8..4, any::<usize>(), any::<u8>()), 1..8),
+        ) {
+            if let Ok(req) = read_request(&mut &mutate(seed, &edits)[..]) {
+                prop_assert!(req.body.len() <= MAX_BODY_BYTES);
+            }
+        }
+
+        #[test]
+        fn a_line_past_the_header_budget_is_an_error(
+            prefix in sample::select(vec!["", "GET / HTTP/1.1\r\n"]),
+            len in MAX_HEADER_BYTES..MAX_HEADER_BYTES + 4096,
+            fill in any::<u8>(),
+        ) {
+            let fill = if fill == b'\n' { b'a' } else { fill };
+            let mut bytes = prefix.as_bytes().to_vec();
+            bytes.resize(prefix.len() + len, fill);
+            prop_assert!(read_request(&mut &bytes[..]).is_err());
+        }
+
+        #[test]
+        fn percent_decode_inverts_percent_encode(
+            chars in collection::vec(prop_oneof![0u32..0x80, 0u32..0x11_0000], 0..24),
+        ) {
+            let s: String = chars.into_iter().filter_map(char::from_u32).collect();
+            prop_assert_eq!(percent_decode(&percent_encode(&s)), s);
+        }
     }
 }

@@ -893,6 +893,42 @@ impl GpuRuntime {
     /// Make everything subsequently enqueued on `s` wait for `e`
     /// (cf. `cudaStreamWaitEvent`) — the cross-stream dependency
     /// primitive pipelined benchmarks build on. Costs nothing on the host.
+    ///
+    /// Only [`GpuRuntime::event_record`] makes a [`GpuEvent`], so a wait
+    /// always follows its record:
+    ///
+    /// ```
+    /// # use doe_gpurt::testkit;
+    /// # let mut rt = testkit::single_gpu_runtime();
+    /// # let dev = rt.current_device();
+    /// # let (s1, s2) = (rt.create_stream(dev).unwrap(), rt.create_stream(dev).unwrap());
+    /// let done = rt.event_record(&s1).unwrap();
+    /// rt.stream_wait_event(&s2, &done).unwrap();
+    /// ```
+    ///
+    /// Waiting before the record does not compile:
+    ///
+    /// ```compile_fail
+    /// # use doe_gpurt::testkit;
+    /// # let mut rt = testkit::single_gpu_runtime();
+    /// # let dev = rt.current_device();
+    /// # let (s1, s2) = (rt.create_stream(dev).unwrap(), rt.create_stream(dev).unwrap());
+    /// rt.stream_wait_event(&s2, &done).unwrap();
+    /// let done = rt.event_record(&s1).unwrap();
+    /// ```
+    ///
+    /// Nor does an event built by hand, whose fields are private:
+    ///
+    /// ```compile_fail
+    /// # use doe_gpurt::testkit;
+    /// # use doe_gpurt::runtime::GpuEvent;
+    /// # use doe_simtime::SimTime;
+    /// # let mut rt = testkit::single_gpu_runtime();
+    /// # let dev = rt.current_device();
+    /// # let s2 = rt.create_stream(dev).unwrap();
+    /// let done = GpuEvent { completes_at: SimTime::ZERO, id: 0 };
+    /// rt.stream_wait_event(&s2, &done).unwrap();
+    /// ```
     pub fn stream_wait_event(&mut self, s: &StreamHandle, e: &GpuEvent) -> Result<(), GpuError> {
         let at = e.completes_at;
         self.engine(s)?.occupy_until(at);

@@ -11,6 +11,34 @@
 //! (`dessan-model`) routes every comparison through them, and
 //! [`CitedPeak`] parses the paper's "Peak" column cells (`"1600 [4]"`,
 //! `"> 450 [34]"`, `"-"`) into comparable values instead of strings.
+//!
+//! Mixing units is a compile error. Decimal against binary bandwidth:
+//!
+//! ```compile_fail
+//! use doe_machines::units::{GbPerS, GibPerS};
+//! let _ = GbPerS(1600.0) >= GibPerS(1490.0);
+//! ```
+//!
+//! Microseconds against nanoseconds:
+//!
+//! ```compile_fail
+//! use doe_machines::units::{Micros, Nanos};
+//! let _ = Micros(0.5) < Nanos(400.0);
+//! ```
+//!
+//! The same comparisons compile once both sides carry one unit, which is
+//! what keeps the two blocks above failing for the unit mix alone:
+//!
+//! ```
+//! use doe_machines::units::{GbPerS, GibPerS, Micros, Nanos};
+//! assert!(GbPerS(1600.0) >= GibPerS(1490.0).to_gb_per_s());
+//! assert!(Micros(0.5) > Nanos(400.0).to_micros());
+//! ```
+//!
+//! Leaving the types for a bare `f64` goes through `as_us()`: `dessan`'s
+//! `unit-extract` rule flags `.as_ns()` and `.as_secs()` in this crate,
+//! `memmodel`, `simtime` and `netsim`, so every bare `f64` time there is
+//! in µs.
 
 use doe_simtime::SimDuration;
 
@@ -67,6 +95,7 @@ pub struct Nanos(pub f64);
 impl Nanos {
     /// Tag a simulated duration with this unit.
     pub fn from_sim(d: SimDuration) -> Nanos {
+        // dessan::allow(unit-extract): the one conversion into the typed ns quantity.
         Nanos(d.as_ns())
     }
 

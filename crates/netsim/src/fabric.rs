@@ -186,8 +186,7 @@ mod tests {
         let f = fabric();
         let p = f.path(NodeId(0), NodeId(1)).expect("path");
         assert!(!p.crosses_global);
-        let want = 2.0 * 350.0 + 150.0;
-        assert!((p.latency.as_ns() - want).abs() < 1e-6);
+        assert_eq!(p.latency, SimDuration::from_ns(2.0 * 350.0 + 150.0));
     }
 
     #[test]

@@ -85,7 +85,7 @@ mod tests {
             42
         });
         assert_eq!(val, 42);
-        assert_eq!(dt.as_ns(), 250.0);
+        assert_eq!(dt, SimDuration::from_ns(250.0));
     }
 
     #[test]
