@@ -44,7 +44,7 @@ pub fn run_sim_gpu(
     let dev = topo.devices[0].id;
     // Unjittered kernel times on device 0, one row of ops per size: they
     // depend on the cell, not the rep. The runtime applies the rep's run
-    // factor at each launch, exactly as `launch_stream_op` would.
+    // factor to each train, exactly as `launch_stream_op` would.
     let model = models.get(dev.index()).expect("one GpuModel per device");
     let kernel_times: Vec<[SimDuration; StreamOp::ALL.len()]> = sizes
         .iter()
@@ -69,9 +69,8 @@ pub fn run_sim_gpu(
             let mut best_at_size = 0.0f64;
             for (&op, &t) in StreamOp::ALL.iter().zip(times) {
                 let t0 = rt.now();
-                for _ in 0..cfg.inner_iters {
-                    rt.launch_kernel(&stream, t).expect("launch");
-                }
+                rt.launch_train(&stream, t, u64::from(cfg.inner_iters))
+                    .expect("launch");
                 rt.stream_synchronize(&stream).expect("sync");
                 let elapsed = rt.now().since(t0);
                 let bytes = op.reported_bytes(n) * cfg.inner_iters as u64;

@@ -32,7 +32,7 @@ pub fn launch_latency(
             // Drain the queue before each batch so queue pressure from a
             // previous (shorter) probe batch never bleeds into this one.
             rt.device_synchronize().expect("sync");
-            rt.repeat(n, |rt| rt.launch_empty(&stream)).expect("launch")
+            rt.launch_empty_train(&stream, n).expect("launch")
         });
         rt.device_synchronize().expect("final sync");
         per.as_us()

@@ -237,6 +237,44 @@ impl OverrideField {
         }
     }
 
+    /// The values an override of this field accepts, `[lo, hi]` in the
+    /// unit given.
+    ///
+    /// Any mix of in-range overrides runs every table at both profiles
+    /// without overflowing the picosecond clock. The slowest host memory
+    /// they allow is 0.1 GB/s at 0.1 efficiency, slowed 5× by a 4σ run
+    /// factor at 0.2 jitter: 2e-3 GB/s, and 1e-3 GB/s still runs the
+    /// paper profile where 1e-4 GB/s overflows it. A duration of 1e6 µs
+    /// runs; 1e13 µs overflows at any profile.
+    pub fn range(self) -> (f64, f64, &'static str) {
+        match self {
+            OverrideField::HostPeakBwGbS
+            | OverrideField::HostPerCoreBwGbS
+            | OverrideField::GpuPeakBwGbS => (0.1, 1e6, " GB/s"),
+            OverrideField::HostSustainedEff => (0.1, 1.0, ""),
+            OverrideField::HostStreamJitterRel => (0.0, 0.2, ""),
+            OverrideField::MpiShmLatencyUs
+            | OverrideField::MpiSendOverheadUs
+            | OverrideField::MpiRecvOverheadUs
+            | OverrideField::GpuLaunchUs
+            | OverrideField::GpuSyncUs => (0.0, 1e6, " us"),
+        }
+    }
+
+    /// `value` if it lies in [`Self::range`], else an error that names
+    /// the field and its range. NaN and the infinities lie in no range.
+    fn check(self, value: f64) -> Result<f64, QueryError> {
+        let (lo, hi, unit) = self.range();
+        if (lo..=hi).contains(&value) {
+            // `-0.0 + 0.0` is `+0.0`: one zero, so one cache key.
+            return Ok(value + 0.0);
+        }
+        Err(QueryError::new(format!(
+            "override {} = {value} is out of range [{lo}, {hi}]{unit}",
+            self.as_str()
+        )))
+    }
+
     fn from_str(s: &str) -> Result<Self, QueryError> {
         OverrideField::ALL
             .into_iter()
@@ -287,8 +325,21 @@ pub struct SpecOverride {
     pub machine: String,
     /// Which knob.
     pub field: OverrideField,
-    /// New value (units per [`OverrideField`] docs). Must be finite.
+    /// New value (units per [`OverrideField`] docs), within the field's
+    /// range (DESIGN.md §14.1).
     pub value: f64,
+}
+
+impl SpecOverride {
+    /// The override both parsers build: the machine in its catalog
+    /// spelling and the value checked against the field's range.
+    fn parsed(machine: &str, field: OverrideField, value: f64) -> Result<Self, QueryError> {
+        Ok(SpecOverride {
+            machine: catalog_machine(machine)?.name.to_string(),
+            field,
+            value: field.check(value)?,
+        })
+    }
 }
 
 /// Parameters shared by every query variant.
@@ -584,14 +635,7 @@ fn parse_override(spec: &str) -> Result<SpecOverride, QueryError> {
     let value: f64 = value
         .parse()
         .map_err(|_| QueryError::new(format!("bad override value in '{spec}'")))?;
-    if !value.is_finite() {
-        return Err(QueryError::new("override value must be finite"));
-    }
-    Ok(SpecOverride {
-        machine: catalog_machine(machine)?.name.to_string(),
-        field: OverrideField::from_str(field)?,
-        value,
-    })
+    SpecOverride::parsed(machine, OverrideField::from_str(field)?, value)
 }
 
 fn parse_params(v: &Json) -> Result<QueryParams, QueryError> {
@@ -634,14 +678,7 @@ fn parse_params(v: &Json) -> Result<QueryParams, QueryError> {
                 .get("value")
                 .and_then(Json::as_f64)
                 .ok_or_else(|| QueryError::new("override needs a numeric 'value'"))?;
-            if !value.is_finite() {
-                return Err(QueryError::new("override value must be finite"));
-            }
-            overrides.push(SpecOverride {
-                machine: catalog_machine(machine)?.name.to_string(),
-                field,
-                value,
-            });
+            overrides.push(SpecOverride::parsed(machine, field, value)?);
         }
     }
     Ok(QueryParams {
@@ -1350,6 +1387,61 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.0.contains("unknown machine: Nosuch"), "{e}");
+    }
+
+    /// Parse one override both ways: as a shorthand `set` and in JSON.
+    fn parse_both(machine: &str, field: OverrideField, value: f64) -> [Result<f64, QueryError>; 2] {
+        let name = field.as_str();
+        let value_of = |q: Query| q.params().overrides[0].value;
+        [
+            Query::parse_shorthand(&format!("table4 set {machine}.{name}={value:?}")).map(value_of),
+            Query::parse(&format!(
+                r#"{{"kind":"suite","overrides":[{{"machine":"{machine}","field":"{name}","value":{value:e}}}]}}"#
+            ))
+            .map(value_of),
+        ]
+    }
+
+    #[test]
+    fn override_values_are_checked_at_each_bound() {
+        for field in OverrideField::ALL {
+            let (lo, hi, _) = field.range();
+            let machine = "Frontier";
+            // The bounds themselves, and a value just past each one.
+            let accepted = [lo, (lo + hi) / 2.0, hi];
+            let rejected = [lo - lo.abs().max(1.0) * 1e-9, hi + hi * 1e-9];
+            for v in accepted {
+                for got in parse_both(machine, field, v) {
+                    assert_eq!(got.unwrap(), v, "{} = {v} is in range", field.as_str());
+                }
+            }
+            for v in rejected {
+                for got in parse_both(machine, field, v) {
+                    let e = got.expect_err("out of range");
+                    assert!(e.0.contains(field.as_str()), "{e}");
+                    assert!(e.0.contains("out of range"), "{e}");
+                }
+            }
+        }
+        // The cases that once panicked inside a cell or answered nonsense.
+        for q in [
+            "table6 Frontier set Frontier.gpu_launch_us=1e13",
+            "table4 Eagle set Eagle.mpi_shm_latency_us=1e13",
+            "table4 Eagle set Eagle.host_peak_bw_gb_s=0",
+            "table4 Eagle set Eagle.host_peak_bw_gb_s=-3",
+            "table4 Eagle set Eagle.mpi_shm_latency_us=-1",
+            "table4 Eagle set Eagle.host_peak_bw_gb_s=inf",
+            "table4 Eagle set Eagle.host_sustained_efficiency=NaN",
+        ] {
+            assert!(Query::parse_shorthand(q).is_err(), "{q}");
+        }
+        // Both zeros are one value, so one cache key.
+        let key = |v: &str| {
+            Query::parse_shorthand(&format!("table4 set Eagle.mpi_shm_latency_us={v}"))
+                .unwrap()
+                .canonical()
+        };
+        assert_eq!(key("-0"), key("0"));
     }
 
     #[test]

@@ -79,6 +79,39 @@ fn bad_queries_are_400() {
     server.stop();
 }
 
+/// An override outside its field's range is a bad request, not a cell
+/// that panics (a 500) or a nonsense answer (a 200), and the daemon goes
+/// on answering.
+#[test]
+fn out_of_range_overrides_are_400() {
+    let (mut server, addr) = start();
+    for bad in [
+        "table6 Frontier set Frontier.gpu_launch_us=1e13",
+        "table4 Eagle set Eagle.mpi_shm_latency_us=1e13",
+        "table4 Eagle set Eagle.host_peak_bw_gb_s=0",
+        "table4 Eagle set Eagle.mpi_shm_latency_us=-1",
+    ] {
+        let r = client::query_shorthand(&addr, bad, "ascii").unwrap();
+        assert_eq!(r.status, 400, "{bad}: {}", r.text());
+        assert!(r.text().contains("out of range"), "{bad}: {}", r.text());
+        let ok = client::query_shorthand(&addr, "table4 Eagle", "ascii").unwrap();
+        assert_eq!(ok.status, 200, "after {bad}");
+    }
+    let r = client::query_json(
+        &addr,
+        r#"{"kind":"suite","overrides":[{"machine":"Eagle","field":"host_sustained_efficiency","value":0}]}"#,
+        "ascii",
+    )
+    .unwrap();
+    assert_eq!(r.status, 400);
+    assert!(
+        r.text().contains("host_sustained_efficiency"),
+        "{}",
+        r.text()
+    );
+    server.stop();
+}
+
 #[test]
 fn concurrent_identical_queries_execute_once() {
     let (mut server, addr) = start();

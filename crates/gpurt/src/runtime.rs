@@ -635,20 +635,7 @@ impl GpuRuntime {
     /// Launch an empty zero-argument kernel (Comm|Scope `cudart_kernel`).
     /// The host pays only the submission cost; execution is asynchronous.
     pub fn launch_empty(&mut self, s: &StreamHandle) -> Result<(), GpuError> {
-        let DriverCosts {
-            launch,
-            empty_kernel: body,
-            ..
-        } = self.driver(s.device)?;
-        let now = self.clock.advance(launch);
-        let (start, _end) = self.engine(s)?.enqueue(now, body);
-        if self.trace.is_some() {
-            self.trace_kernel("empty kernel", s, start, body);
-        }
-        if let Some(ch) = &mut self.checks {
-            ch.submit((s.device.index(), s.idx));
-        }
-        Ok(())
+        self.launch_empty_train(s, 1).map(drop)
     }
 
     /// Launch a kernel with a caller-computed device-side duration.
@@ -657,17 +644,70 @@ impl GpuRuntime {
         s: &StreamHandle,
         device_time: SimDuration,
     ) -> Result<(), GpuError> {
-        let launch = self.driver(s.device)?.launch;
-        let now = self.clock.advance(launch);
+        self.launch_train(s, device_time, 1).map(drop)
+    }
+
+    /// Launch `n` empty kernels back to back on `s`, as `n`
+    /// [`Self::launch_empty`] calls would, and return the time that passed
+    /// on the host clock. See [`Self::launch_train`].
+    pub fn launch_empty_train(
+        &mut self,
+        s: &StreamHandle,
+        n: u64,
+    ) -> Result<SimDuration, GpuError> {
+        let body = self.driver(s.device)?.empty_kernel;
+        self.train(s, body, n, "empty kernel")
+    }
+
+    /// Launch `n` kernels of `device_time` back to back on `s`, as `n`
+    /// [`Self::launch_kernel`] calls would, and return the time that
+    /// passed on the host clock.
+    ///
+    /// The result and the runtime it leaves are bit-identical to the plain
+    /// loop, in O(1): the launch cost `L` and the run time `B` (already
+    /// scaled by the run factor) are fixed within a runtime, so the host
+    /// clock moves by `n·L` and the stream tail becomes
+    /// `max(tail₀ + n·B, now₀ + L + n·B, now₀ + n·L + B)`
+    /// ([`Engine::enqueue_train`], DESIGN.md §3). Under checks or tracing
+    /// the train runs launch by launch, so every vector clock ticks and
+    /// every span is recorded.
+    // doebench::hot
+    pub fn launch_train(
+        &mut self,
+        s: &StreamHandle,
+        device_time: SimDuration,
+        n: u64,
+    ) -> Result<SimDuration, GpuError> {
         let body = self.jittered(device_time);
-        let (start, _end) = self.engine(s)?.enqueue(now, body);
-        if self.trace.is_some() {
-            self.trace_kernel("kernel", s, start, body);
+        self.train(s, body, n, "kernel")
+    }
+
+    /// `n` launches of a kernel that runs `body` on the device.
+    fn train(
+        &mut self,
+        s: &StreamHandle,
+        body: SimDuration,
+        n: u64,
+        name: &'static str,
+    ) -> Result<SimDuration, GpuError> {
+        let launch = self.driver(s.device)?.launch;
+        let i = self.stream_index(s)?;
+        let t0 = self.clock.now();
+        if self.checks.is_none() && self.trace.is_none() {
+            self.streams[i].enqueue_train(t0 + launch, launch, body, n);
+            return Ok(self.clock.advance(launch * n).since(t0));
         }
-        if let Some(ch) = &mut self.checks {
-            ch.submit((s.device.index(), s.idx));
+        for _ in 0..n {
+            let now = self.clock.advance(launch);
+            let (start, _end) = self.streams[i].enqueue(now, body);
+            if self.trace.is_some() {
+                self.trace_kernel(name, s, start, body);
+            }
+            if let Some(ch) = &mut self.checks {
+                ch.submit((s.device.index(), s.idx));
+            }
         }
-        Ok(())
+        Ok(self.clock.now().since(t0))
     }
 
     /// Launch one BabelStream kernel over `n` f64 elements.

@@ -28,6 +28,32 @@ impl Engine {
         (start, end)
     }
 
+    /// Enqueue `n` commands of `duration` each, the `i`-th (from 1)
+    /// submitted at `first + (i − 1)·interval`: the same tail as `n`
+    /// [`Self::enqueue`] calls, in O(1). Returns the new tail.
+    ///
+    /// Each command's start is `max(tail, submit)`. The gap `tail − submit`
+    /// changes by `duration − interval` per command while the engine is
+    /// busy and resets to `duration` after an idle start, so the `max`
+    /// switches sides at most once and the tail after `n` is the largest
+    /// of three chains: all back to back from the old tail, all back to
+    /// back from the first submission, or the last submission plus one
+    /// command. Integer picoseconds throughout, so the result is exact.
+    pub fn enqueue_train(
+        &mut self,
+        first: SimTime,
+        interval: SimDuration,
+        duration: SimDuration,
+        n: u64,
+    ) -> SimTime {
+        if n > 0 {
+            let run = duration * n;
+            let last = first + interval * (n - 1) + duration;
+            self.busy_until = (self.busy_until + run).max(first + run).max(last);
+        }
+        self.busy_until
+    }
+
     /// The instant the queue drains (equals a past instant when idle).
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
@@ -94,6 +120,31 @@ mod tests {
                 last_end = end;
             }
             prop_assert_eq!(e.busy_until(), last_end);
+        }
+
+        /// A train equals its `n` single enqueues, from an idle, exactly
+        /// drained or busy tail.
+        #[test]
+        fn prop_train_matches_enqueues(
+            tail in 0u64..2_000_000,
+            first in 0u64..2_000_000,
+            interval in 0u64..5_000,
+            duration in 0u64..5_000,
+            n in 0u64..300,
+        ) {
+            let first = SimTime::ZERO + SimDuration::from_ps(first);
+            let (interval, duration) = (SimDuration::from_ps(interval), SimDuration::from_ps(duration));
+            let mut one = Engine::new();
+            one.occupy_until(SimTime::ZERO + SimDuration::from_ps(tail));
+            let mut train = one.clone();
+            let mut at = first;
+            for i in 0..n {
+                if i > 0 {
+                    at += interval;
+                }
+                one.enqueue(at, duration);
+            }
+            prop_assert_eq!(train.enqueue_train(first, interval, duration, n), one.busy_until());
         }
     }
 }

@@ -255,6 +255,35 @@ fn gpurt_repeat_phase(checks: bool) -> u64 {
     delta
 }
 
+/// `GpuRuntime::launch_train` and `launch_empty_train` in the BabelStream
+/// and Comm|Scope shapes (a train, then a stream sync): the closed form
+/// touches only the clock and one stream tail, and under --check, where
+/// every launch runs one by one, the warm stream clock takes every tick
+/// in place.
+fn gpurt_launch_train_phase(checks: bool) -> u64 {
+    let mut rt = dual_gpu_runtime();
+    if checks {
+        rt.enable_checks();
+    }
+    let s = rt.default_stream(DeviceId(0)).expect("stream");
+    let kernel = SimDuration::from_us(3.0);
+    let batch = |rt: &mut GpuRuntime, n: u64| {
+        rt.launch_train(&s, kernel, n).expect("kernel train");
+        rt.stream_synchronize(&s).expect("sync");
+        rt.launch_empty_train(&s, n).expect("empty train");
+        rt.stream_synchronize(&s).expect("sync");
+    };
+    // Warm-up: the stream engine and (under --check) the stream clock.
+    batch(&mut rt, 8);
+    let delta = alloc_delta(|| {
+        for _ in 0..20 {
+            batch(&mut rt, 1_000);
+        }
+    });
+    assert!(rt.check_findings().is_empty(), "trains must be clean");
+    delta
+}
+
 /// `NodeTopology::route_costs` over every ordered vertex pair of every
 /// catalog topology: once a topology's table is filled, a lookup is an
 /// index into it.
@@ -344,6 +373,11 @@ fn steady_state_hot_paths_allocate_nothing() {
         (
             "gpurt repeat (op by op) under --check",
             gpurt_repeat_phase(true),
+        ),
+        ("gpurt launch train", gpurt_launch_train_phase(false)),
+        (
+            "gpurt launch train (launch by launch) under --check",
+            gpurt_launch_train_phase(true),
         ),
         ("route table lookups", route_table_phase()),
         ("batch gaussian fill", noise_phase()),

@@ -82,6 +82,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("table6@paper", 0x7596fe53ee1fc992),
     ("table4@paper", 0xdae9f202e9ac433b),
     ("table5@paper", 0xfbf92ec4c39d991d),
+    ("table5@paper seed=2", 0x536b51934ec3f944),
+    ("table6@paper seed=2", 0x033fbc30cce14a2a),
 ];
 
 /// (shorthand query, FNV-1a 64 of its ASCII, Markdown and CSV bodies).

@@ -14,8 +14,8 @@
 
 use doe_simtime::SimDuration;
 use doebench::query::{
-    machine_digest, plan, MachineSel, OverrideField, Profile, Query, QueryParams, SpecOverride,
-    TableId,
+    machine_digest, plan, run_query, MachineSel, OverrideField, Profile, Query, QueryParams,
+    SpecOverride, TableId,
 };
 use proptest::prelude::*;
 
@@ -422,5 +422,60 @@ proptest! {
         edits in edits(),
     ) {
         parse_both(&mutate(seed, &edits));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Override ranges
+// ---------------------------------------------------------------------
+
+/// A quick one-machine table with up to four in-range overrides on that
+/// machine, each at a bound or uniform in between: a CPU machine's
+/// Table 4 row takes host and MPI fields, a GPU machine's Table 5 or 6
+/// row any field.
+fn in_range_query() -> impl Strategy<Value = String> {
+    let fields = proptest::collection::vec(
+        (
+            proptest::sample::select(OverrideField::ALL.to_vec()),
+            0u8..4,
+            0.0f64..1.0,
+        ),
+        1..5,
+    );
+    (any::<bool>(), any::<usize>(), 0u8..2, fields).prop_map(|(gpu, pick, table, fields)| {
+        let (machine, table) = if gpu {
+            (
+                GPU_NAMES[pick % GPU_NAMES.len()],
+                ["table5", "table6"][table as usize],
+            )
+        } else {
+            (CPU_NAMES[pick % CPU_NAMES.len()], "table4")
+        };
+        let mut q = format!("{table} {machine}");
+        for (field, at, frac) in fields {
+            if !gpu && field.as_str().starts_with("gpu_") {
+                continue;
+            }
+            let (lo, hi, _) = field.range();
+            let value = match at {
+                0 => lo,
+                1 => hi,
+                _ => lo + (hi - lo) * frac,
+            };
+            q.push_str(&format!(" set {machine}.{}={value:?}", field.as_str()));
+        }
+        q
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Whatever the parsers accept runs: no in-range override overflows
+    /// a cell's clock or otherwise panics.
+    #[test]
+    fn in_range_overrides_run(shorthand in in_range_query()) {
+        let q = Query::parse_shorthand(&shorthand).expect("in-range override parses");
+        run_query(&q).expect("in-range override runs");
     }
 }
