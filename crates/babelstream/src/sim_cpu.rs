@@ -1,8 +1,8 @@
 //! The simulated-CPU backend: Table 4's "Memory Bandwidth" columns.
 //!
 //! Per "binary run", the campaign sweeps vector sizes and the Table 1
-//! `OMP_*` combinations, times `inner_iters` repeats of each kernel on the
-//! virtual clock, and reports the best single-thread and best all-thread
+//! `OMP_*` combinations, times `inner_iters` repeats of each kernel, and
+//! reports the best single-thread and best all-thread
 //! bandwidth at the largest size — exactly the paper's selection rule
 //! ("the highest single and multicore memory bandwidth … chosen over all
 //! the possible BabelStream operations for the largest vector size").
@@ -13,7 +13,7 @@
 use doe_benchlib::{parallel_map_indexed, Samples, Summary};
 use doe_memmodel::{MemDomainModel, PlacementQuality, StreamOp};
 use doe_omp::{resolve_placement, EnvCombo};
-use doe_simtime::{Clock, Jitter, SimDuration, SimRng};
+use doe_simtime::{Jitter, SimDuration, SimRng};
 use doe_topo::NodeTopology;
 
 use crate::config::SweepConfig;
@@ -32,13 +32,10 @@ pub struct CpuStreamReport {
     /// Best all-thread bandwidth per vector size (final run) — the size
     /// sweep of Appendix B.2.
     pub curve: Vec<(u64, f64)>,
-    /// Total virtual time the final run's campaign took.
-    pub campaign_time: SimDuration,
 }
 
-/// Final-run bookkeeping: winning op/combo, the size curve, and the
-/// campaign's virtual duration.
-type LastRun = (StreamOp, EnvCombo, Vec<(u64, f64)>, SimDuration);
+/// Final-run bookkeeping: winning op/combo and the size curve.
+type LastRun = (StreamOp, EnvCombo, Vec<(u64, f64)>);
 
 /// Run the campaign against a simulated host memory system.
 pub fn run_sim_cpu(
@@ -68,13 +65,12 @@ pub fn run_sim_cpu(
         .collect();
     let largest = *sizes.last().expect("nonempty sizes");
 
-    // Each rep derives its own RNG and clock from the rep index, so reps
+    // Each rep derives its own RNG from the rep index, so reps
     // are independent and can run on any pool worker in any order.
     let per_rep = parallel_map_indexed(cfg.reps, |rep| {
         let mut rng = SimRng::stream(seed, &["babelstream-cpu/", &topo.name], rep as u64);
         // Common-mode run factor.
         let factor = run_jitter.sample_scalar(1.0, &mut rng).max(0.05);
-        let mut clock = Clock::new();
 
         let mut best_single = 0.0f64;
         let mut best_all = 0.0f64;
@@ -86,13 +82,11 @@ pub fn run_sim_cpu(
             let mut best_at_size = 0.0f64;
             for ((combo, placement), times) in combos.iter().zip(&placements).zip(row) {
                 for (&op, &t) in StreamOp::ALL.iter().zip(times) {
-                    // Time inner_iters kernel invocations on the virtual
-                    // clock, then derive bandwidth the way BabelStream
-                    // does: bytes / best time. With a common-mode factor,
-                    // every iteration in the run is identical, so the
-                    // clock advances by inner_iters equal integer steps.
+                    // Derive bandwidth the way BabelStream does: bytes /
+                    // best time. With a common-mode factor, every one of
+                    // the inner_iters invocations in the run takes the
+                    // same time, so the best is any one of them.
                     let t_kernel = t * (1.0 / factor) + cfg.overhead_per_kernel;
-                    clock.advance(t_kernel * u64::from(cfg.inner_iters));
                     let bw = t_kernel.bandwidth_gb_s(op.reported_bytes(n));
                     if n == largest {
                         let single = placement.threads == 1;
@@ -112,18 +106,13 @@ pub fn run_sim_cpu(
             }
             curve.push((n, best_at_size));
         }
-        let last: LastRun = (
-            best_all_op,
-            best_all_combo,
-            curve,
-            clock.now().since(doe_simtime::SimTime::ZERO),
-        );
+        let last: LastRun = (best_all_op, best_all_combo, curve);
         (best_single, best_all, last)
     });
 
     let single_samples: Samples = per_rep.iter().map(|(single, _, _)| *single).collect();
     let all_samples: Samples = per_rep.iter().map(|(_, all, _)| *all).collect();
-    let (best_all_op, best_all_combo, curve, campaign_time) = per_rep
+    let (best_all_op, best_all_combo, curve) = per_rep
         .into_iter()
         .map(|(_, _, last)| last)
         .next_back()
@@ -134,7 +123,6 @@ pub fn run_sim_cpu(
         best_all_op,
         best_all_combo,
         curve,
-        campaign_time,
     }
 }
 
@@ -229,9 +217,7 @@ mod tests {
             9,
             &SweepConfig::quick(),
         );
-        assert!(a.campaign_time > SimDuration::ZERO);
         assert_eq!(a.all.mean, b.all.mean);
-        assert_eq!(a.campaign_time, b.campaign_time);
     }
 
     #[test]

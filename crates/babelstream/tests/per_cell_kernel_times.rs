@@ -16,7 +16,7 @@ use doe_gpurt::GpuRuntime;
 use doe_machines::{all_machines, gpu_machines, Machine};
 use doe_memmodel::StreamOp;
 use doe_omp::{resolve_placement, EnvCombo};
-use doe_simtime::{Clock, SimDuration, SimRng, SimTime};
+use doe_simtime::{SimDuration, SimRng};
 use proptest::prelude::*;
 
 /// The replaced CPU campaign: placements and kernel times per rep.
@@ -28,7 +28,6 @@ fn cpu_per_rep(m: &Machine, seed: u64, cfg: &SweepConfig) -> CpuStreamReport {
         let label = format!("babelstream-cpu/{}", topo.name);
         let mut rng = SimRng::stream(seed, &[&label], rep as u64);
         let factor = m.host_stream_jitter.sample_scalar(1.0, &mut rng).max(0.05);
-        let mut clock = Clock::new();
         let mut best_single = 0.0f64;
         let mut best_all = 0.0f64;
         let mut best_all_op = StreamOp::Copy;
@@ -41,9 +40,6 @@ fn cpu_per_rep(m: &Machine, seed: u64, cfg: &SweepConfig) -> CpuStreamReport {
                 for &op in &StreamOp::ALL {
                     let t_kernel = mem.kernel_time(op, n, placement) * (1.0 / factor)
                         + cfg.overhead_per_kernel;
-                    for _ in 0..cfg.inner_iters {
-                        clock.advance(t_kernel);
-                    }
                     let bw = t_kernel.bandwidth_gb_s(op.reported_bytes(n));
                     if n == *sizes.last().expect("nonempty sizes") {
                         let single = placement.threads == 1;
@@ -63,24 +59,17 @@ fn cpu_per_rep(m: &Machine, seed: u64, cfg: &SweepConfig) -> CpuStreamReport {
             }
             curve.push((n, best_at_size));
         }
-        let time = clock.now().since(SimTime::ZERO);
-        (
-            best_single,
-            best_all,
-            (best_all_op, best_all_combo, curve, time),
-        )
+        (best_single, best_all, (best_all_op, best_all_combo, curve))
     });
     let single: Samples = per_rep.iter().map(|r| r.0).collect();
     let all: Samples = per_rep.iter().map(|r| r.1).collect();
-    let (best_all_op, best_all_combo, curve, campaign_time) =
-        per_rep.into_iter().next_back().expect("a rep").2;
+    let (best_all_op, best_all_combo, curve) = per_rep.into_iter().next_back().expect("a rep").2;
     CpuStreamReport {
         single: single.summary(),
         all: all.summary(),
         best_all_op,
         best_all_combo,
         curve,
-        campaign_time,
     }
 }
 
@@ -189,7 +178,6 @@ proptest! {
         prop_assert_eq!(got.best_all_op, want.best_all_op);
         prop_assert_eq!(got.best_all_combo, want.best_all_combo);
         prop_assert_eq!(curve_bits(&got.curve), curve_bits(&want.curve));
-        prop_assert_eq!(got.campaign_time, want.campaign_time);
     }
 
     #[test]

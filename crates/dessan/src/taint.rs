@@ -8,12 +8,12 @@
 //! destructuring binds (`for`/`match`/`if let`), and function calls whose
 //! resolved callee returns a tainted value (an under-approximate
 //! interprocedural step over [`crate::callgraph::CallIndex`]). Sinks are
-//! the three places a nondeterministic value would corrupt the suite's
-//! byte-identical guarantee:
+//! the places a nondeterministic value would corrupt the suite's
+//! byte-identical guarantee or its cache:
 //!
-//! * an **event timestamp** — the first argument of `.schedule(...)`;
 //! * a **rendered table cell** — any argument of `push_row(...)`;
-//! * an **FNV digest** — any argument of `fnv1a(...)`.
+//! * an **FNV digest** (a cache key) — any argument of `fnv1a64(...)` or
+//!   `fnv1a_fmt(...)`.
 //!
 //! A tainted sink is one `nondet-taint` finding carrying the full
 //! source→sink chain. Unlike the token rules, a *waived* source still
@@ -355,39 +355,11 @@ fn sinks_in(ctx: &FnCtx, toks: &[usize]) -> Vec<(&'static str, &'static str, usi
     let texts: Vec<&str> = toks.iter().map(|&t| ctx.text(t)).collect();
     let mut out = Vec::new();
     for i in 0..toks.len() {
-        // `.schedule(` — only the first (timestamp) argument matters;
-        // payloads may legitimately carry measured values.
-        if texts[i] == "."
-            && texts.get(i + 1) == Some(&"schedule")
-            && texts.get(i + 2) == Some(&"(")
-        {
-            let mut depth = 1usize;
-            let mut arg = Vec::new();
-            for j in i + 3..toks.len() {
-                match texts[j] {
-                    "(" | "[" => depth += 1,
-                    ")" | "]" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    "," if depth == 1 => break,
-                    _ => {}
-                }
-                arg.push(toks[j]);
-            }
-            out.push((
-                "an event timestamp",
-                ".schedule(…) first argument",
-                ctx.line(toks[i + 1]),
-                arg,
-            ));
-        }
-        // `push_row(` / `fnv1a(` — every argument is rendered/digested.
+        // Every argument of a sink call is rendered or digested.
         for (name, what, via) in [
             ("push_row", "a rendered table cell", "push_row(…)"),
-            ("fnv1a", "an FNV digest", "fnv1a(…)"),
+            ("fnv1a64", "an FNV digest", "fnv1a64(…)"),
+            ("fnv1a_fmt", "an FNV digest", "fnv1a_fmt(…)"),
         ] {
             if texts[i] == name && ctx.is_ident(toks[i]) && texts.get(i + 1) == Some(&"(") {
                 let mut depth = 1usize;
@@ -697,11 +669,11 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_to_schedule_timestamp_is_flagged() {
+    fn wall_clock_to_cache_key_digest_is_flagged() {
         let src = "\
-fn f(q: &mut Q) {
+fn f() -> u64 {
     let t = Instant::now().elapsed().as_nanos() as u64;
-    q.schedule(t, 1);
+    fnv1a64(&t.to_le_bytes())
 }
 ";
         let f = taint_findings(src);
@@ -710,18 +682,6 @@ fn f(q: &mut Q) {
         assert_eq!(f[0].line, 3);
         assert!(f[0].message.contains("Instant::now"));
         assert!(f[0].chain.len() >= 3, "{:?}", f[0].chain);
-    }
-
-    #[test]
-    fn payload_taint_does_not_flag_schedule() {
-        // Second argument (payload) tainted, timestamp clean: no finding.
-        let src = "\
-fn f(q: &mut Q, now: u64) {
-    let t = Instant::now().elapsed().as_nanos() as u64;
-    q.schedule(now, t);
-}
-";
-        assert!(taint_findings(src).is_empty());
     }
 
     #[test]
@@ -766,12 +726,12 @@ fn f(rows: &mut T) {
     #[test]
     fn branch_taint_survives_the_join() {
         let src = "\
-fn f(q: &mut Q, c: bool) {
+fn f(rows: &mut T, c: bool) {
     let mut t = 0u64;
     if c {
         t = Instant::now().elapsed().as_nanos() as u64;
     }
-    q.schedule(t, 1);
+    rows.push_row(t);
 }
 ";
         assert_eq!(taint_findings(src).len(), 1);
@@ -779,13 +739,13 @@ fn f(q: &mut Q, c: bool) {
 
     #[test]
     fn loop_carried_taint_reaches_a_sink_scheduled_before_the_source() {
-        // The schedule textually precedes the source; only the loop's
-        // back edge carries the taint to it.
+        // The sink textually precedes the source; only the loop's back
+        // edge carries the taint to it.
         let src = "\
-fn f(q: &mut Q) {
+fn f(rows: &mut T) {
     let mut t = 0u64;
     loop {
-        q.schedule(t, 1);
+        rows.push_row(t);
         t = Instant::now().elapsed().as_nanos() as u64;
     }
 }
@@ -822,7 +782,7 @@ fn f(rows: &mut T) {
         let src = "\
 fn f() -> u64 {
     let v = std::env::var(\"X\").ok();
-    fnv1a(v)
+    fnv1a_fmt(format_args!(\"{:?}\", v))
 }
 ";
         let f = taint_findings(src);
@@ -837,9 +797,9 @@ fn f() -> u64 {
 fn platform_entropy() -> u64 {
     0
 }
-fn g(q: &mut Q) {
+fn g(rows: &mut T) {
     let t = platform_entropy();
-    q.schedule(t, 1);
+    rows.push_row(t);
 }
 ";
         let f = taint_findings(src);
@@ -854,9 +814,9 @@ fn read_clock() -> u64 {
     let t = Instant::now().elapsed().as_nanos() as u64;
     t
 }
-fn g(q: &mut Q) {
+fn g(rows: &mut T) {
     let when = read_clock();
-    q.schedule(when, 1);
+    rows.push_row(when);
 }
 ";
         let f = taint_findings(src);
@@ -867,10 +827,10 @@ fn g(q: &mut Q) {
     #[test]
     fn sink_waiver_suppresses_the_finding() {
         let src = "\
-fn f(q: &mut Q) {
+fn f(rows: &mut T) {
     let t = Instant::now().elapsed().as_nanos() as u64;
     // dessan::allow(nondet-taint): native backend reports real time by design.
-    q.schedule(t, 1);
+    rows.push_row(t);
 }
 ";
         assert!(taint_findings(src).is_empty());
@@ -881,9 +841,9 @@ fn f(q: &mut Q) {
         let src = "\
 #[cfg(test)]
 mod tests {
-    fn f(q: &mut Q) {
+    fn f(rows: &mut T) {
         let t = Instant::now().elapsed().as_nanos() as u64;
-        q.schedule(t, 1);
+        rows.push_row(t);
     }
 }
 ";

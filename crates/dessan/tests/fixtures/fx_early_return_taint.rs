@@ -12,7 +12,7 @@ fn pick_seed(fast: bool) -> u64 {
     t
 }
 
-fn drive(q: &mut Q, fast: bool) {
+fn drive(rows: &mut T, fast: bool) {
     let seed = pick_seed(fast);
-    q.schedule(seed, Ev::Tick); //~ nondet-taint
+    rows.push_row(seed); //~ nondet-taint
 }

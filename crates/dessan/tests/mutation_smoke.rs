@@ -92,6 +92,12 @@ seeds! {
         "                CellValue::Text(r.peak.to_string()),\n"
         => "                CellValue::Text(Instant::now().elapsed().as_nanos().to_string()),\n";
 
+    // A host-clock reading folded into a cell's cache-key digest gives
+    // the same cell a new key on every run: the cache never hits.
+    wall_clock_in_cache_key_is_caught_by_nondet_taint: NondetTaint in "crates/core/src/query.rs",
+        "            hash: fnv1a64(canon.as_bytes()),\n"
+        => "            hash: fnv1a64(&Instant::now().elapsed().as_nanos().to_le_bytes()),\n";
+
     // Dropping the `value` pair from the canonical query serialization
     // makes two overrides that differ only in value share one cache key.
     unhashed_override_field_is_caught_by_key_coverage: KeyCoverage in "crates/core/src/query.rs",

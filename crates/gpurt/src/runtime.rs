@@ -4,9 +4,10 @@ use std::fmt::Write;
 use std::sync::Arc;
 
 use dessan::{AccessHistory, AccessKind, RuntimeChecks, VectorClock};
-use doe_gpusim::{Engine, GpuModel};
+use doe_gpusim::GpuModel;
 use doe_memmodel::{PlacementQuality, StreamOp};
-use doe_simtime::{Clock, SimDuration, SimRng, SimTime, Trace};
+use doe_simtime::steady::{self, Boundary, Parts};
+use doe_simtime::{Engine, SimDuration, SimRng, SimTime, Trace};
 use doe_topo::{DeviceId, NodeTopology, Vertex};
 
 use crate::buffer::{Buffer, MemLoc};
@@ -50,18 +51,6 @@ pub struct GpuEvent {
     id: u64,
 }
 
-/// The host clock, current device and every engine tail at one iteration
-/// boundary of [`GpuRuntime::repeat`]: the scratch consecutive boundaries
-/// are compared with.
-#[derive(Debug)]
-struct Boundary {
-    now: SimTime,
-    current: DeviceId,
-    /// Stream tails in `GpuRuntime::streams` order, then wire tails in
-    /// creation order.
-    tails: Vec<SimTime>,
-}
-
 /// A device's fixed driver-path costs, scaled by the run factor once at
 /// construction, so an operation does no float rounding for them.
 #[derive(Clone, Copy, Debug)]
@@ -72,15 +61,12 @@ struct DriverCosts {
     sync: SimDuration,
 }
 
-/// Growth factor between the boundaries [`GpuRuntime::repeat`] records.
-const MARK_RATIO: u64 = 4;
-
 /// The clock-component index reserved for the host thread.
 const HOST_CLOCK: usize = 0;
 
 /// Sanitizer state for one runtime: vector clocks for the host and each
 /// stream, event clock snapshots, and per-buffer access histories. Purely
-/// observational — it never touches the `Clock`, engines, or RNG, so a
+/// observational — it never touches the host clock, engines, or RNG, so a
 /// checked run is bit-identical to an unchecked one.
 #[derive(Debug)]
 struct GpuChecks {
@@ -278,7 +264,8 @@ pub struct GpuRuntime {
     /// One model per device, in device-id order, shared by every runtime
     /// a campaign builds for the same node.
     models: Arc<[GpuModel]>,
-    clock: Clock,
+    /// The virtual host clock.
+    clock: SimTime,
     /// Common-mode run factor: one draw per runtime instance, scaling
     /// every driver-path cost. Run-to-run σ in the paper's Table 6 is a
     /// common mode (clocks, driver state); per-operation noise would
@@ -370,7 +357,7 @@ impl GpuRuntime {
         GpuRuntime {
             topo,
             models,
-            clock: Clock::new(),
+            clock: SimTime::ZERO,
             run_factor,
             driver,
             streams: vec![Engine::new(); ndevices],
@@ -381,11 +368,7 @@ impl GpuRuntime {
             current,
             trace: None,
             checks: dessan::checks_enabled().then(|| Box::new(GpuChecks::new(ndevices))),
-            boundary: Boundary {
-                now: SimTime::ZERO,
-                current,
-                tails: Vec::new(),
-            },
+            boundary: Boundary::default(),
         }
     }
 
@@ -574,7 +557,7 @@ impl GpuRuntime {
 
     /// The virtual host clock (cf. `clock_gettime` in the benchmarks).
     pub fn now(&self) -> SimTime {
-        self.clock.now()
+        self.clock
     }
 
     /// Create a new stream on `dev`.
@@ -692,13 +675,15 @@ impl GpuRuntime {
     ) -> Result<SimDuration, GpuError> {
         let launch = self.driver(s.device)?.launch;
         let i = self.stream_index(s)?;
-        let t0 = self.clock.now();
+        let t0 = self.clock;
         if self.checks.is_none() && self.trace.is_none() {
             self.streams[i].enqueue_train(t0 + launch, launch, body, n);
-            return Ok(self.clock.advance(launch * n).since(t0));
+            self.clock += launch * n;
+            return Ok(self.clock.since(t0));
         }
         for _ in 0..n {
-            let now = self.clock.advance(launch);
+            self.clock += launch;
+            let now = self.clock;
             let (start, _end) = self.streams[i].enqueue(now, body);
             if self.trace.is_some() {
                 self.trace_kernel(name, s, start, body);
@@ -707,7 +692,7 @@ impl GpuRuntime {
                 ch.submit((s.device.index(), s.idx));
             }
         }
-        Ok(self.clock.now().since(t0))
+        Ok(self.clock.since(t0))
     }
 
     /// Launch one BabelStream kernel over `n` f64 elements.
@@ -745,7 +730,8 @@ impl GpuRuntime {
         }
         let parts = self.copy_parts(dst.loc, src.loc, bytes, s.device)?;
         let launch = self.driver(s.device)?.launch;
-        let now = self.clock.advance(launch);
+        self.clock += launch;
+        let now = self.clock;
         let overheads = self.jittered(parts.setup_and_latency);
         let ser = self.jittered(parts.serialization);
         let start = now.max(self.engine(s)?.busy_until());
@@ -854,10 +840,10 @@ impl GpuRuntime {
     // doebench::hot
     pub fn stream_synchronize(&mut self, s: &StreamHandle) -> Result<(), GpuError> {
         let sync = self.driver(s.device)?.stream_sync;
-        let wait_from = self.clock.now();
+        let wait_from = self.clock;
         let tail = self.engine(s)?.busy_until();
-        self.clock.advance_to(tail);
-        let now = self.clock.advance(sync);
+        self.clock = self.clock.max(tail) + sync;
+        let now = self.clock;
         if self.trace.is_some() {
             self.trace_host_sync(wait_from, now);
         }
@@ -879,8 +865,7 @@ impl GpuRuntime {
             .map(Engine::busy_until)
             .max()
             .unwrap_or(SimTime::ZERO);
-        self.clock.advance_to(tail);
-        self.clock.advance(sync);
+        self.clock = self.clock.max(tail) + sync;
         if let Some(ch) = &mut self.checks {
             ch.host_join_device(dev.index());
         }
@@ -890,7 +875,7 @@ impl GpuRuntime {
     /// Record an event on `s`: it completes when everything already
     /// enqueued completes (cf. `cudaEventRecord`).
     pub fn event_record(&mut self, s: &StreamHandle) -> Result<GpuEvent, GpuError> {
-        let at = self.engine(s)?.busy_until().max(self.clock.now());
+        let at = self.engine(s)?.busy_until().max(self.clock);
         let id = match &mut self.checks {
             Some(ch) => ch.record_event((s.device.index(), s.idx)),
             None => 0,
@@ -903,7 +888,7 @@ impl GpuRuntime {
 
     /// Block the host until `e` completes (cf. `cudaEventSynchronize`).
     pub fn event_synchronize(&mut self, e: &GpuEvent) {
-        self.clock.advance_to(e.completes_at);
+        self.clock = self.clock.max(e.completes_at);
         if let Some(ch) = &mut self.checks {
             ch.host_join_event(e.id);
         }
@@ -999,19 +984,12 @@ impl GpuRuntime {
     /// that passed on the host clock.
     ///
     /// The result and the runtime it leaves are bit-identical to the plain
-    /// loop. Every cost is drawn once per runtime and every step is a `max`
-    /// or a `+` of integer picoseconds, so an iteration started from a
-    /// state shifted by `Δ` runs exactly `Δ` later. The state that matters
-    /// is relative to the host clock: each stream and wire tail taken as
-    /// `max(tail, now) − now` (work submitted at or after `now` cannot tell
-    /// an idle tail from one at `now`). Once two consecutive boundaries
-    /// have the same relative state, every later iteration repeats the
-    /// last one `Δ` later, and the remaining `k` become one shift by `k·Δ`
-    /// of the clock and of the engines the last iteration wrote
-    /// (DESIGN.md §3).
+    /// loop: every cost is drawn once per runtime, so [`steady::repeat`]
+    /// skips the iterations after the host clock, the current device and
+    /// every stream and wire tail reach a steady state (DESIGN.md §3).
     ///
-    /// `op` must depend on the runtime only through that relative state:
-    /// no instants or events carried in from before the iteration. The
+    /// `op` must depend on the runtime only through that state: no
+    /// instants or events carried in from before the iteration. The
     /// shortcut is off while checks or tracing are on, so checked runs
     /// tick every vector clock and traces show every span.
     // doebench::hot
@@ -1020,95 +998,20 @@ impl GpuRuntime {
         iters: u64,
         op: impl Fn(&mut GpuRuntime) -> Result<(), GpuError>,
     ) -> Result<SimDuration, GpuError> {
-        let t0 = self.now();
-        // Boundary `mark` (1, 4, 16, …) is recorded and compared with the
-        // next one; between those points `op` runs in a plain loop. A loop
-        // whose state never repeats (a stream tail drifting ahead of the
-        // clock) so pays O(log iters) comparisons.
+        let t0 = self.clock;
         let fast = self.checks.is_none() && self.trace.is_none();
-        let mut done = 0;
-        let mut mark: u64 = 1;
-        while fast && mark.saturating_add(1) < iters {
-            for _ in done..mark {
-                op(self)?;
-            }
-            self.record_boundary();
-            op(self)?;
-            done = mark + 1;
-            if let Some(delta) = self.steady_shift() {
-                self.fast_forward(delta * (iters - done));
-                return Ok(self.now().since(t0));
-            }
-            mark = mark.saturating_mul(MARK_RATIO);
-        }
-        for _ in done..iters {
-            op(self)?;
-        }
-        Ok(self.now().since(t0))
+        steady::repeat(self, iters, fast, Self::steady_parts, op)?;
+        Ok(self.clock.since(t0))
     }
 
-    /// The engine tails in [`Boundary::tails`] order.
-    fn tails(&self) -> impl Iterator<Item = SimTime> + '_ {
-        self.streams
-            .iter()
-            .chain(&self.wires)
-            .map(Engine::busy_until)
-    }
-
-    /// Overwrite the recorded boundary with the current state
-    /// (allocation-free once the scratch is sized).
-    fn record_boundary(&mut self) {
-        let b = &mut self.boundary;
-        b.now = self.clock.now();
-        b.current = self.current;
-        b.tails.clear();
-        b.tails.extend(
-            self.streams
-                .iter()
-                .chain(&self.wires)
-                .map(Engine::busy_until),
-        );
-    }
-
-    /// `Some(Δ)` when the runtime is the recorded boundary shifted by `Δ`,
-    /// both taken relative to their host clock, and every engine the last
-    /// iteration wrote can be told from one it left alone.
-    fn steady_shift(&self) -> Option<SimDuration> {
-        let prev = &self.boundary;
-        if self.current != prev.current {
-            return None;
-        }
-        let (t0, t1) = (prev.now, self.clock.now());
-        let delta = t1.since(t0);
-        let mut tails = self.tails();
-        for &e0 in &prev.tails {
-            let e1 = tails.next()?;
-            // A write never lands before the iteration began, so an
-            // engine that kept its tail either sat idle or was rewritten
-            // with the same instant — and the latter needs the tail to be
-            // exactly `t0`. With `Δ > 0` that case is ambiguous: wait for
-            // a boundary where the two differ.
-            let ambiguous = !delta.is_zero() && e1 == e0 && e0 == t0;
-            if ambiguous || e0.max(t0).since(t0) != e1.max(t1).since(t1) {
-                return None;
-            }
-        }
-        // Engines only ever get created, so equal counts mean the same set.
-        tails.next().is_none().then_some(delta)
-    }
-
-    /// Move the clock, and every engine that moved since the recorded
-    /// boundary, `shift` later. In steady state each iteration writes the
-    /// same engines, every write moves its engine forward and an engine
-    /// it leaves alone stays put, so these are exactly the engines the
-    /// skipped iterations would have moved.
-    fn fast_forward(&mut self, shift: SimDuration) {
-        self.clock.advance(shift);
-        let engines = self.streams.iter_mut().chain(&mut self.wires);
-        for (e, &before) in engines.zip(&self.boundary.tails) {
-            if e.busy_until() != before {
-                e.occupy_until(e.busy_until() + shift);
-            }
+    /// The host clock, every stream then every wire, and the current
+    /// device, as [`steady::repeat`] sees them.
+    fn steady_parts(&mut self) -> Parts<'_> {
+        Parts {
+            clocks: std::slice::from_mut(&mut self.clock),
+            engines: [&mut self.streams, &mut self.wires],
+            mode: self.current.index(),
+            boundary: &mut self.boundary,
         }
     }
 }

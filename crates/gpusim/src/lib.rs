@@ -1,4 +1,4 @@
-//! Simulated GPU device: cost model and command-queue engine.
+//! Simulated GPU device: the per-device cost model.
 //!
 //! Comm|Scope's measurements decompose GPU runtime operations into a handful
 //! of hardware/driver costs: the host-side **submit** path (kernel launch
@@ -9,12 +9,10 @@
 //! Table 6, identical hardware with different software and a 2× gap in
 //! device-to-device latency).
 //!
-//! [`Engine`] provides the in-order command-queue semantics shared by
-//! streams and copy engines: work enqueued at time *t* starts at
-//! `max(t, queue tail)` and completes after its duration.
+//! The in-order command-queue semantics of streams and copy engines live
+//! in [`doe_simtime::Engine`], which `mpisim`'s shared-memory copy ports
+//! use too.
 
-pub mod engine;
 pub mod model;
 
-pub use engine::Engine;
 pub use model::GpuModel;

@@ -12,7 +12,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use doe_gpusim::Engine;
+use doe_simtime::Engine;
 use doe_simtime::{SimDuration, SimTime};
 use proptest::prelude::*;
 

@@ -4,7 +4,8 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use dessan::{RuntimeChecks, VectorClock};
-use doe_simtime::{SimDuration, SimRng, SimTime};
+use doe_simtime::steady::{self, Boundary, Parts};
+use doe_simtime::{Engine, SimDuration, SimRng, SimTime};
 use doe_topo::{CoreId, NodeTopology, NumaId};
 
 use crate::config::MpiConfig;
@@ -57,24 +58,6 @@ impl std::fmt::Display for MpiError {
 }
 
 impl std::error::Error for MpiError {}
-
-/// A serializing resource (the shared-memory port of one NUMA domain):
-/// concurrent payload copies from co-located ranks queue behind each
-/// other, which is what degrades multi-pair throughput on a socket.
-#[derive(Debug, Default, Clone)]
-struct Port {
-    busy_until: SimTime,
-}
-
-impl Port {
-    /// Occupy the port for `dur` starting no earlier than `at`; returns
-    /// the completion instant.
-    fn occupy(&mut self, at: SimTime, dur: SimDuration) -> SimTime {
-        let start = at.max(self.busy_until);
-        self.busy_until = start + dur;
-        self.busy_until
-    }
-}
 
 #[derive(Debug)]
 struct Message {
@@ -169,29 +152,6 @@ impl MpiChecks {
     }
 }
 
-/// Raw rank clocks and port horizons at one ping-pong round-trip boundary:
-/// the scratch [`MpiSim::pingpong`] compares consecutive boundaries with.
-#[derive(Debug, Default)]
-struct Boundary {
-    clocks: Vec<SimTime>,
-    ports: Vec<SimTime>,
-}
-
-impl Boundary {
-    /// Overwrite with the world's state (allocation-free once sized).
-    fn record(&mut self, clocks: &[SimTime], ports: &[Port]) {
-        self.clocks.clear();
-        self.clocks.extend_from_slice(clocks);
-        self.ports.clear();
-        self.ports.extend(ports.iter().map(|p| p.busy_until));
-    }
-}
-
-/// The earliest rank clock: no later operation starts before it.
-fn min_clock(clocks: &[SimTime]) -> SimTime {
-    clocks.iter().copied().min().unwrap_or(SimTime::ZERO)
-}
-
 /// A simulated intra-node MPI world.
 #[derive(Debug)]
 pub struct MpiSim {
@@ -208,8 +168,10 @@ pub struct MpiSim {
     clocks: Vec<SimTime>,
     /// Pending messages per receiving rank, FIFO per sender.
     mailboxes: Vec<VecDeque<Message>>,
-    /// Shared-memory copy port per NUMA domain, dense by `NumaId::index()`.
-    ports: Vec<Port>,
+    /// Shared-memory copy port per NUMA domain, dense by `NumaId::index()`:
+    /// concurrent payload copies from co-located ranks queue behind each
+    /// other, which is what degrades multi-pair throughput on a socket.
+    ports: Vec<Engine>,
     /// The distinct `(numa, buffer)` endpoint classes seen so far. Transport
     /// cost depends only on the endpoint classes (plus a per-pair on-die
     /// distance term computed inline), so the memo is O(classes²) — a
@@ -236,7 +198,7 @@ pub struct MpiSim {
     /// touches clocks, ports, or the RNG, so checked runs are bit-identical.
     checks: Option<Box<MpiChecks>>,
     /// The previous round-trip boundary of [`Self::pingpong`], kept across
-    /// calls for its buffers.
+    /// calls for its buffer.
     boundary: Boundary,
 }
 
@@ -291,7 +253,7 @@ impl MpiSim {
             rank_class: Vec::new(),
             clocks: Vec::new(),
             mailboxes: Vec::new(),
-            ports: vec![Port::default(); nports],
+            ports: vec![Engine::new(); nports],
             classes: Vec::new(),
             class_paths: Vec::new(),
             core_numa,
@@ -384,7 +346,7 @@ impl MpiSim {
         self.mailboxes.push(VecDeque::new());
         let n = self.clocks.len();
         if numa.index() >= self.ports.len() {
-            self.ports.resize(numa.index() + 1, Port::default());
+            self.ports.resize(numa.index() + 1, Engine::new());
         }
         if let Some(ch) = &mut self.checks {
             ch.vcs.push(VectorClock::new());
@@ -541,7 +503,7 @@ impl MpiSim {
             let done = if ser.is_zero() {
                 after_os
             } else {
-                self.ports[numa.index()].occupy(after_os, ser)
+                self.ports[numa.index()].enqueue(after_os, ser).1
             };
             self.clocks[from.0] = done;
             done
@@ -640,7 +602,7 @@ impl MpiSim {
                 let copy_done = if ser.is_zero() {
                     data_start
                 } else {
-                    self.ports[sender_numa.index()].occupy(data_start, ser)
+                    self.ports[sender_numa.index()].enqueue(data_start, ser).1
                 };
                 let data_done = copy_done + lat;
                 // Synchronous completion: the sender unblocks when the
@@ -659,12 +621,9 @@ impl MpiSim {
     /// inner loop. Returns the time that passed on `a`'s clock.
     ///
     /// The result and the world it leaves are bit-identical to `iters`
-    /// explicit `send`/`recv` round trips. Costs are drawn once per world
-    /// and every step is a `max` or a `+` of integer picoseconds, so once
-    /// two consecutive round-trip boundaries are equal up to a shift `Δ`
-    /// (clocks taken relative to the earliest one, port horizons clamped
-    /// up to it), each later round trip repeats the last one `Δ` later and
-    /// the remaining `k` become one shift by `k·Δ` (DESIGN.md §3).
+    /// explicit `send`/`recv` round trips: costs are drawn once per world,
+    /// so [`steady::repeat`] skips the round trips after the world reaches
+    /// a steady state over its rank clocks and copy ports (DESIGN.md §3).
     ///
     /// The shortcut needs a quiescent world (no pending messages) and no
     /// sanitizer: under `--check` every round trip runs op by op, so the
@@ -679,57 +638,22 @@ impl MpiSim {
     ) -> Result<SimDuration, MpiError> {
         let t0 = self.time(a)?;
         let fast = self.checks.is_none() && self.mailboxes.iter().all(VecDeque::is_empty);
-        if fast {
-            self.boundary.record(&self.clocks, &self.ports);
-        }
-        for done in 1..=iters {
-            self.send(a, b, bytes)?;
-            self.recv(b, a, bytes)?;
-            self.send(b, a, bytes)?;
-            self.recv(a, b, bytes)?;
-            if !fast {
-                continue;
-            }
-            if let Some(delta) = self.steady_shift() {
-                self.fast_forward(delta * u64::from(iters - done));
-                break;
-            }
-            self.boundary.record(&self.clocks, &self.ports);
-        }
+        steady::repeat(self, iters.into(), fast, Self::steady_parts, |w| {
+            w.send(a, b, bytes)?;
+            w.recv(b, a, bytes)?;
+            w.send(b, a, bytes)?;
+            w.recv(a, b, bytes).map(drop)
+        })?;
         Ok(self.time(a)?.since(t0))
     }
 
-    /// `Some(Δ)` when the world is the recorded boundary shifted by `Δ`,
-    /// both taken relative to their earliest clock with port horizons
-    /// clamped up to it.
-    fn steady_shift(&self) -> Option<SimDuration> {
-        let prev = &self.boundary;
-        let (m0, m1) = (min_clock(&prev.clocks), min_clock(&self.clocks));
-        let clocks_match = prev
-            .clocks
-            .iter()
-            .zip(&self.clocks)
-            .all(|(&c0, &c1)| c0.since(m0) == c1.since(m1));
-        let ports_match = prev
-            .ports
-            .iter()
-            .zip(&self.ports)
-            .all(|(&p0, p1)| p0.max(m0).since(m0) == p1.busy_until.max(m1).since(m1));
-        (clocks_match && ports_match).then(|| m1.since(m0))
-    }
-
-    /// Move every clock, and every port that moved since the recorded
-    /// boundary, `shift` later. A round trip occupies the same ports every
-    /// time and an occupy always moves its port forward, so the ports that
-    /// moved are exactly the ones the skipped round trips would have moved.
-    fn fast_forward(&mut self, shift: SimDuration) {
-        for c in &mut self.clocks {
-            *c += shift;
-        }
-        for (p, &before) in self.ports.iter_mut().zip(&self.boundary.ports) {
-            if p.busy_until != before {
-                p.busy_until += shift;
-            }
+    /// The rank clocks and copy ports, as [`steady::repeat`] sees them.
+    fn steady_parts(&mut self) -> Parts<'_> {
+        Parts {
+            clocks: &mut self.clocks,
+            engines: [&mut self.ports, &mut []],
+            mode: 0,
+            boundary: &mut self.boundary,
         }
     }
 }

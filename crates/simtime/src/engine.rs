@@ -5,7 +5,7 @@
 //! (b) the previous command has finished. [`Engine`] tracks the queue tail
 //! and answers "when would this work complete?".
 
-use doe_simtime::{SimDuration, SimTime};
+use crate::time::{SimDuration, SimTime};
 
 /// An in-order execution engine (a stream or a copy engine).
 #[derive(Clone, Debug, Default)]
@@ -15,12 +15,14 @@ pub struct Engine {
 
 impl Engine {
     /// An idle engine.
+    #[inline]
     pub fn new() -> Self {
         Engine::default()
     }
 
     /// Enqueue work of the given duration, submitted at `now`.
     /// Returns `(start, completion)` instants.
+    #[inline]
     pub fn enqueue(&mut self, now: SimTime, duration: SimDuration) -> (SimTime, SimTime) {
         let start = now.max(self.busy_until);
         let end = start + duration;
@@ -55,6 +57,7 @@ impl Engine {
     }
 
     /// The instant the queue drains (equals a past instant when idle).
+    #[inline]
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
     }
@@ -63,6 +66,7 @@ impl Engine {
     /// completion of a command another resource times (e.g. a shared
     /// wire), or a pure dependency (a stream waiting on another stream's
     /// event). Never moves the tail backwards.
+    #[inline]
     pub fn occupy_until(&mut self, end: SimTime) {
         self.busy_until = self.busy_until.max(end);
     }

@@ -1,10 +1,15 @@
-//! Virtual time and deterministic noise models.
+//! Virtual time, in-order engines, the steady-state fast-forward and
+//! deterministic noise models.
 //!
 //! Everything in the `doebench` simulation stack is clocked by a virtual
 //! clock with **picosecond resolution**. Costs of simulated operations
 //! (a DMA setup, a link traversal, a kernel dispatch) are expressed as
-//! [`SimDuration`]s; the state machines in the runtime crates advance a
-//! [`Clock`] or per-rank and per-engine timestamps in closed form.
+//! [`SimDuration`]s; the state machines in the runtime crates advance
+//! per-rank and host clocks and per-[`Engine`] queue tails in closed form.
+//! An [`Engine`] is any in-order resource (a GPU stream, a DMA wire, a
+//! NUMA domain's shared-memory copy port), and [`steady::repeat`] skips
+//! the identical iterations of a benchmark's inner loop exactly, for
+//! `mpisim` and `gpurt` alike.
 //!
 //! Measurement noise — what turns a deterministic model into a distribution
 //! with a non-degenerate standard deviation across the paper's 100 "binary
@@ -23,13 +28,16 @@
 //! ```
 
 pub mod clock;
+pub mod engine;
 pub mod noise;
 pub mod rng;
 pub mod shard;
+pub mod steady;
 pub mod time;
 pub mod trace;
 
 pub use clock::Clock;
+pub use engine::Engine;
 pub use noise::Jitter;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
