@@ -67,6 +67,8 @@ pub fn run_sim_cpu(
 
     // Each rep derives its own RNG from the rep index, so reps
     // are independent and can run on any pool worker in any order.
+    // Only the last rep's curve is reported, so every other rep
+    // evaluates only the largest size.
     let per_rep = parallel_map_indexed(cfg.reps, |rep| {
         let mut rng = SimRng::stream(seed, &["babelstream-cpu/", &topo.name], rep as u64);
         // Common-mode run factor.
@@ -76,9 +78,18 @@ pub fn run_sim_cpu(
         let mut best_all = 0.0f64;
         let mut best_all_op = StreamOp::Copy;
         let mut best_all_combo = combos[0];
-        let mut curve: Vec<(u64, f64)> = Vec::with_capacity(sizes.len());
+        let first = if rep + 1 == cfg.reps {
+            0
+        } else {
+            sizes.len() - 1
+        };
+        let mut curve: Vec<(u64, f64)> = Vec::with_capacity(sizes.len() - first);
 
-        for (&n, row) in sizes.iter().zip(kernel_times.chunks(combos.len())) {
+        for (&n, row) in sizes
+            .iter()
+            .zip(kernel_times.chunks(combos.len()))
+            .skip(first)
+        {
             let mut best_at_size = 0.0f64;
             for ((combo, placement), times) in combos.iter().zip(&placements).zip(row) {
                 for (&op, &t) in StreamOp::ALL.iter().zip(times) {

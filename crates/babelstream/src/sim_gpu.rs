@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use doe_benchlib::{parallel_map_indexed, Samples, Summary};
+use doe_benchlib::{parallel_map_init, Samples, Summary};
 use doe_gpurt::GpuRuntime;
 use doe_gpusim::GpuModel;
 use doe_memmodel::StreamOp;
@@ -52,41 +52,51 @@ pub fn run_sim_gpu(
         .collect();
     let models: Arc<[GpuModel]> = models.into();
 
-    // A rep builds only its runtime, from the rep index: the seed fixes
-    // its run factor, and the models and kernel times are the cell's. So
-    // reps are independent and can run on any pool worker in any order.
-    let per_rep = parallel_map_indexed(cfg.reps, |rep| {
-        let mut rt = GpuRuntime::new(
-            Arc::clone(&topo),
-            Arc::clone(&models),
-            seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        let stream = rt.default_stream(dev).expect("device 0 exists");
-        let mut best = 0.0f64;
-        let mut best_op = StreamOp::Copy;
-        let mut curve: Vec<(u64, f64)> = Vec::with_capacity(sizes.len());
-        for (&n, times) in sizes.iter().zip(&kernel_times) {
-            let mut best_at_size = 0.0f64;
-            for (&op, &t) in StreamOp::ALL.iter().zip(times) {
-                let t0 = rt.now();
-                rt.launch_train(&stream, t, u64::from(cfg.inner_iters))
-                    .expect("launch");
-                rt.stream_synchronize(&stream).expect("sync");
-                let elapsed = rt.now().since(t0);
-                let bytes = op.reported_bytes(n) * cfg.inner_iters as u64;
-                let bw = elapsed.bandwidth_gb_s(bytes);
-                if bw > best_at_size {
-                    best_at_size = bw;
+    // A rep arms only its runtime, from the rep index: the seed fixes its
+    // run factor, and the models and kernel times are the cell's. So reps
+    // are independent and can run on any pool worker in any order; a
+    // worker re-arms the runtime its last rep left. Only the last rep's
+    // curve is reported, so every other rep runs only the largest size:
+    // each size starts synchronized, and a synchronized runtime shifted in
+    // time times a size exactly as a fresh one does (DESIGN.md §3).
+    let per_rep = parallel_map_init(
+        cfg.reps,
+        || None,
+        |slot, rep| {
+            let rep_seed = seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let rt = GpuRuntime::rearmed(slot, &topo, &models, rep_seed);
+            let stream = rt.default_stream(dev).expect("device 0 exists");
+            let mut best = 0.0f64;
+            let mut best_op = StreamOp::Copy;
+            let first = if rep + 1 == cfg.reps {
+                0
+            } else {
+                sizes.len() - 1
+            };
+            let mut curve: Vec<(u64, f64)> = Vec::with_capacity(sizes.len() - first);
+            for (&n, times) in sizes.iter().zip(&kernel_times).skip(first) {
+                let mut best_at_size = 0.0f64;
+                for (&op, &t) in StreamOp::ALL.iter().zip(times) {
+                    let t0 = rt.now();
+                    rt.launch_train(&stream, t, u64::from(cfg.inner_iters))
+                        .expect("launch");
+                    rt.stream_synchronize(&stream).expect("sync");
+                    let elapsed = rt.now().since(t0);
+                    let bytes = op.reported_bytes(n) * cfg.inner_iters as u64;
+                    let bw = elapsed.bandwidth_gb_s(bytes);
+                    if bw > best_at_size {
+                        best_at_size = bw;
+                    }
+                    if n == *sizes.last().expect("nonempty") && bw > best {
+                        best = bw;
+                        best_op = op;
+                    }
                 }
-                if n == *sizes.last().expect("nonempty") && bw > best {
-                    best = bw;
-                    best_op = op;
-                }
+                curve.push((n, best_at_size));
             }
-            curve.push((n, best_at_size));
-        }
-        (best, best_op, curve)
-    });
+            (best, best_op, curve)
+        },
+    );
 
     let samples: Samples = per_rep.iter().map(|(best, _, _)| *best).collect();
     let (_, best_op, curve) = per_rep.into_iter().next_back().expect("at least one rep");

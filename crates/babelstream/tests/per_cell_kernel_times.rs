@@ -1,17 +1,23 @@
-//! Differential test of the simulated BabelStream campaigns, which derive
-//! kernel times once per cell, against the loops they replaced, which
-//! re-derived them in every rep.
+//! Differential test of the simulated BabelStream campaigns against the
+//! loops they replaced. The campaigns derive kernel times once per cell,
+//! re-arm one GPU runtime per worker thread, and run every size only in
+//! the last rep (the others report only the largest size); the reference
+//! loops re-derive kernel times, build a fresh GPU runtime and run every
+//! size in every rep.
 //!
 //! A kernel's unjittered time depends on the machine, the size, the
 //! placement and the op, never on the rep; the rep contributes only its
-//! run factor. So the reports must agree to the bit on every catalog
-//! machine, at random seeds, for the quick profile, paper-shaped sweeps
-//! (the paper's sizes and inner iterations, fewer reps) and random ones.
+//! run factor. A re-armed runtime is a fresh one, and each GPU size starts
+//! synchronized, so it times the same from a fresh runtime as after the
+//! smaller sizes. So the reports must agree to the bit on every catalog
+//! machine, at random seeds and worker counts, for the quick profile,
+//! paper-shaped sweeps (the paper's sizes and inner iterations, fewer
+//! reps) and random ones.
 
 use std::sync::Arc;
 
 use doe_babelstream::{run_sim_cpu, run_sim_gpu, CpuStreamReport, GpuStreamReport, SweepConfig};
-use doe_benchlib::{parallel_map_indexed, Samples, Summary};
+use doe_benchlib::{parallel_map_indexed, set_jobs, Samples, Summary};
 use doe_gpurt::GpuRuntime;
 use doe_machines::{all_machines, gpu_machines, Machine};
 use doe_memmodel::StreamOp;
@@ -19,7 +25,8 @@ use doe_omp::{resolve_placement, EnvCombo};
 use doe_simtime::{SimDuration, SimRng};
 use proptest::prelude::*;
 
-/// The replaced CPU campaign: placements and kernel times per rep.
+/// The replaced CPU campaign: placements and kernel times per rep, every
+/// size in every rep.
 fn cpu_per_rep(m: &Machine, seed: u64, cfg: &SweepConfig) -> CpuStreamReport {
     let (topo, mem) = (&m.topo, &m.host_mem);
     let sizes = cfg.sizes();
@@ -73,7 +80,8 @@ fn cpu_per_rep(m: &Machine, seed: u64, cfg: &SweepConfig) -> CpuStreamReport {
     }
 }
 
-/// The replaced GPU campaign: a model copy and `launch_stream_op` per rep.
+/// The replaced GPU campaign: a fresh runtime, a model copy and
+/// `launch_stream_op` per rep, every size in every rep.
 fn gpu_per_rep(m: &Machine, seed: u64, cfg: &SweepConfig) -> GpuStreamReport {
     let sizes = cfg.sizes();
     let per_rep = parallel_map_indexed(cfg.reps, |rep| {
@@ -167,10 +175,12 @@ proptest! {
         seed in any::<u64>(),
         shape in 0u8..3,
         raw in raw_sweep(),
+        jobs in 1usize..4,
     ) {
         let machines = all_machines();
         let m = &machines[machine % machines.len()];
         let cfg = sweep(SweepConfig::paper_cpu(), shape, raw);
+        set_jobs(jobs);
         let got = run_sim_cpu(&m.topo, &m.host_mem, m.host_stream_jitter, seed, &cfg);
         let want = cpu_per_rep(m, seed, &cfg);
         prop_assert_eq!(bits(&got.single), bits(&want.single), "{} {:?}", m.name, cfg);
@@ -186,10 +196,12 @@ proptest! {
         seed in any::<u64>(),
         shape in 0u8..3,
         raw in raw_sweep(),
+        jobs in 1usize..4,
     ) {
         let machines = gpu_machines();
         let m = &machines[machine % machines.len()];
         let cfg = sweep(SweepConfig::paper_gpu(), shape, raw);
+        set_jobs(jobs);
         let got = run_sim_gpu(Arc::clone(&m.topo), &m.gpu_models, seed, &cfg);
         let want = gpu_per_rep(m, seed, &cfg);
         prop_assert_eq!(bits(&got.device), bits(&want.device), "{} {:?}", m.name, cfg);

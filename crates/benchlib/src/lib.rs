@@ -20,5 +20,5 @@ pub mod par;
 pub mod stats;
 
 pub use harness::{adaptive_iterations, run_reps, AdaptiveConfig};
-pub use par::{effective_jobs, parallel_map_indexed, run_reps_par, set_jobs};
+pub use par::{effective_jobs, parallel_map_indexed, parallel_map_init, run_reps_par, set_jobs};
 pub use stats::{Samples, Summary};

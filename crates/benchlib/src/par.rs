@@ -8,8 +8,11 @@
 //! caller and its helpers claim indices from one atomic counter and write
 //! each result into the slot of its index, so the output `Vec` is
 //! bit-identical to the serial `(0..n).map(f)` whatever the thread count
-//! and whichever thread ran which index. [`run_reps_par`] is the rep-loop
-//! instance of it, the parallel twin of [`crate::run_reps`].
+//! and whichever thread ran which index. [`parallel_map_init`] is the
+//! one implementation: it also hands each thread a scratch state of its
+//! own (a runtime to re-arm rep after rep), and [`parallel_map_indexed`]
+//! is it without state. [`run_reps_par`] is the rep-loop instance, the
+//! parallel twin of [`crate::run_reps`].
 //!
 //! Worker count resolution (first match wins):
 //! 1. an explicit [`set_jobs`] call (the CLI's `--jobs N`);
@@ -225,25 +228,50 @@ impl Drop for JoinOnDrop {
 
 /// Map `f` over `0..n`, preserving index order exactly.
 ///
-/// With more than one effective job the calling thread posts the map to
-/// the process-wide pool and works it alongside up to `jobs - 1` helpers:
-/// each claims the next unclaimed index from one atomic counter and
-/// stores `f(i)` in slot `i` of a pre-sized buffer — so the result is the
-/// same `Vec` the serial loop produces, element for element, however the
-/// indices fell to threads. With one job, on `n <= 1`, when already
-/// inside a fork-join, or when another caller holds the pool, it is
-/// exactly the serial loop.
-///
-/// If `f` panics, the remaining indices are abandoned and the first
-/// panic resumes on the caller once every helper has left.
+/// [`parallel_map_init`] without per-thread state.
 pub fn parallel_map_indexed<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    parallel_map_init(n, || (), |(), i| f(i))
+}
+
+/// Map `f` over `0..n` with per-thread scratch state, preserving index
+/// order exactly.
+///
+/// With more than one effective job the calling thread posts the map to
+/// the process-wide pool and works it alongside up to `jobs - 1` helpers:
+/// each claims the next unclaimed index from one atomic counter and
+/// stores `f(state, i)` in slot `i` of a pre-sized buffer — so the result
+/// is the same `Vec` the serial loop produces, element for element,
+/// however the indices fell to threads. Each thread that works the map
+/// calls `init()` once, when it claims its first index, and hands that
+/// state to every index it claims; the state drops when the thread leaves
+/// the map. With one job, on `n <= 1`, when already inside a fork-join,
+/// or when another caller holds the pool, it is exactly the serial loop,
+/// with one state for the whole map.
+///
+/// `f` must give the same result whatever the state's history: the state
+/// is scratch (a runtime to re-arm, buffers to reuse), never an input.
+///
+/// If `f` panics, the remaining indices are abandoned and the first
+/// panic resumes on the caller once every helper has left.
+pub fn parallel_map_init<S, T, I, F>(n: usize, init: I, f: F) -> Vec<T>
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
+    let serial = || {
+        let mut state = None;
+        (0..n)
+            .map(|i| f(state.get_or_insert_with(&init), i))
+            .collect()
+    };
     let jobs = effective_jobs().min(n.max(1));
     if jobs <= 1 || n <= 1 || IN_POOL.with(|p| p.get()) {
-        return (0..n).map(f).collect();
+        return serial();
     }
 
     // The counter publishes nothing: each result travels through its
@@ -253,13 +281,16 @@ where
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
     let work = || {
-        let run = panic::catch_unwind(AssertUnwindSafe(|| loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
+        let run = panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut state = None;
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let value = f(state.get_or_insert_with(&init), i);
+                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
             }
-            let value = f(i);
-            *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
         }));
         if let Err(payload) = run {
             // Stop the other threads claiming; keep the first panic.
@@ -276,7 +307,7 @@ where
     // it, and `_join` below joins before `work` drops, on return or unwind.
     let erased: Work = unsafe { std::mem::transmute::<&(dyn Fn() + Sync), Work>(local) };
     if !POOL.post(erased, jobs - 1) {
-        return (0..n).map(f).collect();
+        return serial();
     }
     {
         let _join = JoinOnDrop;
@@ -360,6 +391,45 @@ mod tests {
     #[should_panic(expected = "at least one repetition")]
     fn zero_reps_panics() {
         run_reps_par(0, |_| 0.0);
+    }
+
+    #[test]
+    fn each_thread_inits_its_state_once() {
+        let inits = AtomicUsize::new(0);
+        let init = || {
+            inits.fetch_add(1, Ordering::SeqCst);
+            Vec::<usize>::new()
+        };
+        // The state is scratch: the result must not depend on it.
+        let f = |seen: &mut Vec<usize>, i: usize| {
+            seen.push(i);
+            i * 7
+        };
+        let serial: Vec<usize> = (0..200).map(|i| i * 7).collect();
+        for jobs in [1, 2, 5] {
+            inits.store(0, Ordering::SeqCst);
+            assert_eq!(with_jobs(jobs, || parallel_map_init(200, init, f)), serial);
+            let n = inits.load(Ordering::SeqCst);
+            assert!((1..=jobs).contains(&n), "jobs={jobs}: {n} inits");
+        }
+        // No index, no state.
+        inits.store(0, Ordering::SeqCst);
+        assert!(with_jobs(4, || parallel_map_init(0, init, f)).is_empty());
+        assert_eq!(inits.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_nested_map_shares_one_state() {
+        let inits = AtomicUsize::new(0);
+        let out = with_jobs(4, || {
+            parallel_map_indexed(6, |i| {
+                let inner =
+                    parallel_map_init(10, || inits.fetch_add(1, Ordering::SeqCst), |_, j| i + j);
+                inner.iter().sum::<usize>()
+            })
+        });
+        assert_eq!(out, (0..6).map(|i| 10 * i + 45).collect::<Vec<_>>());
+        assert_eq!(inits.load(Ordering::SeqCst), 6, "one state per inner map");
     }
 
     #[test]

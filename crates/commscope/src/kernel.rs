@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use doe_benchlib::{adaptive_iterations, run_reps_par, Summary};
+use doe_benchlib::{adaptive_iterations, parallel_map_init, Samples, Summary};
 use doe_gpurt::GpuRuntime;
 use doe_gpusim::GpuModel;
 use doe_topo::{DeviceId, NodeTopology};
@@ -22,22 +22,26 @@ pub fn launch_latency(
     cfg: &CommScopeConfig,
     seed: u64,
 ) -> Summary {
-    // Each rep builds its own runtime from the rep index, so reps can run
-    // on any pool worker in any order.
-    run_reps_par(cfg.reps, |rep| {
-        let mut rt = GpuRuntime::new(Arc::clone(topo), Arc::clone(models), rep_seed(seed, rep));
-        rt.set_device(dev).expect("device exists");
-        let stream = rt.default_stream(dev).expect("stream");
-        let (_iters, per) = adaptive_iterations(cfg.adaptive, |n| {
-            // Drain the queue before each batch so queue pressure from a
-            // previous (shorter) probe batch never bleeds into this one.
-            rt.device_synchronize().expect("sync");
-            rt.launch_empty_train(&stream, n).expect("launch")
-        });
-        rt.device_synchronize().expect("final sync");
-        per.as_us()
-    })
-    .summary()
+    // Each rep arms its runtime from the rep index, so reps can run on any
+    // pool worker in any order; a worker re-arms the one its last rep left.
+    let per_rep = parallel_map_init(
+        cfg.reps,
+        || None,
+        |slot, rep| {
+            let rt = GpuRuntime::rearmed(slot, topo, models, rep_seed(seed, rep));
+            rt.set_device(dev).expect("device exists");
+            let stream = rt.default_stream(dev).expect("stream");
+            let (_iters, per) = adaptive_iterations(cfg.adaptive, |n| {
+                // Drain the queue before each batch so queue pressure from a
+                // previous (shorter) probe batch never bleeds into this one.
+                rt.device_synchronize().expect("sync");
+                rt.launch_empty_train(&stream, n).expect("launch")
+            });
+            rt.device_synchronize().expect("final sync");
+            per.as_us()
+        },
+    );
+    per_rep.into_iter().collect::<Samples>().summary()
 }
 
 /// `Comm_cudaDeviceSynchronize`: wall time of a device synchronize against
@@ -49,15 +53,19 @@ pub fn wait_latency(
     cfg: &CommScopeConfig,
     seed: u64,
 ) -> Summary {
-    run_reps_par(cfg.reps, |rep| {
-        let mut rt = GpuRuntime::new(Arc::clone(topo), Arc::clone(models), rep_seed(seed, rep));
-        rt.set_device(dev).expect("device exists");
-        let (_iters, per) = adaptive_iterations(cfg.adaptive, |n| {
-            rt.repeat(n, GpuRuntime::device_synchronize).expect("sync")
-        });
-        per.as_us()
-    })
-    .summary()
+    let per_rep = parallel_map_init(
+        cfg.reps,
+        || None,
+        |slot, rep| {
+            let rt = GpuRuntime::rearmed(slot, topo, models, rep_seed(seed, rep));
+            rt.set_device(dev).expect("device exists");
+            let (_iters, per) = adaptive_iterations(cfg.adaptive, |n| {
+                rt.repeat(n, GpuRuntime::device_synchronize).expect("sync")
+            });
+            per.as_us()
+        },
+    );
+    per_rep.into_iter().collect::<Samples>().summary()
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use doe_benchlib::{adaptive_iterations, parallel_map_indexed, run_reps_par, Samples, Summary};
+use doe_benchlib::{adaptive_iterations, parallel_map_init, run_reps_par, Samples, Summary};
 use doe_gpurt::{Buffer, GpuRuntime};
 use doe_gpusim::GpuModel;
 use doe_topo::{DeviceId, LinkClass, NodeTopology};
@@ -54,27 +54,28 @@ fn transfer_between(
     seed: u64,
     label: u64,
 ) -> Transfer {
-    // Each rep builds its own runtime and buffers from the rep index, so
-    // reps can run on any pool worker in any order.
-    let per_rep = parallel_map_indexed(cfg.reps, |rep| {
-        let mut rt = GpuRuntime::new(
-            Arc::clone(topo),
-            Arc::clone(models),
-            rep_seed(seed ^ label, rep),
-        );
-        rt.set_device(exec_dev).expect("device exists");
-        let (dst, src) = make_bufs(cfg.latency_bytes.max(cfg.bandwidth_bytes));
-        let lat = copy_time_us(&mut rt, &dst, &src, cfg.latency_bytes, exec_dev, cfg);
-        // Bandwidth: one large copy is its own batch (it exceeds the
-        // adaptive target by orders of magnitude).
-        let stream = rt.default_stream(exec_dev).expect("stream");
-        let t0 = rt.now();
-        rt.memcpy_async(&dst, &src, cfg.bandwidth_bytes, &stream)
-            .expect("copy");
-        rt.stream_synchronize(&stream).expect("sync");
-        let dt = rt.now().since(t0);
-        (lat, dt.bandwidth_gb_s(cfg.bandwidth_bytes))
-    });
+    // Each rep arms its runtime and builds its buffers from the rep index,
+    // so reps can run on any pool worker in any order; a worker re-arms
+    // the runtime its last rep left.
+    let per_rep = parallel_map_init(
+        cfg.reps,
+        || None,
+        |slot, rep| {
+            let rt = GpuRuntime::rearmed(slot, topo, models, rep_seed(seed ^ label, rep));
+            rt.set_device(exec_dev).expect("device exists");
+            let (dst, src) = make_bufs(cfg.latency_bytes.max(cfg.bandwidth_bytes));
+            let lat = copy_time_us(rt, &dst, &src, cfg.latency_bytes, exec_dev, cfg);
+            // Bandwidth: one large copy is its own batch (it exceeds the
+            // adaptive target by orders of magnitude).
+            let stream = rt.default_stream(exec_dev).expect("stream");
+            let t0 = rt.now();
+            rt.memcpy_async(&dst, &src, cfg.bandwidth_bytes, &stream)
+                .expect("copy");
+            rt.stream_synchronize(&stream).expect("sync");
+            let dt = rt.now().since(t0);
+            (lat, dt.bandwidth_gb_s(cfg.bandwidth_bytes))
+        },
+    );
     let lat: Samples = per_rep.iter().map(|&(lat, _)| lat).collect();
     let bw: Samples = per_rep.iter().map(|&(_, bw)| bw).collect();
     Transfer {
@@ -237,18 +238,23 @@ pub fn d2d_latency_by_class(
     topo.representative_pairs()
         .into_iter()
         .map(|(class, (src, dst))| {
-            let samples = run_reps_par(cfg.reps, |rep| {
-                let mut rt = GpuRuntime::new(
-                    Arc::clone(topo),
-                    Arc::clone(models),
-                    rep_seed(seed ^ (class as u64), rep),
-                );
-                rt.set_device(src).expect("device exists");
-                let a = Buffer::device(src, cfg.latency_bytes);
-                let b = Buffer::device(dst, cfg.latency_bytes);
-                copy_time_us(&mut rt, &b, &a, cfg.latency_bytes, src, cfg)
-            });
-            (class, samples.summary())
+            let per_rep = parallel_map_init(
+                cfg.reps,
+                || None,
+                |slot, rep| {
+                    let rt = GpuRuntime::rearmed(
+                        slot,
+                        topo,
+                        models,
+                        rep_seed(seed ^ (class as u64), rep),
+                    );
+                    rt.set_device(src).expect("device exists");
+                    let a = Buffer::device(src, cfg.latency_bytes);
+                    let b = Buffer::device(dst, cfg.latency_bytes);
+                    copy_time_us(rt, &b, &a, cfg.latency_bytes, src, cfg)
+                },
+            );
+            (class, per_rep.into_iter().collect::<Samples>().summary())
         })
         .collect()
 }

@@ -198,6 +198,20 @@ impl<'a> FnCtx<'a> {
         if let Some(t) = self.direct_source(toks) {
             consider(t);
         }
+        // A format string reads the identifiers it captures inline. The
+        // expression's tokens are code tokens only, so its string literals
+        // are the ones lexed between its first and last token.
+        if let (Some(&lo), Some(&hi)) = (toks.first(), toks.last()) {
+            for tok in &self.file.tokens[lo..=hi] {
+                if matches!(tok.kind, TokKind::Str | TokKind::RawStr) {
+                    for name in inline_captures(tok.text(&self.file.src)) {
+                        if let Some(t) = facts.vars.get(name) {
+                            consider(t.clone());
+                        }
+                    }
+                }
+            }
+        }
         for i in 0..toks.len() {
             if !self.is_ident(toks[i]) {
                 continue;
@@ -280,6 +294,32 @@ impl<'a> FnCtx<'a> {
         }
         out
     }
+}
+
+/// The identifiers a string literal would capture inline as a format
+/// string: the argument of each `{v}`, `{v:?}` or `{v:>8}`, skipping the
+/// escaped `{{` and positional or empty arguments.
+fn inline_captures(lit: &str) -> impl Iterator<Item = &str> {
+    let mut rest = lit;
+    std::iter::from_fn(move || loop {
+        let open = rest.find('{')?;
+        rest = &rest[open + 1..];
+        if let Some(after) = rest.strip_prefix('{') {
+            rest = after;
+            continue;
+        }
+        let end = rest.find(['}', ':']).unwrap_or(rest.len());
+        let arg = &rest[..end];
+        rest = &rest[end..];
+        let ident = arg
+            .chars()
+            .next()
+            .is_some_and(|c| c.is_alphabetic() || c == '_')
+            && arg.chars().all(|c| c.is_alphanumeric() || c == '_');
+        if ident {
+            return Some(arg);
+        }
+    })
 }
 
 /// An assignment parsed out of one straight-code step.
@@ -788,6 +828,29 @@ fn f() -> u64 {
         let f = taint_findings(src);
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("FNV digest"));
+    }
+
+    #[test]
+    fn fnv_digest_of_inline_captured_env_value_is_flagged() {
+        let src = "\
+fn f() -> u64 {
+    let v = std::env::var(\"X\").ok();
+    fnv1a_fmt(format_args!(\"{v:?}\"))
+}
+";
+        let f = taint_findings(src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].line, 3);
+        assert!(f[0].message.contains("FNV digest"));
+        // An escaped brace captures nothing.
+        let escaped = src.replace("{v:?}", "{{v:?}}");
+        assert!(taint_findings(&escaped).is_empty());
+    }
+
+    #[test]
+    fn inline_captures_skip_escapes_and_positional_arguments() {
+        let got: Vec<&str> = inline_captures("{a} {{b}} {c:?} {} {0} {_d:>8} {e.f} }}").collect();
+        assert_eq!(got, ["a", "c", "_d"]);
     }
 
     #[test]

@@ -323,8 +323,6 @@ impl GpuRuntime {
             "one GpuModel per device required"
         );
         let current = topo.devices[0].id;
-        let mut rng = SimRng::stream(seed, &["gpurt/", &topo.name], 0);
-        let run_factor = models[0].jitter.sample_scalar(1.0, &mut rng).max(0.05);
         let n_numa = topo
             .numa_domains
             .iter()
@@ -345,23 +343,14 @@ impl GpuRuntime {
             .unwrap_or(0);
         let nv = n_numa + n_dev + n_switch;
         let ndevices = topo.devices.len();
-        let driver = models
-            .iter()
-            .map(|m| DriverCosts {
-                launch: m.launch_overhead * run_factor,
-                empty_kernel: m.empty_kernel_time * run_factor,
-                stream_sync: m.stream_sync_overhead * run_factor,
-                sync: m.sync_overhead * run_factor,
-            })
-            .collect();
-        GpuRuntime {
+        let mut rt = GpuRuntime {
             topo,
             models,
             clock: SimTime::ZERO,
-            run_factor,
-            driver,
-            streams: vec![Engine::new(); ndevices],
-            lanes: (0..=ndevices).collect(),
+            run_factor: 1.0,
+            driver: Vec::with_capacity(ndevices),
+            streams: Vec::with_capacity(ndevices),
+            lanes: Vec::with_capacity(ndevices + 1),
             wire_slots: vec![None; nv * nv],
             wires: Vec::new(),
             wire_dims: (n_numa, n_dev, nv),
@@ -369,7 +358,72 @@ impl GpuRuntime {
             trace: None,
             checks: dessan::checks_enabled().then(|| Box::new(GpuChecks::new(ndevices))),
             boundary: Boundary::default(),
+        };
+        rt.arm(seed);
+        rt
+    }
+
+    /// Make this runtime equal to a fresh [`Self::new`] with `seed` over
+    /// the same node and models, keeping its allocations. Returns `false`,
+    /// and changes nothing, under `--check` or while tracing: the caller
+    /// then builds a fresh runtime, so the sanitizer and the trace see
+    /// every rep from its start.
+    pub fn rearm(&mut self, seed: u64) -> bool {
+        if self.checks.is_some() || dessan::checks_enabled() || self.trace.is_some() {
+            return false;
         }
+        self.arm(seed);
+        true
+    }
+
+    /// The runtime in `slot`, re-armed for `seed`, or a fresh one in its
+    /// place when the slot is empty, holds another node or models, or
+    /// [`Self::rearm`] declines. A rep loop keeps one slot per worker
+    /// thread, so it builds a runtime once per thread rather than once per
+    /// rep.
+    pub fn rearmed<'a>(
+        slot: &'a mut Option<GpuRuntime>,
+        topo: &Arc<NodeTopology>,
+        models: &Arc<[GpuModel]>,
+        seed: u64,
+    ) -> &'a mut GpuRuntime {
+        let reusable = |rt: &mut GpuRuntime| {
+            Arc::ptr_eq(&rt.topo, topo) && Arc::ptr_eq(&rt.models, models) && rt.rearm(seed)
+        };
+        let kept = slot
+            .take()
+            .and_then(|mut rt| reusable(&mut rt).then_some(rt));
+        slot.insert(
+            kept.unwrap_or_else(|| GpuRuntime::new(Arc::clone(topo), Arc::clone(models), seed)),
+        )
+    }
+
+    /// Set the per-seed state, for [`Self::new`] and [`Self::rearm`]
+    /// alike: draw the run factor and scale every device's driver costs
+    /// by it, zero the host clock, keep only the default streams, all
+    /// idle, drop every wire and select device 0.
+    fn arm(&mut self, seed: u64) {
+        let mut rng = SimRng::stream(seed, &["gpurt/", &self.topo.name], 0);
+        let run_factor = self.models[0].jitter.sample_scalar(1.0, &mut rng).max(0.05);
+        self.run_factor = run_factor;
+        self.driver.clear();
+        self.driver.extend(self.models.iter().map(|m| DriverCosts {
+            launch: m.launch_overhead * run_factor,
+            empty_kernel: m.empty_kernel_time * run_factor,
+            stream_sync: m.stream_sync_overhead * run_factor,
+            sync: m.sync_overhead * run_factor,
+        }));
+        self.clock = SimTime::ZERO;
+        let ndevices = self.topo.devices.len();
+        self.streams.clear();
+        self.streams.resize(ndevices, Engine::new());
+        self.lanes.clear();
+        self.lanes.extend(0..=ndevices);
+        if !self.wires.is_empty() {
+            self.wires.clear();
+            self.wire_slots.fill(None);
+        }
+        self.current = self.topo.devices[0].id;
     }
 
     /// Turn the sanitizer on for this runtime regardless of the global

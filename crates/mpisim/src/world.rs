@@ -220,8 +220,6 @@ impl MpiSim {
         if let Err(why) = cfg.validate() {
             return Err(MpiError::InvalidConfig(why));
         }
-        let mut rng = SimRng::stream(seed, &["mpi/", &topo.name], 0);
-        let run_factor = cfg.jitter.sample_scalar(1.0, &mut rng).max(0.05);
         let checks = dessan::checks_enabled().then(|| Box::new(MpiChecks::new(0)));
         let nports = topo
             .numa_domains
@@ -244,7 +242,7 @@ impl MpiSim {
             }
             numa_core_count[c.numa.index()] += 1;
         }
-        Ok(MpiSim {
+        let mut world = MpiSim {
             topo,
             cfg,
             rank_core: Vec::new(),
@@ -258,10 +256,38 @@ impl MpiSim {
             class_paths: Vec::new(),
             core_numa,
             numa_core_count,
-            run_factor,
+            run_factor: 1.0,
             checks,
             boundary: Boundary::default(),
-        })
+        };
+        world.arm(seed);
+        Ok(world)
+    }
+
+    /// Make this world equal to a fresh [`Self::new`] with `seed` and the
+    /// same ranks, keeping its allocations and its class-path memo (which
+    /// holds unscaled costs, so no seed reaches it). Returns `false`, and
+    /// changes nothing, under `--check` or while a message is pending: the
+    /// caller then builds a fresh world, so the sanitizer sees every rep
+    /// from its start and a leaked message is still reported at drop.
+    pub fn rearm(&mut self, seed: u64) -> bool {
+        if self.checks.is_some()
+            || dessan::checks_enabled()
+            || self.mailboxes.iter().any(|m| !m.is_empty())
+        {
+            return false;
+        }
+        self.arm(seed);
+        true
+    }
+
+    /// Set the per-seed state, for [`Self::try_new`] and [`Self::rearm`]
+    /// alike: draw the run factor, zero every clock and idle every port.
+    fn arm(&mut self, seed: u64) {
+        let mut rng = SimRng::stream(seed, &["mpi/", &self.topo.name], 0);
+        self.run_factor = self.cfg.jitter.sample_scalar(1.0, &mut rng).max(0.05);
+        self.clocks.fill(SimTime::ZERO);
+        self.ports.fill(Engine::new());
     }
 
     /// Turn the sanitizer on for this world regardless of the global

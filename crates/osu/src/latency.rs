@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use doe_benchlib::{parallel_map_indexed, Samples, Summary};
+use doe_benchlib::{parallel_map_init, Samples, Summary};
 use doe_mpi::{MpiConfig, MpiSim, Rank};
 use doe_topo::{CoreId, DeviceId, NodeTopology};
 
@@ -58,28 +58,32 @@ fn run_campaign(
     seed: u64,
 ) -> Vec<LatencyPoint> {
     assert!(cfg.reps > 0, "need at least one repetition");
-    // One world per rep, built from the rep index, so reps can run on any
-    // pool worker in any order. The world's only draw is its run factor,
-    // at construction, and a barrier leaves every port horizon at or
-    // below the common clock: each size then runs on a fresh world
-    // shifted in time, with the same integer-picosecond result
-    // (DESIGN.md §3).
-    let per_rep = parallel_map_indexed(cfg.reps, |rep| {
-        let (mut world, a, b) = build_pair(
-            topo,
-            mpi,
-            cores,
-            bufs,
-            seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        cfg.sizes
-            .iter()
-            .map(|&bytes| {
-                world.barrier();
-                pingpong_once(&mut world, a, b, bytes, cfg.warmup, cfg.iters_for(bytes))
-            })
-            .collect::<Vec<f64>>()
-    });
+    // One world per rep, armed from the rep index, so reps can run on any
+    // pool worker in any order. A worker re-arms the world its last rep
+    // left, which makes it a fresh one (DESIGN.md §3). The world's only
+    // draw is its run factor, and a barrier leaves every port horizon at
+    // or below the common clock: each size then runs on a fresh world
+    // shifted in time, with the same integer-picosecond result.
+    let per_rep = parallel_map_init(
+        cfg.reps,
+        || None,
+        |slot: &mut Option<(MpiSim, Rank, Rank)>, rep| {
+            let seed = seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let kept = slot
+                .take()
+                .and_then(|mut pair| pair.0.rearm(seed).then_some(pair));
+            let (world, a, b) =
+                slot.insert(kept.unwrap_or_else(|| build_pair(topo, mpi, cores, bufs, seed)));
+            let (a, b) = (*a, *b);
+            cfg.sizes
+                .iter()
+                .map(|&bytes| {
+                    world.barrier();
+                    pingpong_once(world, a, b, bytes, cfg.warmup, cfg.iters_for(bytes))
+                })
+                .collect::<Vec<f64>>()
+        },
+    );
     cfg.sizes
         .iter()
         .enumerate()

@@ -19,15 +19,15 @@
 //! # Example
 //!
 //! ```
-//! use doe_simtime::{Clock, SimDuration};
+//! use doe_simtime::{SimDuration, SimTime};
 //!
-//! let mut clock = Clock::new();
-//! clock.advance(SimDuration::from_us(1.5));
-//! clock.advance(SimDuration::from_ns(500.0));
-//! assert_eq!(clock.now().as_us(), 2.0);
+//! let mut now = SimTime::ZERO;
+//! now += SimDuration::from_us(1.5);
+//! now += SimDuration::from_ns(500.0);
+//! assert_eq!(now.as_us(), 2.0);
+//! assert_eq!(now.since(SimTime::ZERO), SimDuration::from_us(2.0));
 //! ```
 
-pub mod clock;
 pub mod engine;
 pub mod noise;
 pub mod rng;
@@ -36,7 +36,6 @@ pub mod steady;
 pub mod time;
 pub mod trace;
 
-pub use clock::Clock;
 pub use engine::Engine;
 pub use noise::Jitter;
 pub use rng::SimRng;

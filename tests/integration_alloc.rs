@@ -5,7 +5,8 @@
 //! touches the allocator zero times once warm. This test pins that down
 //! with a counting global allocator: warm each world up, snapshot the
 //! allocation counter, run the steady-state loop, and assert the counter
-//! did not move. The same holds for rendering a cached answer: a warm
+//! did not move. Re-arming a warm world for the next rep allocates
+//! nothing either. The same holds for rendering a cached answer: a warm
 //! render writes straight into a reused buffer.
 //!
 //! Every steady-state loop runs on the test's own thread, so the counter
@@ -161,6 +162,30 @@ fn mpisim_pingpong_phase(checks: bool) -> u64 {
     delta
 }
 
+/// `MpiSim::rearm` between OSU-shaped reps: re-arming a warm world
+/// redraws its run factor and zeroes its clocks and ports in place, so a
+/// rep loop that re-arms one world allocates nothing per rep.
+fn mpisim_rearm_phase() -> u64 {
+    let mut w = MpiSim::new(two_numa_topo(), MpiConfig::default_host(), 7);
+    let a = w.add_host_rank(CoreId(0)).expect("core 0");
+    let b = w.add_host_rank(CoreId(4)).expect("core 4");
+    let sizes = [8, w.config().eager_threshold + 1];
+    let rep = |w: &mut MpiSim, seed: u64| {
+        assert!(w.rearm(seed), "a quiescent unchecked world re-arms");
+        for bytes in sizes {
+            w.barrier();
+            w.pingpong(a, b, bytes, 100).expect("pingpong");
+        }
+    };
+    // Warm-up: path memo, mailbox capacity, the boundary scratch.
+    rep(&mut w, 1);
+    alloc_delta(|| {
+        for seed in 2..200 {
+            rep(&mut w, seed);
+        }
+    })
+}
+
 fn netsim_phase(checks: bool) -> u64 {
     let mut w = NetWorld::new(
         Fabric::new(FabricConfig::slingshot_like()),
@@ -284,6 +309,37 @@ fn gpurt_launch_train_phase(checks: bool) -> u64 {
     delta
 }
 
+/// `GpuRuntime::rearm` between Comm|Scope-shaped reps: re-arming a warm
+/// runtime rescales its driver costs, drops its extra streams and wires
+/// and zeroes its clock in place, so a rep that creates a stream and a
+/// wire again refills the same buffers and allocates nothing.
+fn gpurt_rearm_phase() -> u64 {
+    let mut rt = dual_gpu_runtime();
+    let host = Buffer::pinned_host(NumaId(0), 128);
+    let dev = Buffer::device(DeviceId(0), 128);
+    let peer = Buffer::device(DeviceId(1), 128);
+    let rep = |rt: &mut GpuRuntime, seed: u64| {
+        assert!(rt.rearm(seed), "an unchecked, untraced runtime re-arms");
+        rt.set_device(DeviceId(1)).expect("device 1");
+        let s = rt.create_stream(DeviceId(0)).expect("stream");
+        rt.repeat(50, |rt| {
+            rt.memcpy_async(&dev, &host, 128, &s)?;
+            rt.memcpy_async(&peer, &dev, 128, &s)?;
+            rt.stream_synchronize(&s)
+        })
+        .expect("copies");
+        rt.launch_empty_train(&s, 50).expect("launch");
+        rt.device_synchronize().expect("sync");
+    };
+    // Warm-up: stream and wire tables, the boundary scratch.
+    rep(&mut rt, 1);
+    alloc_delta(|| {
+        for seed in 2..200 {
+            rep(&mut rt, seed);
+        }
+    })
+}
+
 /// `NodeTopology::route_costs` over every ordered vertex pair of every
 /// catalog topology: once a topology's table is filled, a lookup is an
 /// index into it.
@@ -366,6 +422,7 @@ fn steady_state_hot_paths_allocate_nothing() {
             "mpisim pingpong (op by op) under --check",
             mpisim_pingpong_phase(true),
         ),
+        ("mpisim rearm between reps", mpisim_rearm_phase()),
         ("netsim pingpong", netsim_phase(false)),
         ("netsim pingpong under --check", netsim_phase(true)),
         ("gpurt memcpy loop", gpurt_phase()),
@@ -379,6 +436,7 @@ fn steady_state_hot_paths_allocate_nothing() {
             "gpurt launch train (launch by launch) under --check",
             gpurt_launch_train_phase(true),
         ),
+        ("gpurt rearm between reps", gpurt_rearm_phase()),
         ("route table lookups", route_table_phase()),
         ("batch gaussian fill", noise_phase()),
         ("query body render", render_phase()),
