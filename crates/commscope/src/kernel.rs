@@ -8,6 +8,7 @@ use doe_gpusim::GpuModel;
 use doe_topo::{DeviceId, NodeTopology};
 
 use crate::config::CommScopeConfig;
+use crate::search::per_iteration;
 
 fn rep_seed(seed: u64, rep: usize) -> u64 {
     seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -31,13 +32,22 @@ pub fn launch_latency(
             let rt = GpuRuntime::rearmed(slot, topo, models, rep_seed(seed, rep));
             rt.set_device(dev).expect("device exists");
             let stream = rt.default_stream(dev).expect("stream");
-            let (_iters, per) = adaptive_iterations(cfg.adaptive, |n| {
-                // Drain the queue before each batch so queue pressure from a
-                // previous (shorter) probe batch never bleeds into this one.
-                rt.device_synchronize().expect("sync");
-                rt.launch_empty_train(&stream, n).expect("launch")
-            });
-            rt.device_synchronize().expect("final sync");
+            let per = if rt.fast_forwards() {
+                // A train of n launches moves the host clock by exactly n·L
+                // in either form (DESIGN.md §3), so every batch takes n·L:
+                // the search runs on those times once a launch shows L.
+                let launch = rt.launch_empty_train(&stream, 1).expect("launch");
+                adaptive_iterations(cfg.adaptive, |n| launch * n).1
+            } else {
+                adaptive_iterations(cfg.adaptive, |n| {
+                    // Drain the queue before each batch so queue pressure
+                    // from a previous (shorter) probe batch never bleeds
+                    // into this one.
+                    rt.device_synchronize().expect("sync");
+                    rt.launch_empty_train(&stream, n).expect("launch")
+                })
+                .1
+            };
             per.as_us()
         },
     );
@@ -59,10 +69,7 @@ pub fn wait_latency(
         |slot, rep| {
             let rt = GpuRuntime::rearmed(slot, topo, models, rep_seed(seed, rep));
             rt.set_device(dev).expect("device exists");
-            let (_iters, per) = adaptive_iterations(cfg.adaptive, |n| {
-                rt.repeat(n, GpuRuntime::device_synchronize).expect("sync")
-            });
-            per.as_us()
+            per_iteration(rt, cfg.adaptive, GpuRuntime::device_synchronize).as_us()
         },
     );
     per_rep.into_iter().collect::<Samples>().summary()

@@ -32,6 +32,7 @@
 pub mod config;
 pub mod kernel;
 pub mod memcpy;
+pub mod search;
 pub mod suite;
 
 pub use config::CommScopeConfig;

@@ -3,12 +3,13 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use doe_benchlib::{adaptive_iterations, parallel_map_init, run_reps_par, Samples, Summary};
+use doe_benchlib::{parallel_map_init, run_reps_par, Samples, Summary};
 use doe_gpurt::{Buffer, GpuRuntime};
 use doe_gpusim::GpuModel;
 use doe_topo::{DeviceId, LinkClass, NodeTopology};
 
 use crate::config::CommScopeConfig;
+use crate::search::per_iteration;
 
 /// A latency/bandwidth pair for one transfer direction or pair.
 #[derive(Clone, Debug)]
@@ -35,14 +36,11 @@ fn copy_time_us(
     cfg: &CommScopeConfig,
 ) -> f64 {
     let stream = rt.default_stream(exec_dev).expect("stream");
-    let (_iters, per) = adaptive_iterations(cfg.adaptive, |n| {
-        rt.repeat(n, |rt| {
-            rt.memcpy_async(dst, src, bytes, &stream)?;
-            rt.stream_synchronize(&stream)
-        })
-        .expect("copy")
-    });
-    per.as_us()
+    per_iteration(rt, cfg.adaptive, |rt| {
+        rt.memcpy_async(dst, src, bytes, &stream)?;
+        rt.stream_synchronize(&stream)
+    })
+    .as_us()
 }
 
 fn transfer_between(

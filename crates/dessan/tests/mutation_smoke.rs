@@ -77,8 +77,7 @@ macro_rules! seeds {
 /// `MpiSim::advance`, where the token-rule seeds land.
 const MPI_ADVANCE: &str = "        *c += d;\n        Ok(())";
 /// The top of the hot `MpiSim::pingpong`.
-const PINGPONG_ENTRY: &str =
-    "let fast = self.checks.is_none() && self.mailboxes.iter().all(VecDeque::is_empty);";
+const PINGPONG_ENTRY: &str = "let fast = self.fast_forwards();";
 
 seeds! {
     // The on-socket MPI calibration sums three µs components; extracting
@@ -174,7 +173,7 @@ seeds! {
 
     // A scratch buffer allocated on every ping-pong call.
     alloc_in_pingpong_is_caught_by_hot_path_alloc: HotPathAlloc in "crates/mpisim/src/world.rs",
-        PINGPONG_ENTRY => "let fast = self.checks.is_none() && self.mailboxes.iter().all(VecDeque::is_empty);\n        \
+        PINGPONG_ENTRY => "let fast = self.fast_forwards();\n        \
                            let scratch = vec![0u8; 64];\n        drop(scratch);";
 
     // A `format!` in the JSON stat-cell writer allocates for every
@@ -185,7 +184,7 @@ seeds! {
     // The hot ping-pong loop calls the allocating, non-hot
     // `check_findings`.
     allocating_helper_in_pingpong_is_caught_by_hot_path_alloc_transitive: HotPathAllocTransitive in "crates/mpisim/src/world.rs",
-        PINGPONG_ENTRY => "let fast = self.checks.is_none() && self.mailboxes.iter().all(VecDeque::is_empty);\n        \
+        PINGPONG_ENTRY => "let fast = self.fast_forwards();\n        \
                            let _ = self.check_findings();";
 }
 

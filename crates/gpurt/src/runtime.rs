@@ -369,11 +369,21 @@ impl GpuRuntime {
     /// then builds a fresh runtime, so the sanitizer and the trace see
     /// every rep from its start.
     pub fn rearm(&mut self, seed: u64) -> bool {
-        if self.checks.is_some() || dessan::checks_enabled() || self.trace.is_some() {
+        if !self.fast_forwards() || dessan::checks_enabled() {
             return false;
         }
         self.arm(seed);
         true
+    }
+
+    /// Whether this runtime may compute work whose result its state fixes
+    /// instead of simulating it: no checks and no tracing. Launch trains
+    /// then take their closed form, [`Self::repeat`] fast-forwards a
+    /// periodic loop and [`Self::period`] reports a loop's period
+    /// (DESIGN.md §3). Otherwise every operation runs, so every vector
+    /// clock ticks and every span is recorded.
+    pub fn fast_forwards(&self) -> bool {
+        self.checks.is_none() && self.trace.is_none()
     }
 
     /// The runtime in `slot`, re-armed for `seed`, or a fresh one in its
@@ -730,7 +740,7 @@ impl GpuRuntime {
         let launch = self.driver(s.device)?.launch;
         let i = self.stream_index(s)?;
         let t0 = self.clock;
-        if self.checks.is_none() && self.trace.is_none() {
+        if self.fast_forwards() {
             self.streams[i].enqueue_train(t0 + launch, launch, body, n);
             self.clock += launch * n;
             return Ok(self.clock.since(t0));
@@ -1053,9 +1063,26 @@ impl GpuRuntime {
         op: impl Fn(&mut GpuRuntime) -> Result<(), GpuError>,
     ) -> Result<SimDuration, GpuError> {
         let t0 = self.clock;
-        let fast = self.checks.is_none() && self.trace.is_none();
+        let fast = self.fast_forwards();
         steady::repeat(self, iters, fast, Self::steady_parts, op)?;
         Ok(self.clock.since(t0))
+    }
+
+    /// Run `op` twice and return its period: `Some(P)` when the first
+    /// iteration took `P` on the host clock and left a state that the
+    /// second repeats `P` later ([`steady::period`]). Then every
+    /// iteration of the loop, these two and any run after them, takes
+    /// exactly `P`: a batch of `n` takes `n·P` however the loop is split
+    /// into batches, so a caller that reads only those times may compute
+    /// them instead of running the loop.
+    /// `op` is bound as for [`Self::repeat`]. Under checks or tracing both
+    /// iterations run and the answer is `None`.
+    pub fn period(
+        &mut self,
+        op: impl Fn(&mut GpuRuntime) -> Result<(), GpuError>,
+    ) -> Result<Option<SimDuration>, GpuError> {
+        let fast = self.fast_forwards();
+        steady::period(self, fast, Self::steady_parts, op)
     }
 
     /// The host clock, every stream then every wire, and the current

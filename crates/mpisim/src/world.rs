@@ -271,14 +271,20 @@ impl MpiSim {
     /// caller then builds a fresh world, so the sanitizer sees every rep
     /// from its start and a leaked message is still reported at drop.
     pub fn rearm(&mut self, seed: u64) -> bool {
-        if self.checks.is_some()
-            || dessan::checks_enabled()
-            || self.mailboxes.iter().any(|m| !m.is_empty())
-        {
+        if !self.fast_forwards() || dessan::checks_enabled() {
             return false;
         }
         self.arm(seed);
         true
+    }
+
+    /// Whether this world may compute work whose result its state fixes
+    /// instead of simulating it: no sanitizer is attached and no message
+    /// is pending. [`Self::pingpong`] then fast-forwards a periodic loop,
+    /// and an OSU campaign skips the warm-up before a barrier (DESIGN.md
+    /// §3). Otherwise every operation runs, so the sanitizer sees each one.
+    pub fn fast_forwards(&self) -> bool {
+        self.checks.is_none() && self.mailboxes.iter().all(VecDeque::is_empty)
     }
 
     /// Set the per-seed state, for [`Self::try_new`] and [`Self::rearm`]
@@ -651,9 +657,9 @@ impl MpiSim {
     /// so [`steady::repeat`] skips the round trips after the world reaches
     /// a steady state over its rank clocks and copy ports (DESIGN.md §3).
     ///
-    /// The shortcut needs a quiescent world (no pending messages) and no
-    /// sanitizer: under `--check` every round trip runs op by op, so the
-    /// vector clocks see every send and receive.
+    /// The shortcut needs [`Self::fast_forwards`]: under `--check` every
+    /// round trip runs op by op, so the vector clocks see every send and
+    /// receive.
     // doebench::hot
     pub fn pingpong(
         &mut self,
@@ -663,7 +669,7 @@ impl MpiSim {
         iters: u32,
     ) -> Result<SimDuration, MpiError> {
         let t0 = self.time(a)?;
-        let fast = self.checks.is_none() && self.mailboxes.iter().all(VecDeque::is_empty);
+        let fast = self.fast_forwards();
         steady::repeat(self, iters.into(), fast, Self::steady_parts, |w| {
             w.send(a, b, bytes)?;
             w.recv(b, a, bytes)?;

@@ -11,7 +11,9 @@ pub struct OsuConfig {
     pub large_iters: u32,
     /// Boundary between small and large (OSU default: 8 KiB).
     pub large_threshold: u64,
-    /// Warmup iterations before timing.
+    /// Warmup iterations before timing. `osu_latency` runs them only on a
+    /// world that does not fast-forward (under `--check`): its timed loop
+    /// starts after a barrier, which no warm-up result reaches.
     pub warmup: u32,
     /// Outer "binary runs" aggregated into mean ± σ (paper: 100).
     pub reps: usize,

@@ -1,16 +1,19 @@
 //! Differential test of the OSU latency campaign, which re-arms one
-//! world per worker thread for each rep and runs every message size on
-//! it, against the loops it replaced: a fresh world per rep running every
-//! size, and a fresh world for every (rep, size).
+//! world per worker thread for each rep, runs every message size on it
+//! and skips the warm-ups, against the loops it replaced: a fresh world
+//! per rep running every size, and a fresh world for every (rep, size),
+//! both running every warm-up round trip op by op.
 //!
 //! Reuse is exact: a world's only draw is its run factor, a re-armed
-//! world is a fresh one, and a barrier before each size leaves a fresh
-//! world shifted in time (DESIGN.md §3). So every field of every point's
-//! summary must agree to the bit, for host and device buffers, on both
-//! sides of the eager threshold, on every sweepable catalog machine, with
-//! one worker (one world for the whole campaign) or several.
+//! world is a fresh one, and the barrier before each timed loop leaves a
+//! fresh world shifted in time (DESIGN.md §3), whatever ran before it. So
+//! every field of every point's summary must agree to the bit, for host
+//! and device buffers, on both sides of the eager threshold, with up to
+//! OSU's 10 warm-ups, on every sweepable catalog machine, with one worker
+//! (one world for the whole campaign) or several. Under `--check` the
+//! warm-ups run, and the summaries agree too.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use doe_benchlib::{parallel_map_indexed, run_reps_par, set_jobs, Samples, Summary};
 use doe_machines::{all_machines, Machine};
@@ -50,7 +53,7 @@ fn cases() -> impl Strategy<Value = Case> {
             (any::<usize>(), any::<usize>()),
         ),
         collection::vec((0u8..4, 0u64..(4 << 20) + 1), 1..6),
-        (0u32..4, 1u32..60, 1u32..12, 1usize..7, any::<u64>()),
+        (0u32..11, 1u32..60, 1u32..12, 1usize..7, any::<u64>()),
         1usize..4,
     )
         .prop_map(
@@ -130,10 +133,16 @@ fn fresh_world(
     (world, a, b)
 }
 
-/// One size's warm-up and timed loop: one-way µs.
+/// One size's warm-up, round trip by round trip, and timed loop: one-way
+/// µs.
 fn one_way_us(world: &mut MpiSim, a: Rank, b: Rank, bytes: u64, cfg: &OsuConfig) -> f64 {
     let iters = cfg.iters_for(bytes);
-    world.pingpong(a, b, bytes, cfg.warmup).expect("warmup");
+    for _ in 0..cfg.warmup {
+        world.send(a, b, bytes).expect("send");
+        world.recv(b, a, bytes).expect("recv");
+        world.send(b, a, bytes).expect("send");
+        world.recv(a, b, bytes).expect("recv");
+    }
     world.barrier();
     let dt = world.pingpong(a, b, bytes, iters).expect("timed loop");
     dt.as_us() / (2.0 * iters as f64)
@@ -199,11 +208,118 @@ fn bits(s: &Summary) -> [u64; 7] {
     ]
 }
 
+/// The `--check` switch is global: tests that read it take turns.
+fn serial() -> MutexGuard<'static, ()> {
+    static CHECKS: Mutex<()> = Mutex::new(());
+    CHECKS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+type Points = Vec<(u64, Summary)>;
+
+/// The campaign under test, then both references, on `m`'s `cores`.
+fn campaign_and_references(
+    m: &Machine,
+    cores: (CoreId, CoreId),
+    devices: Option<(DeviceId, DeviceId)>,
+    cfg: &OsuConfig,
+    seed: u64,
+) -> (Points, [Points; 2]) {
+    let got = match devices {
+        None => osu_latency(&m.topo, &m.mpi, cores, cfg, seed),
+        Some(d) => osu_latency_device(&m.topo, &m.mpi, cores, d, cfg, seed),
+    };
+    let got = got.into_iter().map(|p| (p.bytes, p.one_way_us)).collect();
+    let want = [
+        fresh_world_per_size(m, cores, devices, cfg, seed),
+        fresh_world_per_rep(m, cores, devices, cfg, seed),
+    ];
+    (got, want)
+}
+
+fn assert_same_bits(got: &Points, want: &Points, ctx: &str) {
+    assert_eq!(got.len(), want.len(), "{ctx}");
+    for ((gb, g), (wb, w)) in got.iter().zip(want) {
+        assert_eq!(gb, wb, "{ctx}");
+        assert_eq!(bits(g), bits(w), "{ctx} {gb} B: {g:?} vs {w:?}");
+    }
+}
+
+/// The quick sweep's campaign: OSU's full size ladder, 0 B to 4 MiB, and
+/// its 10 warm-ups, at the quick profile's iterations and reps.
+fn quick_sweep() -> OsuConfig {
+    OsuConfig {
+        small_iters: 100,
+        large_iters: 10,
+        reps: 10,
+        ..OsuConfig::paper()
+    }
+}
+
+#[test]
+fn the_quick_sweep_ladder_matches_on_every_sweepable_machine() {
+    let _serial = serial();
+    let cfg = quick_sweep();
+    assert_eq!((cfg.sizes.len(), cfg.warmup), (24, 10));
+    for m in sweepable() {
+        for (pair, cores) in [
+            ("socket", on_socket_pair(&m.topo)),
+            ("node", on_node_pair(&m.topo)),
+        ] {
+            let cores = cores.expect("sweepable machine");
+            for jobs in [1, 2] {
+                set_jobs(jobs);
+                let (got, want) = campaign_and_references(&m, cores, None, &cfg, 0x5EE9);
+                for w in &want {
+                    assert_same_bits(&got, w, &format!("{} {pair} jobs={jobs}", m.name));
+                }
+            }
+        }
+    }
+}
+
+/// Under `--check` no world fast-forwards, so every warm-up round trip
+/// runs and the sanitizer sees it; the summaries are the unchecked
+/// campaign's, bit for bit, and the sanitizer finds nothing.
+#[test]
+fn checked_campaigns_run_the_warmups_and_match() {
+    let _serial = serial();
+    let cfg = OsuConfig {
+        sizes: vec![0, 8, 64 << 10, 1 << 20],
+        reps: 3,
+        ..quick_sweep()
+    };
+    let machines = sweepable();
+    let cases = machines.iter().map(|m| {
+        let cores = on_node_pair(&m.topo).expect("sweepable machine");
+        let ndev = m.topo.devices.len();
+        let devices = (ndev >= 2).then(|| (m.topo.devices[0].id, m.topo.devices[1].id));
+        (m, cores, devices)
+    });
+    for (m, cores, devices) in cases {
+        set_jobs(2);
+        let (unchecked, _) = campaign_and_references(m, cores, devices, &cfg, 11);
+        dessan::set_checks_enabled(true);
+        dessan::take_global_findings();
+        let (world, _, _) = fresh_world(m, cores, devices, 11, 0);
+        let fast = world.fast_forwards();
+        drop(world);
+        let (got, want) = campaign_and_references(m, cores, devices, &cfg, 11);
+        let findings = dessan::take_global_findings();
+        dessan::set_checks_enabled(false);
+        assert!(!fast, "{}: a checked world must run its warm-ups", m.name);
+        assert!(findings.is_empty(), "{}: {findings:#?}", m.name);
+        for w in want.iter().chain([&unchecked]) {
+            assert_same_bits(&got, w, &format!("{} {devices:?} under --check", m.name));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn one_world_per_rep_matches_a_fresh_world_per_size(case in cases()) {
+        let _serial = serial();
         let machines = sweepable();
         let m = &machines[case.machine % machines.len()];
         let cores = if case.on_node {
@@ -221,28 +337,9 @@ proptest! {
         let cfg = config(m, &case);
 
         set_jobs(case.jobs);
-        let got = match devices {
-            None => osu_latency(&m.topo, &m.mpi, cores, &cfg, case.seed),
-            Some(d) => osu_latency_device(&m.topo, &m.mpi, cores, d, &cfg, case.seed),
-        };
-        for want in [
-            fresh_world_per_size(m, cores, devices, &cfg, case.seed),
-            fresh_world_per_rep(m, cores, devices, &cfg, case.seed),
-        ] {
-            prop_assert_eq!(got.len(), want.len());
-            for (g, (bytes, w)) in got.iter().zip(&want) {
-                prop_assert_eq!(g.bytes, *bytes);
-                prop_assert_eq!(
-                    bits(&g.one_way_us),
-                    bits(w),
-                    "{} {:?} {} B: {:?} vs {:?}",
-                    m.name,
-                    devices,
-                    bytes,
-                    g.one_way_us,
-                    w
-                );
-            }
+        let (got, want) = campaign_and_references(m, cores, devices, &cfg, case.seed);
+        for w in &want {
+            assert_same_bits(&got, w, &format!("{} {devices:?} {case:?}", m.name));
         }
     }
 }

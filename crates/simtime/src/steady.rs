@@ -145,6 +145,35 @@ pub fn repeat<R, E>(
     Ok(())
 }
 
+/// Run `step` twice on `rt` and return the loop's period: `Some(P)` when
+/// the first iteration moved the earliest clock by `P` and the second
+/// boundary is the first shifted by `P`. Every later iteration then
+/// repeats the one before it `P` later, so any `n` iterations run back to
+/// back from `rt`'s starting state, whether in one call or in batches,
+/// move the earliest clock by exactly `n·P`, and a caller that reads only
+/// those times can compute them instead of running the loop. Without
+/// `fast` both iterations still run and the answer is `None`.
+pub fn period<R, E>(
+    rt: &mut R,
+    fast: bool,
+    parts: fn(&mut R) -> Parts<'_>,
+    mut step: impl FnMut(&mut R) -> Result<(), E>,
+) -> Result<Option<SimDuration>, E> {
+    let m0 = earliest(parts(rt).clocks);
+    step(rt)?;
+    let mut p = parts(rt);
+    let first = earliest(p.clocks).since(m0);
+    if fast {
+        p.record();
+    }
+    step(rt)?;
+    Ok(if fast {
+        parts(rt).shift().filter(|&delta| delta == first)
+    } else {
+        None
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,6 +230,27 @@ mod tests {
         assert_eq!(fast.clocks, plain.clocks);
         let tails = |t: &Toy| t.engines.iter().map(Engine::busy_until).collect::<Vec<_>>();
         assert_eq!(tails(&fast), tails(&plain));
+    }
+
+    #[test]
+    fn a_period_holds_only_from_the_first_iteration() {
+        let start = |c1: u64| Toy {
+            clocks: vec![SimTime::ZERO, SimTime::from_ps(c1)],
+            engines: vec![Engine::new(), Engine::new()],
+            ..Toy::default()
+        };
+        // Both clocks start together: every round takes 10 ps.
+        let mut t = start(0);
+        assert_eq!(period(&mut t, true, toy_parts, round), Ok(Some(ps(10))));
+        assert_eq!(t.clocks, vec![SimTime::from_ps(20); 2]);
+        // Rank 1 starts late, so the first round is longer than the
+        // period the second boundary shows.
+        let mut t = start(40);
+        assert_eq!(period(&mut t, true, toy_parts, round), Ok(None));
+        // Without `fast` nothing is compared, but both rounds run.
+        let mut t = start(0);
+        assert_eq!(period(&mut t, false, toy_parts, round), Ok(None));
+        assert_eq!(t.clocks, vec![SimTime::from_ps(20); 2]);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! with a counting global allocator: warm each world up, snapshot the
 //! allocation counter, run the steady-state loop, and assert the counter
 //! did not move. Re-arming a warm world for the next rep allocates
-//! nothing either. The same holds for rendering a cached answer: a warm
+//! nothing either, nor do the OSU size loop that skips its warm-ups and
+//! Comm|Scope's closed-form adaptive search. The same holds for rendering a cached answer: a warm
 //! render writes straight into a reused buffer.
 //!
 //! Every steady-state loop runs on the test's own thread, so the counter
@@ -63,6 +64,7 @@ fn alloc_delta(f: impl FnOnce()) -> u64 {
 
 use std::sync::Arc;
 
+use doebench::commscope::search::per_iteration;
 use doebench::gpurt::testkit::dual_gpu_runtime;
 use doebench::gpurt::{Buffer, GpuRuntime};
 use doebench::mpi::{MpiConfig, MpiSim};
@@ -181,6 +183,32 @@ fn mpisim_rearm_phase() -> u64 {
     rep(&mut w, 1);
     alloc_delta(|| {
         for seed in 2..200 {
+            rep(&mut w, seed);
+        }
+    })
+}
+
+/// The OSU size loop as the latency campaign runs it on a world that
+/// fast-forwards: per rep a re-arm, then per size a barrier and the timed
+/// loop, with no warm-up. A warm world runs the whole ladder without
+/// allocating.
+fn osu_size_loop_phase() -> u64 {
+    let mut w = MpiSim::new(two_numa_topo(), MpiConfig::default_host(), 7);
+    let a = w.add_host_rank(CoreId(0)).expect("core 0");
+    let b = w.add_host_rank(CoreId(4)).expect("core 4");
+    let sizes: Vec<u64> = doebench::osu::OsuConfig::paper().sizes;
+    let rep = |w: &mut MpiSim, seed: u64| {
+        assert!(w.rearm(seed), "a quiescent unchecked world re-arms");
+        for &bytes in &sizes {
+            w.barrier();
+            assert!(w.fast_forwards(), "the warm-up is skipped");
+            w.pingpong(a, b, bytes, 100).expect("timed loop");
+        }
+    };
+    // Warm-up: path memo, mailbox capacity, the boundary scratch.
+    rep(&mut w, 1);
+    alloc_delta(|| {
+        for seed in 2..50 {
             rep(&mut w, seed);
         }
     })
@@ -340,6 +368,42 @@ fn gpurt_rearm_phase() -> u64 {
     })
 }
 
+/// Comm|Scope's closed-form adaptive search in its rep shape: re-arm,
+/// then the copy and wait searches through `search::per_iteration`, whose
+/// two probe iterations confirm the period, and the launch search on the
+/// times of one launch. A warm runtime runs every search without
+/// allocating.
+fn commscope_closed_form_phase() -> u64 {
+    let mut rt = dual_gpu_runtime();
+    let host = Buffer::pinned_host(NumaId(0), 128);
+    let dev = Buffer::device(DeviceId(0), 128);
+    let peer = Buffer::device(DeviceId(1), 128);
+    let cfg = doebench::commscope::CommScopeConfig::paper().adaptive;
+    let rep = |rt: &mut GpuRuntime, seed: u64| {
+        assert!(rt.rearm(seed), "an unchecked, untraced runtime re-arms");
+        assert!(rt.fast_forwards(), "the closed forms apply");
+        let s = rt.default_stream(DeviceId(0)).expect("stream");
+        for (dst, src) in [(&dev, &host), (&host, &dev), (&peer, &dev)] {
+            let copy = |rt: &mut GpuRuntime| {
+                rt.memcpy_async(dst, src, 128, &s)?;
+                rt.stream_synchronize(&s)
+            };
+            assert!(rt.period(copy).expect("copy").is_some(), "periodic");
+            per_iteration(rt, cfg, copy);
+        }
+        per_iteration(rt, cfg, GpuRuntime::device_synchronize);
+        let launch = rt.launch_empty_train(&s, 1).expect("launch");
+        doebench::benchlib::adaptive_iterations(cfg, |n| launch * n);
+    };
+    // Warm-up: stream and wire tables, the boundary scratch.
+    rep(&mut rt, 1);
+    alloc_delta(|| {
+        for seed in 2..200 {
+            rep(&mut rt, seed);
+        }
+    })
+}
+
 /// `NodeTopology::route_costs` over every ordered vertex pair of every
 /// catalog topology: once a topology's table is filled, a lookup is an
 /// index into it.
@@ -423,6 +487,7 @@ fn steady_state_hot_paths_allocate_nothing() {
             mpisim_pingpong_phase(true),
         ),
         ("mpisim rearm between reps", mpisim_rearm_phase()),
+        ("osu size loop without warm-ups", osu_size_loop_phase()),
         ("netsim pingpong", netsim_phase(false)),
         ("netsim pingpong under --check", netsim_phase(true)),
         ("gpurt memcpy loop", gpurt_phase()),
@@ -437,6 +502,10 @@ fn steady_state_hot_paths_allocate_nothing() {
             gpurt_launch_train_phase(true),
         ),
         ("gpurt rearm between reps", gpurt_rearm_phase()),
+        (
+            "commscope closed-form search",
+            commscope_closed_form_phase(),
+        ),
         ("route table lookups", route_table_phase()),
         ("batch gaussian fill", noise_phase()),
         ("query body render", render_phase()),
