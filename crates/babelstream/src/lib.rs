@@ -6,12 +6,14 @@
 //! * [`native`] — real arrays and real threads on the host machine, timed
 //!   with the wall clock. This is what the original BabelStream does; use
 //!   it to measure *your* machine.
-//! * [`sim_cpu`] — the same sweep structure (sizes 16 Ki → ≥16 Mi doubles,
-//!   the Table 1 `OMP_*` combinations, 100 inner repeats, best-of
-//!   selection) executed against a simulated host memory system on virtual
-//!   time. Regenerates the "Memory Bandwidth" columns of Table 4.
+//! * [`sim_cpu`] — the same campaign (the Table 1 `OMP_*` combinations,
+//!   100 inner repeats, best-of selection at the largest of the sizes
+//!   16 Ki → ≥16 Mi doubles, the only size it reports and times) executed
+//!   against a simulated host memory system on virtual time. Regenerates
+//!   the "Memory Bandwidth" columns of Table 4.
 //! * [`sim_gpu`] — the CUDA/ROCm backend equivalent over `doe-gpurt`
-//!   (1 GiB arrays). Regenerates the "Device" bandwidth column of Table 5.
+//!   (1 GiB arrays, again timed at the largest size only). Regenerates
+//!   the "Device" bandwidth column of Table 5.
 //!
 //! Bandwidth accounting follows BabelStream 4.0 exactly: the numerator is
 //! 2 arrays for Copy/Mul/Dot and 3 for Add/Triad, with no write-allocate

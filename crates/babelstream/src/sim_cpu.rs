@@ -1,17 +1,19 @@
 //! The simulated-CPU backend: Table 4's "Memory Bandwidth" columns.
 //!
-//! Per "binary run", the campaign sweeps vector sizes and the Table 1
-//! `OMP_*` combinations, times `inner_iters` repeats of each kernel, and
-//! reports the best single-thread and best all-thread
-//! bandwidth at the largest size — exactly the paper's selection rule
-//! ("the highest single and multicore memory bandwidth … chosen over all
-//! the possible BabelStream operations for the largest vector size").
+//! Per "binary run", the campaign times `inner_iters` repeats of each
+//! kernel under the Table 1 `OMP_*` combinations and reports the best
+//! single-thread and best all-thread bandwidth at the largest vector
+//! size — exactly the paper's selection rule ("the highest single and
+//! multicore memory bandwidth … chosen over all the possible BabelStream
+//! operations for the largest vector size"). The paper's binary also
+//! sweeps the smaller sizes; no table reports them, so they are not
+//! timed.
 //!
 //! Run-to-run variance is a common-mode factor per binary run (DVFS,
 //! OS noise): one jitter draw scales every kernel in that run.
 
 use doe_benchlib::{parallel_map_indexed, Samples, Summary};
-use doe_memmodel::{MemDomainModel, PlacementQuality, StreamOp};
+use doe_memmodel::{MemDomainModel, StreamOp};
 use doe_omp::{resolve_placement, EnvCombo};
 use doe_simtime::{Jitter, SimDuration, SimRng};
 use doe_topo::NodeTopology;
@@ -25,19 +27,13 @@ pub struct CpuStreamReport {
     pub single: Summary,
     /// Best all-thread bandwidth (GB/s), mean ± σ over runs.
     pub all: Summary,
-    /// The winning kernel for the all-thread figure (from the final run).
-    pub best_all_op: StreamOp,
-    /// The winning environment combination (from the final run).
-    pub best_all_combo: EnvCombo,
-    /// Best all-thread bandwidth per vector size (final run) — the size
-    /// sweep of Appendix B.2.
-    pub curve: Vec<(u64, f64)>,
 }
 
-/// Final-run bookkeeping: winning op/combo and the size curve.
-type LastRun = (StreamOp, EnvCombo, Vec<(u64, f64)>);
-
 /// Run the campaign against a simulated host memory system.
+///
+/// Only the largest size is reported, and a size's bandwidth depends on
+/// nothing but its own kernel times and the rep's run factor, so only
+/// the largest size is timed.
 pub fn run_sim_cpu(
     topo: &NodeTopology,
     mem: &MemDomainModel,
@@ -46,29 +42,21 @@ pub fn run_sim_cpu(
     cfg: &SweepConfig,
 ) -> CpuStreamReport {
     assert!(cfg.reps > 0, "need at least one repetition");
-    let sizes = cfg.sizes();
-    let combos = EnvCombo::table1();
-    let placements: Vec<PlacementQuality> = combos
+    let n = *cfg.sizes().last().expect("nonempty sizes");
+    // Unjittered kernel times, one row of ops per combo. They depend on
+    // the cell, not the rep, so every rep reads them instead of
+    // re-deriving them.
+    let kernel_times: Vec<(bool, [SimDuration; StreamOp::ALL.len()])> = EnvCombo::table1()
         .iter()
-        .map(|combo| resolve_placement(topo, combo))
-        .collect();
-    // Unjittered kernel times, one row of ops per (size, combo) in loop
-    // order. They depend on the cell, not the rep, so every rep reads
-    // them instead of re-deriving them.
-    let kernel_times: Vec<[SimDuration; StreamOp::ALL.len()]> = sizes
-        .iter()
-        .flat_map(|&n| {
-            placements
-                .iter()
-                .map(move |&placement| StreamOp::ALL.map(|op| mem.kernel_time(op, n, placement)))
+        .map(|combo| {
+            let placement = resolve_placement(topo, combo);
+            let times = StreamOp::ALL.map(|op| mem.kernel_time(op, n, placement));
+            (placement.threads == 1, times)
         })
         .collect();
-    let largest = *sizes.last().expect("nonempty sizes");
 
     // Each rep derives its own RNG from the rep index, so reps
     // are independent and can run on any pool worker in any order.
-    // Only the last rep's curve is reported, so every other rep
-    // evaluates only the largest size.
     let per_rep = parallel_map_indexed(cfg.reps, |rep| {
         let mut rng = SimRng::stream(seed, &["babelstream-cpu/", &topo.name], rep as u64);
         // Common-mode run factor.
@@ -76,64 +64,32 @@ pub fn run_sim_cpu(
 
         let mut best_single = 0.0f64;
         let mut best_all = 0.0f64;
-        let mut best_all_op = StreamOp::Copy;
-        let mut best_all_combo = combos[0];
-        let first = if rep + 1 == cfg.reps {
-            0
-        } else {
-            sizes.len() - 1
-        };
-        let mut curve: Vec<(u64, f64)> = Vec::with_capacity(sizes.len() - first);
-
-        for (&n, row) in sizes
-            .iter()
-            .zip(kernel_times.chunks(combos.len()))
-            .skip(first)
-        {
-            let mut best_at_size = 0.0f64;
-            for ((combo, placement), times) in combos.iter().zip(&placements).zip(row) {
-                for (&op, &t) in StreamOp::ALL.iter().zip(times) {
-                    // Derive bandwidth the way BabelStream does: bytes /
-                    // best time. With a common-mode factor, every one of
-                    // the inner_iters invocations in the run takes the
-                    // same time, so the best is any one of them.
-                    let t_kernel = t * (1.0 / factor) + cfg.overhead_per_kernel;
-                    let bw = t_kernel.bandwidth_gb_s(op.reported_bytes(n));
-                    if n == largest {
-                        let single = placement.threads == 1;
-                        if single && bw > best_single {
-                            best_single = bw;
-                        }
-                        if !single && bw > best_all {
-                            best_all = bw;
-                            best_all_op = op;
-                            best_all_combo = *combo;
-                        }
-                    }
-                    if placement.threads != 1 && bw > best_at_size {
-                        best_at_size = bw;
-                    }
+        for (single, times) in &kernel_times {
+            let best = if *single {
+                &mut best_single
+            } else {
+                &mut best_all
+            };
+            for (&op, &t) in StreamOp::ALL.iter().zip(times) {
+                // Derive bandwidth the way BabelStream does: bytes /
+                // best time. With a common-mode factor, every one of
+                // the inner_iters invocations in the run takes the
+                // same time, so the best is any one of them.
+                let t_kernel = t * (1.0 / factor) + cfg.overhead_per_kernel;
+                let bw = t_kernel.bandwidth_gb_s(op.reported_bytes(n));
+                if bw > *best {
+                    *best = bw;
                 }
             }
-            curve.push((n, best_at_size));
         }
-        let last: LastRun = (best_all_op, best_all_combo, curve);
-        (best_single, best_all, last)
+        (best_single, best_all)
     });
 
-    let single_samples: Samples = per_rep.iter().map(|(single, _, _)| *single).collect();
-    let all_samples: Samples = per_rep.iter().map(|(_, all, _)| *all).collect();
-    let (best_all_op, best_all_combo, curve) = per_rep
-        .into_iter()
-        .map(|(_, _, last)| last)
-        .next_back()
-        .expect("at least one rep ran");
+    let single_samples: Samples = per_rep.iter().map(|(single, _)| *single).collect();
+    let all_samples: Samples = per_rep.iter().map(|(_, all)| *all).collect();
     CpuStreamReport {
         single: single_samples.summary(),
         all: all_samples.summary(),
-        best_all_op,
-        best_all_combo,
-        curve,
     }
 }
 
@@ -186,19 +142,34 @@ mod tests {
         assert!(rep.single.rel_std() < 0.1);
     }
 
+    /// The largest-size all-thread bandwidth of a sweep ending at each
+    /// size of the quick schedule: the size curve, one size at a time.
+    fn all_thread_curve(topo: &NodeTopology, mem: &MemDomainModel) -> Vec<f64> {
+        SweepConfig::quick()
+            .sizes()
+            .into_iter()
+            .map(|n| {
+                let cfg = SweepConfig {
+                    max_elems: n,
+                    ..SweepConfig::quick()
+                };
+                run_sim_cpu(topo, mem, Jitter::NONE, 1, &cfg).all.mean
+            })
+            .collect()
+    }
+
     #[test]
     fn curve_rises_to_plateau() {
         let (topo, mem) = xeonish();
-        let rep = run_sim_cpu(&topo, &mem, Jitter::NONE, 1, &SweepConfig::quick());
-        let first = rep.curve.first().expect("curve nonempty").1;
-        let last = rep.curve.last().expect("curve nonempty").1;
+        let curve = all_thread_curve(&topo, &mem);
+        let (first, last) = (curve[0], curve[curve.len() - 1]);
         assert!(
             last > first,
             "per-kernel overhead should depress small sizes: {first} vs {last}"
         );
         // Monotone non-decreasing.
-        for w in rep.curve.windows(2) {
-            assert!(w[1].1 >= w[0].1 * 0.999);
+        for w in curve.windows(2) {
+            assert!(w[1] >= w[0] * 0.999);
         }
     }
 
@@ -234,8 +205,33 @@ mod tests {
     #[test]
     fn smt_machines_prefer_a_bound_combo() {
         let (topo, mem) = xeonish();
-        let rep = run_sim_cpu(&topo, &mem, Jitter::NONE, 1, &SweepConfig::quick());
+        let cfg = SweepConfig::quick();
+        let n = *cfg.sizes().last().unwrap();
+        // A combo's best bandwidth at the largest size, timed as the
+        // campaign times it.
+        let best = |combo: &EnvCombo| {
+            let placement = resolve_placement(&topo, combo);
+            StreamOp::ALL
+                .iter()
+                .map(|&op| {
+                    (mem.kernel_time(op, n, placement) + cfg.overhead_per_kernel)
+                        .bandwidth_gb_s(op.reported_bytes(n))
+                })
+                .fold(0.0, f64::max)
+        };
+        // The first combo with the highest bandwidth, as the campaign
+        // picked its winner.
+        let mut winner = None;
+        let mut winner_bw = 0.0;
+        for combo in EnvCombo::table1() {
+            let bw = best(&combo);
+            if resolve_placement(&topo, &combo).threads > 1 && bw > winner_bw {
+                winner = Some(combo);
+                winner_bw = bw;
+            }
+        }
+        let winner = winner.expect("an all-thread combo");
         // With SMT penalties, the winner should use #cores, bound.
-        assert!(rep.best_all_combo.is_bound());
+        assert!(winner.is_bound(), "{winner:?}");
     }
 }

@@ -12,7 +12,6 @@ use doe_benchlib::{parallel_map_init, Samples, Summary};
 use doe_gpurt::GpuRuntime;
 use doe_gpusim::GpuModel;
 use doe_memmodel::StreamOp;
-use doe_simtime::SimDuration;
 use doe_topo::NodeTopology;
 
 use crate::config::SweepConfig;
@@ -20,12 +19,9 @@ use crate::config::SweepConfig;
 /// Results of a simulated GPU BabelStream campaign.
 #[derive(Clone, Debug)]
 pub struct GpuStreamReport {
-    /// Best-kernel device bandwidth (GB/s), mean ± σ over runs.
+    /// Best-kernel device bandwidth (GB/s) at the largest size, mean ± σ
+    /// over runs.
     pub device: Summary,
-    /// The winning kernel (final run).
-    pub best_op: StreamOp,
-    /// Best bandwidth per vector size (final run).
-    pub curve: Vec<(u64, f64)>,
 }
 
 /// Run the GPU campaign on device 0 of the node.
@@ -40,25 +36,22 @@ pub fn run_sim_gpu(
         "GPU BabelStream requires an accelerator node"
     );
     assert!(cfg.reps > 0, "need at least one repetition");
-    let sizes = cfg.sizes();
+    let n = *cfg.sizes().last().expect("nonempty sizes");
     let dev = topo.devices[0].id;
-    // Unjittered kernel times on device 0, one row of ops per size: they
+    // Unjittered kernel times on device 0 at the largest size: they
     // depend on the cell, not the rep. The runtime applies the rep's run
     // factor to each train, exactly as `launch_stream_op` would.
     let model = models.get(dev.index()).expect("one GpuModel per device");
-    let kernel_times: Vec<[SimDuration; StreamOp::ALL.len()]> = sizes
-        .iter()
-        .map(|&n| StreamOp::ALL.map(|op| model.stream_kernel_time(op, n)))
-        .collect();
+    let kernel_times = StreamOp::ALL.map(|op| model.stream_kernel_time(op, n));
     let models: Arc<[GpuModel]> = models.into();
 
     // A rep arms only its runtime, from the rep index: the seed fixes its
     // run factor, and the models and kernel times are the cell's. So reps
     // are independent and can run on any pool worker in any order; a
-    // worker re-arms the runtime its last rep left. Only the last rep's
-    // curve is reported, so every other rep runs only the largest size:
-    // each size starts synchronized, and a synchronized runtime shifted in
-    // time times a size exactly as a fresh one does (DESIGN.md §3).
+    // worker re-arms the runtime its last rep left. Only the largest size
+    // is reported, so it is the only size run: each size starts
+    // synchronized, and a synchronized runtime shifted in time times a
+    // size exactly as a fresh one does (DESIGN.md §3).
     let per_rep = parallel_map_init(
         cfg.reps,
         || None,
@@ -67,43 +60,25 @@ pub fn run_sim_gpu(
             let rt = GpuRuntime::rearmed(slot, &topo, &models, rep_seed);
             let stream = rt.default_stream(dev).expect("device 0 exists");
             let mut best = 0.0f64;
-            let mut best_op = StreamOp::Copy;
-            let first = if rep + 1 == cfg.reps {
-                0
-            } else {
-                sizes.len() - 1
-            };
-            let mut curve: Vec<(u64, f64)> = Vec::with_capacity(sizes.len() - first);
-            for (&n, times) in sizes.iter().zip(&kernel_times).skip(first) {
-                let mut best_at_size = 0.0f64;
-                for (&op, &t) in StreamOp::ALL.iter().zip(times) {
-                    let t0 = rt.now();
-                    rt.launch_train(&stream, t, u64::from(cfg.inner_iters))
-                        .expect("launch");
-                    rt.stream_synchronize(&stream).expect("sync");
-                    let elapsed = rt.now().since(t0);
-                    let bytes = op.reported_bytes(n) * cfg.inner_iters as u64;
-                    let bw = elapsed.bandwidth_gb_s(bytes);
-                    if bw > best_at_size {
-                        best_at_size = bw;
-                    }
-                    if n == *sizes.last().expect("nonempty") && bw > best {
-                        best = bw;
-                        best_op = op;
-                    }
+            for (&op, &t) in StreamOp::ALL.iter().zip(&kernel_times) {
+                let t0 = rt.now();
+                rt.launch_train(&stream, t, u64::from(cfg.inner_iters))
+                    .expect("launch");
+                rt.stream_synchronize(&stream).expect("sync");
+                let elapsed = rt.now().since(t0);
+                let bytes = op.reported_bytes(n) * cfg.inner_iters as u64;
+                let bw = elapsed.bandwidth_gb_s(bytes);
+                if bw > best {
+                    best = bw;
                 }
-                curve.push((n, best_at_size));
             }
-            (best, best_op, curve)
+            best
         },
     );
 
-    let samples: Samples = per_rep.iter().map(|(best, _, _)| *best).collect();
-    let (_, best_op, curve) = per_rep.into_iter().next_back().expect("at least one rep");
+    let samples: Samples = per_rep.into_iter().collect();
     GpuStreamReport {
         device: samples.summary(),
-        best_op,
-        curve,
     }
 }
 
@@ -111,6 +86,7 @@ pub fn run_sim_gpu(
 mod tests {
     use super::*;
     use doe_memmodel::MemDomainModel;
+    use doe_simtime::SimDuration;
     use doe_topo::{DeviceId, LinkKind, NodeBuilder, NumaId, SocketId, Vertex};
 
     fn gpu_node() -> (Arc<NodeTopology>, Vec<GpuModel>) {
@@ -151,9 +127,18 @@ mod tests {
     #[test]
     fn launch_overhead_depresses_small_sizes() {
         let (topo, models) = gpu_node();
-        let rep = run_sim_gpu(topo, &models, 3, &SweepConfig::quick());
-        let first = rep.curve.first().expect("curve").1;
-        let last = rep.curve.last().expect("curve").1;
+        // The largest-size bandwidth of a sweep ending at each end of the
+        // quick schedule.
+        let at = |n: u64| {
+            let cfg = SweepConfig {
+                max_elems: n,
+                ..SweepConfig::quick()
+            };
+            run_sim_gpu(Arc::clone(&topo), &models, 3, &cfg).device.mean
+        };
+        let sizes = SweepConfig::quick().sizes();
+        let first = at(sizes[0]);
+        let last = at(sizes[sizes.len() - 1]);
         assert!(last > first * 1.5, "{first} vs {last}");
     }
 

@@ -1,9 +1,8 @@
 //! Differential test of the simulated BabelStream campaigns against the
 //! loops they replaced. The campaigns derive kernel times once per cell,
-//! re-arm one GPU runtime per worker thread, and run every size only in
-//! the last rep (the others report only the largest size); the reference
-//! loops re-derive kernel times, build a fresh GPU runtime and run every
-//! size in every rep.
+//! re-arm one GPU runtime per worker thread, and time only the largest
+//! size, the one they report; the reference loops re-derive kernel times,
+//! build a fresh GPU runtime and run every size in every rep.
 //!
 //! A kernel's unjittered time depends on the machine, the size, the
 //! placement and the op, never on the rep; the rep contributes only its
@@ -37,11 +36,7 @@ fn cpu_per_rep(m: &Machine, seed: u64, cfg: &SweepConfig) -> CpuStreamReport {
         let factor = m.host_stream_jitter.sample_scalar(1.0, &mut rng).max(0.05);
         let mut best_single = 0.0f64;
         let mut best_all = 0.0f64;
-        let mut best_all_op = StreamOp::Copy;
-        let mut best_all_combo = combos[0];
-        let mut curve = Vec::new();
         for &n in &sizes {
-            let mut best_at_size = 0.0f64;
             for combo in &combos {
                 let placement = resolve_placement(topo, combo);
                 for &op in &StreamOp::ALL {
@@ -55,28 +50,18 @@ fn cpu_per_rep(m: &Machine, seed: u64, cfg: &SweepConfig) -> CpuStreamReport {
                         }
                         if !single && bw > best_all {
                             best_all = bw;
-                            best_all_op = op;
-                            best_all_combo = *combo;
                         }
-                    }
-                    if placement.threads != 1 && bw > best_at_size {
-                        best_at_size = bw;
                     }
                 }
             }
-            curve.push((n, best_at_size));
         }
-        (best_single, best_all, (best_all_op, best_all_combo, curve))
+        (best_single, best_all)
     });
     let single: Samples = per_rep.iter().map(|r| r.0).collect();
     let all: Samples = per_rep.iter().map(|r| r.1).collect();
-    let (best_all_op, best_all_combo, curve) = per_rep.into_iter().next_back().expect("a rep").2;
     CpuStreamReport {
         single: single.summary(),
         all: all.summary(),
-        best_all_op,
-        best_all_combo,
-        curve,
     }
 }
 
@@ -93,10 +78,7 @@ fn gpu_per_rep(m: &Machine, seed: u64, cfg: &SweepConfig) -> GpuStreamReport {
         let dev = rt.current_device();
         let stream = rt.default_stream(dev).expect("device 0 exists");
         let mut best = 0.0f64;
-        let mut best_op = StreamOp::Copy;
-        let mut curve = Vec::new();
         for &n in &sizes {
-            let mut best_at_size = 0.0f64;
             for &op in &StreamOp::ALL {
                 let t0 = rt.now();
                 for _ in 0..cfg.inner_iters {
@@ -105,24 +87,16 @@ fn gpu_per_rep(m: &Machine, seed: u64, cfg: &SweepConfig) -> GpuStreamReport {
                 rt.stream_synchronize(&stream).expect("sync");
                 let bytes = op.reported_bytes(n) * cfg.inner_iters as u64;
                 let bw = rt.now().since(t0).bandwidth_gb_s(bytes);
-                if bw > best_at_size {
-                    best_at_size = bw;
-                }
                 if n == *sizes.last().expect("nonempty") && bw > best {
                     best = bw;
-                    best_op = op;
                 }
             }
-            curve.push((n, best_at_size));
         }
-        (best, best_op, curve)
+        best
     });
-    let samples: Samples = per_rep.iter().map(|r| r.0).collect();
-    let (_, best_op, curve) = per_rep.into_iter().next_back().expect("a rep");
+    let samples: Samples = per_rep.into_iter().collect();
     GpuStreamReport {
         device: samples.summary(),
-        best_op,
-        curve,
     }
 }
 
@@ -136,10 +110,6 @@ fn bits(s: &Summary) -> [u64; 7] {
         s.median.to_bits(),
         s.ci95_half_width.to_bits(),
     ]
-}
-
-fn curve_bits(curve: &[(u64, f64)]) -> Vec<(u64, u64)> {
-    curve.iter().map(|&(n, bw)| (n, bw.to_bits())).collect()
 }
 
 /// Shape 0 = quick, 1 = the paper's sizes and inner iterations with 1–3
@@ -185,9 +155,6 @@ proptest! {
         let want = cpu_per_rep(m, seed, &cfg);
         prop_assert_eq!(bits(&got.single), bits(&want.single), "{} {:?}", m.name, cfg);
         prop_assert_eq!(bits(&got.all), bits(&want.all), "{} {:?}", m.name, cfg);
-        prop_assert_eq!(got.best_all_op, want.best_all_op);
-        prop_assert_eq!(got.best_all_combo, want.best_all_combo);
-        prop_assert_eq!(curve_bits(&got.curve), curve_bits(&want.curve));
     }
 
     #[test]
@@ -205,7 +172,5 @@ proptest! {
         let got = run_sim_gpu(Arc::clone(&m.topo), &m.gpu_models, seed, &cfg);
         let want = gpu_per_rep(m, seed, &cfg);
         prop_assert_eq!(bits(&got.device), bits(&want.device), "{} {:?}", m.name, cfg);
-        prop_assert_eq!(got.best_op, want.best_op);
-        prop_assert_eq!(curve_bits(&got.curve), curve_bits(&want.curve));
     }
 }

@@ -41,4 +41,4 @@ pub use memcpy::{
     d2d_bandwidth_by_class, d2d_latency_by_class, d2h_transfer, duplex_bandwidth,
     h2d_pageable_transfer, h2d_transfer, Transfer,
 };
-pub use suite::{run_commscope, CommScopeReport};
+pub use suite::{run_commscope, run_test, CommScopeReport, Test, TestResult};

@@ -9,7 +9,7 @@ use doe_topo::{LinkClass, NodeTopology};
 
 use crate::config::CommScopeConfig;
 use crate::kernel::{launch_latency, wait_latency};
-use crate::memcpy::{d2d_latency_by_class, d2h_transfer, h2d_transfer};
+use crate::memcpy::{d2d_latency_by_class, d2h_transfer, h2d_transfer, Transfer};
 
 /// All Comm|Scope results for one machine — one row of Table 6.
 #[derive(Clone, Debug)]
@@ -44,34 +44,105 @@ fn average_pairwise(a: &Summary, b: &Summary) -> Summary {
     }
 }
 
+/// One of the five Comm|Scope tests behind a Table 6 row. Each is
+/// independent of the others, so a caller may run them in any order or
+/// at once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Test {
+    /// [`launch_latency`].
+    Launch,
+    /// [`wait_latency`].
+    Wait,
+    /// [`h2d_transfer`].
+    H2d,
+    /// [`d2h_transfer`].
+    D2h,
+    /// [`d2d_latency_by_class`].
+    D2d,
+}
+
+impl Test {
+    /// Every test, in the order [`CommScopeReport::from_results`] takes
+    /// their results.
+    pub const ALL: [Test; 5] = [Test::Launch, Test::Wait, Test::H2d, Test::D2h, Test::D2d];
+}
+
+/// What one [`Test`] measured.
+#[derive(Clone, Debug)]
+pub enum TestResult {
+    /// Launch or wait latency, µs.
+    Latency(Summary),
+    /// A host↔device transfer.
+    Transfer(Transfer),
+    /// Device-to-device latency per link class, µs.
+    ByClass(BTreeMap<LinkClass, Summary>),
+}
+
+/// Run one test of the suite on device 0 of the node, seeded as
+/// [`run_commscope`] seeds it.
+pub fn run_test(
+    topo: &Arc<NodeTopology>,
+    models: &Arc<[GpuModel]>,
+    cfg: &CommScopeConfig,
+    seed: u64,
+    test: Test,
+) -> TestResult {
+    assert!(
+        topo.has_accelerators(),
+        "Comm|Scope requires an accelerator node"
+    );
+    let dev = topo.devices[0].id;
+    match test {
+        Test::Launch => TestResult::Latency(launch_latency(topo, models, dev, cfg, seed)),
+        Test::Wait => TestResult::Latency(wait_latency(topo, models, dev, cfg, seed ^ 0x57)),
+        Test::H2d => TestResult::Transfer(h2d_transfer(topo, models, dev, cfg, seed ^ 0x1234)),
+        Test::D2h => TestResult::Transfer(d2h_transfer(topo, models, dev, cfg, seed ^ 0x4321)),
+        Test::D2d => TestResult::ByClass(d2d_latency_by_class(topo, models, cfg, seed ^ 0xD2D)),
+    }
+}
+
+impl CommScopeReport {
+    /// The row the results of [`Test::ALL`], in that order, make.
+    pub fn from_results(results: impl IntoIterator<Item = TestResult>) -> CommScopeReport {
+        let mut results = results.into_iter();
+        let (
+            Some(TestResult::Latency(launch_us)),
+            Some(TestResult::Latency(wait_us)),
+            Some(TestResult::Transfer(h2d)),
+            Some(TestResult::Transfer(d2h)),
+            Some(TestResult::ByClass(d2d_latency_us)),
+        ) = (
+            results.next(),
+            results.next(),
+            results.next(),
+            results.next(),
+            results.next(),
+        )
+        else {
+            panic!("one result per test, in Test::ALL order");
+        };
+        CommScopeReport {
+            launch_us,
+            wait_us,
+            hd_latency_us: average_pairwise(&h2d.latency_us, &d2h.latency_us),
+            hd_bandwidth_gb_s: average_pairwise(&h2d.bandwidth_gb_s, &d2h.bandwidth_gb_s),
+            d2d_latency_us,
+        }
+    }
+}
+
 /// Run the full suite on device 0 of the node (plus every device pair
-/// class for the GPU-to-GPU tests).
+/// class for the GPU-to-GPU tests), one test after another.
 pub fn run_commscope(
     topo: &Arc<NodeTopology>,
     models: &[GpuModel],
     cfg: &CommScopeConfig,
     seed: u64,
 ) -> CommScopeReport {
-    assert!(
-        topo.has_accelerators(),
-        "Comm|Scope requires an accelerator node"
-    );
-    let dev = topo.devices[0].id;
     // Each rep of each Comm|Scope test builds a runtime; all of them
     // share one copy of the models.
     let models: Arc<[GpuModel]> = models.into();
-    let launch_us = launch_latency(topo, &models, dev, cfg, seed);
-    let wait_us = wait_latency(topo, &models, dev, cfg, seed ^ 0x57);
-    let h2d = h2d_transfer(topo, &models, dev, cfg, seed ^ 0x1234);
-    let d2h = d2h_transfer(topo, &models, dev, cfg, seed ^ 0x4321);
-    let d2d_latency_us = d2d_latency_by_class(topo, &models, cfg, seed ^ 0xD2D);
-    CommScopeReport {
-        launch_us,
-        wait_us,
-        hd_latency_us: average_pairwise(&h2d.latency_us, &d2h.latency_us),
-        hd_bandwidth_gb_s: average_pairwise(&h2d.bandwidth_gb_s, &d2h.bandwidth_gb_s),
-        d2d_latency_us,
-    }
+    CommScopeReport::from_results(Test::ALL.map(|test| run_test(topo, &models, cfg, seed, test)))
 }
 
 #[cfg(test)]

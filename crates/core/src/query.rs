@@ -282,6 +282,33 @@ impl OverrideField {
             .ok_or_else(|| QueryError::new(format!("unknown override field '{s}'")))
     }
 
+    /// How many leaves of `m` [`Self::apply`] writes: one per GPU model
+    /// for the GPU fields, else one.
+    fn leaf_count(self, m: &Machine) -> usize {
+        match self {
+            OverrideField::GpuLaunchUs | OverrideField::GpuSyncUs | OverrideField::GpuPeakBwGbS => {
+                m.gpu_models.len()
+            }
+            _ => 1,
+        }
+    }
+
+    /// The value of leaf `gpu` (see [`Self::leaf_count`]) as `m` holds it.
+    fn leaf(self, m: &Machine, gpu: usize) -> Leaf {
+        match self {
+            OverrideField::HostPeakBwGbS => Leaf::Num(m.host_mem.peak_bw_gb_s),
+            OverrideField::HostSustainedEff => Leaf::Num(m.host_mem.sustained_efficiency),
+            OverrideField::HostPerCoreBwGbS => Leaf::Num(m.host_mem.per_core_bw_gb_s),
+            OverrideField::HostStreamJitterRel => Leaf::Num(m.host_stream_jitter.rel_sigma),
+            OverrideField::MpiShmLatencyUs => Leaf::Time(m.mpi.shm_latency),
+            OverrideField::MpiSendOverheadUs => Leaf::Time(m.mpi.send_overhead),
+            OverrideField::MpiRecvOverheadUs => Leaf::Time(m.mpi.recv_overhead),
+            OverrideField::GpuLaunchUs => Leaf::Time(m.gpu_models[gpu].launch_overhead),
+            OverrideField::GpuSyncUs => Leaf::Time(m.gpu_models[gpu].sync_overhead),
+            OverrideField::GpuPeakBwGbS => Leaf::Num(m.gpu_models[gpu].hbm.peak_bw_gb_s),
+        }
+    }
+
     /// Apply the override to a cloned machine spec.
     fn apply(self, m: &mut Machine, value: f64) -> Result<(), QueryError> {
         use doe_simtime::SimDuration;
@@ -704,10 +731,146 @@ pub fn machine_digest(m: &Machine) -> u64 {
 
 /// [`machine_digest`] of every [`catalog`] machine, in catalog order,
 /// computed once per process. Planning takes a pristine machine's digest
-/// from here and streams only the machines an override changed.
+/// from here and splices only the machines an override changed.
 fn catalog_digests() -> &'static [u64] {
     static DIGESTS: OnceLock<Vec<u64>> = OnceLock::new();
     DIGESTS.get_or_init(|| catalog().iter().map(machine_digest).collect())
+}
+
+/// The value of one leaf an override writes, rendered by its own `Debug`
+/// exactly as the machine's derived `Debug` renders it.
+enum Leaf {
+    Num(f64),
+    Time(doe_simtime::SimDuration),
+}
+
+impl fmt::Debug for Leaf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Leaf::Num(x) => fmt::Debug::fmt(x, f),
+            Leaf::Time(d) => fmt::Debug::fmt(d, f),
+        }
+    }
+}
+
+/// A catalog machine's `Debug` text cut at every leaf an override can
+/// write, so that an overridden clone's [`machine_digest`] costs hashing
+/// the pristine bytes after the first leaf, not formatting the machine.
+struct DigestTemplate {
+    /// FNV-1a state after the text before the first leaf.
+    prefix: u64,
+    /// The pristine text from the first leaf on.
+    tail: Box<str>,
+    /// Each leaf's byte range in `tail`, in text order, and the field and
+    /// GPU model whose value fills it.
+    leaves: Vec<(std::ops::Range<usize>, OverrideField, usize)>,
+}
+
+impl DigestTemplate {
+    /// The template of `m`, or `None` when a field's leaves cannot be
+    /// told apart in its text (then overrides of `m` format it whole).
+    ///
+    /// Each field is located by a sentinel: a clone with the field set to
+    /// `SENTINEL` must render as the pristine text with exactly
+    /// [`OverrideField::leaf_count`] ranges, each holding that leaf's
+    /// pristine value, replaced by the sentinel's text.
+    fn build(m: &Machine) -> Option<DigestTemplate> {
+        /// Its `f64` and `SimDuration` texts (`987654.3210123456` and
+        /// `987654321012ps`) occur in no catalog machine's text.
+        const SENTINEL: f64 = 987_654.321_012_345_6;
+        let text = format!("{m:?}");
+        let mut leaves = Vec::new();
+        for field in OverrideField::ALL {
+            let n = field.leaf_count(m);
+            if n == 0 {
+                continue;
+            }
+            let mut probe = m.clone();
+            field.apply(&mut probe, SENTINEL).ok()?;
+            let probed = format!("{probe:?}");
+            let mark = format!("{:?}", field.leaf(&probe, 0));
+            if text.contains(&mark) || probed.matches(&mark).count() != n {
+                return None;
+            }
+            // Map each mark back to the pristine text, rebuilding the
+            // probed text from it as a check.
+            let mut rebuilt = String::with_capacity(probed.len());
+            let mut pos = 0;
+            for (gpu, (at, _)) in probed.match_indices(&mark).enumerate() {
+                let start = at + pos - rebuilt.len();
+                let pristine = format!("{:?}", field.leaf(m, gpu));
+                let end = start + pristine.len();
+                if text.get(start..end)? != pristine {
+                    return None;
+                }
+                rebuilt.push_str(&text[pos..start]);
+                rebuilt.push_str(&mark);
+                pos = end;
+                leaves.push((start..end, field, gpu));
+            }
+            rebuilt.push_str(text.get(pos..)?);
+            if rebuilt != probed {
+                return None;
+            }
+        }
+        leaves.sort_by_key(|(r, _, _)| r.start);
+        if leaves.windows(2).any(|w| w[0].0.end > w[1].0.start) {
+            return None;
+        }
+        let first = leaves.first().map_or(text.len(), |(r, _, _)| r.start);
+        for (r, _, _) in &mut leaves {
+            *r = r.start - first..r.end - first;
+        }
+        Some(DigestTemplate {
+            prefix: fnv1a64(&text.as_bytes()[..first]),
+            tail: text[first..].into(),
+            leaves,
+        })
+    }
+
+    /// [`machine_digest`] of `m`, a clone of this template's machine that
+    /// differs from it at most in the template's leaves.
+    // doebench::effects(pure)
+    fn digest(&self, m: &Machine) -> u64 {
+        let tail = self.tail.as_bytes();
+        let mut h = Fnv1a(self.prefix);
+        let mut pos = 0;
+        for (r, field, gpu) in &self.leaves {
+            h.update(&tail[pos..r.start]);
+            write!(h, "{:?}", field.leaf(m, *gpu)).expect("hashing sink never fails");
+            pos = r.end;
+        }
+        h.update(&tail[pos..]);
+        h.0
+    }
+}
+
+/// The [`DigestTemplate`] of catalog machine `i`, built on first use.
+fn digest_template(i: usize) -> Option<&'static DigestTemplate> {
+    static TEMPLATES: OnceLock<Vec<OnceLock<Option<DigestTemplate>>>> = OnceLock::new();
+    TEMPLATES.get_or_init(|| catalog().iter().map(|_| OnceLock::new()).collect())[i]
+        .get_or_init(|| DigestTemplate::build(&catalog()[i]))
+        .as_ref()
+}
+
+/// [`machine_digest`] of a catalog machine, memoized.
+fn pristine_digest(pristine: &'static Machine) -> u64 {
+    let i = catalog()
+        .iter()
+        .position(|c| std::ptr::eq(c, pristine))
+        .expect("pristine machines come from the catalog");
+    catalog_digests()[i]
+}
+
+/// [`machine_digest`] of a clone of a catalog machine that
+/// [`resolve_machine`] overrode, spliced into the catalog machine's
+/// template.
+fn override_digest(changed: &Machine) -> u64 {
+    catalog()
+        .iter()
+        .position(|c| c.name == changed.name)
+        .and_then(digest_template)
+        .map_or_else(|| machine_digest(changed), |t| t.digest(changed))
 }
 
 /// Content digest of the campaign (suite configs + master seed).
@@ -788,9 +951,8 @@ pub struct PlannedCell {
 }
 
 impl PlannedCell {
-    /// A cell keyed by its machine's spec digest — memoized for a
-    /// borrowed catalog entry, streamed for a clone an override changed —
-    /// and by `camp`, the plan's [`campaign_digest`].
+    /// A cell keyed by its machine's spec digest and by `camp`, the
+    /// plan's [`campaign_digest`].
     fn new(
         table: &'static str,
         machine: Cow<'static, Machine>,
@@ -799,14 +961,8 @@ impl PlannedCell {
         extra: &str,
     ) -> PlannedCell {
         let digest = match &machine {
-            Cow::Borrowed(pristine) => {
-                let i = catalog()
-                    .iter()
-                    .position(|c| std::ptr::eq(c, *pristine))
-                    .expect("borrowed machines come from the catalog");
-                catalog_digests()[i]
-            }
-            Cow::Owned(changed) => machine_digest(changed),
+            Cow::Borrowed(pristine) => pristine_digest(pristine),
+            Cow::Owned(changed) => override_digest(changed),
         };
         let canon = format!(
             "cell/v={CODE_VERSION}/t={table}/m={}/spec={digest:016x}/camp={camp:016x}{extra}",
@@ -849,7 +1005,9 @@ fn catalog_machine(name: &str) -> Result<&'static Machine, QueryError> {
 }
 
 /// A catalog machine with its overrides applied: borrowed when no
-/// override names it, cloned once when one does.
+/// override names it, cloned once when one does. Only
+/// [`OverrideField::apply`] writes the clone, so [`override_digest`] may
+/// splice its digest.
 fn resolve_machine(
     pristine: &'static Machine,
     overrides: &[SpecOverride],
@@ -1034,24 +1192,28 @@ impl QueryPlan {
         }
     }
 
+    /// A sweep column: its on-socket and on-node sweeps fan out over the
+    /// worker pool (inline when the cell is one of a wider fan-out).
     fn sweep_cell(&self, m: &Machine) -> SweepRow {
         let cfg = self.sweep_cfg.as_ref().expect("sweep plan has a config");
-        let socket = on_socket_pair(&m.topo).expect("validated at plan time");
-        let node = on_node_pair(&m.topo).expect("validated at plan time");
-        let lat_s = osu_latency(
-            &m.topo,
-            &m.mpi,
-            socket,
-            cfg,
-            self.campaign.seed_for(m.name, "sweep-socket"),
-        );
-        let lat_n = osu_latency(
-            &m.topo,
-            &m.mpi,
-            node,
-            cfg,
-            self.campaign.seed_for(m.name, "sweep-node"),
-        );
+        let parts = [
+            ("sweep-socket", on_socket_pair(&m.topo)),
+            ("sweep-node", on_node_pair(&m.topo)),
+        ];
+        let mut sweeps = crate::sched::run_cells(&parts, |&(bench, pair)| {
+            let cores = pair.expect("validated at plan time");
+            osu_latency(
+                &m.topo,
+                &m.mpi,
+                cores,
+                cfg,
+                self.campaign.seed_for(m.name, bench),
+            )
+        })
+        .into_iter();
+        let (Some(lat_s), Some(lat_n)) = (sweeps.next(), sweeps.next()) else {
+            unreachable!("one sweep per part");
+        };
         SweepRow {
             machine: m.name.to_string(),
             label: m.table_label(),
@@ -1192,9 +1354,10 @@ impl QueryResult {
     }
 }
 
-/// Plan and execute a query in one call, fanning cold cells over the
-/// worker pool — the offline (non-daemon) entry point the CLI table
-/// subcommands are thin clients of.
+/// Plan and execute a query in one call, fanning its cells over the
+/// worker pool (a lone cell fans out over its sub-benchmarks instead,
+/// [`crate::sched`]) — the offline (non-daemon) entry point the CLI
+/// table subcommands are thin clients of.
 pub fn run_query(q: &Query) -> Result<QueryResult, QueryError> {
     let plan = plan(q)?;
     let n = plan.cells().len();
@@ -1311,6 +1474,75 @@ mod tests {
         for (m, &d) in catalog().iter().zip(catalog_digests()) {
             assert_eq!(d, fnv1a64(format!("{m:?}").as_bytes()), "{}", m.name);
         }
+    }
+
+    /// `m`'s spliced digest, checked against hashing its whole text.
+    fn assert_spliced(m: Machine, what: &str) {
+        let full = fnv1a64(format!("{m:?}").as_bytes());
+        assert_eq!(override_digest(&m), full, "{what}");
+    }
+
+    #[test]
+    fn every_catalog_machine_has_a_digest_template() {
+        for (i, m) in catalog().iter().enumerate() {
+            let t = digest_template(i).unwrap_or_else(|| panic!("{} has no template", m.name));
+            let leaves: usize = OverrideField::ALL.iter().map(|f| f.leaf_count(m)).sum();
+            assert_eq!(t.leaves.len(), leaves, "{}", m.name);
+            assert_eq!(t.digest(m), catalog_digests()[i], "{}", m.name);
+        }
+    }
+
+    #[test]
+    fn spliced_digest_equals_the_full_debug_digest() {
+        for m in catalog() {
+            let fields: Vec<OverrideField> = OverrideField::ALL
+                .into_iter()
+                .filter(|f| f.leaf_count(m) > 0)
+                .collect();
+            for &field in &fields {
+                let (lo, hi, _) = field.range();
+                // The bounds; 1.0001 µs, whose ns-resolution text drops
+                // its last digit; 1000.0004 µs, at least 1 ms, whose
+                // µs-resolution text drops its fraction. The identity is
+                // about text, so values outside a range test it too.
+                for v in [lo, hi, 1.0001, 1000.0004, 0.375] {
+                    let mut changed = m.clone();
+                    field.apply(&mut changed, v).unwrap();
+                    assert_spliced(changed, &format!("{}.{}={v}", m.name, field.as_str()));
+                }
+            }
+            // Two fields set on one machine, and one field set twice.
+            let set = |field: OverrideField, value: f64| SpecOverride {
+                machine: m.name.to_string(),
+                field,
+                value,
+            };
+            for pair in fields.windows(2) {
+                let both = [set(pair[0], 0.25), set(pair[1], 1.0001)];
+                let changed = resolve_machine(m, &both).unwrap().into_owned();
+                assert_spliced(changed, &format!("{} {:?}", m.name, pair));
+            }
+            let field = fields[0];
+            let twice = resolve_machine(m, &[set(field, 0.5), set(field, 0.125)]).unwrap();
+            let once = resolve_machine(m, &[set(field, 0.125)]).unwrap();
+            assert_eq!(
+                override_digest(&twice),
+                override_digest(&once),
+                "{}",
+                m.name
+            );
+            assert_spliced(twice.into_owned(), &format!("{} twice", m.name));
+        }
+    }
+
+    #[test]
+    fn override_values_apart_below_a_nanosecond_key_apart() {
+        let a = cell_keys("table4 Eagle seed=1 set Eagle.mpi_shm_latency_us=1.0001");
+        let b = cell_keys("table4 Eagle seed=1 set Eagle.mpi_shm_latency_us=1.0004");
+        assert_ne!(a, b);
+        let a = cell_keys("table6 Frontier set Frontier.gpu_launch_us=1000.0004");
+        let b = cell_keys("table6 Frontier set Frontier.gpu_launch_us=1000.0001");
+        assert_ne!(a, b);
     }
 
     #[test]

@@ -7,6 +7,7 @@ use doe_benchlib::Summary;
 use doe_machines::{paper, Machine};
 use doe_osu::{on_node_pair, on_socket_pair, osu_latency};
 use doe_report::{CellValue, Comparison, Table, TableResult, Unit};
+use doe_topo::CoreId;
 
 use crate::campaign::Campaign;
 use crate::sched::run_cells;
@@ -30,91 +31,83 @@ pub struct Row {
     pub on_node: Summary,
 }
 
-/// The BabelStream cell of one row.
-fn stream_cell(m: &Machine, c: &Campaign) -> CpuStreamReport {
-    run_sim_cpu(
-        &m.topo,
-        &m.host_mem,
-        m.host_stream_jitter,
-        c.seed_for(m.name, "babelstream"),
-        &c.stream_cpu,
-    )
+/// One sub-benchmark of a row.
+#[derive(Clone, Copy)]
+enum Part {
+    Stream,
+    OnSocket,
+    OnNode,
 }
 
-/// One OSU latency cell: the pair layout names the bench for seeding.
-fn latency_cell(m: &Machine, c: &Campaign, bench: &str) -> Summary {
-    let cores = match bench {
-        "osu-socket" => on_socket_pair(&m.topo),
-        "osu-node" => on_node_pair(&m.topo),
-        _ => unreachable!("table 4 latency cells"),
+/// A row's sub-benchmarks, in the order [`row`] takes their results.
+const PARTS: [Part; 3] = [Part::Stream, Part::OnSocket, Part::OnNode];
+
+/// What one [`Part`] measured.
+enum Out {
+    Stream(CpuStreamReport),
+    Latency(Summary),
+}
+
+/// Run one sub-benchmark of `m`'s row.
+fn run_part(m: &Machine, c: &Campaign, part: Part) -> Out {
+    let latency = |bench: &str, pair: Option<(CoreId, CoreId)>| {
+        let cores = pair.expect("machine has >= 2 cores");
+        osu_latency(&m.topo, &m.mpi, cores, &c.osu, c.seed_for(m.name, bench))
+            .remove(0)
+            .one_way_us
+    };
+    match part {
+        Part::Stream => Out::Stream(run_sim_cpu(
+            &m.topo,
+            &m.host_mem,
+            m.host_stream_jitter,
+            c.seed_for(m.name, "babelstream"),
+            &c.stream_cpu,
+        )),
+        Part::OnSocket => Out::Latency(latency("osu-socket", on_socket_pair(&m.topo))),
+        Part::OnNode => Out::Latency(latency("osu-node", on_node_pair(&m.topo))),
     }
-    .expect("machine has >= 2 cores");
-    osu_latency(&m.topo, &m.mpi, cores, &c.osu, c.seed_for(m.name, bench))
-        .remove(0)
-        .one_way_us
 }
 
-/// Run the Table 4 benchmarks for one CPU machine.
-pub fn run_machine(m: &Machine, c: &Campaign) -> Row {
-    assert!(!m.is_accelerated(), "Table 4 covers CPU machines");
-    let stream = stream_cell(m, c);
+/// `m`'s row from the results of [`PARTS`], in that order.
+fn row(m: &Machine, results: impl IntoIterator<Item = Out>) -> Row {
+    let mut results = results.into_iter();
+    let (Some(Out::Stream(stream)), Some(Out::Latency(on_socket)), Some(Out::Latency(on_node))) =
+        (results.next(), results.next(), results.next())
+    else {
+        unreachable!("three results per machine, in PARTS order");
+    };
     Row {
         label: m.table_label(),
         machine: m.name.to_string(),
         single: stream.single,
         all: stream.all,
         peak: m.host_peak_citation,
-        on_socket: latency_cell(m, c, "osu-socket"),
-        on_node: latency_cell(m, c, "osu-node"),
+        on_socket,
+        on_node,
     }
 }
 
-/// Per-cell results, reassembled into a row after the grid runs.
-enum Cell {
-    Stream(CpuStreamReport),
-    Latency(Summary),
+/// Run the Table 4 benchmarks for one CPU machine: its sub-benchmarks fan
+/// out over the worker pool (inline when the machine is one cell of a
+/// wider fan-out).
+pub fn run_machine(m: &Machine, c: &Campaign) -> Row {
+    assert!(!m.is_accelerated(), "Table 4 covers CPU machines");
+    row(m, run_cells(&PARTS, |&part| run_part(m, c, part)))
 }
 
-/// Run all CPU machines: the (machine × cell) grid fans out over the
-/// worker pool, and rows assemble in canonical machine order.
+/// Run all CPU machines: the (machine × sub-benchmark) grid fans out over
+/// the worker pool, and rows assemble in canonical machine order.
 pub fn run(c: &Campaign) -> Vec<Row> {
     let machines = doe_machines::cpu_machines();
-    let grid: Vec<(usize, &str)> = (0..machines.len())
-        .flat_map(|mi| {
-            ["babelstream", "osu-socket", "osu-node"]
-                .into_iter()
-                .map(move |bench| (mi, bench))
-        })
+    let grid: Vec<(&Machine, Part)> = machines
+        .iter()
+        .flat_map(|m| PARTS.map(|part| (m, part)))
         .collect();
-    let mut results = run_cells(&grid, |&(mi, bench)| {
-        let m = &machines[mi];
-        match bench {
-            "babelstream" => Cell::Stream(stream_cell(m, c)),
-            _ => Cell::Latency(latency_cell(m, c, bench)),
-        }
-    })
-    .into_iter();
+    let mut results = run_cells(&grid, |&(m, part)| run_part(m, c, part)).into_iter();
     machines
         .iter()
-        .map(|m| {
-            let (
-                Some(Cell::Stream(stream)),
-                Some(Cell::Latency(on_socket)),
-                Some(Cell::Latency(on_node)),
-            ) = (results.next(), results.next(), results.next())
-            else {
-                unreachable!("three cells per machine, in order");
-            };
-            Row {
-                label: m.table_label(),
-                machine: m.name.to_string(),
-                single: stream.single,
-                all: stream.all,
-                peak: m.host_peak_citation,
-                on_socket,
-                on_node,
-            }
-        })
+        .map(|m| row(m, results.by_ref().take(PARTS.len())))
         .collect()
 }
 

@@ -45,119 +45,111 @@ pub fn device_pair_cores(topo: &NodeTopology, da: DeviceId, db: DeviceId) -> (Co
     (ca, cb)
 }
 
-/// The BabelStream GPU cell of one row.
-fn stream_cell(m: &Machine, c: &Campaign) -> Summary {
-    run_sim_gpu(
-        Arc::clone(&m.topo),
-        &m.gpu_models,
-        c.seed_for(m.name, "babelstream-gpu"),
-        &c.stream_gpu,
-    )
-    .device
-}
-
-/// The host-to-host OSU latency cell of one row.
-fn h2h_cell(m: &Machine, c: &Campaign) -> Summary {
-    let socket_pair = on_socket_pair(&m.topo).expect("machine has >= 2 cores");
-    osu_latency(
-        &m.topo,
-        &m.mpi,
-        socket_pair,
-        &c.osu,
-        c.seed_for(m.name, "osu-h2h"),
-    )
-    .remove(0)
-    .one_way_us
-}
-
-/// One device-to-device OSU latency cell.
-fn d2d_cell(m: &Machine, c: &Campaign, class: LinkClass, da: DeviceId, db: DeviceId) -> Summary {
-    let cores = device_pair_cores(&m.topo, da, db);
-    osu_latency_device(
-        &m.topo,
-        &m.mpi,
-        cores,
-        (da, db),
-        &c.osu,
-        c.seed_for(m.name, &format!("osu-d2d-{class}")),
-    )
-    .remove(0)
-    .one_way_us
-}
-
-/// Run the Table 5 benchmarks for one GPU machine.
-pub fn run_machine(m: &Machine, c: &Campaign) -> Row {
-    assert!(m.is_accelerated(), "Table 5 covers accelerator machines");
-    let mut d2d = BTreeMap::new();
-    for (class, (da, db)) in m.topo.representative_pairs() {
-        d2d.insert(class, d2d_cell(m, c, class, da, db));
-    }
-    Row {
-        label: m.table_label(),
-        machine: m.name.to_string(),
-        device_bw: stream_cell(m, c),
-        peak: m.device_peak_citation.unwrap_or("-"),
-        host_to_host: h2h_cell(m, c),
-        d2d,
-    }
-}
-
-/// One cell of the (machine × benchmark) grid.
-enum CellKind {
+/// One sub-benchmark of a row.
+enum Part {
     Stream,
     HostToHost,
     D2d(LinkClass, DeviceId, DeviceId),
 }
 
-/// Run all GPU machines: the (machine × cell) grid — stream, host-to-host
-/// latency, and one cell per represented link class — fans out over the
-/// worker pool, and rows assemble in canonical machine order.
-pub fn run(c: &Campaign) -> Vec<Row> {
-    let machines = doe_machines::gpu_machines();
-    let mut grid: Vec<(usize, CellKind)> = Vec::new();
-    for (mi, m) in machines.iter().enumerate() {
-        grid.push((mi, CellKind::Stream));
-        grid.push((mi, CellKind::HostToHost));
-        for (class, (da, db)) in m.topo.representative_pairs() {
-            grid.push((mi, CellKind::D2d(class, da, db)));
+/// `m`'s sub-benchmarks: stream, host-to-host latency, and one
+/// device-to-device latency per represented link class.
+fn sub_benchmarks(m: &Machine) -> Vec<Part> {
+    let mut parts = vec![Part::Stream, Part::HostToHost];
+    for (class, (da, db)) in m.topo.representative_pairs() {
+        parts.push(Part::D2d(class, da, db));
+    }
+    parts
+}
+
+/// Run one sub-benchmark of `m`'s row.
+fn run_part(m: &Machine, c: &Campaign, part: &Part) -> Summary {
+    match *part {
+        Part::Stream => {
+            run_sim_gpu(
+                Arc::clone(&m.topo),
+                &m.gpu_models,
+                c.seed_for(m.name, "babelstream-gpu"),
+                &c.stream_gpu,
+            )
+            .device
+        }
+        Part::HostToHost => {
+            let socket_pair = on_socket_pair(&m.topo).expect("machine has >= 2 cores");
+            osu_latency(
+                &m.topo,
+                &m.mpi,
+                socket_pair,
+                &c.osu,
+                c.seed_for(m.name, "osu-h2h"),
+            )
+            .remove(0)
+            .one_way_us
+        }
+        Part::D2d(class, da, db) => {
+            let cores = device_pair_cores(&m.topo, da, db);
+            osu_latency_device(
+                &m.topo,
+                &m.mpi,
+                cores,
+                (da, db),
+                &c.osu,
+                c.seed_for(m.name, &format!("osu-d2d-{class}")),
+            )
+            .remove(0)
+            .one_way_us
         }
     }
-    let results = run_cells(&grid, |&(mi, ref kind)| {
-        let m = &machines[mi];
-        match *kind {
-            CellKind::Stream => stream_cell(m, c),
-            CellKind::HostToHost => h2h_cell(m, c),
-            CellKind::D2d(class, da, db) => d2d_cell(m, c, class, da, db),
-        }
-    });
-    #[derive(Default)]
-    struct Partial {
-        device_bw: Option<Summary>,
-        host_to_host: Option<Summary>,
-        d2d: BTreeMap<LinkClass, Summary>,
-    }
-    let mut partials: Vec<Partial> = machines.iter().map(|_| Partial::default()).collect();
-    for (&(mi, ref kind), summary) in grid.iter().zip(results) {
-        let p = &mut partials[mi];
-        match *kind {
-            CellKind::Stream => p.device_bw = Some(summary),
-            CellKind::HostToHost => p.host_to_host = Some(summary),
-            CellKind::D2d(class, _, _) => {
-                p.d2d.insert(class, summary);
+}
+
+/// `m`'s row from the results of `parts`, in that order.
+fn row(m: &Machine, parts: &[Part], results: impl IntoIterator<Item = Summary>) -> Row {
+    let mut device_bw = None;
+    let mut host_to_host = None;
+    let mut d2d = BTreeMap::new();
+    for (part, summary) in parts.iter().zip(results) {
+        match *part {
+            Part::Stream => device_bw = Some(summary),
+            Part::HostToHost => host_to_host = Some(summary),
+            Part::D2d(class, _, _) => {
+                d2d.insert(class, summary);
             }
         }
     }
+    Row {
+        label: m.table_label(),
+        machine: m.name.to_string(),
+        device_bw: device_bw.expect("one stream result per machine"),
+        peak: m.device_peak_citation.unwrap_or("-"),
+        host_to_host: host_to_host.expect("one h2h result per machine"),
+        d2d,
+    }
+}
+
+/// Run the Table 5 benchmarks for one GPU machine: its sub-benchmarks fan
+/// out over the worker pool (inline when the machine is one cell of a
+/// wider fan-out).
+pub fn run_machine(m: &Machine, c: &Campaign) -> Row {
+    assert!(m.is_accelerated(), "Table 5 covers accelerator machines");
+    let parts = sub_benchmarks(m);
+    row(m, &parts, run_cells(&parts, |part| run_part(m, c, part)))
+}
+
+/// Run all GPU machines: the (machine × sub-benchmark) grid fans out over
+/// the worker pool, and rows assemble in canonical machine order.
+pub fn run(c: &Campaign) -> Vec<Row> {
+    let machines = doe_machines::gpu_machines();
+    let parts: Vec<Vec<Part>> = machines.iter().map(sub_benchmarks).collect();
+    let grid: Vec<(&Machine, &Part)> = machines
+        .iter()
+        .zip(&parts)
+        .flat_map(|(m, ps)| ps.iter().map(move |part| (m, part)))
+        .collect();
+    let mut results = run_cells(&grid, |&(m, part)| run_part(m, c, part)).into_iter();
     machines
         .iter()
-        .zip(partials)
-        .map(|(m, p)| Row {
-            label: m.table_label(),
-            machine: m.name.to_string(),
-            device_bw: p.device_bw.expect("one stream cell per machine"),
-            peak: m.device_peak_citation.unwrap_or("-"),
-            host_to_host: p.host_to_host.expect("one h2h cell per machine"),
-            d2d: p.d2d,
-        })
+        .zip(&parts)
+        .map(|(m, ps)| row(m, ps, results.by_ref().take(ps.len())))
         .collect()
 }
 

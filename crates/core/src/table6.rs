@@ -1,8 +1,10 @@
 //! Table 6: Comm|Scope kernel and memcpy costs on accelerator machines.
 
 use std::borrow::Borrow;
+use std::sync::Arc;
 
-use doe_commscope::{run_commscope, CommScopeReport};
+use doe_commscope::{run_test, CommScopeReport, Test};
+use doe_gpusim::GpuModel;
 use doe_machines::{paper, Machine};
 use doe_report::{CellValue, Comparison, Table, TableResult, Unit};
 use doe_topo::LinkClass;
@@ -28,19 +30,20 @@ impl std::ops::Deref for Row {
     }
 }
 
-/// Run the Comm|Scope suite for one GPU machine.
+/// Run the Comm|Scope suite for one GPU machine: its five tests fan out
+/// over the worker pool (inline when the machine is one cell of a wider
+/// fan-out).
 pub fn run_machine(m: &Machine, c: &Campaign) -> Row {
     assert!(m.is_accelerated(), "Table 6 covers accelerator machines");
-    let report = run_commscope(
-        &m.topo,
-        &m.gpu_models,
-        &c.commscope,
-        c.seed_for(m.name, "commscope"),
-    );
+    let models: Arc<[GpuModel]> = m.gpu_models.as_slice().into();
+    let seed = c.seed_for(m.name, "commscope");
+    let results = run_cells(&Test::ALL, |&test| {
+        run_test(&m.topo, &models, &c.commscope, seed, test)
+    });
     Row {
         label: m.table_label(),
         machine: m.name.to_string(),
-        report,
+        report: CommScopeReport::from_results(results),
     }
 }
 

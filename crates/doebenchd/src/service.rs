@@ -2,10 +2,11 @@
 //! ones → assemble.
 //!
 //! One query's cold cells go to the worker pool as a **single**
-//! `sched::run_cells` fan-out, not one dispatch per cell — so a cold
-//! Table 5 query schedules its whole (machine × benchmark) grid at
-//! once, exactly like the offline path, and cache-hit cells cost no
-//! scheduling at all. Cells owned by *another* in-flight query are
+//! `sched::run_cells` fan-out, not one dispatch per cell, exactly like
+//! the offline path, and cache-hit cells cost no scheduling at all. A
+//! batch of one cold cell (an override, or a one-machine query) runs
+//! inline and fans out over that cell's sub-benchmarks instead
+//! (`doebench::sched`). Cells owned by *another* in-flight query are
 //! waited on after this query's own batch completes, so two
 //! overlapping queries never compute a shared cell twice.
 

@@ -191,6 +191,20 @@ fn override_recomputes_only_dependent_cells() {
 }
 
 #[test]
+fn override_values_apart_below_a_nanosecond_are_two_cells() {
+    let (mut server, addr) = start();
+    for value in ["1.0001", "1.0004"] {
+        let q = format!("table4 Eagle seed=1 set Eagle.mpi_shm_latency_us={value}");
+        let served = client::query_shorthand(&addr, &q, "json").unwrap();
+        assert_eq!(served.status, 200, "{q}");
+        assert_eq!(served.header("x-doebench-cache"), Some("miss"), "{q}");
+        let offline = doebench::query::run_query(&Query::parse_shorthand(&q).unwrap()).unwrap();
+        assert_eq!(served.text(), offline.body(Format::Json), "{q}");
+    }
+    server.stop();
+}
+
+#[test]
 fn table_shortcut_and_sweep() {
     let (mut server, addr) = start();
     let t4 = client::request(&addr, "GET", "/table/4?format=md", &[]).unwrap();

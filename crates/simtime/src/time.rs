@@ -197,9 +197,26 @@ impl Sum for SimDuration {
     }
 }
 
+/// Exact: the `Display` text where it names the duration to the
+/// picosecond, else `{ps}ps`. Spec and campaign digests hash `Debug`
+/// text, so two durations must never share it.
 impl fmt::Debug for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self)
+        // `Display` prints ps and ns exactly below 1 µs, ns resolution
+        // below 1 ms and µs resolution above.
+        let ps = self.0;
+        let exact = if ps < PS_PER_US {
+            true
+        } else if ps < PS_PER_SEC / 1000 {
+            ps % PS_PER_NS == 0
+        } else {
+            ps % PS_PER_US == 0
+        };
+        if exact {
+            fmt::Display::fmt(self, f)
+        } else {
+            write!(f, "{ps}ps")
+        }
     }
 }
 
@@ -407,5 +424,63 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_ps(5)), "5ps");
         assert_eq!(format!("{}", SimDuration::from_ns(3.0)), "3.000ns");
         assert_eq!(format!("{}", SimDuration::from_us(7.5)), "7.500us");
+    }
+
+    /// The picosecond count a `Debug` text names.
+    fn parse_debug(text: &str) -> u64 {
+        let scaled = |num: &str, unit: u64, decimals: u32| {
+            let (int, frac) = num.split_once('.').expect("fixed decimals");
+            assert_eq!(frac.len(), decimals as usize, "{text}");
+            let frac_unit = unit / 10u64.pow(decimals);
+            int.parse::<u64>().unwrap() * unit + frac.parse::<u64>().unwrap() * frac_unit
+        };
+        if text == "0s" {
+            0
+        } else if let Some(n) = text.strip_suffix("ps") {
+            n.parse().unwrap()
+        } else if let Some(n) = text.strip_suffix("ns") {
+            scaled(n, PS_PER_NS, 3)
+        } else if let Some(n) = text.strip_suffix("us") {
+            scaled(n, PS_PER_US, 3)
+        } else {
+            scaled(text.strip_suffix('s').unwrap(), PS_PER_SEC, 6)
+        }
+    }
+
+    #[test]
+    fn debug_is_display_when_exact_and_picoseconds_otherwise() {
+        for (ps, text) in [
+            (0, "0s"),
+            (5, "5ps"),
+            (999_999, "999.999ns"),
+            (1_000_000, "1.000us"),
+            (7_500_000, "7.500us"),
+            (1_000_100, "1000100ps"),
+            (1_000_400, "1000400ps"),
+            (999_999_000, "999.999us"),
+            (1_000_000_000, "0.001000s"),
+            (1_000_000_001, "1000000001ps"),
+            (1_500_000_000_000, "1.500000s"),
+        ] {
+            assert_eq!(format!("{:?}", SimDuration::from_ps(ps)), text);
+        }
+        // The override values whose ns-resolution text once collided.
+        assert_ne!(
+            format!("{:?}", SimDuration::from_us(1.0001)),
+            format!("{:?}", SimDuration::from_us(1.0004))
+        );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn debug_text_names_the_exact_duration(ps in 0u64..u64::MAX / 2) {
+            proptest::prop_assert_eq!(parse_debug(&format!("{:?}", SimDuration::from_ps(ps))), ps);
+        }
+
+        #[test]
+        fn debug_text_of_round_durations_is_exact(us in 0u64..1 << 40) {
+            let d = SimDuration::from_ps(us * PS_PER_US);
+            proptest::prop_assert_eq!(parse_debug(&format!("{d:?}")), d.as_ps());
+        }
     }
 }
