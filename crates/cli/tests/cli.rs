@@ -160,3 +160,32 @@ fn local_query_matches_the_table_subcommand() {
     assert!(ok);
     assert!(json.starts_with("{\"code_version\""), "{json}");
 }
+
+/// FNV-1a 64 digests of the inter-node study's stdout in every output
+/// format, and of `--check`'s stderr ("no sanitizer findings"). `--full`
+/// and `--check` print the plain bytes: the study has no paper profile,
+/// and the sanitizer only observes.
+#[test]
+fn internode_output_is_pinned() {
+    use doebench::query::fnv1a64;
+    const PLAIN: u64 = 0xef9f513c4b4423b2;
+    for (args, want) in [
+        (&["internode"][..], PLAIN),
+        (&["internode", "--md"], 0x03c3a5ff62d86609),
+        (&["internode", "--csv"], 0xe790ef1a00029a10),
+        (&["internode", "--full"], PLAIN),
+        (&["internode", "--check"], PLAIN),
+    ] {
+        let (stdout, stderr, ok) = doebench(args);
+        assert!(ok, "{args:?}: {stderr}");
+        let got = fnv1a64(stdout.as_bytes());
+        assert_eq!(got, want, "{args:?} stdout moved: {got:#018x}");
+        if args.contains(&"--check") {
+            let got = fnv1a64(stderr.as_bytes());
+            assert_eq!(
+                got, 0x0b6dbb78c70cecdf,
+                "stderr moved: {got:#018x} {stderr}"
+            );
+        }
+    }
+}

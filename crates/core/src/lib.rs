@@ -57,7 +57,6 @@ pub use doe_gpusim as gpusim;
 pub use doe_machines as machines;
 pub use doe_memmodel as memmodel;
 pub use doe_mpi as mpi;
-pub use doe_net as net;
 pub use doe_omp as omp;
 pub use doe_osu as osu;
 pub use doe_report as report;

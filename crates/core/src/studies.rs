@@ -2,7 +2,8 @@
 //! runnable.
 //!
 //! 1. [`internode_latency_table`] / [`contention_series`] /
-//!    [`collectives_table`] — inter-node measurements over `doe-net`.
+//!    [`placement_study`] / [`collectives_table`] — inter-node measurements
+//!    over a `doe-mpi` fabric world.
 //! 2. [`cpu_vendor_table`] — the Intel/AMD/Arm comparison on the
 //!    hypothetical extension machines.
 //! 3. [`mpi_variant_table`] — the same machine under different MPI
@@ -10,16 +11,28 @@
 
 use doe_benchlib::Samples;
 use doe_machines::extensions::extension_machines;
-use doe_mpi::{apply_variant, MpiVariant};
-use doe_net::collectives::{allreduce_best, barrier, P2pCost};
-use doe_net::{Fabric, FabricConfig, NetWorld, NicConfig, NodeId};
-use doe_osu::{on_socket_pair, osu_latency, osu_latency_device};
+use doe_mpi::collectives::{
+    allreduce_best, allreduce_recursive_doubling, allreduce_ring, barrier, P2pCost,
+};
+use doe_mpi::{apply_variant, Fabric, FabricConfig, MpiConfig, MpiSim, MpiVariant, NodeId, Rank};
+use doe_osu::{on_socket_pair, osu_latency, osu_latency_device, pingpong_once, windowed_bandwidth};
 use doe_report::Table;
-use doe_simtime::SimDuration;
 use doe_topo::DeviceId;
 
 use crate::campaign::Campaign;
 use crate::table5::device_pair_cores;
+
+/// A world on the Slingshot-like fabric with an HPC NIC stack, one rank on
+/// each of `nodes`.
+fn fabric_world(seed: u64, nodes: impl IntoIterator<Item = u32>) -> (MpiSim, Vec<Rank>) {
+    let fabric = Fabric::new(FabricConfig::slingshot_like());
+    let mut w = MpiSim::on_fabric(fabric, MpiConfig::default_fabric(), seed).expect("valid config");
+    let ranks = nodes
+        .into_iter()
+        .map(|n| w.add_node_rank(NodeId(n)).expect("node"))
+        .collect();
+    (w, ranks)
+}
 
 /// Inter-node OSU-style latency/bandwidth: intra-group and inter-group
 /// placements, several message sizes.
@@ -38,18 +51,12 @@ pub fn internode_latency_table(seed: u64) -> Table {
         let mut far = Samples::new();
         let mut bw = Samples::new();
         for rep in 0..10u64 {
-            let mut w = NetWorld::new(
-                Fabric::new(FabricConfig::slingshot_like()),
-                NicConfig::default_hpc(),
-                seed ^ rep.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            let a = w.add_rank(NodeId(0)).expect("node");
-            let b = w.add_rank(NodeId(1)).expect("node");
-            let c = w.add_rank(NodeId(16)).expect("node");
-            near.push(w.pingpong_latency_us(a, b, bytes, 50).expect("pingpong"));
-            far.push(w.pingpong_latency_us(a, c, bytes, 50).expect("pingpong"));
+            let (mut w, r) =
+                fabric_world(seed ^ rep.wrapping_mul(0x9E37_79B9_7F4A_7C15), [0, 1, 16]);
+            near.push(pingpong_once(&mut w, r[0], r[1], bytes, 0, 50));
+            far.push(pingpong_once(&mut w, r[0], r[2], bytes, 0, 50));
             if bytes > 0 {
-                bw.push(w.streaming_bandwidth(a, c, bytes, 3).expect("bw"));
+                bw.push(windowed_bandwidth(&mut w, r[0], r[2], bytes, 3).expect("bw"));
             }
         }
         t.push_row(vec![
@@ -71,15 +78,11 @@ pub fn internode_latency_table(seed: u64) -> Table {
 pub fn contention_series(seed: u64, max_flows: u32) -> Vec<(u32, f64)> {
     (0..=max_flows)
         .map(|flows| {
-            let mut w = NetWorld::new(
-                Fabric::new(FabricConfig::slingshot_like()),
-                NicConfig::default_hpc(),
-                seed,
-            );
-            let a = w.add_rank(NodeId(0)).expect("node");
-            let b = w.add_rank(NodeId(16)).expect("node");
-            w.fabric_mut().add_background_flows(0, flows);
-            let bw = w.streaming_bandwidth(a, b, 1 << 22, 3).expect("bandwidth");
+            let (mut w, r) = fabric_world(seed, [0, 16]);
+            w.fabric_mut()
+                .expect("fabric")
+                .add_background_flows(0, flows);
+            let bw = windowed_bandwidth(&mut w, r[0], r[1], 1 << 22, 3).expect("bandwidth");
             (flows, bw)
         })
         .collect()
@@ -91,24 +94,16 @@ pub fn contention_series(seed: u64, max_flows: u32) -> Vec<(u32, f64)> {
 /// neighborhood". Returns rows `(placement, quiet µs, noisy µs)`.
 pub fn placement_study(seed: u64, ranks: u32, bytes: u64) -> Vec<(String, f64, f64)> {
     let run = |spread: bool, noisy: bool| -> f64 {
-        let mut w = NetWorld::new(
-            Fabric::new(FabricConfig::slingshot_like()),
-            NicConfig::default_hpc(),
-            seed,
-        );
-        let rs: Vec<_> = (0..ranks)
-            .map(|i| {
-                let node = if spread { i * 16 } else { i };
-                w.add_rank(NodeId(node)).expect("node")
-            })
-            .collect();
+        let stride = if spread { 16 } else { 1 };
+        let (mut w, rs) = fabric_world(seed, (0..ranks).map(|i| i * stride));
         if noisy {
+            let fabric = w.fabric_mut().expect("fabric");
             for g in 0..8 {
-                w.fabric_mut().add_background_flows(g, 3);
+                fabric.add_background_flows(g, 3);
             }
         }
         w.barrier();
-        let done = w.allreduce_ring(&rs, bytes).expect("allreduce");
+        let done = doe_osu::allreduce_ring(&mut w, &rs, bytes).expect("allreduce");
         done.as_us()
     };
     vec![
@@ -129,8 +124,9 @@ pub fn placement_study(seed: u64, ranks: u32, bytes: u64) -> Vec<(String, f64, f
 pub fn collectives_table() -> Table {
     let fabric = Fabric::new(FabricConfig::slingshot_like());
     let p2p = fabric.path(NodeId(0), NodeId(16)).expect("path");
+    let nic = MpiConfig::default_fabric();
     let cost = P2pCost {
-        alpha: p2p.latency + SimDuration::from_ns(500.0), // + NIC overheads
+        alpha: p2p.latency + nic.send_overhead + nic.recv_overhead,
         bandwidth: p2p.bandwidth,
     };
     let mut t = Table::new(
@@ -140,8 +136,8 @@ pub fn collectives_table() -> Table {
     let p = 64;
     for shift in [3u32, 10, 14, 17, 20, 24, 27] {
         let bytes = 1u64 << shift;
-        let rd = doe_net::collectives::allreduce_recursive_doubling(p, bytes, cost);
-        let ring = doe_net::collectives::allreduce_ring(p, bytes, cost);
+        let rd = allreduce_recursive_doubling(p, bytes, cost);
+        let ring = allreduce_ring(p, bytes, cost);
         let (winner, _) = allreduce_best(p, bytes, cost);
         t.push_row(vec![
             bytes.to_string(),

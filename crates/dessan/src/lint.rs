@@ -57,12 +57,10 @@ use std::time::{Duration, Instant};
 use crate::callgraph::{self, WsFile};
 
 /// The crates whose non-test code must be panic-free (`unwrap-in-sim`).
-const SIM_CRATES: [&str; 7] = [
-    "simtime", "gpurt", "mpisim", "netsim", "ompsim", "gpusim", "memmodel",
-];
+const SIM_CRATES: [&str; 6] = ["simtime", "gpurt", "mpisim", "ompsim", "gpusim", "memmodel"];
 
 /// The crates whose arithmetic carries physical units (`unit-extract`).
-const UNIT_CRATES: [&str; 4] = ["memmodel", "simtime", "netsim", "machines"];
+const UNIT_CRATES: [&str; 4] = ["memmodel", "simtime", "mpisim", "machines"];
 
 /// A lint rule class.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -771,7 +769,7 @@ mod tests {
     fn unit_extract_flagged_in_unit_crates_including_tests() {
         let src = "fn f(d: SimDuration) -> f64 { d.as_ns() + d.as_us() }\n#[cfg(test)]\nmod tests {\n    fn t() { assert!(d().as_secs() > 0.0); }\n}\n";
         assert_eq!(
-            rules_of("crates/netsim/src/fabric.rs", src),
+            rules_of("crates/mpisim/src/fabric.rs", src),
             vec![Rule::UnitExtract, Rule::UnitExtract]
         );
         assert_eq!(rules_of("crates/gpurt/src/runtime.rs", src), vec![]);

@@ -37,7 +37,7 @@
 //!
 //! Leaving the types for a bare `f64` goes through `as_us()`: `dessan`'s
 //! `unit-extract` rule flags `.as_ns()` and `.as_secs()` in this crate,
-//! `memmodel`, `simtime` and `netsim`, so every bare `f64` time there is
+//! `memmodel`, `simtime` and `mpisim`, so every bare `f64` time there is
 //! in µs.
 
 use doe_simtime::SimDuration;

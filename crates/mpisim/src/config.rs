@@ -68,6 +68,17 @@ impl MpiConfig {
         }
     }
 
+    /// A plausible modern HPC NIC stack for ranks on a fabric (~1 µs
+    /// end-to-end floor): only the software costs apply there, since the
+    /// fabric prices the path.
+    pub fn default_fabric() -> Self {
+        MpiConfig {
+            send_overhead: SimDuration::from_ns(250.0),
+            recv_overhead: SimDuration::from_ns(250.0),
+            ..Self::default_host()
+        }
+    }
+
     /// Validate invariants (positive bandwidths, sane efficiency).
     pub fn validate(&self) -> Result<(), String> {
         if self.shm_bandwidth <= 0.0 {

@@ -6,13 +6,6 @@ use doe_simtime::SimDuration;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(pub u32);
 
-impl NodeId {
-    /// Raw index.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 /// Static description of the fabric.
 #[derive(Clone, Debug)]
 pub struct FabricConfig {
@@ -30,11 +23,14 @@ pub struct FabricConfig {
     pub global_latency: SimDuration,
     /// Global link bandwidth, GB/s.
     pub global_bandwidth: f64,
+    /// Injection bandwidth cap of one NIC, GB/s: no message leaves a node
+    /// faster, whatever its path's links offer.
+    pub injection_bandwidth: f64,
 }
 
 impl FabricConfig {
-    /// A Slingshot-flavoured default: 200 Gb/s (25 GB/s) links, ~350 ns
-    /// edge hops, ~700 ns global hops.
+    /// A Slingshot-flavoured default: 200 Gb/s (25 GB/s) links and NICs,
+    /// ~350 ns edge hops, ~700 ns global hops.
     pub fn slingshot_like() -> Self {
         FabricConfig {
             groups: 8,
@@ -44,12 +40,8 @@ impl FabricConfig {
             switch_latency: SimDuration::from_ns(150.0),
             global_latency: SimDuration::from_ns(700.0),
             global_bandwidth: 25.0,
+            injection_bandwidth: 25.0,
         }
-    }
-
-    /// Total node count.
-    pub fn node_count(&self) -> u32 {
-        self.groups * self.nodes_per_group
     }
 }
 
@@ -81,7 +73,7 @@ impl Fabric {
     pub fn new(cfg: FabricConfig) -> Self {
         assert!(cfg.groups > 0 && cfg.nodes_per_group > 0, "empty fabric");
         assert!(
-            cfg.edge_bandwidth > 0.0 && cfg.global_bandwidth > 0.0,
+            cfg.edge_bandwidth > 0.0 && cfg.global_bandwidth > 0.0 && cfg.injection_bandwidth > 0.0,
             "bandwidths must be positive"
         );
         Fabric {
@@ -102,7 +94,7 @@ impl Fabric {
 
     /// True if `n` is a valid node id.
     pub fn contains(&self, n: NodeId) -> bool {
-        n.0 < self.cfg.node_count()
+        n.0 < self.cfg.groups * self.cfg.nodes_per_group
     }
 
     /// The uncontended path profile between two distinct nodes.

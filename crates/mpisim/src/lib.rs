@@ -1,4 +1,5 @@
-//! An intra-node message-passing runtime (the MPI stand-in).
+//! A message-passing runtime (the MPI stand-in), within a node and across
+//! a fabric.
 //!
 //! OSU's point-to-point benchmarks are thin loops over `MPI_Send`/`MPI_Recv`;
 //! everything the paper measures in its "MPI Latency" columns is determined
@@ -15,7 +16,13 @@
 //!   device latencies on the CUDA machines).
 //!
 //! [`MpiSim`] executes those state machines on virtual time, one clock per
-//! rank, with blocking-call semantics matching the benchmarks' use.
+//! rank, with blocking-call semantics matching the benchmarks' use. Its
+//! message paths come from a node's route table ([`MpiSim::new`]) or, for
+//! the paper's first future-work item (§5, inter-node measurement), from a
+//! two-level [`Fabric`] with NIC injection limits and shared-link
+//! contention from background flows ([`MpiSim::on_fabric`]); nothing else
+//! about a world differs. [`collectives`] prices barrier and allreduce
+//! algorithms in closed form.
 
 //! # Example
 //!
@@ -39,13 +46,29 @@
 //! let done = world.recv(b, a, 1024).unwrap();
 //! assert!(done.as_us() > 0.0);
 //! ```
+//!
+//! The same protocol over a fabric:
+//!
+//! ```
+//! use doe_mpi::{Fabric, FabricConfig, MpiConfig, MpiSim, NodeId};
+//!
+//! let fabric = Fabric::new(FabricConfig::slingshot_like());
+//! let mut world = MpiSim::on_fabric(fabric, MpiConfig::default_fabric(), 42).unwrap();
+//! let a = world.add_node_rank(NodeId(0)).unwrap();
+//! let b = world.add_node_rank(NodeId(16)).unwrap(); // different switch group
+//! let latency = world.pingpong(a, b, 0, 100).unwrap().as_us() / 200.0;
+//! assert!(latency > 1.0 && latency < 5.0); // ~2.2 us inter-group floor
+//! ```
 
+pub mod collectives;
 pub mod config;
+pub mod fabric;
 pub mod transport;
 pub mod variants;
 pub mod world;
 
 pub use config::{DevicePath, MpiConfig};
+pub use fabric::{Fabric, FabricConfig, NodeId};
 pub use transport::PathCosts;
 pub use variants::{apply_variant, MpiVariant};
 pub use world::{MpiError, MpiSim, Rank};

@@ -16,13 +16,6 @@ pub struct PathCosts {
     pub bandwidth: f64,
 }
 
-impl PathCosts {
-    /// One-way traversal time of `bytes`.
-    pub fn traverse(&self, bytes: u64) -> SimDuration {
-        self.latency + SimDuration::transfer(bytes, self.bandwidth)
-    }
-}
-
 /// Where a rank's message buffer lives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BufferLoc {
@@ -216,7 +209,7 @@ mod tests {
             BufferLoc::Host,
         )
         .expect("path");
-        assert!((p.latency.as_ns() - (c.shm_latency.as_ns() + 200.0)).abs() < 1e-6);
+        assert_eq!(p.latency, c.shm_latency + SimDuration::from_ns(200.0));
     }
 
     #[test]
@@ -237,7 +230,7 @@ mod tests {
         .expect("path");
         // Latency is software-dominated (route-independent); bandwidth is
         // bounded by the NVLink route.
-        assert!((p.latency.as_ns() - 100.0).abs() < 1e-6);
+        assert_eq!(p.latency, SimDuration::from_ns(100.0));
         assert_eq!(p.bandwidth, 100.0);
     }
 
@@ -294,16 +287,5 @@ mod tests {
         .expect("path");
         assert_eq!(hd, dh);
         assert!(hd.latency > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn traverse_scales_with_bytes() {
-        let p = PathCosts {
-            latency: SimDuration::from_us(1.0),
-            bandwidth: 10.0,
-        };
-        assert_eq!(p.traverse(0).as_us(), 1.0);
-        // 1e7 bytes at 10 GB/s = 1 ms
-        assert!((p.traverse(10_000_000).as_us() - 1001.0).abs() < 1e-6);
     }
 }

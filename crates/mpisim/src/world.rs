@@ -9,6 +9,7 @@ use doe_simtime::{Engine, SimDuration, SimRng, SimTime};
 use doe_topo::{CoreId, NodeTopology, NumaId};
 
 use crate::config::MpiConfig;
+use crate::fabric::{Fabric, NodeId};
 use crate::transport::{resolve_path, BufferLoc, PathCosts};
 
 /// A rank handle.
@@ -22,7 +23,10 @@ pub enum MpiError {
     InvalidRank(usize),
     /// The core a rank was placed on does not exist.
     InvalidCore(CoreId),
-    /// The topology offers no path between the endpoint ranks.
+    /// The fabric node a rank was placed on does not exist.
+    InvalidNode(NodeId),
+    /// The topology or fabric offers no path between the endpoint ranks
+    /// (on a fabric: the two ranks share a node).
     NoPath {
         /// Sending rank.
         from: usize,
@@ -47,6 +51,7 @@ impl std::fmt::Display for MpiError {
         match self {
             MpiError::InvalidRank(r) => write!(f, "invalid rank {r}"),
             MpiError::InvalidCore(c) => write!(f, "invalid core {c}"),
+            MpiError::InvalidNode(n) => write!(f, "invalid node {}", n.0),
             MpiError::NoPath { from, to } => write!(f, "no path: rank {from} -> rank {to}"),
             MpiError::NoMatchingMessage { to, from } => {
                 write!(f, "rank {to} has no pending message from rank {from}")
@@ -152,11 +157,24 @@ impl MpiChecks {
     }
 }
 
-/// A simulated intra-node MPI world.
+/// Where a world's message paths come from: the one thing that differs
+/// between ranks on the cores of one node and ranks on the nodes of a
+/// fabric. Clocks, mailboxes, copy ports, the run factor and the sanitizer
+/// are the world's own, whichever source it has.
 #[derive(Debug)]
-pub struct MpiSim {
+enum Paths {
+    /// The node's route table, memoized per endpoint-class pair.
+    Node(NodePaths),
+    /// The fabric, priced at every send (no memo), so background flows
+    /// added through [`MpiSim::fabric_mut`] apply from the next send on.
+    /// A rank's copy port is its node's, indexed by [`NodeId`].
+    Fabric(Fabric),
+}
+
+/// A node's placement tables and its class-pair path memo.
+#[derive(Debug)]
+struct NodePaths {
     topo: Arc<NodeTopology>,
-    cfg: MpiConfig,
     /// Per-rank placement, SoA so the hot send/recv loop walks dense
     /// parallel arrays (one cache line covers 8 ranks' NUMA ids) instead of
     /// striding a struct-of-everything.
@@ -165,13 +183,6 @@ pub struct MpiSim {
     rank_buffer: Vec<BufferLoc>,
     /// Interned endpoint class per rank — index into [`Self::classes`].
     rank_class: Vec<u32>,
-    clocks: Vec<SimTime>,
-    /// Pending messages per receiving rank, FIFO per sender.
-    mailboxes: Vec<VecDeque<Message>>,
-    /// Shared-memory copy port per NUMA domain, dense by `NumaId::index()`:
-    /// concurrent payload copies from co-located ranks queue behind each
-    /// other, which is what degrades multi-pair throughput on a socket.
-    ports: Vec<Engine>,
     /// The distinct `(numa, buffer)` endpoint classes seen so far. Transport
     /// cost depends only on the endpoint classes (plus a per-pair on-die
     /// distance term computed inline), so the memo is O(classes²) — a
@@ -189,6 +200,127 @@ pub struct MpiSim {
     /// Core count per NUMA domain, dense by `NumaId::index()`, for the
     /// on-die distance fraction.
     numa_core_count: Vec<u32>,
+}
+
+impl NodePaths {
+    fn new(topo: Arc<NodeTopology>) -> Self {
+        let ncores = topo
+            .cores
+            .iter()
+            .map(|c| c.id.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut core_numa = vec![u32::MAX; ncores];
+        let mut numa_core_count = vec![0u32; topo.numa_domains.len()];
+        for c in &topo.cores {
+            core_numa[c.id.index()] = c.numa.index() as u32;
+            if c.numa.index() >= numa_core_count.len() {
+                numa_core_count.resize(c.numa.index() + 1, 0);
+            }
+            numa_core_count[c.numa.index()] += 1;
+        }
+        NodePaths {
+            topo,
+            rank_core: Vec::new(),
+            rank_numa: Vec::new(),
+            rank_buffer: Vec::new(),
+            rank_class: Vec::new(),
+            classes: Vec::new(),
+            class_paths: Vec::new(),
+            core_numa,
+            numa_core_count,
+        }
+    }
+
+    /// Place the next rank; returns its NUMA domain.
+    fn place(&mut self, core: CoreId, buffer: BufferLoc) -> Result<NumaId, MpiError> {
+        let numa_idx = self
+            .core_numa
+            .get(core.index())
+            .copied()
+            .filter(|&n| n != u32::MAX)
+            .ok_or(MpiError::InvalidCore(core))?;
+        let numa = NumaId(numa_idx);
+        // Intern the rank's endpoint class; a new class invalidates the
+        // class-pair memo (it refills lazily — classes are a handful, ranks
+        // are thousands, so this stays O(1) amortized per added rank).
+        let class = match self
+            .classes
+            .iter()
+            .position(|&(n, b)| n == numa && b == buffer)
+        {
+            Some(c) => c as u32,
+            None => {
+                self.classes.push((numa, buffer));
+                let nc = self.classes.len();
+                self.class_paths.clear();
+                self.class_paths.resize(nc * nc, None);
+                (nc - 1) as u32
+            }
+        };
+        self.rank_core.push(core);
+        self.rank_numa.push(numa);
+        self.rank_buffer.push(buffer);
+        self.rank_class.push(class);
+        Ok(numa)
+    }
+
+    // doebench::hot
+    fn path(&mut self, cfg: &MpiConfig, from: usize, to: usize) -> Result<PathCosts, MpiError> {
+        // Dense class-pair memo first: one resolution per endpoint-class
+        // pair per world, shared by every rank pair in those classes.
+        let (cf, ct) = (self.rank_class[from], self.rank_class[to]);
+        let idx = cf as usize * self.classes.len() + ct as usize;
+        let mut path = match self.class_paths[idx] {
+            Some(p) => p,
+            None => {
+                let (fn_, fb) = self.classes[cf as usize];
+                let (tn, tb) = self.classes[ct as usize];
+                let p = resolve_path(&self.topo, cfg, fn_, fb, tn, tb)
+                    .ok_or(MpiError::NoPath { from, to })?;
+                self.class_paths[idx] = Some(p);
+                p
+            }
+        };
+        // On-die mesh distance for same-domain host pairs (Xeon Phi's
+        // "close" vs "far" core pairs) — the one per-pair term, computed
+        // inline from the dense placement arrays so the memo can stay
+        // O(classes²).
+        if self.rank_numa[from] == self.rank_numa[to]
+            && self.rank_buffer[from] == BufferLoc::Host
+            && self.rank_buffer[to] == BufferLoc::Host
+            && !cfg.intra_numa_distance.is_zero()
+        {
+            let n = self.numa_core_count[self.rank_numa[from].index()] as usize;
+            if n > 1 {
+                let dist = self.rank_core[from]
+                    .index()
+                    .abs_diff(self.rank_core[to].index()) as f64;
+                let frac = dist / (n - 1) as f64;
+                path.latency += cfg.intra_numa_distance * frac.min(1.0);
+            }
+        }
+        Ok(path)
+    }
+}
+
+/// A simulated MPI world: ranks on the cores of one node
+/// ([`MpiSim::new`]) or on the nodes of a fabric ([`MpiSim::on_fabric`]).
+#[derive(Debug)]
+pub struct MpiSim {
+    paths: Paths,
+    cfg: MpiConfig,
+    /// Copy port of each rank, as an index into [`Self::ports`]: its NUMA
+    /// domain on a node, its node on a fabric.
+    rank_port: Vec<u32>,
+    clocks: Vec<SimTime>,
+    /// Pending messages per receiving rank, FIFO per sender.
+    mailboxes: Vec<VecDeque<Message>>,
+    /// Shared-memory copy port per NUMA domain on a node (dense by
+    /// `NumaId::index()`), per node on a fabric (dense by `NodeId`): concurrent
+    /// payload copies from co-located ranks queue behind each other, which
+    /// is what degrades multi-pair throughput on a socket.
+    ports: Vec<Engine>,
     /// Common-mode run factor: one draw per world, scaling every software
     /// and transport cost. Run-to-run σ in the paper is dominated by this
     /// common mode (DVFS, OS state), not per-message noise — per-message
@@ -217,47 +349,33 @@ impl MpiSim {
 
     /// Create a world over `topo`, rejecting invalid configurations.
     pub fn try_new(topo: Arc<NodeTopology>, cfg: MpiConfig, seed: u64) -> Result<Self, MpiError> {
-        if let Err(why) = cfg.validate() {
-            return Err(MpiError::InvalidConfig(why));
-        }
-        let checks = dessan::checks_enabled().then(|| Box::new(MpiChecks::new(0)));
         let nports = topo
             .numa_domains
             .iter()
             .map(|n| n.id.index() + 1)
             .max()
             .unwrap_or(0);
-        let ncores = topo
-            .cores
-            .iter()
-            .map(|c| c.id.index() + 1)
-            .max()
-            .unwrap_or(0);
-        let mut core_numa = vec![u32::MAX; ncores];
-        let mut numa_core_count = vec![0u32; nports];
-        for c in &topo.cores {
-            core_numa[c.id.index()] = c.numa.index() as u32;
-            if c.numa.index() >= numa_core_count.len() {
-                numa_core_count.resize(c.numa.index() + 1, 0);
-            }
-            numa_core_count[c.numa.index()] += 1;
-        }
+        Self::build(Paths::Node(NodePaths::new(topo)), cfg, nports, seed)
+    }
+
+    /// Create a world of ranks on the nodes of `fabric`. Its messages pay
+    /// `cfg`'s software costs (send and receive overheads, eager threshold,
+    /// jitter) and the fabric's path costs; each node has one copy port.
+    pub fn on_fabric(fabric: Fabric, cfg: MpiConfig, seed: u64) -> Result<Self, MpiError> {
+        Self::build(Paths::Fabric(fabric), cfg, 0, seed)
+    }
+
+    fn build(paths: Paths, cfg: MpiConfig, nports: usize, seed: u64) -> Result<Self, MpiError> {
+        cfg.validate().map_err(MpiError::InvalidConfig)?;
         let mut world = MpiSim {
-            topo,
+            paths,
             cfg,
-            rank_core: Vec::new(),
-            rank_numa: Vec::new(),
-            rank_buffer: Vec::new(),
-            rank_class: Vec::new(),
+            rank_port: Vec::new(),
             clocks: Vec::new(),
             mailboxes: Vec::new(),
             ports: vec![Engine::new(); nports],
-            classes: Vec::new(),
-            class_paths: Vec::new(),
-            core_numa,
-            numa_core_count,
             run_factor: 1.0,
-            checks,
+            checks: dessan::checks_enabled().then(|| Box::new(MpiChecks::new(0))),
             boundary: Boundary::default(),
         };
         world.arm(seed);
@@ -290,7 +408,10 @@ impl MpiSim {
     /// Set the per-seed state, for [`Self::try_new`] and [`Self::rearm`]
     /// alike: draw the run factor, zero every clock and idle every port.
     fn arm(&mut self, seed: u64) {
-        let mut rng = SimRng::stream(seed, &["mpi/", &self.topo.name], 0);
+        let mut rng = match &self.paths {
+            Paths::Node(node) => SimRng::stream(seed, &["mpi/", &node.topo.name], 0),
+            Paths::Fabric(_) => SimRng::stream(seed, &["netsim"], 0),
+        };
         self.run_factor = self.cfg.jitter.sample_scalar(1.0, &mut rng).max(0.05);
         self.clocks.fill(SimTime::ZERO);
         self.ports.fill(Engine::new());
@@ -321,19 +442,23 @@ impl MpiSim {
         d * self.run_factor
     }
 
-    /// The topology this world runs on.
-    pub fn topology(&self) -> &NodeTopology {
-        &self.topo
-    }
-
     /// The MPI configuration.
     pub fn config(&self) -> &MpiConfig {
         &self.cfg
     }
 
+    /// The fabric of a fabric world, to add or remove background flows
+    /// between sends; `None` for a world on a node.
+    pub fn fabric_mut(&mut self) -> Option<&mut Fabric> {
+        match &mut self.paths {
+            Paths::Fabric(fabric) => Some(fabric),
+            Paths::Node(_) => None,
+        }
+    }
+
     /// Add a rank pinned to `core` with a host-resident message buffer.
     pub fn add_host_rank(&mut self, core: CoreId) -> Result<Rank, MpiError> {
-        self.add_rank(core, BufferLoc::Host)
+        self.add_core_rank(core, BufferLoc::Host)
     }
 
     /// Add a rank pinned to `core` whose message buffer lives on `dev`.
@@ -342,53 +467,38 @@ impl MpiSim {
         core: CoreId,
         dev: doe_topo::DeviceId,
     ) -> Result<Rank, MpiError> {
-        self.add_rank(core, BufferLoc::Device(dev))
+        self.add_core_rank(core, BufferLoc::Device(dev))
     }
 
-    fn add_rank(&mut self, core: CoreId, buffer: BufferLoc) -> Result<Rank, MpiError> {
-        let numa_idx = self
-            .core_numa
-            .get(core.index())
-            .copied()
-            .filter(|&n| n != u32::MAX)
-            .ok_or(MpiError::InvalidCore(core))?;
-        let numa = NumaId(numa_idx);
-        // Intern the rank's endpoint class; a new class invalidates the
-        // class-pair memo (it refills lazily — classes are a handful, ranks
-        // are thousands, so this stays O(1) amortized per added rank).
-        let class = match self
-            .classes
-            .iter()
-            .position(|&(n, b)| n == numa && b == buffer)
-        {
-            Some(c) => c as u32,
-            None => {
-                self.classes.push((numa, buffer));
-                let nc = self.classes.len();
-                self.class_paths.clear();
-                self.class_paths.resize(nc * nc, None);
-                (nc - 1) as u32
-            }
+    fn add_core_rank(&mut self, core: CoreId, buffer: BufferLoc) -> Result<Rank, MpiError> {
+        let Paths::Node(node) = &mut self.paths else {
+            return Err(MpiError::InvalidCore(core));
         };
-        self.rank_core.push(core);
-        self.rank_numa.push(numa);
-        self.rank_buffer.push(buffer);
-        self.rank_class.push(class);
+        let numa = node.place(core, buffer)?;
+        Ok(self.push_rank(numa.index()))
+    }
+
+    /// Add a rank on fabric node `node`. Ranks on one node share its copy
+    /// port; messages between them have no fabric path.
+    pub fn add_node_rank(&mut self, node: NodeId) -> Result<Rank, MpiError> {
+        match &self.paths {
+            Paths::Fabric(fabric) if fabric.contains(node) => Ok(self.push_rank(node.0 as usize)),
+            _ => Err(MpiError::InvalidNode(node)),
+        }
+    }
+
+    /// The per-rank state every world keeps, whatever its path source.
+    fn push_rank(&mut self, port: usize) -> Rank {
+        self.rank_port.push(port as u32);
         self.clocks.push(SimTime::ZERO);
         self.mailboxes.push(VecDeque::new());
-        let n = self.clocks.len();
-        if numa.index() >= self.ports.len() {
-            self.ports.resize(numa.index() + 1, Engine::new());
+        if port >= self.ports.len() {
+            self.ports.resize(port + 1, Engine::new());
         }
         if let Some(ch) = &mut self.checks {
             ch.vcs.push(VectorClock::new());
         }
-        Ok(Rank(n - 1))
-    }
-
-    /// Number of ranks.
-    pub fn size(&self) -> usize {
-        self.clocks.len()
+        Rank(self.clocks.len() - 1)
     }
 
     /// A rank's current virtual time.
@@ -433,51 +543,23 @@ impl MpiSim {
 
     // doebench::hot
     fn path_between(&mut self, from: usize, to: usize) -> Result<PathCosts, MpiError> {
-        // Dense class-pair memo first: one resolution per endpoint-class
-        // pair per world, shared by every rank pair in those classes.
-        let (cf, ct) = (self.rank_class[from], self.rank_class[to]);
-        let idx = cf as usize * self.classes.len() + ct as usize;
-        let mut path = match self.class_paths[idx] {
-            Some(p) => p,
-            None => {
-                let p = self.class_path_uncached(cf, ct, from, to)?;
-                self.class_paths[idx] = Some(p);
-                p
-            }
-        };
-        // On-die mesh distance for same-domain host pairs (Xeon Phi's
-        // "close" vs "far" core pairs) — the one per-pair term, computed
-        // inline from the dense placement arrays so the memo can stay
-        // O(classes²).
-        if self.rank_numa[from] == self.rank_numa[to]
-            && self.rank_buffer[from] == BufferLoc::Host
-            && self.rank_buffer[to] == BufferLoc::Host
-            && !self.cfg.intra_numa_distance.is_zero()
-        {
-            let n = self.numa_core_count[self.rank_numa[from].index()] as usize;
-            if n > 1 {
-                let dist = self.rank_core[from]
-                    .index()
-                    .abs_diff(self.rank_core[to].index()) as f64;
-                let frac = dist / (n - 1) as f64;
-                path.latency += self.cfg.intra_numa_distance * frac.min(1.0);
+        match &mut self.paths {
+            Paths::Node(node) => node.path(&self.cfg, from, to),
+            Paths::Fabric(fabric) => {
+                // The path latency, and its contended bandwidth capped by
+                // the sender's NIC.
+                let (a, b) = (NodeId(self.rank_port[from]), NodeId(self.rank_port[to]));
+                let p = fabric.path(a, b).ok_or(MpiError::NoPath { from, to })?;
+                let bandwidth = fabric
+                    .contended_bandwidth(a, b)
+                    .unwrap_or(p.bandwidth)
+                    .min(fabric.config().injection_bandwidth);
+                Ok(PathCosts {
+                    latency: p.latency,
+                    bandwidth,
+                })
             }
         }
-        Ok(path)
-    }
-
-    /// The memo-miss path: full endpoint resolution (over the topology's
-    /// route table) for a class pair.
-    fn class_path_uncached(
-        &mut self,
-        cf: u32,
-        ct: u32,
-        from: usize,
-        to: usize,
-    ) -> Result<PathCosts, MpiError> {
-        let (fn_, fb) = self.classes[cf as usize];
-        let (tn, tb) = self.classes[ct as usize];
-        resolve_path(&self.topo, &self.cfg, fn_, fb, tn, tb).ok_or(MpiError::NoPath { from, to })
     }
 
     /// Blocking standard-mode send of `bytes` from `from` to `to`.
@@ -525,17 +607,17 @@ impl MpiSim {
         let eager = bytes <= self.cfg.eager_threshold;
         // Eager sends copy the payload into the transport buffer before
         // returning: the sender serializes at the path bandwidth, through
-        // its NUMA domain's shared copy port (concurrent co-located
-        // senders queue — the multi-pair contention effect). Without this,
-        // a windowed sender could "inject" faster than the wire.
+        // its shared copy port (concurrent co-located senders queue — the
+        // multi-pair contention effect). Without this, a windowed sender
+        // could "inject" faster than the wire.
         let sender_ready = if eager {
             let ser = self.scaled(SimDuration::transfer(bytes, path.bandwidth));
             let after_os = self.clocks[from.0] + o_s;
-            let numa = self.rank_numa[from.0];
+            let port = self.rank_port[from.0] as usize;
             let done = if ser.is_zero() {
                 after_os
             } else {
-                self.ports[numa.index()].enqueue(after_os, ser).1
+                self.ports[port].enqueue(after_os, ser).1
             };
             self.clocks[from.0] = done;
             done
@@ -626,15 +708,15 @@ impl MpiSim {
                 let lat = self.scaled(msg.path.latency);
                 let rts_at_recv = msg.sender_ready + lat;
                 let cts_sent = recv_post.max(rts_at_recv);
-                let data_start = cts_sent + lat; // CTS travels back
-                                                 // The payload copy occupies the sender's NUMA port, then
-                                                 // crosses the path.
+                // CTS travels back; then the payload copy occupies the
+                // sender's copy port and crosses the path.
+                let data_start = cts_sent + lat;
                 let ser = self.scaled(SimDuration::transfer(msg.bytes, msg.path.bandwidth));
-                let sender_numa = self.rank_numa[msg.from];
+                let port = self.rank_port[msg.from] as usize;
                 let copy_done = if ser.is_zero() {
                     data_start
                 } else {
-                    self.ports[sender_numa.index()].enqueue(data_start, ser).1
+                    self.ports[port].enqueue(data_start, ser).1
                 };
                 let data_done = copy_done + lat;
                 // Synchronous completion: the sender unblocks when the
@@ -713,6 +795,7 @@ impl Drop for MpiSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::FabricConfig;
     use doe_simtime::Jitter;
     use doe_topo::{LinkKind, NodeBuilder, NumaId, SocketId, Vertex};
 
@@ -965,6 +1048,107 @@ mod tests {
             findings.iter().any(|f| f.contains("msg-leak")),
             "missing leak finding: {findings:?}"
         );
+    }
+
+    /// A jitter-free world on `fabric` with ranks on nodes `a` and `b`.
+    fn fabric_pair(fabric: FabricConfig, a: u32, b: u32) -> (MpiSim, Rank, Rank) {
+        let mut nic = MpiConfig::default_fabric();
+        nic.jitter = Jitter::NONE;
+        let mut w = MpiSim::on_fabric(Fabric::new(fabric), nic, 1).unwrap();
+        let ra = w.add_node_rank(NodeId(a)).unwrap();
+        let rb = w.add_node_rank(NodeId(b)).unwrap();
+        (w, ra, rb)
+    }
+
+    #[test]
+    fn intra_group_latency_floor() {
+        let (mut w, a, b) = fabric_pair(FabricConfig::slingshot_like(), 0, 1);
+        let lat = pingpong_oneway_us(&mut w, a, b, 0, 100);
+        // 250 + 350*2 + 150 + 250 ns = 1.35 us
+        assert!((lat - 1.35).abs() < 0.02, "lat={lat}");
+    }
+
+    #[test]
+    fn inter_group_is_slower_than_intra_group() {
+        let (mut w, a, b) = fabric_pair(FabricConfig::slingshot_like(), 0, 1);
+        let c = w.add_node_rank(NodeId(16)).unwrap();
+        let near = pingpong_oneway_us(&mut w, a, b, 0, 50);
+        let far = pingpong_oneway_us(&mut w, a, c, 0, 50);
+        assert!(far > near, "far={far} near={near}");
+    }
+
+    /// One-way bandwidth (GB/s) of a 4 MiB ping-pong.
+    fn large_message_gb_s(w: &mut MpiSim, a: Rank, b: Rank) -> f64 {
+        let bytes = 1 << 22;
+        bytes as f64 / pingpong_oneway_us(w, a, b, bytes, 3) / 1e3
+    }
+
+    #[test]
+    fn large_message_bandwidth_approaches_injection_cap() {
+        // Links four times faster than the NIC: the NIC bounds the message.
+        let mut fabric = FabricConfig::slingshot_like();
+        fabric.edge_bandwidth = 100.0;
+        fabric.global_bandwidth = 100.0;
+        let (mut w, a, b) = fabric_pair(fabric, 0, 1);
+        let bw = large_message_gb_s(&mut w, a, b);
+        assert!(bw > 15.0 && bw <= 25.1, "bw={bw}");
+    }
+
+    #[test]
+    fn background_flows_degrade_intergroup_bandwidth() {
+        let (mut w, a, b) = fabric_pair(FabricConfig::slingshot_like(), 0, 16);
+        let quiet = large_message_gb_s(&mut w, a, b);
+        w.fabric_mut().unwrap().add_background_flows(0, 3);
+        let noisy = large_message_gb_s(&mut w, a, b);
+        assert!(noisy < quiet / 2.0, "quiet={quiet} noisy={noisy}");
+    }
+
+    #[test]
+    fn same_node_pairs_are_rejected() {
+        let (mut w, a, b) = fabric_pair(FabricConfig::slingshot_like(), 0, 0);
+        assert_eq!(w.send(a, b, 8), Err(MpiError::NoPath { from: 0, to: 1 }));
+    }
+
+    #[test]
+    fn rendezvous_messages_unblock_the_sender_late() {
+        let (mut w, a, b) = fabric_pair(FabricConfig::slingshot_like(), 0, 1);
+        let big = w.config().eager_threshold + 1;
+        w.send(a, b, big).unwrap();
+        let before = w.time(a).unwrap();
+        w.recv(b, a, big).unwrap();
+        assert!(
+            w.time(a).unwrap() > before,
+            "synchronous completion must move the sender"
+        );
+    }
+
+    #[test]
+    fn invalid_placement_rejected() {
+        let (mut w, _, _) = fabric_pair(FabricConfig::slingshot_like(), 0, 1);
+        let bad = NodeId(9999);
+        assert_eq!(w.add_node_rank(bad), Err(MpiError::InvalidNode(bad)));
+        // A fabric world has no cores, and a node world no fabric nodes.
+        assert_eq!(
+            w.add_host_rank(CoreId(0)),
+            Err(MpiError::InvalidCore(CoreId(0)))
+        );
+        let mut node = MpiSim::new(topo(), quiet_cfg(), 1);
+        assert_eq!(
+            node.add_node_rank(NodeId(0)),
+            Err(MpiError::InvalidNode(NodeId(0)))
+        );
+        assert!(node.fabric_mut().is_none());
+    }
+
+    #[test]
+    fn latency_monotone_in_size() {
+        let (mut w, a, b) = fabric_pair(FabricConfig::slingshot_like(), 0, 17);
+        let mut prev = 0.0;
+        for bytes in [0u64, 1024, 8192, 65_536, 1 << 20] {
+            let lat = pingpong_oneway_us(&mut w, a, b, bytes, 10);
+            assert!(lat >= prev, "{bytes}: {lat} < {prev}");
+            prev = lat;
+        }
     }
 
     #[test]

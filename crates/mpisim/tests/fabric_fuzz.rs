@@ -1,19 +1,20 @@
-//! Fuzzing the inter-node world: random schedules over random placements
-//! keep clocks monotone, stay deterministic, and respect the fabric's
+//! Fuzzing a fabric world: random schedules over random placements keep
+//! clocks monotone, stay deterministic, and respect the fabric's
 //! contention invariants.
 
-use doe_net::{Fabric, FabricConfig, NetWorld, NicConfig, NodeId};
+use doe_mpi::{Fabric, FabricConfig, MpiConfig, MpiSim, NodeId};
+use doe_osu::{allreduce_ring, pingpong_once};
 use doe_simtime::{Jitter, SimTime};
 use proptest::prelude::*;
 
-fn nic(jitter: f64) -> NicConfig {
-    let mut n = NicConfig::default_hpc();
-    n.jitter = if jitter == 0.0 {
+fn world(jitter: f64, seed: u64) -> MpiSim {
+    let mut nic = MpiConfig::default_fabric();
+    nic.jitter = if jitter == 0.0 {
         Jitter::NONE
     } else {
         Jitter::relative(jitter)
     };
-    n
+    MpiSim::on_fabric(Fabric::new(FabricConfig::slingshot_like()), nic, seed).expect("config")
 }
 
 #[derive(Debug, Clone)]
@@ -41,13 +42,9 @@ fn run(
     seed: u64,
     jitter: f64,
 ) -> Option<(SimTime, SimTime)> {
-    let mut w = NetWorld::new(
-        Fabric::new(FabricConfig::slingshot_like()),
-        nic(jitter),
-        seed,
-    );
-    let a = w.add_rank(NodeId(node_a)).ok()?;
-    let b = w.add_rank(NodeId(node_b)).ok()?;
+    let mut w = world(jitter, seed);
+    let a = w.add_node_rank(NodeId(node_a)).ok()?;
+    let b = w.add_node_rank(NodeId(node_b)).ok()?;
     for s in steps {
         let (src, dst) = if s.from_first { (a, b) } else { (b, a) };
         w.send(src, dst, s.bytes).ok()?;
@@ -63,9 +60,9 @@ proptest! {
     #[test]
     fn clocks_are_monotone((na, nb, steps) in schedule(), seed in any::<u64>()) {
         prop_assume!(na != nb);
-        let mut w = NetWorld::new(Fabric::new(FabricConfig::slingshot_like()), nic(0.01), seed);
-        let a = w.add_rank(NodeId(na)).expect("valid node");
-        let b = w.add_rank(NodeId(nb)).expect("valid node");
+        let mut w = world(0.01, seed);
+        let a = w.add_node_rank(NodeId(na)).expect("valid node");
+        let b = w.add_node_rank(NodeId(nb)).expect("valid node");
         let (mut ta, mut tb) = (SimTime::ZERO, SimTime::ZERO);
         for s in &steps {
             let (src, dst) = if s.from_first { (a, b) } else { (b, a) };
@@ -91,17 +88,17 @@ proptest! {
     #[test]
     fn contention_never_helps(bytes in 1u64..4_000_000, flows in 1u32..16) {
         let quiet = {
-            let mut w = NetWorld::new(Fabric::new(FabricConfig::slingshot_like()), nic(0.0), 1);
-            let a = w.add_rank(NodeId(0)).expect("node");
-            let b = w.add_rank(NodeId(16)).expect("node");
-            w.pingpong_latency_us(a, b, bytes, 5).expect("pingpong")
+            let mut w = world(0.0, 1);
+            let a = w.add_node_rank(NodeId(0)).expect("node");
+            let b = w.add_node_rank(NodeId(16)).expect("node");
+            pingpong_once(&mut w, a, b, bytes, 0, 5)
         };
         let noisy = {
-            let mut w = NetWorld::new(Fabric::new(FabricConfig::slingshot_like()), nic(0.0), 1);
-            let a = w.add_rank(NodeId(0)).expect("node");
-            let b = w.add_rank(NodeId(16)).expect("node");
-            w.fabric_mut().add_background_flows(0, flows);
-            w.pingpong_latency_us(a, b, bytes, 5).expect("pingpong")
+            let mut w = world(0.0, 1);
+            let a = w.add_node_rank(NodeId(0)).expect("node");
+            let b = w.add_node_rank(NodeId(16)).expect("node");
+            w.fabric_mut().expect("fabric").add_background_flows(0, flows);
+            pingpong_once(&mut w, a, b, bytes, 0, 5)
         };
         prop_assert!(noisy >= quiet * 0.999, "noisy {noisy} < quiet {quiet}");
     }
@@ -114,13 +111,13 @@ proptest! {
     fn allreduce_scales_monotonically(p1 in 2u32..8, p2 in 2u32..8, shift in 10u32..22) {
         let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
         let time_for = |p: u32, bytes: u64| {
-            let mut w = NetWorld::new(Fabric::new(FabricConfig::slingshot_like()), nic(0.0), 1);
-            let ranks: Vec<_> = (0..p).map(|i| w.add_rank(NodeId(i)).expect("node")).collect();
+            let mut w = world(0.0, 1);
+            let ranks: Vec<_> = (0..p).map(|i| w.add_node_rank(NodeId(i)).expect("node")).collect();
             w.barrier();
-            w.allreduce_ring(&ranks, bytes).expect("allreduce")
+            allreduce_ring(&mut w, &ranks, bytes).expect("allreduce")
         };
         let bytes = 1u64 << shift;
-        let threshold = nic(0.0).eager_threshold;
+        let threshold = MpiConfig::default_fabric().eager_threshold;
         let same_protocol =
             (bytes / lo as u64 <= threshold) == (bytes / hi as u64 <= threshold);
         if same_protocol {

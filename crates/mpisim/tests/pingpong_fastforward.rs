@@ -6,12 +6,13 @@
 //! `pingpong`. Both ranks' clocks must agree afterwards, `pingpong` must
 //! return the reference's elapsed time on the initiating rank, one more
 //! explicit round trip must give identical results in both, and fresh
-//! probe ranks must find every NUMA copy port at the same horizon.
+//! probe ranks must find every NUMA copy port at the same horizon. A
+//! world on a fabric gets the same comparison.
 
 use std::sync::Arc;
 
 use doe_machines::all_machines;
-use doe_mpi::{MpiConfig, MpiSim, Rank};
+use doe_mpi::{Fabric, FabricConfig, MpiConfig, MpiSim, NodeId, Rank};
 use doe_simtime::{SimDuration, SimTime};
 use doe_topo::NodeTopology;
 use proptest::prelude::*;
@@ -245,6 +246,32 @@ proptest! {
     #[test]
     fn checked_pingpong_matches_op_by_op(case in cases()) {
         check_case(&case, true);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On a fabric world too (ranks on nodes `a` and `b`, background flows
+    /// on `a`'s group), the fast path equals the op-by-op loop.
+    #[test]
+    fn fabric_fast_forward_matches_op_by_op(
+        (a, b, flows) in (0u32..128, 0u32..128, 0u32..4),
+        (bytes, iters, seed) in (0u64..(1 << 21), 1u32..200, any::<u64>()),
+    ) {
+        prop_assume!(a != b);
+        let build = || {
+            let mut fabric = Fabric::new(FabricConfig::slingshot_like());
+            fabric.add_background_flows(fabric.group_of(NodeId(a)), flows);
+            let mut w = MpiSim::on_fabric(fabric, MpiConfig::default_fabric(), seed).expect("config");
+            let ranks = [a, b].map(|n| w.add_node_rank(NodeId(n)).expect("node"));
+            (w, ranks[0], ranks[1])
+        };
+        let ((mut fast, ra, rb), (mut reference, ..)) = (build(), build());
+        let dt_ref = round_trips(&mut reference, ra, rb, bytes, iters);
+        prop_assert_eq!(fast.pingpong(ra, rb, bytes, iters).expect("pingpong"), dt_ref);
+        prop_assert_eq!((fast.time(ra), fast.time(rb)), (reference.time(ra), reference.time(rb)));
+        prop_assert_eq!(probe(&mut fast, ra, rb, bytes), probe(&mut reference, ra, rb, bytes));
     }
 }
 

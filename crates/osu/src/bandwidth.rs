@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use doe_benchlib::{run_reps_par, Summary};
-use doe_mpi::{MpiConfig, MpiSim};
+use doe_mpi::{MpiConfig, MpiError, MpiSim, Rank};
 use doe_topo::{CoreId, NodeTopology};
 
 use crate::config::OsuConfig;
@@ -59,21 +59,7 @@ pub fn osu_bw(
                 }
                 world.send(b, a, ACK_BYTES).expect("ack");
                 world.recv(a, b, ACK_BYTES).expect("ack recv");
-                world.barrier();
-                let t0 = world.time(a).expect("rank a");
-                for _ in 0..iters {
-                    for _ in 0..WINDOW {
-                        world.send(a, b, bytes).expect("send");
-                    }
-                    for _ in 0..WINDOW {
-                        world.recv(b, a, bytes).expect("recv");
-                    }
-                    world.send(b, a, ACK_BYTES).expect("ack");
-                    world.recv(a, b, ACK_BYTES).expect("ack recv");
-                }
-                let dt = world.time(a).expect("rank a").since(t0);
-                let moved = bytes * WINDOW as u64 * iters as u64;
-                dt.bandwidth_gb_s(moved)
+                windowed_bandwidth(&mut world, a, b, bytes, iters).expect("timed windows")
             });
             BwPoint {
                 bytes,
@@ -81,6 +67,33 @@ pub fn osu_bw(
             }
         })
         .collect()
+}
+
+/// The timed part of `osu_bw` on any world, node or fabric: after a
+/// barrier, `iters` windows of [`WINDOW`] back-to-back `bytes` messages
+/// from `a` to `b`, each window closed by an acknowledgment. Returns the
+/// achieved bandwidth in GB/s on `a`'s clock.
+pub fn windowed_bandwidth(
+    world: &mut MpiSim,
+    a: Rank,
+    b: Rank,
+    bytes: u64,
+    iters: u32,
+) -> Result<f64, MpiError> {
+    world.barrier();
+    let t0 = world.time(a)?;
+    for _ in 0..iters {
+        for _ in 0..WINDOW {
+            world.send(a, b, bytes)?;
+        }
+        for _ in 0..WINDOW {
+            world.recv(b, a, bytes)?;
+        }
+        world.send(b, a, ACK_BYTES)?;
+        world.recv(a, b, ACK_BYTES)?;
+    }
+    let dt = world.time(a)?.since(t0);
+    Ok(dt.bandwidth_gb_s(bytes * WINDOW as u64 * iters as u64))
 }
 
 #[cfg(test)]

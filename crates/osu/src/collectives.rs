@@ -1,7 +1,7 @@
 //! OSU-style collective benchmarks (`osu_barrier`, `osu_allreduce`)
-//! executed over the intra-node MPI runtime.
+//! executed over the MPI runtime.
 //!
-//! Unlike `doe-net::collectives` (closed-form LogGP-style models), these
+//! Unlike `doe_mpi::collectives` (closed-form LogGP-style models), these
 //! run the *actual algorithms* — every round is real `send`/`recv` calls
 //! through the protocol state machine, so placement, eager/rendezvous
 //! crossover, and socket boundaries all shape the result.
@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use doe_benchlib::{run_reps, Summary};
-use doe_mpi::{MpiConfig, MpiSim, Rank};
+use doe_mpi::{MpiConfig, MpiError, MpiSim, Rank};
 use doe_simtime::SimTime;
 use doe_topo::{CoreId, NodeTopology};
 
@@ -22,20 +22,6 @@ pub enum AllreduceAlgo {
     RecursiveDoubling,
     /// 2(P−1) ring steps of `bytes/P` (any P ≥ 2).
     Ring,
-}
-
-fn build_world(
-    topo: &Arc<NodeTopology>,
-    mpi: &MpiConfig,
-    cores: &[CoreId],
-    seed: u64,
-) -> (MpiSim, Vec<Rank>) {
-    let mut world = MpiSim::new(Arc::clone(topo), mpi.clone(), seed);
-    let ranks = cores
-        .iter()
-        .map(|&c| world.add_host_rank(c).expect("valid core"))
-        .collect();
-    (world, ranks)
 }
 
 fn finish_time(world: &MpiSim, ranks: &[Rank]) -> SimTime {
@@ -77,9 +63,15 @@ fn run_recursive_doubling(world: &mut MpiSim, ranks: &[Rank], bytes: u64) {
     }
 }
 
-fn run_ring(world: &mut MpiSim, ranks: &[Rank], bytes: u64) {
+/// One ring allreduce of `bytes` across `ranks`, on any world, node or
+/// fabric; returns the clock of the slowest rank. Ring neighbours follow
+/// the order of `ranks`, so placement (packed in one switch group, spread
+/// across groups) shapes the result.
+pub fn allreduce_ring(world: &mut MpiSim, ranks: &[Rank], bytes: u64) -> Result<SimTime, MpiError> {
     let p = ranks.len();
-    assert!(p >= 2, "ring needs at least two ranks");
+    if p < 2 {
+        return Err(MpiError::InvalidRank(p));
+    }
     let chunk = (bytes / p as u64).max(1);
     // Reduce-scatter then allgather: 2(P-1) steps; in each step every rank
     // sends a chunk to its successor and receives from its predecessor.
@@ -88,13 +80,14 @@ fn run_ring(world: &mut MpiSim, ranks: &[Rank], bytes: u64) {
     for _ in 0..(2 * (p - 1)) {
         for r in 0..p {
             let next = (r + 1) % p;
-            world.send_nb(ranks[r], ranks[next], chunk).expect("send");
+            world.send_nb(ranks[r], ranks[next], chunk)?;
         }
         for r in 0..p {
             let prev = (r + p - 1) % p;
-            world.recv(ranks[r], ranks[prev], chunk).expect("recv");
+            world.recv(ranks[r], ranks[prev], chunk)?;
         }
     }
+    Ok(finish_time(world, ranks))
 }
 
 fn run_binomial_barrier(world: &mut MpiSim, ranks: &[Rank]) {
@@ -123,6 +116,36 @@ fn run_binomial_barrier(world: &mut MpiSim, ranks: &[Rank]) {
     }
 }
 
+/// Mean ± σ (µs) over the configured repetitions of one run of `op`
+/// across ranks pinned to `cores`, averaged over `iters` runs that each
+/// end at a barrier.
+fn time_collective(
+    topo: &Arc<NodeTopology>,
+    mpi: &MpiConfig,
+    cores: &[CoreId],
+    cfg: &OsuConfig,
+    seed: u64,
+    iters: u32,
+    mut op: impl FnMut(&mut MpiSim, &[Rank]),
+) -> Summary {
+    run_reps(cfg.reps, |rep| {
+        let rep_seed = seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut world = MpiSim::new(Arc::clone(topo), mpi.clone(), rep_seed);
+        let ranks: Vec<Rank> = cores
+            .iter()
+            .map(|&c| world.add_host_rank(c).expect("valid core"))
+            .collect();
+        world.barrier();
+        let t0 = finish_time(&world, &ranks);
+        for _ in 0..iters {
+            op(&mut world, &ranks);
+            world.barrier();
+        }
+        finish_time(&world, &ranks).since(t0).as_us() / iters as f64
+    })
+    .summary()
+}
+
 /// Time one allreduce of `bytes` across ranks pinned to `cores`,
 /// mean ± σ (µs) over the configured repetitions.
 pub fn osu_allreduce(
@@ -135,28 +158,21 @@ pub fn osu_allreduce(
     seed: u64,
 ) -> Summary {
     assert!(cores.len() >= 2, "allreduce needs at least two ranks");
-    run_reps(cfg.reps, |rep| {
-        let (mut world, ranks) = build_world(
-            topo,
-            mpi,
-            cores,
-            seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        world.barrier();
-        let t0 = finish_time(&world, &ranks);
-        let iters = cfg.iters_for(bytes).min(100);
-        for _ in 0..iters {
-            match algo {
-                AllreduceAlgo::RecursiveDoubling => {
-                    run_recursive_doubling(&mut world, &ranks, bytes)
-                }
-                AllreduceAlgo::Ring => run_ring(&mut world, &ranks, bytes),
+    let iters = cfg.iters_for(bytes).min(100);
+    time_collective(
+        topo,
+        mpi,
+        cores,
+        cfg,
+        seed,
+        iters,
+        |world, ranks| match algo {
+            AllreduceAlgo::RecursiveDoubling => run_recursive_doubling(world, ranks, bytes),
+            AllreduceAlgo::Ring => {
+                allreduce_ring(world, ranks, bytes).expect("ring allreduce");
             }
-            world.barrier();
-        }
-        finish_time(&world, &ranks).since(t0).as_us() / iters as f64
-    })
-    .summary()
+        },
+    )
 }
 
 /// Time one barrier across ranks pinned to `cores`, mean ± σ (µs).
@@ -168,28 +184,15 @@ pub fn osu_barrier(
     seed: u64,
 ) -> Summary {
     assert!(cores.len() >= 2, "barrier needs at least two ranks");
-    run_reps(cfg.reps, |rep| {
-        let (mut world, ranks) = build_world(
-            topo,
-            mpi,
-            cores,
-            seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        world.barrier();
-        let t0 = finish_time(&world, &ranks);
-        let iters = cfg.small_iters.min(200);
-        for _ in 0..iters {
-            run_binomial_barrier(&mut world, &ranks);
-            world.barrier();
-        }
-        finish_time(&world, &ranks).since(t0).as_us() / iters as f64
-    })
-    .summary()
+    let iters = cfg.small_iters.min(200);
+    time_collective(topo, mpi, cores, cfg, seed, iters, run_binomial_barrier)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bandwidth::windowed_bandwidth;
+    use doe_mpi::{Fabric, FabricConfig, NodeId};
     use doe_simtime::{Jitter, SimDuration};
     use doe_topo::{LinkKind, NodeBuilder, NumaId, SocketId, Vertex};
 
@@ -329,6 +332,53 @@ mod tests {
             &cfg(),
             1,
         );
+    }
+
+    /// A jitter-free world on the Slingshot-like fabric, one rank on each
+    /// of `nodes`, after a barrier.
+    fn fabric_world(nodes: impl IntoIterator<Item = u32>) -> (MpiSim, Vec<Rank>) {
+        let mut nic = MpiConfig::default_fabric();
+        nic.jitter = Jitter::NONE;
+        let fabric = Fabric::new(FabricConfig::slingshot_like());
+        let mut w = MpiSim::on_fabric(fabric, nic, 1).expect("valid config");
+        let ranks = nodes
+            .into_iter()
+            .map(|n| w.add_node_rank(NodeId(n)).expect("node"));
+        let ranks = ranks.collect();
+        w.barrier();
+        (w, ranks)
+    }
+
+    #[test]
+    fn packed_allreduce_beats_spread_allreduce() {
+        // 8 ranks packed in one group, or spread one per group so that
+        // every ring hop crosses a global link.
+        let (mut packed, packed_ranks) = fabric_world(0..8);
+        let (mut spread, spread_ranks) = fabric_world((0..8).map(|i| i * 16));
+        let t_packed = allreduce_ring(&mut packed, &packed_ranks, 1 << 20).expect("allreduce");
+        let t_spread = allreduce_ring(&mut spread, &spread_ranks, 1 << 20).expect("allreduce");
+        assert!(
+            t_spread > t_packed,
+            "spread {t_spread:?} packed {t_packed:?}"
+        );
+    }
+
+    #[test]
+    fn allreduce_needs_two_ranks() {
+        let (mut w, ranks) = fabric_world([0]);
+        assert!(allreduce_ring(&mut w, &ranks, 1024).is_err());
+    }
+
+    /// The ring's 256 KiB chunks would close a wait cycle of rendezvous
+    /// sends if the ring posted blocking sends; `send_nb` keeps the
+    /// sanitizer quiet, as it keeps real MPI from hanging.
+    #[test]
+    fn checked_collectives_run_clean() {
+        let (mut w, ranks) = fabric_world(0..4);
+        w.enable_checks();
+        allreduce_ring(&mut w, &ranks, 1 << 20).expect("allreduce");
+        windowed_bandwidth(&mut w, ranks[0], ranks[1], 1 << 16, 2).expect("bw");
+        assert!(w.check_findings().is_empty(), "{:?}", w.check_findings());
     }
 
     #[test]

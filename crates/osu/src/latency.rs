@@ -41,20 +41,21 @@ fn build_pair(
     (world, a, b)
 }
 
-/// One binary run of the ping-pong for one size: returns one-way µs.
+/// One binary run of the ping-pong for one size on any world, node or
+/// fabric: returns one-way µs.
 ///
 /// The timed loop starts after a barrier, which leaves every clock equal
 /// and every port at or below that clock: a fresh world shifted in time.
 /// So the warm-up before that barrier cannot change the timed result, and
 /// a world that fast-forwards skips it. Under `--check` it runs, so the
 /// sanitizer sees every round trip.
-fn pingpong_once(world: &mut MpiSim, a: Rank, b: Rank, bytes: u64, warmup: u32, iters: u32) -> f64 {
-    world.barrier();
-    if !world.fast_forwards() {
-        world.pingpong(a, b, bytes, warmup).expect("warmup");
-        world.barrier();
+pub fn pingpong_once(w: &mut MpiSim, a: Rank, b: Rank, bytes: u64, warmup: u32, iters: u32) -> f64 {
+    w.barrier();
+    if !w.fast_forwards() {
+        w.pingpong(a, b, bytes, warmup).expect("warmup");
+        w.barrier();
     }
-    let dt = world.pingpong(a, b, bytes, iters).expect("timed loop");
+    let dt = w.pingpong(a, b, bytes, iters).expect("timed loop");
     dt.as_us() / (2.0 * iters as f64)
 }
 

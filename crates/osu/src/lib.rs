@@ -32,9 +32,9 @@ pub mod latency;
 pub mod multi;
 pub mod pairing;
 
-pub use bandwidth::{osu_bw, BwPoint};
-pub use collectives::{osu_allreduce, osu_barrier, AllreduceAlgo};
+pub use bandwidth::{osu_bw, windowed_bandwidth, BwPoint};
+pub use collectives::{allreduce_ring, osu_allreduce, osu_barrier, AllreduceAlgo};
 pub use config::OsuConfig;
-pub use latency::{osu_latency, osu_latency_device, LatencyPoint};
+pub use latency::{osu_latency, osu_latency_device, pingpong_once, LatencyPoint};
 pub use multi::{osu_mbw_mr, osu_multi_lat, MbwMrPoint, MultiLatPoint};
 pub use pairing::{on_node_pair, on_socket_pair};

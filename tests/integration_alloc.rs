@@ -67,8 +67,7 @@ use std::sync::Arc;
 use doebench::commscope::search::per_iteration;
 use doebench::gpurt::testkit::dual_gpu_runtime;
 use doebench::gpurt::{Buffer, GpuRuntime};
-use doebench::mpi::{MpiConfig, MpiSim};
-use doebench::net::{Fabric, FabricConfig, NetWorld, NicConfig, NodeId};
+use doebench::mpi::{Fabric, FabricConfig, MpiConfig, MpiSim, NodeId, Rank};
 use doebench::query::{run_query, Query, QueryResult};
 use doebench::report::Format;
 use doebench::simtime::{SimDuration, SimRng};
@@ -103,12 +102,27 @@ fn two_numa_topo() -> Arc<doebench::topo::NodeTopology> {
     )
 }
 
-fn mpisim_phase(checks: bool) -> u64 {
+/// A node world with one rank per NUMA domain, so every message crosses
+/// the socket link (dense ports + route table + class-pair path memo all
+/// in play).
+fn node_pair() -> (MpiSim, Rank, Rank) {
     let mut w = MpiSim::new(two_numa_topo(), MpiConfig::default_host(), 7);
-    // One rank per NUMA domain so every message crosses the socket link
-    // (dense ports + route table + rank-pair path memo all in play).
     let a = w.add_host_rank(CoreId(0)).expect("core 0");
     let b = w.add_host_rank(CoreId(4)).expect("core 4");
+    (w, a, b)
+}
+
+/// A fabric world with its ranks in two switch groups, so every message
+/// crosses a global link (the contended path, priced at every send).
+fn fabric_pair() -> (MpiSim, Rank, Rank) {
+    let fabric = Fabric::new(FabricConfig::slingshot_like());
+    let mut w = MpiSim::on_fabric(fabric, MpiConfig::default_fabric(), 11).expect("valid config");
+    let a = w.add_node_rank(NodeId(0)).expect("node 0");
+    let b = w.add_node_rank(NodeId(16)).expect("node 16");
+    (w, a, b)
+}
+
+fn mpisim_phase((mut w, a, b): (MpiSim, Rank, Rank), checks: bool) -> u64 {
     if checks {
         w.enable_checks();
     }
@@ -138,10 +152,7 @@ fn mpisim_phase(checks: bool) -> u64 {
 /// the world, so a warm world runs whole ping-pongs without allocating —
 /// and under --check, where every round trip runs op by op, neither does
 /// the full loop.
-fn mpisim_pingpong_phase(checks: bool) -> u64 {
-    let mut w = MpiSim::new(two_numa_topo(), MpiConfig::default_host(), 7);
-    let a = w.add_host_rank(CoreId(0)).expect("core 0");
-    let b = w.add_host_rank(CoreId(4)).expect("core 4");
+fn mpisim_pingpong_phase((mut w, a, b): (MpiSim, Rank, Rank), checks: bool) -> u64 {
     if checks {
         w.enable_checks();
     }
@@ -168,9 +179,7 @@ fn mpisim_pingpong_phase(checks: bool) -> u64 {
 /// redraws its run factor and zeroes its clocks and ports in place, so a
 /// rep loop that re-arms one world allocates nothing per rep.
 fn mpisim_rearm_phase() -> u64 {
-    let mut w = MpiSim::new(two_numa_topo(), MpiConfig::default_host(), 7);
-    let a = w.add_host_rank(CoreId(0)).expect("core 0");
-    let b = w.add_host_rank(CoreId(4)).expect("core 4");
+    let (mut w, a, b) = node_pair();
     let sizes = [8, w.config().eager_threshold + 1];
     let rep = |w: &mut MpiSim, seed: u64| {
         assert!(w.rearm(seed), "a quiescent unchecked world re-arms");
@@ -193,9 +202,7 @@ fn mpisim_rearm_phase() -> u64 {
 /// loop, with no warm-up. A warm world runs the whole ladder without
 /// allocating.
 fn osu_size_loop_phase() -> u64 {
-    let mut w = MpiSim::new(two_numa_topo(), MpiConfig::default_host(), 7);
-    let a = w.add_host_rank(CoreId(0)).expect("core 0");
-    let b = w.add_host_rank(CoreId(4)).expect("core 4");
+    let (mut w, a, b) = node_pair();
     let sizes: Vec<u64> = doebench::osu::OsuConfig::paper().sizes;
     let rep = |w: &mut MpiSim, seed: u64| {
         assert!(w.rearm(seed), "a quiescent unchecked world re-arms");
@@ -212,35 +219,6 @@ fn osu_size_loop_phase() -> u64 {
             rep(&mut w, seed);
         }
     })
-}
-
-fn netsim_phase(checks: bool) -> u64 {
-    let mut w = NetWorld::new(
-        Fabric::new(FabricConfig::slingshot_like()),
-        NicConfig::default_hpc(),
-        11,
-    );
-    let a = w.add_rank(NodeId(0)).expect("node 0");
-    let b = w.add_rank(NodeId(1)).expect("node 1");
-    if checks {
-        w.enable_checks();
-    }
-    for _ in 0..8 {
-        w.send(a, b, 8).expect("send");
-        w.recv(b, a, 8).expect("recv");
-        w.send(b, a, 8).expect("send");
-        w.recv(a, b, 8).expect("recv");
-    }
-    let delta = alloc_delta(|| {
-        for _ in 0..10_000 {
-            w.send(a, b, 8).expect("send");
-            w.recv(b, a, 8).expect("recv");
-            w.send(b, a, 8).expect("send");
-            w.recv(a, b, 8).expect("recv");
-        }
-    });
-    assert!(w.check_findings().is_empty(), "pingpong must be clean");
-    delta
 }
 
 fn gpurt_phase() -> u64 {
@@ -479,17 +457,30 @@ fn render_phase() -> u64 {
 fn steady_state_hot_paths_allocate_nothing() {
     // (phase name, allocation events during steady state)
     let phases = [
-        ("mpisim pingpong", mpisim_phase(false)),
-        ("mpisim pingpong under --check", mpisim_phase(true)),
-        ("mpisim pingpong fast-forward", mpisim_pingpong_phase(false)),
+        ("mpisim pingpong", mpisim_phase(node_pair(), false)),
+        (
+            "mpisim pingpong under --check",
+            mpisim_phase(node_pair(), true),
+        ),
+        (
+            "mpisim pingpong fast-forward",
+            mpisim_pingpong_phase(node_pair(), false),
+        ),
         (
             "mpisim pingpong (op by op) under --check",
-            mpisim_pingpong_phase(true),
+            mpisim_pingpong_phase(node_pair(), true),
+        ),
+        ("mpisim fabric pingpong", mpisim_phase(fabric_pair(), false)),
+        (
+            "mpisim fabric pingpong under --check",
+            mpisim_phase(fabric_pair(), true),
+        ),
+        (
+            "mpisim fabric pingpong fast-forward",
+            mpisim_pingpong_phase(fabric_pair(), false),
         ),
         ("mpisim rearm between reps", mpisim_rearm_phase()),
         ("osu size loop without warm-ups", osu_size_loop_phase()),
-        ("netsim pingpong", netsim_phase(false)),
-        ("netsim pingpong under --check", netsim_phase(true)),
         ("gpurt memcpy loop", gpurt_phase()),
         ("gpurt repeat fast-forward", gpurt_repeat_phase(false)),
         (
