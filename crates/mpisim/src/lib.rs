@@ -47,18 +47,7 @@
 //! assert!(done.as_us() > 0.0);
 //! ```
 //!
-//! The same protocol over a fabric:
-//!
-//! ```
-//! use doe_mpi::{Fabric, FabricConfig, MpiConfig, MpiSim, NodeId};
-//!
-//! let fabric = Fabric::new(FabricConfig::slingshot_like());
-//! let mut world = MpiSim::on_fabric(fabric, MpiConfig::default_fabric(), 42).unwrap();
-//! let a = world.add_node_rank(NodeId(0)).unwrap();
-//! let b = world.add_node_rank(NodeId(16)).unwrap(); // different switch group
-//! let latency = world.pingpong(a, b, 0, 100).unwrap().as_us() / 200.0;
-//! assert!(latency > 1.0 && latency < 5.0); // ~2.2 us inter-group floor
-//! ```
+//! The same protocol runs over a fabric; see [`MpiSim::on_fabric`].
 
 pub mod collectives;
 pub mod config;

@@ -361,6 +361,17 @@ impl MpiSim {
     /// Create a world of ranks on the nodes of `fabric`. Its messages pay
     /// `cfg`'s software costs (send and receive overheads, eager threshold,
     /// jitter) and the fabric's path costs; each node has one copy port.
+    ///
+    /// ```
+    /// use doe_mpi::{Fabric, FabricConfig, MpiConfig, MpiSim, NodeId};
+    ///
+    /// let fabric = Fabric::new(FabricConfig::slingshot_like());
+    /// let mut world = MpiSim::on_fabric(fabric, MpiConfig::default_fabric(), 42).unwrap();
+    /// let a = world.add_node_rank(NodeId(0)).unwrap();
+    /// let b = world.add_node_rank(NodeId(16)).unwrap(); // different switch group
+    /// let latency = world.pingpong(a, b, 0, 100).unwrap().as_us() / 200.0;
+    /// assert!(latency > 1.0 && latency < 5.0); // ~2.2 us inter-group floor
+    /// ```
     pub fn on_fabric(fabric: Fabric, cfg: MpiConfig, seed: u64) -> Result<Self, MpiError> {
         Self::build(Paths::Fabric(fabric), cfg, 0, seed)
     }
