@@ -18,12 +18,12 @@
 //!
 //! ```json
 //! {
-//!   "files": 107,
+//!   "files": 114,
 //!   "violations": 1,
 //!   "rules": ["wall-clock", "…", "effect-contract", "lock-order", "key-coverage"],
 //!   "findings": [
-//!     {"rule": "nondet-taint", "path": "crates/cli/src/main.rs",
-//!      "line": 358, "message": "…", "chain": ["…", "…"]}
+//!     {"rule": "hot-path-alloc", "path": "crates/mpisim/src/world.rs",
+//!      "line": 766, "message": "…", "chain": ["pingpong", "check_findings"]}
 //!   ]
 //! }
 //! ```

@@ -1,6 +1,6 @@
 //! A workspace-wide, heuristically name-resolved call graph: the call
 //! and allocation scanners plus the name index that the effect summaries
-//! ([`crate::effects`]) and the interprocedural taint step resolve over.
+//! ([`crate::effects`]) resolve over.
 //!
 //! Resolution is deliberately conservative — the goal is a useful gate
 //! with near-zero false positives, not a compiler:
@@ -28,7 +28,7 @@ use crate::lint::crate_of;
 /// One allocation site inside a function body.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Alloc {
-    /// The offending token, in the same spelling the direct rule reports.
+    /// The offending token, as findings spell it.
     pub token: &'static str,
     /// 1-based line.
     pub line: usize,
@@ -280,8 +280,8 @@ pub struct WsFile {
 pub type Node = (usize, usize);
 
 /// Name indices over a workspace's non-test, non-cold fns with bodies —
-/// the shared resolution substrate for the effect summaries and the
-/// interprocedural taint analysis. Deliberately under-approximate:
+/// the resolution substrate for the effect summaries and the lock-order
+/// analysis. Deliberately under-approximate:
 /// a call that cannot be resolved confidently resolves to nothing.
 pub struct CallIndex<'a> {
     by_name: BTreeMap<&'a str, Vec<Node>>,
@@ -437,14 +437,10 @@ fn grow() {
     let _ = v;
 }
 ";
-        // The token-level engine sees no alloc inside the hot body...
-        assert!(crate::lint::lint_file("crates/x/src/lib.rs", src)
-            .iter()
-            .all(|f| f.rule != Rule::HotPathAlloc));
-        // ...the call-graph walk does, two levels down.
+        // The call-graph walk reaches the allocation two levels down.
         let f = single("crates/x/src/lib.rs", src);
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::HotPathAllocTransitive);
+        assert_eq!(f[0].rule, Rule::HotPathAlloc);
         assert_eq!(f[0].line, 3);
         assert!(
             f[0].message.contains("pump -> step -> grow"),
@@ -557,7 +553,7 @@ mod tests {
         let src = "\
 // doebench::hot
 fn pump() {
-    // dessan::allow(hot-path-alloc-transitive): warmup only, measured region excluded.
+    // dessan::allow(hot-path-alloc): warmup only, measured region excluded.
     grow();
 }
 fn grow() {

@@ -15,18 +15,14 @@
 //!   operator gets an edge here, so the facts at exit describe normal
 //!   returns only.
 //!
-//! Loops come in two shapes, selected per analysis:
-//!
-//! * [`LoopShape::Natural`] keeps the back edge and the zero-trip edge —
-//!   what taint propagation needs (loop-carried facts flow around the back
-//!   edge).
-//! * [`LoopShape::ExactlyOnce`] models every loop body as executing once:
-//!   no back edge, no zero-trip bypass. The lock-order must-analysis
-//!   ([`crate::locks`]) uses this shape: a guard bound inside a loop body
-//!   is released at the end of each iteration, which its held-set facts do
-//!   not model, so a back edge would report the next iteration's
-//!   acquisition as a double-lock. This trades a class of false positives
-//!   for a (documented) class of false negatives — dessan's usual stance.
+//! Every loop body is modelled as executing exactly once: no back edge,
+//! no zero-trip bypass, and `continue` edges to the block after the loop.
+//! The CFG's one client, the lock-order must-analysis ([`crate::locks`]),
+//! needs this shape: a guard bound inside a loop body is released at the
+//! end of each iteration, which its held-set facts do not model, so a back
+//! edge would report the next iteration's acquisition as a double-lock.
+//! This trades a class of false positives for a (documented) class of
+//! false negatives — dessan's usual stance.
 //!
 //! Known approximations, all deliberate: struct literals and block
 //! expressions inside a statement are lowered as inline blocks (no false
@@ -35,19 +31,9 @@
 //! `fn`/`struct`/`impl` items inside a body are skipped entirely (they are
 //! parsed as their own [`crate::items::FnItem`]s).
 
-use std::collections::BTreeSet;
 use std::ops::Range;
 
 use crate::lex::{TokKind, Token};
-
-/// How loops are lowered. See the module docs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LoopShape {
-    /// Back edge + zero-trip edge: facts can flow around iterations.
-    Natural,
-    /// Body executes exactly once: no back edge, no zero-trip bypass.
-    ExactlyOnce,
-}
 
 /// One step inside a basic block, in execution order. Token indices point
 /// into the *file* token stream the CFG was built from.
@@ -85,17 +71,11 @@ pub struct Cfg {
     pub exit: usize,
     /// Early-error exit (`?` paths) block id.
     pub abort: usize,
-    /// First-token indices of statements whose value leaves the function:
-    /// explicit `return expr` payloads and the body's tail expression.
-    pub return_steps: BTreeSet<usize>,
 }
 
 /// The parsed statement tree, internal to the builder.
 enum Stmt {
-    Straight {
-        toks: Vec<usize>,
-        semi: bool,
-    },
+    Straight(Vec<usize>),
     If {
         bind: Option<Vec<usize>>,
         cond: Vec<usize>,
@@ -216,7 +196,7 @@ impl<'a> Parser<'a> {
             } else {
                 let (toks, semi) = self.scan_straight();
                 if !toks.is_empty() {
-                    out.push(Stmt::Straight { toks, semi });
+                    out.push(Stmt::Straight(toks));
                 } else if !semi {
                     // Defensive: never loop on a token we cannot consume.
                     self.pos += 1;
@@ -418,7 +398,7 @@ impl<'a> Parser<'a> {
             if toks.is_empty() {
                 vec![]
             } else {
-                vec![Stmt::Straight { toks, semi: false }]
+                vec![Stmt::Straight(toks)]
             }
         };
         if self.at(",") {
@@ -532,8 +512,6 @@ struct Lower<'a> {
     blocks: Vec<Block>,
     exit: usize,
     abort: usize,
-    shape: LoopShape,
-    returns: BTreeSet<usize>,
 }
 
 impl<'a> Lower<'a> {
@@ -555,16 +533,16 @@ impl<'a> Lower<'a> {
 
     /// Lower a statement list starting in `cur`; returns the block where
     /// control continues.
-    fn stmts(&mut self, stmts: &[Stmt], mut cur: usize, loops: &mut Vec<(usize, usize)>) -> usize {
+    fn stmts(&mut self, stmts: &[Stmt], mut cur: usize, loops: &mut Vec<usize>) -> usize {
         for s in stmts {
             cur = self.stmt(s, cur, loops);
         }
         cur
     }
 
-    fn stmt(&mut self, s: &Stmt, cur: usize, loops: &mut Vec<(usize, usize)>) -> usize {
+    fn stmt(&mut self, s: &Stmt, cur: usize, loops: &mut Vec<usize>) -> usize {
         match s {
-            Stmt::Straight { toks, .. } => {
+            Stmt::Straight(toks) => {
                 let has_try = self.has_try(toks);
                 self.blocks[cur].steps.push(Step::Code(toks.clone()));
                 if has_try {
@@ -581,23 +559,13 @@ impl<'a> Lower<'a> {
                     if self.has_try(toks) {
                         self.edge(cur, self.abort);
                     }
-                    self.returns.insert(toks[0]);
                     self.blocks[cur].steps.push(Step::Code(toks.clone()));
                 }
                 self.edge(cur, self.exit);
                 self.nb()
             }
-            Stmt::Break => {
-                let to = loops.last().map(|&(_, after)| after).unwrap_or(self.exit);
-                self.edge(cur, to);
-                self.nb()
-            }
-            Stmt::Continue => {
-                let to = match (self.shape, loops.last()) {
-                    (LoopShape::Natural, Some(&(head, _))) => head,
-                    (LoopShape::ExactlyOnce, Some(&(_, after))) => after,
-                    (_, None) => self.exit,
-                };
+            Stmt::Break | Stmt::Continue => {
+                let to = loops.last().copied().unwrap_or(self.exit);
                 self.edge(cur, to);
                 self.nb()
             }
@@ -668,8 +636,8 @@ impl<'a> Lower<'a> {
                 let after = self.nb();
                 let body0 = self.nb();
                 self.edge(head, body0);
-                let conditional = match header {
-                    LoopHeader::Infinite => false,
+                match header {
+                    LoopHeader::Infinite => {}
                     LoopHeader::While(cond) => {
                         if !cond.is_empty() {
                             if self.has_try(cond) {
@@ -677,7 +645,6 @@ impl<'a> Lower<'a> {
                             }
                             self.blocks[head].steps.push(Step::Code(cond.clone()));
                         }
-                        true
                     }
                     LoopHeader::WhileLet { pattern, source }
                     | LoopHeader::For { pattern, source } => {
@@ -688,23 +655,12 @@ impl<'a> Lower<'a> {
                             pattern: pattern.clone(),
                             source: source.clone(),
                         });
-                        true
-                    }
-                };
-                loops.push((head, after));
-                let end = self.stmts(body, body0, loops);
-                loops.pop();
-                match self.shape {
-                    LoopShape::Natural => {
-                        self.edge(end, head);
-                        if conditional {
-                            self.edge(head, after);
-                        }
-                    }
-                    LoopShape::ExactlyOnce => {
-                        self.edge(end, after);
                     }
                 }
+                loops.push(after);
+                let end = self.stmts(body, body0, loops);
+                loops.pop();
+                self.edge(end, after);
                 after
             }
         }
@@ -714,7 +670,7 @@ impl<'a> Lower<'a> {
 /// Build the CFG of one function body. `body` is the token-index range of
 /// the body *braces included* ([`crate::items::FnItem::body_tokens`]);
 /// pass the file's full source and token stream.
-pub fn build(src: &str, tokens: &[Token], body: Range<usize>, shape: LoopShape) -> Cfg {
+pub fn build(src: &str, tokens: &[Token], body: Range<usize>) -> Cfg {
     let mut code: Vec<usize> = body.filter(|&i| tokens[i].kind.is_code()).collect();
     if code.first().is_some_and(|&i| tokens[i].text(src) == "{") {
         code.remove(0);
@@ -736,15 +692,7 @@ pub fn build(src: &str, tokens: &[Token], body: Range<usize>, shape: LoopShape) 
         blocks: vec![Block::default(), Block::default(), Block::default()],
         exit: 1,
         abort: 2,
-        shape,
-        returns: BTreeSet::new(),
     };
-    // The body's tail expression (no trailing `;`) is the return value.
-    if let Some(Stmt::Straight { toks, semi: false }) = stmts.last() {
-        if let Some(&first) = toks.first() {
-            lw.returns.insert(first);
-        }
-    }
     let end = lw.stmts(&stmts, 0, &mut Vec::new());
     lw.edge(end, 1);
     Cfg {
@@ -752,7 +700,6 @@ pub fn build(src: &str, tokens: &[Token], body: Range<usize>, shape: LoopShape) 
         entry: 0,
         exit: 1,
         abort: 2,
-        return_steps: lw.returns,
     }
 }
 
@@ -761,10 +708,10 @@ mod tests {
     use super::*;
     use crate::items::parse_source;
 
-    fn cfg_of(src: &str, shape: LoopShape) -> (Cfg, String, Vec<Token>) {
+    fn cfg_of(src: &str) -> (Cfg, String, Vec<Token>) {
         let (tokens, items) = parse_source(src);
         let f = &items.fns[0];
-        let cfg = build(src, &tokens, f.body_tokens.clone(), shape);
+        let cfg = build(src, &tokens, f.body_tokens.clone());
         (cfg, src.to_string(), tokens)
     }
 
@@ -814,7 +761,7 @@ mod tests {
 
     #[test]
     fn straight_line_fn_is_one_block() {
-        let (cfg, src, toks) = cfg_of("fn f() { let a = 1; let b = a + 1; }", LoopShape::Natural);
+        let (cfg, src, toks) = cfg_of("fn f() { let a = 1; let b = a + 1; }");
         check_well_formed(&cfg);
         let steps = step_texts(&cfg, &src, &toks);
         assert_eq!(steps[cfg.entry], vec!["let a = 1", "let b = a + 1"]);
@@ -823,10 +770,8 @@ mod tests {
 
     #[test]
     fn if_else_diamond() {
-        let (cfg, src, toks) = cfg_of(
-            "fn f(c: bool) { before(); if c { t(); } else { e(); } after(); }",
-            LoopShape::Natural,
-        );
+        let (cfg, src, toks) =
+            cfg_of("fn f(c: bool) { before(); if c { t(); } else { e(); } after(); }");
         check_well_formed(&cfg);
         let steps = step_texts(&cfg, &src, &toks);
         // entry: before + cond, two succs.
@@ -840,10 +785,7 @@ mod tests {
 
     #[test]
     fn if_without_else_bypasses() {
-        let (cfg, _, _) = cfg_of(
-            "fn f(c: bool) { if c { t(); } done(); }",
-            LoopShape::Natural,
-        );
+        let (cfg, _, _) = cfg_of("fn f(c: bool) { if c { t(); } done(); }");
         check_well_formed(&cfg);
         // Entry branches to then-block and directly to join.
         assert_eq!(cfg.blocks[cfg.entry].succs.len(), 2);
@@ -851,26 +793,18 @@ mod tests {
 
     #[test]
     fn early_return_edges_to_exit() {
-        let (cfg, src, toks) = cfg_of(
-            "fn f(c: bool) -> u32 { if c { return 1; } 2 }",
-            LoopShape::Natural,
-        );
+        let (cfg, src, toks) = cfg_of("fn f(c: bool) -> u32 { if c { return 1; } 2 }");
         check_well_formed(&cfg);
         let steps = step_texts(&cfg, &src, &toks);
         // The then-branch edges straight to exit.
         let then0 = cfg.blocks[cfg.entry].succs[0];
         assert!(cfg.blocks[then0].succs.contains(&cfg.exit));
         assert_eq!(steps[then0], vec!["1"]);
-        // Both the `return 1` payload and the `2` tail are return steps.
-        assert_eq!(cfg.return_steps.len(), 2);
     }
 
     #[test]
     fn question_mark_edges_to_abort() {
-        let (cfg, _, _) = cfg_of(
-            "fn f() -> Result<(), E> { step()?; done(); Ok(()) }",
-            LoopShape::Natural,
-        );
+        let (cfg, _, _) = cfg_of("fn f() -> Result<(), E> { step()?; done(); Ok(()) }");
         check_well_formed(&cfg);
         assert!(cfg.blocks[cfg.entry].succs.contains(&cfg.abort));
         // Fall-through continues to a successor that reaches exit.
@@ -878,26 +812,8 @@ mod tests {
     }
 
     #[test]
-    fn natural_loop_has_back_edge_and_zero_trip() {
-        let (cfg, _, _) = cfg_of(
-            "fn f(xs: &[u32]) { for x in xs { use_it(x); } done(); }",
-            LoopShape::Natural,
-        );
-        check_well_formed(&cfg);
-        // Find the loop head: a block with two successors (body, after).
-        let head = cfg.blocks[cfg.entry].succs[0];
-        assert_eq!(cfg.blocks[head].succs.len(), 2);
-        let body0 = cfg.blocks[head].succs[0];
-        // Body loops back to head.
-        assert!(cfg.blocks[body0].succs.contains(&head));
-    }
-
-    #[test]
     fn exactly_once_loop_has_no_back_edge() {
-        let (cfg, _, _) = cfg_of(
-            "fn f(xs: &[u32]) { for x in xs { use_it(x); } done(); }",
-            LoopShape::ExactlyOnce,
-        );
+        let (cfg, _, _) = cfg_of("fn f(xs: &[u32]) { for x in xs { use_it(x); } done(); }");
         check_well_formed(&cfg);
         let head = cfg.blocks[cfg.entry].succs[0];
         // Head has exactly one successor: the body; the body flows to
@@ -909,10 +825,7 @@ mod tests {
 
     #[test]
     fn for_pattern_becomes_a_bind_step() {
-        let (cfg, src, toks) = cfg_of(
-            "fn f(m: &M) { for (k, v) in m.items { use_it(k, v); } }",
-            LoopShape::Natural,
-        );
+        let (cfg, src, toks) = cfg_of("fn f(m: &M) { for (k, v) in m.items { use_it(k, v); } }");
         let steps = step_texts(&cfg, &src, &toks);
         assert!(
             steps
@@ -925,10 +838,7 @@ mod tests {
 
     #[test]
     fn match_arms_bind_the_scrutinee_and_keep_guards() {
-        let (cfg, src, toks) = cfg_of(
-            "fn f(x: Option<u32>) -> u32 { match x { Some(v) if v > 2 => v, Some(v) => 0, None => 1, } }",
-            LoopShape::Natural,
-        );
+        let (cfg, src, toks) = cfg_of("fn f(x: Option<u32>) -> u32 { match x { Some(v) if v > 2 => v, Some(v) => 0, None => 1, } }");
         check_well_formed(&cfg);
         let steps = step_texts(&cfg, &src, &toks);
         assert!(steps.iter().flatten().any(|s| s == "bind[Some ( v )]<-[x]"));
@@ -939,19 +849,15 @@ mod tests {
 
     #[test]
     fn one_line_fn_parses() {
-        let (cfg, src, toks) = cfg_of("fn f() -> u32 { g() }", LoopShape::Natural);
+        let (cfg, src, toks) = cfg_of("fn f() -> u32 { g() }");
         check_well_formed(&cfg);
         let steps = step_texts(&cfg, &src, &toks);
         assert_eq!(steps[cfg.entry], vec!["g ( )"]);
-        assert_eq!(cfg.return_steps.len(), 1);
     }
 
     #[test]
     fn break_and_continue_edges() {
-        let (cfg, _, _) = cfg_of(
-            "fn f() { loop { if done() { break; } continue; } after(); }",
-            LoopShape::Natural,
-        );
+        let (cfg, _, _) = cfg_of("fn f() { loop { if done() { break; } continue; } after(); }");
         check_well_formed(&cfg);
         // `loop` has no zero-trip edge: `after()` is only reachable via
         // the break edge.
@@ -963,10 +869,8 @@ mod tests {
 
     #[test]
     fn while_let_binds_each_iteration() {
-        let (cfg, src, toks) = cfg_of(
-            "fn f(it: &mut I) { while let Some(x) = it.next() { use_it(x); } }",
-            LoopShape::Natural,
-        );
+        let (cfg, src, toks) =
+            cfg_of("fn f(it: &mut I) { while let Some(x) = it.next() { use_it(x); } }");
         let steps = step_texts(&cfg, &src, &toks);
         assert!(steps
             .iter()
@@ -976,10 +880,7 @@ mod tests {
 
     #[test]
     fn nested_fn_items_are_skipped() {
-        let (cfg, src, toks) = cfg_of(
-            "fn outer() { fn inner() { hidden(); } visible(); }",
-            LoopShape::Natural,
-        );
+        let (cfg, src, toks) = cfg_of("fn outer() { fn inner() { hidden(); } visible(); }");
         let steps = step_texts(&cfg, &src, &toks);
         let all: Vec<_> = steps.iter().flatten().collect();
         assert!(all.iter().any(|s| s.contains("visible")));
@@ -988,10 +889,7 @@ mod tests {
 
     #[test]
     fn struct_literal_brace_does_not_derail() {
-        let (cfg, src, toks) = cfg_of(
-            "fn f() { let p = Point { x: 1, y: 2 }; use_it(p); }",
-            LoopShape::Natural,
-        );
+        let (cfg, src, toks) = cfg_of("fn f() { let p = Point { x: 1, y: 2 }; use_it(p); }");
         check_well_formed(&cfg);
         let steps = step_texts(&cfg, &src, &toks);
         let all: Vec<_> = steps.iter().flatten().collect();
@@ -1000,10 +898,7 @@ mod tests {
 
     #[test]
     fn closure_bodies_stay_inline() {
-        let (cfg, src, toks) = cfg_of(
-            "fn f(xs: &[u32]) -> u32 { xs.iter().map(|x| x + 1).sum() }",
-            LoopShape::Natural,
-        );
+        let (cfg, src, toks) = cfg_of("fn f(xs: &[u32]) -> u32 { xs.iter().map(|x| x + 1).sum() }");
         check_well_formed(&cfg);
         let steps = step_texts(&cfg, &src, &toks);
         assert_eq!(steps[cfg.entry].len(), 1);
@@ -1011,10 +906,8 @@ mod tests {
 
     #[test]
     fn let_else_keeps_divergent_block() {
-        let (cfg, src, toks) = cfg_of(
-            "fn f(x: Option<u32>) -> u32 { let Some(v) = x else { return 0; }; v }",
-            LoopShape::Natural,
-        );
+        let (cfg, src, toks) =
+            cfg_of("fn f(x: Option<u32>) -> u32 { let Some(v) = x else { return 0; }; v }");
         check_well_formed(&cfg);
         let steps = step_texts(&cfg, &src, &toks);
         let all: Vec<_> = steps.iter().flatten().collect();

@@ -68,7 +68,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::{build, LoopShape};
+    use crate::cfg::{build, Block, Cfg};
     use crate::items::parse_source;
     use std::collections::BTreeSet;
 
@@ -108,12 +108,7 @@ mod tests {
     fn diamond() -> crate::cfg::Cfg {
         let src = "fn f(c: bool) { if c { t(); } else { e(); } after(); }";
         let (tokens, items) = parse_source(src);
-        build(
-            src,
-            &tokens,
-            items.fns[0].body_tokens.clone(),
-            LoopShape::Natural,
-        )
+        build(src, &tokens, items.fns[0].body_tokens.clone())
     }
 
     #[test]
@@ -160,63 +155,49 @@ mod tests {
 
     #[test]
     fn loop_fixpoint_terminates_and_propagates_around_back_edge() {
-        let src = "fn f(n: u32) { let mut x = 0; while x < n { x = step(x); } done(x); }";
-        let (tokens, items) = parse_source(src);
-        let cfg = build(
-            src,
-            &tokens,
-            items.fns[0].body_tokens.clone(),
-            LoopShape::Natural,
-        );
+        // The builder lowers loops without back edges, but the solver must
+        // still reach a fixpoint on any graph: entry 0 -> head 3 -> body 4
+        // -> head 3, and head 3 -> exit 1 (abort 2 unreachable).
+        let block = |succs: Vec<usize>| Block {
+            steps: Vec::new(),
+            succs,
+        };
+        let cfg = Cfg {
+            blocks: vec![
+                block(vec![3]),
+                block(vec![]),
+                block(vec![]),
+                block(vec![4, 1]),
+                block(vec![3]),
+            ],
+            entry: 0,
+            exit: 1,
+            abort: 2,
+        };
         // Gen "looped" inside the loop body; forward-union: it must reach
-        // the loop head via the back edge and the after-block.
-        let texts: Vec<String> = cfg
-            .blocks
-            .iter()
-            .map(|b| {
-                b.steps
-                    .iter()
-                    .map(|s| match s {
-                        crate::cfg::Step::Code(ts) => ts
-                            .iter()
-                            .map(|&t| tokens[t].text(src))
-                            .collect::<Vec<_>>()
-                            .join(" "),
-                        _ => String::new(),
-                    })
-                    .collect::<Vec<_>>()
-                    .join(";")
-            })
-            .collect();
-        let body_blk = texts.iter().position(|t| t.contains("step")).unwrap();
+        // the loop head via the back edge and the exit.
         let facts = solve(
             &cfg,
             Union(BTreeSet::new()),
             Union::default(),
             |b, input| {
                 let mut out = input.clone();
-                if b == body_blk {
+                if b == 4 {
                     out.0.insert("looped");
                 }
                 out
             },
         );
         assert!(facts[cfg.exit].0.contains("looped"));
-        // And the loop head itself sees it (via the back edge).
-        let head = texts.iter().position(|t| t.contains("x < n")).unwrap();
-        assert!(facts[head].0.contains("looped"));
+        assert!(facts[3].0.contains("looped"));
+        assert!(facts[cfg.abort].0.is_empty());
     }
 
     #[test]
     fn unreachable_blocks_keep_init() {
         let src = "fn f() { return; }";
         let (tokens, items) = parse_source(src);
-        let cfg = build(
-            src,
-            &tokens,
-            items.fns[0].body_tokens.clone(),
-            LoopShape::Natural,
-        );
+        let cfg = build(src, &tokens, items.fns[0].body_tokens.clone());
         let facts = solve(
             &cfg,
             Union(BTreeSet::from(["live"])),

@@ -22,11 +22,11 @@
 //! marker cuts the walk at a call site (the marked call is off the
 //! measured path).
 //!
-//! The summaries drive two rules. `hot-path-alloc-transitive` reports
-//! every call out of a `// doebench::hot` fn whose callee's summary has
-//! `alloc`; a hot fn's own allocation sites are the direct
-//! `hot-path-alloc` rule's business, so a hot fn carries no direct
-//! `alloc` origin. The other rule checks *declared contracts*: a
+//! The summaries drive two rules. `hot-path-alloc` reports every
+//! `// doebench::hot` fn whose own summary has `alloc`: an allocation in
+//! its body or in any fn it reaches. An allocation site or a call line
+//! waived with `// dessan::allow(hot-path-alloc): <reason>` adds no
+//! `alloc`. The other rule checks *declared contracts*: a
 //! `// doebench::effects(pure)` marker before a `fn` forbids every
 //! effect except allocation in the fn's whole call closure (allocation
 //! is deterministic — it cannot change a result, only its cost, and the
@@ -43,9 +43,9 @@
 //! body — simulated waits advance virtual time and are exactly what
 //! `no-block` code is supposed to do instead of parking the OS thread.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use crate::callgraph::{body_allocs, body_calls, CallIndex, Node, WsFile};
+use crate::callgraph::{body_allocs, body_calls, Alloc, CallIndex, Node, WsFile};
 use crate::lex::TokKind;
 use crate::lint::{is_hash_container, LintFinding, Rule, HAZARDS};
 
@@ -102,6 +102,9 @@ impl Effect {
 pub struct Origin {
     /// The concrete site, e.g. "`Instant::now` at crates/x/src/y.rs:12".
     pub desc: String,
+    /// Line in the owner's body where the effect enters: the site itself,
+    /// or the call that reaches it.
+    pub line: usize,
     /// Function names from the summary owner down to the effect site.
     /// Capped at [`CHAIN_CAP`] entries.
     pub chain: Vec<String>,
@@ -115,15 +118,9 @@ pub const CHAIN_CAP: usize = 12;
 /// (deterministically chosen) origin that introduced it.
 pub type EffectSet = BTreeMap<Effect, Origin>;
 
-/// The workspace's effect summaries and the call edges they were
-/// propagated over.
-pub struct Summaries {
-    /// Effect summary of every non-test fn with a body.
-    pub sets: BTreeMap<Node, EffectSet>,
-    /// Resolved `(callee, call line)` edges of each such fn, in call
-    /// order; `// doebench::cold-call` sites are cut.
-    pub calls: BTreeMap<Node, Vec<(Node, usize)>>,
-}
+/// The workspace's effect summaries: the effect set of every non-test fn
+/// with a body.
+pub type Summaries = BTreeMap<Node, EffectSet>;
 
 /// Guard variables bound from a `.lock(` in one body's code-token stream:
 /// every `X` in `let [mut] X = … .lock( …` up to the statement's `;`.
@@ -187,7 +184,11 @@ fn direct_effects(
         }
     };
 
-    if let Some(a) = body_allocs(src, tokens, body.clone()).first() {
+    let waived = |a: &Alloc| file.items.waived(Rule::HotPathAlloc.id(), a.line);
+    if let Some(a) = body_allocs(src, tokens, body.clone())
+        .iter()
+        .find(|a| !waived(a))
+    {
         push(Effect::Alloc, a.token, a.line);
     }
 
@@ -288,7 +289,7 @@ fn direct_effects(
 /// order, and the first origin recorded for an effect is kept.
 pub fn summaries(files: &[WsFile]) -> Summaries {
     let index = CallIndex::build(files);
-    let mut sets: BTreeMap<Node, EffectSet> = BTreeMap::new();
+    let mut sets = Summaries::new();
     let mut calls: BTreeMap<Node, Vec<(Node, usize)>> = BTreeMap::new();
     for (fi, file) in files.iter().enumerate() {
         for (gi, f) in file.items.fns.iter().enumerate() {
@@ -297,14 +298,12 @@ pub fn summaries(files: &[WsFile]) -> Summaries {
             }
             let node = (fi, gi);
             let mut set = EffectSet::new();
-            for (eff, desc, _line) in direct_effects(file, f.sig_line, f.body_tokens.clone()) {
-                if eff == Effect::Alloc && f.hot {
-                    continue;
-                }
+            for (eff, desc, line) in direct_effects(file, f.sig_line, f.body_tokens.clone()) {
                 set.insert(
                     eff,
                     Origin {
                         desc,
+                        line,
                         chain: vec![f.name.clone()],
                     },
                 );
@@ -329,26 +328,31 @@ pub fn summaries(files: &[WsFile]) -> Summaries {
         let mut pending: Vec<(Node, Effect, Origin)> = Vec::new();
         for (&node, es) in &calls {
             let have = &sets[&node];
-            let caller_name = files[node.0].items.fns[node.1].name.clone();
-            for &(callee, _) in es {
+            let caller = &files[node.0].items;
+            for &(callee, line) in es {
                 let Some(cs) = sets.get(&callee) else {
                     continue;
                 };
+                let alloc_waived = caller.waived(Rule::HotPathAlloc.id(), line);
                 for (&eff, origin) in cs {
-                    if !have.contains_key(&eff)
-                        && !pending.iter().any(|(n, e, _)| *n == node && *e == eff)
+                    let cut = eff == Effect::Alloc && alloc_waived;
+                    if cut
+                        || have.contains_key(&eff)
+                        || pending.iter().any(|(n, e, _)| *n == node && *e == eff)
                     {
-                        let mut chain = vec![caller_name.clone()];
-                        chain.extend(origin.chain.iter().take(CHAIN_CAP - 1).cloned());
-                        pending.push((
-                            node,
-                            eff,
-                            Origin {
-                                desc: origin.desc.clone(),
-                                chain,
-                            },
-                        ));
+                        continue;
                     }
+                    let mut chain = vec![caller.fns[node.1].name.clone()];
+                    chain.extend(origin.chain.iter().take(CHAIN_CAP - 1).cloned());
+                    pending.push((
+                        node,
+                        eff,
+                        Origin {
+                            desc: origin.desc.clone(),
+                            line,
+                            chain,
+                        },
+                    ));
                 }
             }
         }
@@ -359,48 +363,34 @@ pub fn summaries(files: &[WsFile]) -> Summaries {
             sets.get_mut(&node).unwrap().entry(eff).or_insert(origin);
         }
     }
-    Summaries { sets, calls }
+    sets
 }
 
-/// `hot-path-alloc-transitive`: every call out of a `// doebench::hot` fn
-/// whose callee's summary has [`Effect::Alloc`], reported at the call
-/// line with the chain from the hot fn to the allocation. Each allocation
-/// site is reported once per hot fn, at the first call that reaches it.
-/// A waiver for the rule at that line (or file-wide) suppresses the
-/// finding.
+/// `hot-path-alloc`: every `// doebench::hot` fn whose summary has
+/// [`Effect::Alloc`], reported at the allocation in its own body or at
+/// the call that reaches one, with the chain from the hot fn down to it.
 pub fn hot_alloc_findings(files: &[WsFile], sums: &Summaries) -> Vec<LintFinding> {
     let mut out = Vec::new();
-    for (fi, file) in files.iter().enumerate() {
-        for (gi, f) in file.items.fns.iter().enumerate() {
-            if !f.hot {
-                continue;
-            }
-            let mut reached = BTreeSet::new();
-            for &(callee, line) in sums.calls.get(&(fi, gi)).into_iter().flatten() {
-                let Some(origin) = sums.sets[&callee].get(&Effect::Alloc) else {
-                    continue;
-                };
-                if !reached.insert(&origin.desc)
-                    || file.items.waived(Rule::HotPathAllocTransitive.id(), line)
-                {
-                    continue;
-                }
-                let mut chain = vec![f.name.clone()];
-                chain.extend(origin.chain.iter().cloned());
-                out.push(LintFinding {
-                    rule: Rule::HotPathAllocTransitive,
-                    path: file.path.clone(),
-                    line,
-                    message: format!(
-                        "hot fn `{}` reaches {} via {}; hoist the allocation or mark the call `// doebench::cold-call`",
-                        f.name,
-                        origin.desc,
-                        chain.join(" -> "),
-                    ),
-                    chain,
-                });
-            }
-        }
+    for (&(fi, gi), set) in sums {
+        let f = &files[fi].items.fns[gi];
+        let Some(origin) = set.get(&Effect::Alloc).filter(|_| f.hot) else {
+            continue;
+        };
+        let via = if origin.chain.len() > 1 {
+            format!(" via {}", origin.chain.join(" -> "))
+        } else {
+            String::new()
+        };
+        out.push(LintFinding {
+            rule: Rule::HotPathAlloc,
+            path: files[fi].path.clone(),
+            line: origin.line,
+            message: format!(
+                "hot fn `{}` allocates per call: {}{via}; hoist it into an arena, pool or scratch buffer, or behind a `#[cold]` fn or a `// doebench::cold-call` call",
+                f.name, origin.desc,
+            ),
+            chain: origin.chain.clone(),
+        });
     }
     out
 }
@@ -432,7 +422,7 @@ pub fn contract_findings(files: &[WsFile], sums: &Summaries) -> Vec<LintFinding>
             let Some(contract) = &f.effects else {
                 continue;
             };
-            let Some(set) = sums.sets.get(&(fi, gi)) else {
+            let Some(set) = sums.get(&(fi, gi)) else {
                 continue;
             };
             if file.items.waived(Rule::EffectContract.id(), f.sig_line) {
@@ -587,8 +577,8 @@ fn entry(h: std::thread::JoinHandle<()>) {
 
     #[test]
     fn summaries_subsume_transitive_hot_alloc() {
-        // The transitive rule reads the hot root's first-hop callee's
-        // summary: the finding carries the chain down to the allocation.
+        // The rule reads the hot root's own summary: the finding sits at
+        // the call and carries the chain down to the allocation.
         let src = "\
 // doebench::hot
 fn pump() {
@@ -605,12 +595,38 @@ fn grow() {
         let files = [ws_file("crates/x/src/lib.rs", src)];
         let trans = hot_alloc_findings(&files, &summaries(&files));
         assert_eq!(trans.len(), 1);
+        assert_eq!(trans[0].line, 3);
         assert_eq!(trans[0].chain, vec!["pump", "step", "grow"]);
         assert!(
             trans[0].message.contains("`vec!` at crates/x/src/lib.rs:9"),
             "{}",
             trans[0].message
         );
+    }
+
+    #[test]
+    fn hot_alloc_waivers_cover_the_site_and_the_call() {
+        let src = "\
+// doebench::hot
+fn pump(&mut self) {
+    // dessan::allow(hot-path-alloc): grows once, then reused.
+    self.buf = vec![0u8; 64];
+    let s = format!(\"x\");
+    // dessan::allow(hot-path-alloc): warm-up only.
+    grow();
+}
+fn grow() {
+    let v = vec![0u8; 64];
+}
+";
+        let files = [ws_file("crates/x/src/lib.rs", src)];
+        let f = hot_alloc_findings(&files, &summaries(&files));
+        assert_eq!(f.len(), 1);
+        assert_eq!(
+            (f[0].line, f[0].chain.clone()),
+            (5, vec!["pump".to_string()])
+        );
+        assert!(f[0].message.contains("`format!`"), "{}", f[0].message);
     }
 
     #[test]

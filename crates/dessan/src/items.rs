@@ -11,11 +11,7 @@
 //! * `// doebench::hot` — arms the next `fn` as a hot function (the
 //!   `#[doebench::hot]` attribute spelling also works).
 //! * `// doebench::cold-call` — calls on this line (or the next) are
-//!   exempt from the transitive hot-path-alloc walk.
-//! * `// dessan::taint-source` — arms the next `fn` as a nondeterminism
-//!   taint source: the taint analysis treats its return value as tainted
-//!   at every call site (for sources the token rules can't see, e.g. FFI
-//!   or platform wrappers).
+//!   exempt from the hot-path-alloc walk.
 //! * `// doebench::effects(pure)` / `// doebench::effects(no-block)` —
 //!   declares an effect contract on the next `fn`, checked by the
 //!   interprocedural effect-summary engine (`effect-contract` rule):
@@ -48,9 +44,6 @@ pub struct FnItem {
     pub hot: bool,
     /// Carries a `#[cold]` attribute — never part of a hot path.
     pub cold: bool,
-    /// Armed by a `dessan::taint-source` marker: the taint analysis
-    /// treats this fn's return value as nondeterministic.
-    pub taint_source: bool,
     /// Declared effect contract from a `doebench::effects(...)` marker
     /// (`"pure"` or `"no-block"`), checked by [`crate::effects`].
     pub effects: Option<String>,
@@ -66,8 +59,6 @@ pub struct FileItems {
     /// Per-line flags (index = line − 1): inside a `#[cfg(test)]` region,
     /// attribute line included.
     pub test_lines: Vec<bool>,
-    /// Per-line flags: inside a hot non-test function's span.
-    pub hot_lines: Vec<bool>,
     /// `(line, rule)` waivers: suppress `rule` on `line` and `line + 1`.
     pub line_allows: Vec<(usize, String)>,
     /// Rules waived file-wide by `//! dessan::allow(...)` doc comments.
@@ -157,7 +148,6 @@ pub fn parse(src: &str, tokens: &[Token]) -> FileItems {
     let line_count = src.lines().count().max(1);
     let mut items = FileItems {
         test_lines: vec![false; line_count],
-        hot_lines: vec![false; line_count],
         cold_call_lines: vec![false; line_count],
         ..FileItems::default()
     };
@@ -167,7 +157,6 @@ pub fn parse(src: &str, tokens: &[Token]) -> FileItems {
     // must *lead* its comment, so prose about markers (like this module's
     // docs) never arms either.
     let mut marker_lines: Vec<usize> = Vec::new();
-    let mut taint_marker_lines: Vec<usize> = Vec::new();
     let mut effects_marker_lines: Vec<(usize, String)> = Vec::new();
     for t in tokens {
         if !t.kind.is_comment() {
@@ -176,9 +165,6 @@ pub fn parse(src: &str, tokens: &[Token]) -> FileItems {
         let text = t.text(src);
         if comment_leads_with(text, "doebench::hot") {
             marker_lines.push(t.line);
-        }
-        if comment_leads_with(text, "dessan::taint-source") {
-            taint_marker_lines.push(t.line);
         }
         if let Some(contract) = parse_effects(text) {
             effects_marker_lines.push((t.line, contract));
@@ -330,8 +316,7 @@ pub fn parse(src: &str, tokens: &[Token]) -> FileItems {
                             body_tokens: code[ci]..code[ci],
                             hot: attr("doebench::hot"),
                             cold: attr("#[cold]") || attr("[cold]"),
-                            taint_source: false, // attributed after the pass
-                            effects: None,       // attributed after the pass
+                            effects: None, // attributed after the pass
                             in_test,
                         });
                         pending = Some(Pending::Fn(items.fns.len() - 1));
@@ -366,28 +351,10 @@ pub fn parse(src: &str, tokens: &[Token]) -> FileItems {
             f.hot = true;
         }
     }
-    taint_marker_lines.sort_unstable();
-    for m in taint_marker_lines {
-        if let Some(f) = items.fns.iter_mut().find(|f| f.sig_line >= m) {
-            f.taint_source = true;
-        }
-    }
     effects_marker_lines.sort_unstable();
     for (m, contract) in effects_marker_lines {
         if let Some(f) = items.fns.iter_mut().find(|f| f.sig_line >= m) {
             f.effects = Some(contract);
-        }
-    }
-
-    // Hot line flags from spans: the whole fn body, nested closures and
-    // one-liners included.
-    for f in &items.fns {
-        if f.hot && !f.in_test {
-            for l in f.sig_line..=f.end_line {
-                if let Some(flag) = items.hot_lines.get_mut(l - 1) {
-                    *flag = true;
-                }
-            }
         }
     }
 
@@ -688,7 +655,9 @@ mod tests {
     fn one_line_hot_fn_is_hot() {
         let src = "// doebench::hot\nfn fast() { helper() }\n";
         let it = items_of(src);
-        assert_eq!(it.hot_lines, vec![false, true]);
+        assert_eq!(it.fns.len(), 1);
+        assert!(it.fns[0].hot);
+        assert_eq!((it.fns[0].sig_line, it.fns[0].end_line), (2, 2));
     }
 
     #[test]
@@ -767,7 +736,10 @@ mod tests {
     fn closures_inside_hot_fns_stay_hot() {
         let src = "// doebench::hot\nfn pump(xs: &[u32]) {\n    xs.iter().for_each(|x| {\n        touch(*x);\n    });\n}\n";
         let it = items_of(src);
-        assert_eq!(it.hot_lines, vec![false, true, true, true, true, true]);
+        // The closure is part of the hot fn's span, not an item of its own.
+        assert_eq!(it.fns.len(), 1);
+        assert!(it.fns[0].hot);
+        assert_eq!((it.fns[0].sig_line, it.fns[0].end_line), (2, 6));
     }
 
     #[test]

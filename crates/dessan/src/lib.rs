@@ -8,31 +8,28 @@
 //!    rejects the hazard classes that can silently break the campaign's
 //!    bit-identical-output guarantee (wall-clock reads, unseeded RNG,
 //!    hash-ordered rendering, ambient env reads, unjustified `unsafe`,
-//!    panics in simulated runtimes, allocations in or transitively
-//!    reachable from `// doebench::hot` functions, and bare `f64`s
-//!    extracted in ns or s in the unit-bearing crates). Run it with
+//!    panics in simulated runtimes, allocations in or reachable from
+//!    `// doebench::hot` functions, and bare `f64`s extracted in ns or s
+//!    in the unit-bearing crates). Run it with
 //!    `cargo run --release -p dessan --bin dessan-lint` (add
 //!    `--format json` for machine-readable output); justified sites carry
 //!    in-source `dessan::allow(<rule>): <reason>` waivers next to the code
-//!    they excuse. The token rules, the taint sources and the effect scan
-//!    share one hazard vocabulary ([`lint`]'s `HAZARDS` table). On top of
-//!    the same token stream sits a dataflow layer: an intraprocedural CFG
-//!    builder ([`cfg`]) and worklist solver ([`dataflow`]) powering
-//!    nondeterminism-taint tracking ([`taint`]: source→sink chains from
-//!    wall-clock/RNG/hash-order/env reads into event timestamps, table
-//!    cells, and FNV digests). Contracts the compiler or the sanitizer
-//!    already enforces get no lint: mixed units do not type-check
-//!    (`SimDuration`, the `doe_machines::units` newtypes), a `GpuEvent`
-//!    exists only once `event_record` has made it, and an unanswered
-//!    send or an unannotated racy copy is a `--check` finding. A
-//!    call-graph fixpoint layer adds interprocedural effect summaries
-//!    ([`effects`]: per-function effect sets, read both by the transitive
-//!    hot-path-alloc rule and by the check of declared
-//!    `// doebench::effects(...)` contracts),
-//!    lock-order/condvar protocol checking ([`locks`]: double-lock, global
-//!    acquisition-order cycles, guard-across-wait, wait-outside-loop), and
-//!    cache-key field-coverage proofs ([`keycov`]: every field of the key
-//!    structs must flow into the canonical key derivation).
+//!    they excuse. The token rules and the effect scan share one hazard
+//!    vocabulary ([`lint`]'s `HAZARDS` table). Contracts the compiler,
+//!    the sanitizer or a runtime test already enforces get no lint: mixed
+//!    units do not type-check (`SimDuration`, the `doe_machines::units`
+//!    newtypes), a `GpuEvent` exists only once `event_record` has made
+//!    it, an unanswered send or an unannotated racy copy is a `--check`
+//!    finding, and a nondeterministic table cell or cache key fails the
+//!    golden digests and the pinned keys. A call-graph fixpoint layer adds
+//!    interprocedural effect summaries ([`effects`]: per-function effect
+//!    sets, read both by the hot-path-alloc rule and by the check of
+//!    declared `// doebench::effects(...)` contracts), lock-order/condvar
+//!    protocol checking ([`locks`]: double-lock, global acquisition-order
+//!    cycles, guard-across-wait, wait-outside-loop, over an
+//!    intraprocedural CFG ([`cfg`]) and worklist solver ([`dataflow`])),
+//!    and cache-key field-coverage proofs ([`keycov`]: every field of the
+//!    key structs must flow into the canonical key derivation).
 //!
 //! 2. **Dynamic happens-before sanitizer** ([`checks`], [`vc`]): vector
 //!    clocks attached to ompsim threads, mpisim ranks, and gpurt
@@ -53,7 +50,6 @@ pub mod keycov;
 pub mod lex;
 pub mod lint;
 pub mod locks;
-pub mod taint;
 pub mod vc;
 
 pub use checks::{

@@ -3,7 +3,7 @@
 //! Since dessan v2 this is a syntax-aware scan: files are tokenized by the
 //! hand-rolled lossless lexer ([`crate::lex`]), structured into fn/impl/
 //! test-region items with line spans ([`crate::items`]), and linked into a
-//! workspace call graph ([`crate::callgraph`]). Thirteen rule classes:
+//! workspace call graph ([`crate::callgraph`]). Eleven rule classes:
 //!
 //! | id                        | hazard                                              |
 //! |---------------------------|-----------------------------------------------------|
@@ -14,33 +14,30 @@
 //! | `unsafe-no-safety`        | `unsafe` without a nearby `// SAFETY:` comment      |
 //! | `unwrap-in-sim`           | `unwrap()`/`expect()` in sim-crate non-test code    |
 //! | `unit-extract`            | `.as_ns()`/`.as_secs()` in a unit-bearing crate     |
-//! | `hot-path-alloc`          | per-call allocation in a `doebench::hot` function   |
-//! | `hot-path-alloc-transitive` | allocation reachable from a hot fn via the call graph ([`crate::effects`]) |
-//! | `nondet-taint`            | nondeterministic value flows into an event time, table cell, or digest ([`crate::taint`]) |
+//! | `hot-path-alloc`          | allocation in, or reachable from, a `doebench::hot` function ([`crate::effects`]) |
 //! | `effect-contract`         | a fn's call closure violates its `doebench::effects(...)` contract ([`crate::effects`]) |
 //! | `lock-order`              | lock-order cycle, double-lock, or condvar protocol misuse ([`crate::locks`]) |
 //! | `key-coverage`            | a spec/query struct field missing from the canonical cache key ([`crate::keycov`]) |
 //!
-//! The first four rules, `unit-extract`, the taint sources and the effect
-//! scan share one hazard vocabulary, `HAZARDS`; each applies its own
-//! scoping. `unit-extract` keeps every bare `f64` time in the unit-bearing
-//! crates in µs (`as_us`); mixing typed quantities is a compile error
+//! The first four rules, `unit-extract` and the effect scan share one
+//! hazard vocabulary, `HAZARDS`; each applies its own scoping.
+//! `unit-extract` keeps every bare `f64` time in the unit-bearing crates
+//! in µs (`as_us`); mixing typed quantities is a compile error
 //! (`SimDuration`, `doe_machines::units`), so only the extraction to a
-//! non-canonical `f64` needs a rule. `nondet-taint` runs on the dataflow
-//! layer ([`crate::cfg`] + [`crate::dataflow`]) rather than on raw token
-//! sequences, so its findings are path-aware and carry their source→sink
-//! chain. `hot-path-alloc-transitive` and `effect-contract` read one
-//! interprocedural fixpoint over the call graph (the effect summaries),
-//! `lock-order` is a must-hold dataflow over guard bindings, and
+//! non-canonical `f64` needs a rule. `hot-path-alloc` and
+//! `effect-contract` read one interprocedural fixpoint over the call
+//! graph (the effect summaries), `lock-order` is a must-hold dataflow
+//! over guard bindings ([`crate::cfg`] + [`crate::dataflow`]), and
 //! `key-coverage` a structural proof over struct definitions and the
 //! canonical serialization functions.
 //!
 //! A function becomes hot by carrying a `doebench::hot` marker comment
-//! before (or on) its `fn` line. Inside a hot body, `Box::new`, `vec!`,
-//! `format!`, `.to_string()`, `.to_owned()` and `.clone()` are flagged
-//! (`.clone_from(...)` reuses its destination buffer and is fine), and the
-//! transitive rule follows calls out of the hot body to allocations any
-//! depth away (`// doebench::cold-call` cuts an edge, `#[cold]` a callee).
+//! before (or on) its `fn` line. `Box::new`, `vec!`, `format!`,
+//! `.to_string()`, `.to_owned()` and `.clone()` are allocations
+//! (`.clone_from(...)` reuses its destination buffer and is fine), and
+//! `hot-path-alloc` flags a hot fn that allocates in its own body or in
+//! any fn it calls, any depth away (`// doebench::cold-call` cuts an
+//! edge, `#[cold]` a callee).
 //!
 //! Justified sites are waived *in source*, next to the code they excuse:
 //! a comment that leads with `dessan::allow(<rule>): <reason>` on the
@@ -80,13 +77,9 @@ pub enum Rule {
     /// A bare `f64` extracted in a unit other than µs (`.as_ns()`,
     /// `.as_secs()`) in a unit-bearing crate.
     UnitExtract,
-    /// Per-call heap allocation inside a `doebench::hot` function.
+    /// Heap allocation in a `doebench::hot` function's body or call
+    /// closure.
     HotPathAlloc,
-    /// Allocation reachable from a hot function through the call graph.
-    HotPathAllocTransitive,
-    /// A nondeterministic value reaches an event time, table cell, or
-    /// FNV digest (dataflow taint, source→sink chain attached).
-    NondetTaint,
     /// A function's transitive call closure exhibits an effect its
     /// declared `doebench::effects(...)` contract forbids.
     EffectContract,
@@ -110,8 +103,6 @@ impl Rule {
             Rule::UnwrapInSim => "unwrap-in-sim",
             Rule::UnitExtract => "unit-extract",
             Rule::HotPathAlloc => "hot-path-alloc",
-            Rule::HotPathAllocTransitive => "hot-path-alloc-transitive",
-            Rule::NondetTaint => "nondet-taint",
             Rule::EffectContract => "effect-contract",
             Rule::LockOrder => "lock-order",
             Rule::KeyCoverage => "key-coverage",
@@ -119,7 +110,7 @@ impl Rule {
     }
 
     /// Every rule, in report order.
-    pub const ALL: [Rule; 13] = [
+    pub const ALL: [Rule; 11] = [
         Rule::WallClock,
         Rule::AdHocRng,
         Rule::HashOrder,
@@ -128,8 +119,6 @@ impl Rule {
         Rule::UnwrapInSim,
         Rule::UnitExtract,
         Rule::HotPathAlloc,
-        Rule::HotPathAllocTransitive,
-        Rule::NondetTaint,
         Rule::EffectContract,
         Rule::LockOrder,
         Rule::KeyCoverage,
@@ -145,18 +134,16 @@ impl Rule {
 }
 
 /// One pattern of the hazard vocabulary: `(rule, display, pattern,
-/// reads)`. `rule` is the token rule that reports it (its id doubles as
-/// the taint origin); `display` is how findings spell it; `pattern` is
-/// the code-token sequence (`::` is two `:` tokens: the lexer emits
-/// single-char punctuation); `reads` marks a pattern that produces a value
-/// (a clock reading, a random draw, an env var) rather than only naming a
-/// type — such sites seed taint and carry an effect.
+/// reads)`. `rule` is the token rule that reports it; `display` is how
+/// findings spell it; `pattern` is the code-token sequence (`::` is two
+/// `:` tokens: the lexer emits single-char punctuation); `reads` marks a
+/// pattern that produces a value (a clock reading, a random draw, an env
+/// var) rather than only naming a type — such sites carry an effect.
 pub(crate) type Hazard = (Rule, &'static str, &'static [&'static str], bool);
 
-/// The hazard vocabulary shared by the token rules, the taint sources
-/// ([`crate::taint`]) and the direct effect scan ([`crate::effects`]), in
-/// reporting precedence: where several patterns of one rule start on a
-/// line, the first names the finding.
+/// The hazard vocabulary shared by the token rules and the direct effect
+/// scan ([`crate::effects`]), in reporting precedence: where several
+/// patterns of one rule start on a line, the first names the finding.
 pub(crate) const HAZARDS: [Hazard; 12] = [
     (
         Rule::WallClock,
@@ -225,9 +212,10 @@ pub struct LintFinding {
     pub line: usize,
     /// What was found.
     pub message: String,
-    /// Structured propagation chain for dataflow findings (source first,
-    /// sink last); empty for the token-level rules. The human-readable
-    /// message already narrates it — this field is for `--format json`.
+    /// Call chain for call-graph findings (the reporting fn first, the fn
+    /// holding the site last); empty for the token-level rules. The
+    /// human-readable message already narrates it — this field is for
+    /// `--format json`.
     pub chain: Vec<String>,
 }
 
@@ -557,25 +545,6 @@ fn lint_parsed(file: &WsFile) -> Vec<LintFinding> {
         }
     }
 
-    // hot-path-alloc: the steady-state event/message path must not touch
-    // the allocator — that's what the arenas/pools are for. Span-based:
-    // one-line hot fns and nested closures are covered by construction.
-    let mut claimed = BTreeSet::new();
-    for f in &its.fns {
-        if !f.hot || f.in_test || f.body_tokens.is_empty() {
-            continue;
-        }
-        for a in callgraph::body_allocs(src, tokens, f.body_tokens.clone()) {
-            if claimed.insert(a.line) {
-                push(
-                    Rule::HotPathAlloc,
-                    a.line,
-                    format!("`{}` allocates per call inside a `doebench::hot` function; hoist it into an arena/pool/scratch buffer or a `#[cold]` helper", a.token),
-                );
-            }
-        }
-    }
-
     findings
 }
 
@@ -623,8 +592,8 @@ fn phase_clock() -> Instant {
 
 /// Every rule over a parsed workspace: the per-file rules, then the
 /// call-graph and cross-file analyses. The effect summaries are computed
-/// once and read by both `hot-path-alloc-transitive` and
-/// `effect-contract`. Appends each phase's wall time to `timings`.
+/// once and read by both `hot-path-alloc` and `effect-contract`. Appends
+/// each phase's wall time to `timings`.
 fn lint_workspace(ws: &[WsFile], timings: &mut Vec<(&'static str, Duration)>) -> Vec<LintFinding> {
     let mut clock = phase_clock();
     let mut lap = |name: &'static str| {
@@ -640,9 +609,7 @@ fn lint_workspace(ws: &[WsFile], timings: &mut Vec<(&'static str, Duration)>) ->
     let sums = crate::effects::summaries(ws);
     lap("effect summaries");
     out.extend(crate::effects::hot_alloc_findings(ws, &sums));
-    lap("hot-path-alloc-transitive");
-    out.extend(crate::taint::findings(ws));
-    lap("nondet-taint");
+    lap("hot-path-alloc");
     out.extend(crate::effects::contract_findings(ws, &sums));
     lap("effect-contract");
     out.extend(crate::locks::findings(ws));
@@ -993,13 +960,12 @@ fn fast() { // closes like fn ghost() {
         let transitive: Vec<_> = report
             .findings
             .iter()
-            .filter(|f| f.rule == Rule::HotPathAllocTransitive)
+            .filter(|f| f.rule == Rule::HotPathAlloc)
             .collect();
         assert_eq!(transitive.len(), 1, "findings: {:?}", report.findings);
         assert_eq!(transitive[0].path, "crates/fix/src/lib.rs");
         assert_eq!(transitive[0].line, 4);
-        // The per-file token engine sees nothing in the hot body itself.
-        assert!(report.findings.iter().all(|f| f.rule != Rule::HotPathAlloc));
+        assert_eq!(transitive[0].chain, vec!["pump", "step", "grow"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

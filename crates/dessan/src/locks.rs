@@ -14,7 +14,7 @@
 //! (`s.lock()` inside a per-shard closure) carry no key and are skipped.
 //!
 //! On top of the keys, a forward **must**-analysis over the CFG
-//! ([`crate::cfg`] with [`LoopShape::ExactlyOnce`]) tracks which guard
+//! ([`crate::cfg`], every loop body run once) tracks which guard
 //! variables are held — only `let`-bound guards count (a temporary like
 //! `s.lock().unwrap().clear()` releases at the end of its statement) and
 //! `drop(guard)` releases. Four checks report under the `lock-order`
@@ -39,7 +39,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{body_calls, Call, CallIndex, Node, Recv, WsFile};
-use crate::cfg::{self, LoopShape, Step};
+use crate::cfg::{self, Step};
 use crate::dataflow::{self, Lattice};
 use crate::items::struct_defs;
 use crate::lex::TokKind;
@@ -476,12 +476,7 @@ pub fn findings(files: &[WsFile]) -> Vec<LintFinding> {
                 continue;
             }
             wait_loop_findings(file, caller, &mut out);
-            let cfg = cfg::build(
-                &file.src,
-                &file.tokens,
-                f.body_tokens.clone(),
-                LoopShape::ExactlyOnce,
-            );
+            let cfg = cfg::build(&file.src, &file.tokens, f.body_tokens.clone());
             let facts =
                 dataflow::solve(&cfg, Held(Some(BTreeMap::new())), Held(None), |b, input| {
                     let mut held = match &input.0 {

@@ -1,8 +1,9 @@
 //! Fixture-corpus regression test for the dataflow analyses.
 //!
 //! Each file under `tests/fixtures/` is a small Rust source exercising a
-//! CFG or dataflow edge case (early return, loop-carried facts, lock
-//! cycles, key-coverage holes) or a scoped token rule. The first line is
+//! CFG, dataflow or call-graph edge case (lock cycles, guards across
+//! waits, key-coverage holes, effect chains, hot-path allocations at any
+//! depth) or a scoped token rule. The first line is
 //! a `//@ path: crates/<crate>/src/<name>.rs` header giving the *pretend*
 //! workspace path the file is linted under (crate scoping — unit-extract
 //! only runs in unit-bearing crates, env-read exemptions, etc.).
@@ -54,7 +55,7 @@ fn fixture_corpus_matches_expectations_exactly() {
         .collect();
     entries.sort();
     assert!(
-        entries.len() >= 11,
+        entries.len() >= 10,
         "fixture corpus unexpectedly small ({} files)",
         entries.len()
     );
@@ -90,9 +91,9 @@ fn fixture_corpus_matches_expectations_exactly() {
 
 #[test]
 fn fixtures_cover_all_dataflow_rules() {
-    // The corpus must keep exercising every dataflow-backed rule and the
-    // crate-scoped `unit-extract`; a new rule without a fixture fails here
-    // until one is added.
+    // The corpus must keep exercising every dataflow- and call-graph-backed
+    // rule and the crate-scoped `unit-extract`; a new rule without a
+    // fixture fails here until one is added.
     let mut seen = BTreeSet::new();
     for entry in std::fs::read_dir(fixtures_dir())
         .expect("fixtures dir")
@@ -104,7 +105,7 @@ fn fixtures_cover_all_dataflow_rules() {
         }
     }
     for required in [
-        "nondet-taint",
+        "hot-path-alloc",
         "unit-extract",
         "effect-contract",
         "lock-order",

@@ -4,10 +4,15 @@
 //! text carries no finding of the rule under test, applies a small
 //! mutation of the kind the rule exists to catch (break a unit
 //! conversion, render a wall-clock reading into a table cell, allocate in
-//! a hot fn, drop a key field), and asserts the mutant is flagged. This is the end-to-end guarantee
-//! that the checkers detect the bug classes they claim to — not just on
-//! fixtures, but on the actual code they gate. Every rule needs at least
-//! one seed.
+//! a hot fn, forget a key field), and asserts the mutant is flagged. This
+//! is the end-to-end guarantee that the checkers detect the bug classes
+//! they claim to — not just on fixtures, but on the actual code they
+//! gate. Every rule needs at least one seed.
+//!
+//! DESIGN.md §13.6 lists, for every seed, the runtime test that fails
+//! when the mutant is compiled and the workspace tests run, or "none".
+//! A rule earns its place with a seed no runtime test catches, or with a
+//! stated reason it reaches further than any test can.
 
 use std::path::{Path, PathBuf};
 
@@ -85,22 +90,33 @@ seeds! {
     broken_unit_conversion_is_caught_by_unit_extract: UnitExtract in "crates/machines/src/cpu.rs",
         "+ m.mpi.shm_latency.as_us()" => "+ m.mpi.shm_latency.as_ns()";
 
+    // A bare `f64` in ns where Chrome's trace format wants µs: every
+    // span in an exported timeline comes out 1000x too long.
+    unit_slip_in_trace_duration_is_caught_by_unit_extract: UnitExtract in "crates/simtime/src/trace.rs",
+        "s.duration.as_us()," => "s.duration.as_ns(),";
+
     // Rendering a host-clock reading into a table cell makes the table
     // bytes differ from run to run.
-    wall_clock_timestamp_is_caught_by_nondet_taint: NondetTaint in "crates/core/src/table4.rs",
+    wall_clock_timestamp_is_caught_by_wall_clock: WallClock in "crates/core/src/table4.rs",
         "                CellValue::Text(r.peak.to_string()),\n"
-        => "                CellValue::Text(Instant::now().elapsed().as_nanos().to_string()),\n";
+        => "                CellValue::Text(std::time::Instant::now().elapsed().as_nanos().to_string()),\n";
 
-    // A host-clock reading folded into a cell's cache-key digest gives
-    // the same cell a new key on every run: the cache never hits.
-    wall_clock_in_cache_key_is_caught_by_nondet_taint: NondetTaint in "crates/core/src/query.rs",
+    // A host-clock reading folded into a cell's shard hash files the same
+    // cell under a new shard on every run.
+    wall_clock_in_cache_key_is_caught_by_wall_clock: WallClock in "crates/core/src/query.rs",
         "            hash: fnv1a64(canon.as_bytes()),\n"
-        => "            hash: fnv1a64(&Instant::now().elapsed().as_nanos().to_le_bytes()),\n";
+        => "            hash: fnv1a64(&std::time::Instant::now().elapsed().as_nanos().to_le_bytes()),\n";
 
     // Dropping the `value` pair from the canonical query serialization
     // makes two overrides that differ only in value share one cache key.
     unhashed_override_field_is_caught_by_key_coverage: KeyCoverage in "crates/core/src/query.rs",
         "                        (\"value\", Json::Num(o.value)),\n" => "";
+
+    // A new override field that `Query::to_json` never renders: two
+    // overrides that differ only in it share one cache key.
+    forgotten_override_field_is_caught_by_key_coverage: KeyCoverage in "crates/core/src/query.rs",
+        "    pub value: f64,\n}\n\nimpl SpecOverride {"
+        => "    pub value: f64,\n    /// Repetitions the override applies to.\n    pub reps: u32,\n}\n\nimpl SpecOverride {";
 
     // A second `.lock()` on the same shard while the first guard is live
     // self-deadlocks (std Mutex is not reentrant).
@@ -183,7 +199,7 @@ seeds! {
 
     // The hot ping-pong loop calls the allocating, non-hot
     // `check_findings`.
-    allocating_helper_in_pingpong_is_caught_by_hot_path_alloc_transitive: HotPathAllocTransitive in "crates/mpisim/src/world.rs",
+    allocating_helper_in_pingpong_is_caught_by_hot_path_alloc: HotPathAlloc in "crates/mpisim/src/world.rs",
         PINGPONG_ENTRY => "let fast = self.fast_forwards();\n        \
                            let _ = self.check_findings();";
 }

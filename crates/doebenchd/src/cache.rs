@@ -5,8 +5,8 @@
 //! digest, campaign digest) — see `doebench::query` — and cell values
 //! are pure functions of exactly those inputs, so an entry, once
 //! computed, is valid forever. The cache therefore has no TTLs and no
-//! wall-clock anywhere (the dessan taint rule bans time sources from
-//! this crate); the only invalidation is *precise* invalidation, which
+//! wall-clock anywhere (the dessan `wall-clock` rule bans time sources
+//! from this crate); the only invalidation is *precise* invalidation, which
 //! happens for free: changing a machine parameter changes that
 //! machine's spec digest, which changes only the keys of cells that
 //! depend on it, so the stale entries are simply never addressed again.
