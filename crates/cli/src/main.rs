@@ -29,7 +29,7 @@ use doebench::{experiments, figures, Campaign};
 const FULL: Flag = Flag::bool("full", "run the paper's 100-repetition protocol");
 const CHECK: Flag = Flag::bool(
     "check",
-    "run the happens-before sanitizer (DOEBENCH_CHECK=1); exit 1 on findings",
+    "run the happens-before sanitizer; exit 1 on findings",
 );
 const JOBS: Flag = Flag::uint("jobs", "N", 1, "worker threads (default: all cores)");
 
@@ -41,7 +41,8 @@ const JSON: Flag = Flag::excl("json", "render as canonical JSON", &["md", "csv"]
 const BASE: [Flag; 3] = [FULL, CHECK, JOBS];
 const TABLE_FLAGS: [Flag; 6] = [FULL, CHECK, JOBS, MD, CSV, JSON];
 const TEXT_FLAGS: [Flag; 5] = [FULL, CHECK, JOBS, MD, CSV];
-// For text commands whose output the repetition protocol does not change.
+// For commands whose output the repetition protocol does not change.
+const FIXED_BASE: [Flag; 2] = [CHECK, JOBS];
 const FIXED_TEXT_FLAGS: [Flag; 4] = [CHECK, JOBS, MD, CSV];
 
 /// All subcommands, in help order.
@@ -98,7 +99,6 @@ const COMMANDS: &[CmdSpec] = &[
         positionals: "",
         about: "system inventory (Tables 2-3)",
         flags: &[
-            FULL,
             CHECK,
             JOBS,
             MD,
@@ -112,7 +112,6 @@ const COMMANDS: &[CmdSpec] = &[
         positionals: "",
         about: "software environments (Tables 8-9)",
         flags: &[
-            FULL,
             CHECK,
             JOBS,
             MD,
@@ -126,7 +125,6 @@ const COMMANDS: &[CmdSpec] = &[
         positionals: "<1|2|3>",
         about: "node diagrams (Figures 1-3)",
         flags: &[
-            FULL,
             CHECK,
             JOBS,
             Flag::bool("dot", "emit Graphviz instead of ASCII"),
@@ -136,7 +134,7 @@ const COMMANDS: &[CmdSpec] = &[
         name: "explain",
         positionals: "[machine]",
         about: "the model algebra behind a row",
-        flags: &BASE,
+        flags: &FIXED_BASE,
     },
     CmdSpec {
         name: "sweep",
@@ -156,7 +154,6 @@ const COMMANDS: &[CmdSpec] = &[
         positionals: "[machine]",
         about: "chrome://tracing timeline of a run",
         flags: &[
-            FULL,
             CHECK,
             JOBS,
             Flag::string("out", "PATH", "write the JSON timeline here"),
@@ -258,7 +255,7 @@ fn main() {
     }
     let p = args::parse(spec, &argv[1..]).unwrap_or_else(|e| die(&e));
 
-    let checked = p.has("check") || std::env::var("DOEBENCH_CHECK").is_ok_and(|v| v == "1");
+    let checked = p.has("check");
     if checked {
         // Must happen before any world is constructed: runtimes snapshot
         // the flag at creation time.
@@ -794,7 +791,7 @@ fn print_help() {
         "\ncommon flags:\n\
          \x20 --full        run the paper's 100-repetition protocol\n\
          \x20 --jobs N      worker threads (default: all cores; DOEBENCH_JOBS env)\n\
-         \x20 --check       run the happens-before sanitizer (DOEBENCH_CHECK=1 env);\n\
+         \x20 --check       run the happens-before sanitizer;\n\
          \x20               exits 1 on any race/deadlock/leak finding\n\
          \x20 --md | --csv | --json   alternative table renderings\n\n\
          `doebench <command> --help` prints that command's generated usage."

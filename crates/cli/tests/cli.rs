@@ -131,7 +131,18 @@ fn unknown_flag_prints_generated_usage() {
 
 #[test]
 fn full_is_an_unknown_flag_where_the_protocol_changes_nothing() {
-    for cmd in ["table1", "internode", "collectives", "native", "latency"] {
+    for cmd in [
+        "table1",
+        "internode",
+        "collectives",
+        "native",
+        "latency",
+        "machines",
+        "env",
+        "figure",
+        "explain",
+        "trace",
+    ] {
         let (stdout, stderr, ok) = doebench(&[cmd, "--full"]);
         assert!(!ok, "{cmd} accepted --full");
         assert!(stdout.is_empty(), "{cmd}: {stdout}");
@@ -200,5 +211,28 @@ fn internode_output_is_pinned() {
                 "stderr moved: {got:#018x} {stderr}"
             );
         }
+    }
+}
+
+/// FNV-1a 64 digests of `doebench trace <m>`'s Chrome JSON for every
+/// accelerator machine in the catalog: span names, tracks and the µs
+/// `ts`/`dur` of every simulated launch and copy.
+#[test]
+fn trace_output_is_pinned() {
+    use doebench::query::fnv1a64;
+    for (machine, want) in [
+        ("Frontier", 0x0d0e089a06e4358a),
+        ("Summit", 0xc9b329fe8901668b),
+        ("Sierra", 0x0aadd134670fd748),
+        ("Perlmutter", 0x63e2857688f50f0b),
+        ("Polaris", 0x1f55d38e29ee5ec7),
+        ("Lassen", 0xcbe15f2171e7f2de),
+        ("RZVernal", 0x264df8265d24b313),
+        ("Tioga", 0xdb2a061fa222e136),
+    ] {
+        let (stdout, stderr, ok) = doebench(&["trace", machine]);
+        assert!(ok, "{machine}: {stderr}");
+        let got = fnv1a64(stdout.as_bytes());
+        assert_eq!(got, want, "{machine} trace moved: {got:#018x}");
     }
 }

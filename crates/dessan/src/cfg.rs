@@ -1,79 +1,61 @@
-//! Intraprocedural control-flow graphs over the lexed token stream.
+//! Control flow of one function body, for the lock-order must-analysis.
 //!
-//! dessan has no type information and no real parser, so the CFG is built
-//! the same way the rest of the static half works: structurally, from the
-//! code tokens of one function body ([`crate::items::FnItem::body_tokens`]).
+//! dessan has no type information and no real parser, so control flow is
+//! read the same way the rest of the static half works: structurally, from
+//! the code tokens of one function body ([`crate::items::FnItem::body_tokens`]).
 //! A small recursive-descent pass groups the tokens into a statement tree
 //! (`if`/`else`, `match` arms with guards, `while`/`for`/`loop`, `return`/
-//! `break`/`continue`, nested blocks), which is then lowered to basic
-//! blocks:
+//! `break`/`continue`, nested blocks), and [`walk`] runs over that tree
+//! once, carrying the facts that hold on every path:
 //!
-//! * **entry** — block 0, where execution starts.
-//! * **exit** — the normal-return node; `return` statements and the body's
-//!   fall-through both edge here.
-//! * **abort** — the early-error node; every statement containing a `?`
-//!   operator gets an edge here, so the facts at exit describe normal
-//!   returns only.
+//! * `if` and `match` branches meet by intersection;
+//! * `return` ends its path, and so does a `break`/`continue` outside any
+//!   loop;
+//! * every loop body runs exactly once — no back edge, no zero-trip
+//!   bypass — and the code after the loop starts from the meet of the
+//!   body's fall-through and every `break`/`continue` inside it.
 //!
-//! Every loop body is modelled as executing exactly once: no back edge,
-//! no zero-trip bypass, and `continue` edges to the block after the loop.
-//! The CFG's one client, the lock-order must-analysis ([`crate::locks`]),
-//! needs this shape: a guard bound inside a loop body is released at the
-//! end of each iteration, which its held-set facts do not model, so a back
-//! edge would report the next iteration's acquisition as a double-lock.
-//! This trades a class of false positives for a (documented) class of
-//! false negatives — dessan's usual stance.
+//! The walk's one client, the lock-order analysis ([`crate::locks`]),
+//! needs the run-once loop: a guard bound inside a loop body is released
+//! at the end of each iteration, which its facts do not model, so a
+//! second trip would report the next iteration's acquisition as a
+//! double-lock. This trades a class of false positives for a (documented)
+//! class of false negatives — dessan's usual stance. A `?` is part of its
+//! statement: nothing is checked on the early-error path.
 //!
 //! Known approximations, all deliberate: struct literals and block
-//! expressions inside a statement are lowered as inline blocks (no false
-//! edges, some lost assignment structure); `let x = if … { a } else { b };`
-//! loses the binding of `x` (the branches are still analyzed); nested
+//! expressions inside a statement are walked as inline blocks (no false
+//! paths, some lost assignment structure); `let x = if … { a } else { b };`
+//! loses the binding of `x` (the branches are still walked); nested
 //! `fn`/`struct`/`impl` items inside a body are skipped entirely (they are
 //! parsed as their own [`crate::items::FnItem`]s).
 
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 use crate::lex::{TokKind, Token};
 
-/// One step inside a basic block, in execution order. Token indices point
-/// into the *file* token stream the CFG was built from.
-#[derive(Clone, Debug)]
-pub enum Step {
+/// One step of a body, in execution order. Token indices point into the
+/// *file* token stream the body was parsed from.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Step<'a> {
     /// A run of plain code tokens — one statement or statement fragment.
-    Code(Vec<usize>),
+    Code(&'a [usize]),
     /// A destructuring bind: the pattern's identifiers receive the source
-    /// expression's value (`match` arm, `for pat in expr`, `if let`).
+    /// expression's value (`match` arm, `for pat in expr`, `if let`,
+    /// `while let`).
     Bind {
         /// Pattern tokens (guard excluded).
-        pattern: Vec<usize>,
+        pattern: &'a [usize],
         /// Source expression tokens (scrutinee / iterated expression).
-        source: Vec<usize>,
+        source: &'a [usize],
     },
 }
 
-/// A basic block: straight-line steps plus successor edges.
-#[derive(Clone, Debug, Default)]
-pub struct Block {
-    /// Steps in execution order.
-    pub steps: Vec<Step>,
-    /// Successor block ids (deduplicated).
-    pub succs: Vec<usize>,
-}
+/// Name → value bindings that hold on every path to a point.
+pub(crate) type Facts = BTreeMap<String, String>;
 
-/// An intraprocedural control-flow graph.
-#[derive(Clone, Debug)]
-pub struct Cfg {
-    /// All blocks; `blocks[entry]` is where execution starts.
-    pub blocks: Vec<Block>,
-    /// Entry block id (always 0).
-    pub entry: usize,
-    /// Normal-exit block id (no steps, no successors).
-    pub exit: usize,
-    /// Early-error exit (`?` paths) block id.
-    pub abort: usize,
-}
-
-/// The parsed statement tree, internal to the builder.
+/// The parsed statement tree.
 enum Stmt {
     Straight(Vec<usize>),
     If {
@@ -91,8 +73,9 @@ enum Stmt {
         body: Vec<Stmt>,
     },
     Return(Vec<usize>),
+    /// `break` or `continue`: either leaves the once-run body for the code
+    /// after the loop.
     Break,
-    Continue,
     Block(Vec<Stmt>),
 }
 
@@ -105,11 +88,8 @@ struct Arm {
 enum LoopHeader {
     Infinite,
     While(Vec<usize>),
-    WhileLet {
-        pattern: Vec<usize>,
-        source: Vec<usize>,
-    },
-    For {
+    /// `while let PAT = SRC` or `for PAT in SRC`.
+    Bind {
         pattern: Vec<usize>,
         source: Vec<usize>,
     },
@@ -174,14 +154,10 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
                 let (toks, _) = self.scan_straight();
                 out.push(Stmt::Return(toks));
-            } else if self.at_kw("break") {
+            } else if self.at_kw("break") || self.at_kw("continue") {
                 self.pos += 1;
                 let _ = self.scan_straight();
                 out.push(Stmt::Break);
-            } else if self.at_kw("continue") {
-                self.pos += 1;
-                let _ = self.scan_straight();
-                out.push(Stmt::Continue);
             } else if self.at_kw("unsafe")
                 && self.pos + 1 < self.len()
                 && self.txt(self.pos + 1) == "{"
@@ -385,14 +361,10 @@ impl<'a> Parser<'a> {
         } else if self.at_kw("return") {
             self.pos += 1;
             vec![Stmt::Return(self.scan_arm_expr())]
-        } else if self.at_kw("break") {
+        } else if self.at_kw("break") || self.at_kw("continue") {
             self.pos += 1;
             let _ = self.scan_arm_expr();
             vec![Stmt::Break]
-        } else if self.at_kw("continue") {
-            self.pos += 1;
-            let _ = self.scan_arm_expr();
-            vec![Stmt::Continue]
         } else {
             let toks = self.scan_arm_expr();
             if toks.is_empty() {
@@ -437,7 +409,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
                 let pattern = self.scan_pattern_to_eq();
                 let source = self.scan_cond();
-                LoopHeader::WhileLet { pattern, source }
+                LoopHeader::Bind { pattern, source }
             } else {
                 LoopHeader::While(self.scan_cond())
             }
@@ -462,7 +434,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
             let source = self.scan_cond();
-            LoopHeader::For { pattern, source }
+            LoopHeader::Bind { pattern, source }
         };
         self.expect_open_brace();
         let body = self.parse_stmts();
@@ -506,171 +478,17 @@ impl<'a> Parser<'a> {
     }
 }
 
-struct Lower<'a> {
-    src: &'a str,
-    tokens: &'a [Token],
-    blocks: Vec<Block>,
-    exit: usize,
-    abort: usize,
-}
-
-impl<'a> Lower<'a> {
-    fn nb(&mut self) -> usize {
-        self.blocks.push(Block::default());
-        self.blocks.len() - 1
-    }
-
-    fn edge(&mut self, from: usize, to: usize) {
-        if !self.blocks[from].succs.contains(&to) {
-            self.blocks[from].succs.push(to);
-        }
-    }
-
-    fn has_try(&self, toks: &[usize]) -> bool {
-        toks.iter()
-            .any(|&t| self.tokens[t].kind == TokKind::Punct && self.tokens[t].text(self.src) == "?")
-    }
-
-    /// Lower a statement list starting in `cur`; returns the block where
-    /// control continues.
-    fn stmts(&mut self, stmts: &[Stmt], mut cur: usize, loops: &mut Vec<usize>) -> usize {
-        for s in stmts {
-            cur = self.stmt(s, cur, loops);
-        }
-        cur
-    }
-
-    fn stmt(&mut self, s: &Stmt, cur: usize, loops: &mut Vec<usize>) -> usize {
-        match s {
-            Stmt::Straight(toks) => {
-                let has_try = self.has_try(toks);
-                self.blocks[cur].steps.push(Step::Code(toks.clone()));
-                if has_try {
-                    self.edge(cur, self.abort);
-                    let n = self.nb();
-                    self.edge(cur, n);
-                    n
-                } else {
-                    cur
-                }
-            }
-            Stmt::Return(toks) => {
-                if !toks.is_empty() {
-                    if self.has_try(toks) {
-                        self.edge(cur, self.abort);
-                    }
-                    self.blocks[cur].steps.push(Step::Code(toks.clone()));
-                }
-                self.edge(cur, self.exit);
-                self.nb()
-            }
-            Stmt::Break | Stmt::Continue => {
-                let to = loops.last().copied().unwrap_or(self.exit);
-                self.edge(cur, to);
-                self.nb()
-            }
-            Stmt::Block(b) => self.stmts(b, cur, loops),
-            Stmt::If {
-                bind,
-                cond,
-                then_b,
-                else_b,
-            } => {
-                if !cond.is_empty() {
-                    if self.has_try(cond) {
-                        self.edge(cur, self.abort);
-                    }
-                    self.blocks[cur].steps.push(Step::Code(cond.clone()));
-                }
-                let then0 = self.nb();
-                self.edge(cur, then0);
-                if let Some(pat) = bind {
-                    self.blocks[then0].steps.push(Step::Bind {
-                        pattern: pat.clone(),
-                        source: cond.clone(),
-                    });
-                }
-                let t_end = self.stmts(then_b, then0, loops);
-                let join = self.nb();
-                self.edge(t_end, join);
-                match else_b {
-                    Some(e) => {
-                        let e0 = self.nb();
-                        self.edge(cur, e0);
-                        let e_end = self.stmts(e, e0, loops);
-                        self.edge(e_end, join);
-                    }
-                    None => self.edge(cur, join),
-                }
-                join
-            }
-            Stmt::Match { scrutinee, arms } => {
-                if !scrutinee.is_empty() {
-                    if self.has_try(scrutinee) {
-                        self.edge(cur, self.abort);
-                    }
-                    self.blocks[cur].steps.push(Step::Code(scrutinee.clone()));
-                }
-                let join = self.nb();
-                if arms.is_empty() {
-                    self.edge(cur, join);
-                }
-                for arm in arms {
-                    let a0 = self.nb();
-                    self.edge(cur, a0);
-                    self.blocks[a0].steps.push(Step::Bind {
-                        pattern: arm.pattern.clone(),
-                        source: scrutinee.clone(),
-                    });
-                    if !arm.guard.is_empty() {
-                        self.blocks[a0].steps.push(Step::Code(arm.guard.clone()));
-                    }
-                    let end = self.stmts(&arm.body, a0, loops);
-                    self.edge(end, join);
-                }
-                join
-            }
-            Stmt::Loop { header, body } => {
-                let head = self.nb();
-                self.edge(cur, head);
-                let after = self.nb();
-                let body0 = self.nb();
-                self.edge(head, body0);
-                match header {
-                    LoopHeader::Infinite => {}
-                    LoopHeader::While(cond) => {
-                        if !cond.is_empty() {
-                            if self.has_try(cond) {
-                                self.edge(head, self.abort);
-                            }
-                            self.blocks[head].steps.push(Step::Code(cond.clone()));
-                        }
-                    }
-                    LoopHeader::WhileLet { pattern, source }
-                    | LoopHeader::For { pattern, source } => {
-                        if self.has_try(source) {
-                            self.edge(head, self.abort);
-                        }
-                        self.blocks[body0].steps.push(Step::Bind {
-                            pattern: pattern.clone(),
-                            source: source.clone(),
-                        });
-                    }
-                }
-                loops.push(after);
-                let end = self.stmts(body, body0, loops);
-                loops.pop();
-                self.edge(end, after);
-                after
-            }
-        }
-    }
-}
-
-/// Build the CFG of one function body. `body` is the token-index range of
-/// the body *braces included* ([`crate::items::FnItem::body_tokens`]);
+/// Walk one function body once, calling `exec` on every step that some
+/// path reaches, in source order, with the facts that hold on every path
+/// to it. `exec` updates the facts in place. `body` is the token-index
+/// range of the body *braces included* ([`crate::items::FnItem::body_tokens`]);
 /// pass the file's full source and token stream.
-pub fn build(src: &str, tokens: &[Token], body: Range<usize>) -> Cfg {
+pub(crate) fn walk(
+    src: &str,
+    tokens: &[Token],
+    body: Range<usize>,
+    exec: impl FnMut(Step<'_>, &mut Facts),
+) {
     let mut code: Vec<usize> = body.filter(|&i| tokens[i].kind.is_code()).collect();
     if code.first().is_some_and(|&i| tokens[i].text(src) == "{") {
         code.remove(0);
@@ -685,21 +503,113 @@ pub fn build(src: &str, tokens: &[Token], body: Range<usize>) -> Cfg {
         pos: 0,
     };
     let stmts = parser.parse_stmts();
-
-    let mut lw = Lower {
-        src,
-        tokens,
-        blocks: vec![Block::default(), Block::default(), Block::default()],
-        exit: 1,
-        abort: 2,
+    let mut walker = Walker {
+        exec,
+        loop_exits: Vec::new(),
     };
-    let end = lw.stmts(&stmts, 0, &mut Vec::new());
-    lw.edge(end, 1);
-    Cfg {
-        blocks: lw.blocks,
-        entry: 0,
-        exit: 1,
-        abort: 2,
+    walker.stmts(&stmts, Some(Facts::new()));
+}
+
+/// The facts on two paths into one point; `None` is a path that has
+/// diverged (returned, broken out) and constrains nothing.
+fn meet(a: Option<Facts>, b: Option<Facts>) -> Option<Facts> {
+    match (a, b) {
+        (Some(mut a), Some(b)) => {
+            a.retain(|k, v| b.get(k) == Some(v));
+            Some(a)
+        }
+        (a, b) => a.or(b),
+    }
+}
+
+struct Walker<F> {
+    exec: F,
+    /// Per enclosing loop, innermost last: the meet of every
+    /// `break`/`continue` state seen so far in its body.
+    loop_exits: Vec<Option<Facts>>,
+}
+
+impl<F: FnMut(Step<'_>, &mut Facts)> Walker<F> {
+    /// Walk a statement list from `at`; returns the facts on its
+    /// fall-through (`None` once every path has diverged).
+    fn stmts(&mut self, stmts: &[Stmt], mut at: Option<Facts>) -> Option<Facts> {
+        for s in stmts {
+            at = self.stmt(s, at?);
+        }
+        at
+    }
+
+    fn code(&mut self, toks: &[usize], facts: &mut Facts) {
+        if !toks.is_empty() {
+            (self.exec)(Step::Code(toks), facts);
+        }
+    }
+
+    fn bind(&mut self, pattern: &[usize], source: &[usize], facts: &mut Facts) {
+        (self.exec)(Step::Bind { pattern, source }, facts);
+    }
+
+    fn stmt(&mut self, s: &Stmt, mut facts: Facts) -> Option<Facts> {
+        match s {
+            Stmt::Straight(toks) => {
+                self.code(toks, &mut facts);
+                Some(facts)
+            }
+            Stmt::Return(toks) => {
+                self.code(toks, &mut facts);
+                None
+            }
+            Stmt::Break => {
+                if let Some(exit) = self.loop_exits.last_mut() {
+                    *exit = meet(exit.take(), Some(facts));
+                }
+                None
+            }
+            Stmt::Block(b) => self.stmts(b, Some(facts)),
+            Stmt::If {
+                bind,
+                cond,
+                then_b,
+                else_b,
+            } => {
+                self.code(cond, &mut facts);
+                let mut then_facts = facts.clone();
+                if let Some(pattern) = bind {
+                    self.bind(pattern, cond, &mut then_facts);
+                }
+                let then_end = self.stmts(then_b, Some(then_facts));
+                let else_end = match else_b {
+                    Some(e) => self.stmts(e, Some(facts)),
+                    None => Some(facts),
+                };
+                meet(then_end, else_end)
+            }
+            Stmt::Match { scrutinee, arms } => {
+                self.code(scrutinee, &mut facts);
+                if arms.is_empty() {
+                    return Some(facts);
+                }
+                let mut end = None;
+                for arm in arms {
+                    let mut arm_facts = facts.clone();
+                    self.bind(&arm.pattern, scrutinee, &mut arm_facts);
+                    self.code(&arm.guard, &mut arm_facts);
+                    end = meet(end, self.stmts(&arm.body, Some(arm_facts)));
+                }
+                end
+            }
+            Stmt::Loop { header, body } => {
+                match header {
+                    LoopHeader::Infinite => {}
+                    LoopHeader::While(cond) => self.code(cond, &mut facts),
+                    LoopHeader::Bind { pattern, source } => self.bind(pattern, source, &mut facts),
+                }
+                self.loop_exits.push(None);
+                let end = self.stmts(body, Some(facts));
+                let exits = self.loop_exits.pop().flatten();
+                meet(end, exits)
+            }
+        }
     }
 }
 
@@ -708,209 +618,168 @@ mod tests {
     use super::*;
     use crate::items::parse_source;
 
-    fn cfg_of(src: &str) -> (Cfg, String, Vec<Token>) {
+    /// Walk the first fn of `src`. Every step adds its own text as a
+    /// fact; returns each step's text with the facts held when it ran.
+    fn trace(src: &str) -> Vec<(String, Vec<String>)> {
         let (tokens, items) = parse_source(src);
-        let f = &items.fns[0];
-        let cfg = build(src, &tokens, f.body_tokens.clone());
-        (cfg, src.to_string(), tokens)
+        let text = |ts: &[usize]| {
+            ts.iter()
+                .map(|&t| tokens[t].text(src))
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        let mut out = Vec::new();
+        walk(
+            src,
+            &tokens,
+            items.fns[0].body_tokens.clone(),
+            |step, facts| {
+                let s = match step {
+                    Step::Code(ts) => text(ts),
+                    Step::Bind { pattern, source } => {
+                        format!("bind[{}]<-[{}]", text(pattern), text(source))
+                    }
+                };
+                out.push((s.clone(), facts.keys().cloned().collect()));
+                facts.insert(s.clone(), s);
+            },
+        );
+        out
     }
 
-    /// Render each block's steps as text for assertions.
-    fn step_texts(cfg: &Cfg, src: &str, tokens: &[Token]) -> Vec<Vec<String>> {
-        cfg.blocks
-            .iter()
-            .map(|b| {
-                b.steps
-                    .iter()
-                    .map(|s| match s {
-                        Step::Code(ts) => ts
-                            .iter()
-                            .map(|&t| tokens[t].text(src))
-                            .collect::<Vec<_>>()
-                            .join(" "),
-                        Step::Bind { pattern, source } => format!(
-                            "bind[{}]<-[{}]",
-                            pattern
-                                .iter()
-                                .map(|&t| tokens[t].text(src))
-                                .collect::<Vec<_>>()
-                                .join(" "),
-                            source
-                                .iter()
-                                .map(|&t| tokens[t].text(src))
-                                .collect::<Vec<_>>()
-                                .join(" ")
-                        ),
-                    })
-                    .collect()
-            })
-            .collect()
+    fn steps(trace: &[(String, Vec<String>)]) -> Vec<&str> {
+        trace.iter().map(|(s, _)| s.as_str()).collect()
     }
 
-    /// Every block reachable from entry can reach exit or abort.
-    fn check_well_formed(cfg: &Cfg) {
-        assert!(cfg.entry < cfg.blocks.len());
-        for b in &cfg.blocks {
-            for &s in &b.succs {
-                assert!(s < cfg.blocks.len());
-            }
-        }
-        assert!(cfg.blocks[cfg.exit].succs.is_empty());
-        assert!(cfg.blocks[cfg.abort].succs.is_empty());
+    /// The facts held when the step with text `step` ran.
+    fn held_at<'t>(trace: &'t [(String, Vec<String>)], step: &str) -> &'t [String] {
+        let found = trace.iter().find(|(s, _)| s == step);
+        &found
+            .unwrap_or_else(|| panic!("no step `{step}` in {trace:?}"))
+            .1
     }
 
     #[test]
     fn straight_line_fn_is_one_block() {
-        let (cfg, src, toks) = cfg_of("fn f() { let a = 1; let b = a + 1; }");
-        check_well_formed(&cfg);
-        let steps = step_texts(&cfg, &src, &toks);
-        assert_eq!(steps[cfg.entry], vec!["let a = 1", "let b = a + 1"]);
-        assert_eq!(cfg.blocks[cfg.entry].succs, vec![cfg.exit]);
+        let t = trace("fn f() { let a = 1; let b = a + 1; }");
+        assert_eq!(steps(&t), ["let a = 1", "let b = a + 1"]);
+        assert_eq!(held_at(&t, "let b = a + 1"), ["let a = 1"]);
     }
 
     #[test]
     fn if_else_diamond() {
-        let (cfg, src, toks) =
-            cfg_of("fn f(c: bool) { before(); if c { t(); } else { e(); } after(); }");
-        check_well_formed(&cfg);
-        let steps = step_texts(&cfg, &src, &toks);
-        // entry: before + cond, two succs.
-        assert_eq!(steps[cfg.entry], vec!["before ( )", "c"]);
-        assert_eq!(cfg.blocks[cfg.entry].succs.len(), 2);
-        // Both branches converge on a join that runs `after()`.
-        let join = cfg.blocks[cfg.blocks[cfg.entry].succs[0]].succs[0];
-        assert_eq!(steps[join], vec!["after ( )"]);
-        assert_eq!(cfg.blocks[join].succs, vec![cfg.exit]);
+        let t = trace("fn f(c: bool) { before(); if c { t(); } else { e(); } after(); }");
+        assert_eq!(
+            steps(&t),
+            ["before ( )", "c", "t ( )", "e ( )", "after ( )"]
+        );
+        // Both branches start from the condition and meet at `after()`,
+        // which keeps only what both established.
+        assert_eq!(held_at(&t, "e ( )"), ["before ( )", "c"]);
+        assert_eq!(held_at(&t, "after ( )"), ["before ( )", "c"]);
     }
 
     #[test]
     fn if_without_else_bypasses() {
-        let (cfg, _, _) = cfg_of("fn f(c: bool) { if c { t(); } done(); }");
-        check_well_formed(&cfg);
-        // Entry branches to then-block and directly to join.
-        assert_eq!(cfg.blocks[cfg.entry].succs.len(), 2);
+        let t = trace("fn f(c: bool) { if c { t(); } done(); }");
+        assert_eq!(held_at(&t, "done ( )"), ["c"]);
     }
 
     #[test]
     fn early_return_edges_to_exit() {
-        let (cfg, src, toks) = cfg_of("fn f(c: bool) -> u32 { if c { return 1; } 2 }");
-        check_well_formed(&cfg);
-        let steps = step_texts(&cfg, &src, &toks);
-        // The then-branch edges straight to exit.
-        let then0 = cfg.blocks[cfg.entry].succs[0];
-        assert!(cfg.blocks[then0].succs.contains(&cfg.exit));
-        assert_eq!(steps[then0], vec!["1"]);
+        let t = trace("fn f(c: bool) -> u32 { if c { t(); return 1; } else { e(); } after(); 2 }");
+        assert_eq!(steps(&t), ["c", "t ( )", "1", "e ( )", "after ( )", "2"]);
+        // The returning branch constrains nothing after the `if`.
+        assert_eq!(held_at(&t, "after ( )"), ["c", "e ( )"]);
     }
 
     #[test]
-    fn question_mark_edges_to_abort() {
-        let (cfg, _, _) = cfg_of("fn f() -> Result<(), E> { step()?; done(); Ok(()) }");
-        check_well_formed(&cfg);
-        assert!(cfg.blocks[cfg.entry].succs.contains(&cfg.abort));
-        // Fall-through continues to a successor that reaches exit.
-        assert!(cfg.blocks[cfg.entry].succs.len() == 2);
+    fn question_mark_stays_in_its_statement() {
+        let t = trace("fn f() -> Result<(), E> { step()?; done(); Ok(()) }");
+        assert_eq!(steps(&t), ["step ( ) ?", "done ( )", "Ok ( ( ) )"]);
+        assert_eq!(held_at(&t, "done ( )"), ["step ( ) ?"]);
     }
 
     #[test]
     fn exactly_once_loop_has_no_back_edge() {
-        let (cfg, _, _) = cfg_of("fn f(xs: &[u32]) { for x in xs { use_it(x); } done(); }");
-        check_well_formed(&cfg);
-        let head = cfg.blocks[cfg.entry].succs[0];
-        // Head has exactly one successor: the body; the body flows to
-        // after, never back.
-        assert_eq!(cfg.blocks[head].succs.len(), 1);
-        let body0 = cfg.blocks[head].succs[0];
-        assert!(!cfg.blocks[body0].succs.contains(&head));
+        let t = trace("fn f(xs: &[u32]) { for x in xs { use_it(x); } done(); }");
+        // Each step runs once, and the body never sees its own facts.
+        assert_eq!(steps(&t), ["bind[x]<-[xs]", "use_it ( x )", "done ( )"]);
+        assert_eq!(held_at(&t, "use_it ( x )"), ["bind[x]<-[xs]"]);
+        assert_eq!(held_at(&t, "done ( )"), ["bind[x]<-[xs]", "use_it ( x )"]);
     }
 
     #[test]
     fn for_pattern_becomes_a_bind_step() {
-        let (cfg, src, toks) = cfg_of("fn f(m: &M) { for (k, v) in m.items { use_it(k, v); } }");
-        let steps = step_texts(&cfg, &src, &toks);
-        assert!(
-            steps
-                .iter()
-                .flatten()
-                .any(|s| s == "bind[( k , v )]<-[m . items]"),
-            "{steps:?}"
-        );
+        let t = trace("fn f(m: &M) { for (k, v) in m.items { use_it(k, v); } }");
+        assert_eq!(steps(&t)[0], "bind[( k , v )]<-[m . items]");
     }
 
     #[test]
     fn match_arms_bind_the_scrutinee_and_keep_guards() {
-        let (cfg, src, toks) = cfg_of("fn f(x: Option<u32>) -> u32 { match x { Some(v) if v > 2 => v, Some(v) => 0, None => 1, } }");
-        check_well_formed(&cfg);
-        let steps = step_texts(&cfg, &src, &toks);
-        assert!(steps.iter().flatten().any(|s| s == "bind[Some ( v )]<-[x]"));
-        assert!(steps.iter().flatten().any(|s| s == "v > 2"));
-        // Three arms -> entry has three successors.
-        assert_eq!(cfg.blocks[cfg.entry].succs.len(), 3);
+        let t = trace("fn f(x: Option<u32>) -> u32 { match x { Some(v) if v > 2 => v, Some(v) => 0, None => 1, } after() }");
+        assert_eq!(
+            steps(&t),
+            [
+                "x",
+                "bind[Some ( v )]<-[x]",
+                "v > 2",
+                "v",
+                "bind[Some ( v )]<-[x]",
+                "0",
+                "bind[None]<-[x]",
+                "1",
+                "after ( )",
+            ]
+        );
+        // Each arm starts from the scrutinee alone; the arms meet after.
+        assert_eq!(held_at(&t, "bind[None]<-[x]"), ["x"]);
+        assert_eq!(held_at(&t, "after ( )"), ["x"]);
     }
 
     #[test]
     fn one_line_fn_parses() {
-        let (cfg, src, toks) = cfg_of("fn f() -> u32 { g() }");
-        check_well_formed(&cfg);
-        let steps = step_texts(&cfg, &src, &toks);
-        assert_eq!(steps[cfg.entry], vec!["g ( )"]);
+        assert_eq!(steps(&trace("fn f() -> u32 { g() }")), ["g ( )"]);
     }
 
     #[test]
     fn break_and_continue_edges() {
-        let (cfg, _, _) = cfg_of("fn f() { loop { if done() { break; } continue; } after(); }");
-        check_well_formed(&cfg);
-        // `loop` has no zero-trip edge: `after()` is only reachable via
-        // the break edge.
-        let after_blk = (0..cfg.blocks.len())
-            .find(|&b| !cfg.blocks[b].steps.is_empty() && cfg.blocks[b].succs == vec![cfg.exit])
-            .unwrap();
-        assert!(cfg.blocks.iter().any(|b| b.succs.contains(&after_blk)));
+        let t =
+            trace("fn f(c: bool) { loop { a(); if c { b(); break; } d(); continue; } after(); }");
+        // `after()` starts from the meet of the `break` and `continue`
+        // states; the body's fall-through after `continue` is dead.
+        assert_eq!(held_at(&t, "after ( )"), ["a ( )", "c"]);
     }
 
     #[test]
     fn while_let_binds_each_iteration() {
-        let (cfg, src, toks) =
-            cfg_of("fn f(it: &mut I) { while let Some(x) = it.next() { use_it(x); } }");
-        let steps = step_texts(&cfg, &src, &toks);
-        assert!(steps
-            .iter()
-            .flatten()
-            .any(|s| s == "bind[Some ( x )]<-[it . next ( )]"));
+        let t = trace("fn f(it: &mut I) { while let Some(x) = it.next() { use_it(x); } }");
+        assert_eq!(steps(&t)[0], "bind[Some ( x )]<-[it . next ( )]");
     }
 
     #[test]
     fn nested_fn_items_are_skipped() {
-        let (cfg, src, toks) = cfg_of("fn outer() { fn inner() { hidden(); } visible(); }");
-        let steps = step_texts(&cfg, &src, &toks);
-        let all: Vec<_> = steps.iter().flatten().collect();
-        assert!(all.iter().any(|s| s.contains("visible")));
-        assert!(!all.iter().any(|s| s.contains("hidden")), "{all:?}");
+        let t = trace("fn outer() { fn inner() { hidden(); } visible(); }");
+        assert_eq!(steps(&t), ["visible ( )"]);
     }
 
     #[test]
     fn struct_literal_brace_does_not_derail() {
-        let (cfg, src, toks) = cfg_of("fn f() { let p = Point { x: 1, y: 2 }; use_it(p); }");
-        check_well_formed(&cfg);
-        let steps = step_texts(&cfg, &src, &toks);
-        let all: Vec<_> = steps.iter().flatten().collect();
-        assert!(all.iter().any(|s| s.contains("use_it")), "{all:?}");
+        let t = trace("fn f() { let p = Point { x: 1, y: 2 }; use_it(p); }");
+        assert!(steps(&t).contains(&"use_it ( p )"), "{t:?}");
     }
 
     #[test]
     fn closure_bodies_stay_inline() {
-        let (cfg, src, toks) = cfg_of("fn f(xs: &[u32]) -> u32 { xs.iter().map(|x| x + 1).sum() }");
-        check_well_formed(&cfg);
-        let steps = step_texts(&cfg, &src, &toks);
-        assert_eq!(steps[cfg.entry].len(), 1);
+        let t = trace("fn f(xs: &[u32]) -> u32 { xs.iter().map(|x| x + 1).sum() }");
+        assert_eq!(t.len(), 1, "{t:?}");
     }
 
     #[test]
     fn let_else_keeps_divergent_block() {
-        let (cfg, src, toks) =
-            cfg_of("fn f(x: Option<u32>) -> u32 { let Some(v) = x else { return 0; }; v }");
-        check_well_formed(&cfg);
-        let steps = step_texts(&cfg, &src, &toks);
-        let all: Vec<_> = steps.iter().flatten().collect();
-        assert!(all.iter().any(|s| s.contains("0")), "{all:?}");
+        let t = trace("fn f(x: Option<u32>) -> u32 { let Some(v) = x else { return 0; }; v }");
+        // The else block is walked inline, so its `return` ends the path:
+        // the tail `v` is never reached.
+        assert_eq!(steps(&t), ["let Some ( v ) = x else", "0"]);
     }
 }

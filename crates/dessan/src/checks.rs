@@ -1,6 +1,6 @@
 //! The dynamic sanitizer harness: a [`RuntimeChecks`] handle the simulated
 //! runtimes thread through their operations, plus the [`AccessHistory`]
-//! race detector built on [`VectorClock`](crate::VectorClock).
+//! race detector built on [`VectorClock`].
 //!
 //! The handle is deliberately passive — it never perturbs simulated time
 //! or consumes randomness, so a `--check` run renders byte-identical
@@ -14,7 +14,7 @@ use std::sync::Mutex;
 use crate::vc::VectorClock;
 
 /// Process-global switch consulted by runtime constructors. Set from the
-/// CLI (`--check` / `DOEBENCH_CHECK=1`) before any world is built.
+/// CLI (`--check`) before any world is built.
 static CHECKS_ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Process-global findings sink, flushed by [`RuntimeChecks::drop`].

@@ -26,24 +26,22 @@
 //!    sets, read both by the hot-path-alloc rule and by the check of
 //!    declared `// doebench::effects(...)` contracts), lock-order/condvar
 //!    protocol checking ([`locks`]: double-lock, global acquisition-order
-//!    cycles, guard-across-wait, wait-outside-loop, over an
-//!    intraprocedural CFG ([`cfg`]) and worklist solver ([`dataflow`])),
-//!    and cache-key field-coverage proofs ([`keycov`]: every field of the
-//!    key structs must flow into the canonical key derivation).
+//!    cycles, guard-across-wait, wait-outside-loop, by one must-held walk
+//!    over each body's statement tree), and cache-key field-coverage
+//!    proofs ([`keycov`]: every field of the key structs must flow into
+//!    the canonical key derivation).
 //!
 //! 2. **Dynamic happens-before sanitizer** ([`checks`], [`vc`]): vector
 //!    clocks attached to ompsim threads, mpisim ranks, and gpurt
 //!    host/streams, joined on the runtimes' synchronization operations.
 //!    Conflicting buffer accesses without a happens-before edge are
 //!    reported as races; rendezvous send cycles are reported as deadlocks.
-//!    Enabled by `doebench --check` or `DOEBENCH_CHECK=1`; checks observe
-//!    without perturbing simulated time, so checked runs render
-//!    byte-identical tables.
+//!    Enabled by `doebench --check`; checks observe without perturbing
+//!    simulated time, so checked runs render byte-identical tables.
 
 pub mod callgraph;
-pub mod cfg;
+mod cfg;
 pub mod checks;
-pub mod dataflow;
 pub mod effects;
 pub mod items;
 pub mod keycov;

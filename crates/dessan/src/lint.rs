@@ -26,8 +26,8 @@
 //! (`SimDuration`, `doe_machines::units`), so only the extraction to a
 //! non-canonical `f64` needs a rule. `hot-path-alloc` and
 //! `effect-contract` read one interprocedural fixpoint over the call
-//! graph (the effect summaries), `lock-order` is a must-hold dataflow
-//! over guard bindings ([`crate::cfg`] + [`crate::dataflow`]), and
+//! graph (the effect summaries), `lock-order` is a must-hold walk over
+//! each body's statement tree ([`crate::locks`]), and
 //! `key-coverage` a structural proof over struct definitions and the
 //! canonical serialization functions.
 //!

@@ -13,15 +13,15 @@
 //! a static mutex is its own owner. Lowercase local receivers
 //! (`s.lock()` inside a per-shard closure) carry no key and are skipped.
 //!
-//! On top of the keys, a forward **must**-analysis over the CFG
-//! ([`crate::cfg`], every loop body run once) tracks which guard
-//! variables are held — only `let`-bound guards count (a temporary like
-//! `s.lock().unwrap().clear()` releases at the end of its statement) and
-//! `drop(guard)` releases. Four checks report under the `lock-order`
-//! rule:
+//! On top of the keys, a forward **must**-analysis walks each body's
+//! statement tree once (`cfg.rs`: branches meet by intersection, every
+//! loop body runs once) and tracks which guard variables are held — only
+//! `let`-bound guards count (a temporary like `s.lock().unwrap().clear()`
+//! releases at the end of its statement) and `drop(guard)` releases. Four
+//! checks report under the `lock-order` rule:
 //!
 //! * **double-lock** — acquiring a key while a guard on the same key is
-//!   held on some path (self-deadlock on a non-reentrant mutex).
+//!   held on every path there (self-deadlock on a non-reentrant mutex).
 //! * **order cycle** — every `acquire B while holding A` adds the edge
 //!   `A → B` to one global acquisition-order graph; an edge on a cycle
 //!   is reported at its own site, with the cycle spelled out.
@@ -39,35 +39,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{body_calls, Call, CallIndex, Node, Recv, WsFile};
-use crate::cfg::{self, Step};
-use crate::dataflow::{self, Lattice};
+use crate::cfg::{self, Facts, Step};
 use crate::items::struct_defs;
 use crate::lex::TokKind;
 use crate::lint::{LintFinding, Rule};
 
-/// Must-held fact: `None` = ⊤ (unvisited), otherwise the set of
-/// guard-variable → lock-key bindings held on *every* path here.
-#[derive(Clone, PartialEq, Debug)]
-struct Held(Option<BTreeMap<String, String>>);
-
-impl Lattice for Held {
-    fn join(&mut self, other: &Self) -> bool {
-        match (&mut self.0, &other.0) {
-            (_, None) => false,
-            (slot @ None, Some(o)) => {
-                *slot = Some(o.clone());
-                true
-            }
-            (Some(s), Some(o)) => {
-                let before = s.len();
-                s.retain(|k, v| o.get(k) == Some(v));
-                s.len() != before
-            }
-        }
-    }
-}
-
-/// One reportable event replayed out of a block.
+/// One reportable event of a walked step.
 enum Event {
     DoubleLock {
         line: usize,
@@ -259,25 +236,21 @@ impl<'a> Resolver<'a> {
     }
 }
 
-/// Replay one step's lock events over a held map.
+/// Apply one step to the must-held guard → key map, reporting its events.
 fn exec_step(
     file: &WsFile,
     resolver: &Resolver<'_>,
     caller: Node,
-    step: &Step,
-    held: &mut BTreeMap<String, String>,
-    mut sink: Option<&mut Vec<Event>>,
+    step: Step<'_>,
+    held: &mut Facts,
+    sink: &mut Vec<Event>,
 ) {
     // Bind steps scan pattern+source as one token run: a scrutinee can
     // acquire (`match m.lock() { … }`) and an `if let Ok(g) = m.lock()`
     // pattern binds a guard.
     let idxs: Vec<usize> = match step {
-        Step::Code(ts) => ts.clone(),
-        Step::Bind { pattern, source } => {
-            let mut v = pattern.clone();
-            v.extend(source.iter().copied());
-            v
-        }
+        Step::Code(ts) => ts.to_vec(),
+        Step::Bind { pattern, source } => [pattern, source].concat(),
     };
     let texts: Vec<&str> = idxs
         .iter()
@@ -329,17 +302,15 @@ fn exec_step(
             && texts.get(k + 2).copied() == Some("(")
         {
             if let Some(arg) = texts.get(k + 3) {
-                if let Some(wait_key) = held.get(*arg).cloned() {
-                    if let Some(sink) = sink.as_deref_mut() {
-                        for (v, kk) in held.iter() {
-                            if v != arg {
-                                sink.push(Event::GuardAcrossWait {
-                                    line: line_of(k),
-                                    wait_key: wait_key.clone(),
-                                    other_var: v.clone(),
-                                    other_key: kk.clone(),
-                                });
-                            }
+                if let Some(wait_key) = held.get(*arg) {
+                    for (v, kk) in held.iter() {
+                        if v != arg {
+                            sink.push(Event::GuardAcrossWait {
+                                line: line_of(k),
+                                wait_key: wait_key.clone(),
+                                other_var: v.clone(),
+                                other_key: kk.clone(),
+                            });
                         }
                     }
                 }
@@ -352,21 +323,19 @@ fn exec_step(
         {
             let key = resolver.recv_key(&texts, &kinds, k, caller);
             if let Some(key) = key {
-                if let Some(sink) = sink.as_deref_mut() {
-                    if held.values().any(|h| *h == key) {
-                        sink.push(Event::DoubleLock {
+                if held.values().any(|h| *h == key) {
+                    sink.push(Event::DoubleLock {
+                        line: line_of(k),
+                        key: key.clone(),
+                    });
+                }
+                for h in held.values() {
+                    if *h != key {
+                        sink.push(Event::OrderEdge {
                             line: line_of(k),
-                            key: key.clone(),
+                            from: h.clone(),
+                            to: key.clone(),
                         });
-                    }
-                    for h in held.values() {
-                        if *h != key {
-                            sink.push(Event::OrderEdge {
-                                line: line_of(k),
-                                from: h.clone(),
-                                to: key.clone(),
-                            });
-                        }
                     }
                 }
                 if let Some(var) = bound.clone().or_else(|| bind_pat.clone()) {
@@ -476,27 +445,13 @@ pub fn findings(files: &[WsFile]) -> Vec<LintFinding> {
                 continue;
             }
             wait_loop_findings(file, caller, &mut out);
-            let cfg = cfg::build(&file.src, &file.tokens, f.body_tokens.clone());
-            let facts =
-                dataflow::solve(&cfg, Held(Some(BTreeMap::new())), Held(None), |b, input| {
-                    let mut held = match &input.0 {
-                        Some(m) => m.clone(),
-                        None => return input.clone(),
-                    };
-                    for step in &cfg.blocks[b].steps {
-                        exec_step(file, &resolver, caller, step, &mut held, None);
-                    }
-                    Held(Some(held))
-                });
-            // Replay reachable blocks to collect events at exact lines.
             let mut events = Vec::new();
-            for (b, block) in cfg.blocks.iter().enumerate() {
-                let Some(entry) = &facts[b].0 else { continue };
-                let mut held = entry.clone();
-                for step in &block.steps {
-                    exec_step(file, &resolver, caller, step, &mut held, Some(&mut events));
-                }
-            }
+            cfg::walk(
+                &file.src,
+                &file.tokens,
+                f.body_tokens.clone(),
+                |step, held| exec_step(file, &resolver, caller, step, held, &mut events),
+            );
             let mut seen = BTreeSet::new();
             for ev in events {
                 match ev {
@@ -896,6 +851,150 @@ fn wait(fl: &Flight) -> u32 {
         }
         st = fl.done.wait(st).unwrap();
     }
+}
+";
+        assert!(single(src).is_empty(), "{:#?}", single(src));
+    }
+
+    /// The lines of the double-lock findings in `src`.
+    fn double_lock_lines(src: &str) -> Vec<usize> {
+        single(src)
+            .iter()
+            .filter(|f| f.message.contains("already held"))
+            .map(|f| f.line)
+            .collect()
+    }
+
+    #[test]
+    fn if_let_guard_is_held_in_the_then_branch_only() {
+        let src = "\
+struct A { m: Mutex<u32> }
+fn f(a: &A) {
+    if let Ok(g) = a.m.lock() {
+        let h = a.m.lock().unwrap();
+        drop(h);
+    } else {
+        let k = a.m.lock().unwrap();
+        drop(k);
+    }
+    let after = a.m.lock().unwrap();
+}
+";
+        assert_eq!(double_lock_lines(src), [4]);
+    }
+
+    #[test]
+    fn guard_bound_in_one_match_arm_does_not_outlive_the_match() {
+        let src = "\
+struct A { m: Mutex<u32> }
+fn f(a: &A, x: Option<u32>) {
+    match x {
+        Some(_) => {
+            let g = a.m.lock().unwrap();
+            let h = a.m.lock().unwrap();
+        }
+        None => {}
+    }
+    let after = a.m.lock().unwrap();
+}
+";
+        assert_eq!(double_lock_lines(src), [6]);
+    }
+
+    #[test]
+    fn break_holding_a_guard_meets_the_loop_fall_through() {
+        // Both exits of the loop hold `g`, so it is held after the loop.
+        let both = "\
+struct A { m: Mutex<u32> }
+fn f(a: &A, c: bool) {
+    loop {
+        let g = a.m.lock().unwrap();
+        if c {
+            break;
+        }
+        work();
+    }
+    let after = a.m.lock().unwrap();
+}
+";
+        assert_eq!(double_lock_lines(both), [10]);
+        // The fall-through drops it first: the meet holds nothing.
+        let one = "\
+struct A { m: Mutex<u32> }
+fn f(a: &A, c: bool) {
+    loop {
+        let g = a.m.lock().unwrap();
+        if c {
+            break;
+        }
+        drop(g);
+    }
+    let after = a.m.lock().unwrap();
+}
+";
+        assert!(single(one).is_empty(), "{:#?}", single(one));
+    }
+
+    #[test]
+    fn nothing_is_reported_after_a_return() {
+        let after_return = "\
+struct A { m: Mutex<u32> }
+fn f(a: &A) -> u32 {
+    let g = a.m.lock().unwrap();
+    return 0;
+    let h = a.m.lock().unwrap();
+}
+";
+        assert!(single(after_return).is_empty());
+        // A `loop` with no `break` whose every path returns: the code
+        // after it is reached by no path. (A body that can fall through
+        // still reaches it: the body runs once and falls out.)
+        let after_loop = "\
+struct A { m: Mutex<u32> }
+fn f(a: &A, c: bool) -> u32 {
+    let g = a.m.lock().unwrap();
+    loop {
+        if c {
+            return 1;
+        }
+        return 0;
+    }
+    let h = a.m.lock().unwrap();
+}
+";
+        assert!(single(after_loop).is_empty());
+    }
+
+    #[test]
+    fn let_else_block_is_checked_and_its_return_ends_the_path() {
+        // The else block is walked as an inline block: a double lock
+        // inside it is reported, and its `return` ends the walk, so the
+        // acquisition after the `let … else` goes unchecked.
+        let src = "\
+struct A { m: Mutex<u32> }
+fn f(a: &A, x: Option<u32>) {
+    let g = a.m.lock().unwrap();
+    let Some(v) = x else {
+        let h = a.m.lock().unwrap();
+        return;
+    };
+    let k = a.m.lock().unwrap();
+}
+";
+        assert_eq!(double_lock_lines(src), [5]);
+    }
+
+    #[test]
+    fn nested_fn_is_not_part_of_its_enclosing_body() {
+        let src = "\
+struct A { m: Mutex<u32> }
+fn outer(a: &A) {
+    let g = a.m.lock().unwrap();
+    fn inner(a: &A) {
+        let h = a.m.lock().unwrap();
+        drop(h);
+    }
+    drop(g);
 }
 ";
         assert!(single(src).is_empty(), "{:#?}", single(src));

@@ -1,7 +1,7 @@
 //! Fixture-corpus regression test for the dataflow analyses.
 //!
 //! Each file under `tests/fixtures/` is a small Rust source exercising a
-//! CFG, dataflow or call-graph edge case (lock cycles, guards across
+//! control-flow, dataflow or call-graph edge case (lock cycles, guards across
 //! waits, key-coverage holes, effect chains, hot-path allocations at any
 //! depth) or a scoped token rule. The first line is
 //! a `//@ path: crates/<crate>/src/<name>.rs` header giving the *pretend*

@@ -15,7 +15,7 @@
 //! | GET    | `/`         | route index                                  |
 //! | GET    | `/healthz`  | liveness probe (`ok`)                        |
 //! | GET    | `/stats`    | cache + request counters (JSON)              |
-//! | GET    | `/query`    | `?q=<shorthand>&format=ascii|md|csv|json`    |
+//! | GET    | `/query`    | `?q=<shorthand>&format=ascii\|md\|csv\|json` |
 //! | POST   | `/query`    | body = canonical JSON query (or shorthand)   |
 //! | GET    | `/table/N`  | shortcut for `?q=tableN` (N in 4..=7)        |
 //! | POST   | `/shutdown` | graceful stop                                |

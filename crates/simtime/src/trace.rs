@@ -164,6 +164,9 @@ mod tests {
         assert!(j.starts_with('['));
         assert!(j.ends_with(']'));
         assert_eq!(j.matches("\"ph\":\"X\"").count(), 2);
+        // Timestamps and durations are µs with three decimals.
+        let first = j.lines().nth(1).expect("first span");
+        assert!(first.ends_with("\"ts\":1.000,\"dur\":2.000},"), "{first}");
         assert!(j.contains("\\\"quoted\\\""));
         assert!(j.contains("t\\\\0"));
         // One comma between two events.
