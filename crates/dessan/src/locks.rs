@@ -516,9 +516,10 @@ pub fn findings(files: &[WsFile]) -> Vec<LintFinding> {
             if file.is_some_and(|f| f.items.waived(Rule::LockOrder.id(), *line)) {
                 continue;
             }
+            // `cycle` runs from `to` back to `from`, so the ring closes on
+            // `from` without pushing it again.
             let mut ring = vec![from.clone()];
             ring.extend(cycle);
-            ring.push(from.clone());
             out.push(LintFinding {
                 rule: Rule::LockOrder,
                 path: path.clone(),
@@ -593,9 +594,11 @@ fn two(a: &A, b: &B) {{
         assert_eq!(f.len(), 2, "{f:#?}");
         assert!(f.iter().all(|x| x.rule == Rule::LockOrder));
         assert!(f[0].message.contains("cycle"), "{}", f[0].message);
+        // Each edge's ring names every lock once and closes on its start.
+        assert_eq!(f[0].chain, ["A.m", "B.n", "A.m"]);
+        assert_eq!(f[1].chain, ["B.n", "A.m", "B.n"]);
         assert!(
-            f[0].message.contains("A.m -> B.n -> A.m")
-                || f[0].message.contains("B.n -> A.m -> B.n"),
+            f[0].message.contains("cycle A.m -> B.n -> A.m — "),
             "{}",
             f[0].message
         );

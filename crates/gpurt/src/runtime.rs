@@ -51,14 +51,35 @@ pub struct GpuEvent {
     id: u64,
 }
 
-/// A device's fixed driver-path costs, scaled by the run factor once at
-/// construction, so an operation does no float rounding for them.
-#[derive(Clone, Copy, Debug)]
+/// A device's fixed driver-path costs, scaled by the run factor once per
+/// arm, so an operation does no float rounding for them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct DriverCosts {
     launch: SimDuration,
     empty_kernel: SimDuration,
     stream_sync: SimDuration,
     sync: SimDuration,
+}
+
+impl DriverCosts {
+    /// `m`'s driver costs, unscaled.
+    fn of(m: &GpuModel) -> Self {
+        DriverCosts {
+            launch: m.launch_overhead,
+            empty_kernel: m.empty_kernel_time,
+            stream_sync: m.stream_sync_overhead,
+            sync: m.sync_overhead,
+        }
+    }
+
+    fn scaled(self, run_factor: f64) -> Self {
+        DriverCosts {
+            launch: self.launch * run_factor,
+            empty_kernel: self.empty_kernel * run_factor,
+            stream_sync: self.stream_sync * run_factor,
+            sync: self.sync * run_factor,
+        }
+    }
 }
 
 /// The clock-component index reserved for the host thread.
@@ -271,6 +292,9 @@ pub struct GpuRuntime {
     /// common mode (clocks, driver state); per-operation noise would
     /// average away over the thousands of operations each batch runs.
     run_factor: f64,
+    /// [`SimRng::label_hash`] of the run factor's stream label, which
+    /// names the node: hashed once per runtime, not per arm.
+    rng_label: u64,
     /// Per device, in device-id order: its driver costs under `run_factor`.
     driver: Vec<DriverCosts>,
     /// Stream engines of every device, device-major: device `d`'s streams
@@ -343,11 +367,13 @@ impl GpuRuntime {
             .unwrap_or(0);
         let nv = n_numa + n_dev + n_switch;
         let ndevices = topo.devices.len();
+        let rng_label = SimRng::label_hash(&["gpurt/", &topo.name]);
         let mut rt = GpuRuntime {
             topo,
             models,
             clock: SimTime::ZERO,
             run_factor: 1.0,
+            rng_label,
             driver: Vec::with_capacity(ndevices),
             streams: Vec::with_capacity(ndevices),
             lanes: Vec::with_capacity(ndevices + 1),
@@ -410,19 +436,24 @@ impl GpuRuntime {
 
     /// Set the per-seed state, for [`Self::new`] and [`Self::rearm`]
     /// alike: draw the run factor and scale every device's driver costs
-    /// by it, zero the host clock, keep only the default streams, all
-    /// idle, drop every wire and select device 0.
+    /// by it (once per run of devices with equal costs, as the GCDs of an
+    /// MI250X node are), zero the host clock, keep only the default
+    /// streams, all idle, drop every wire and select device 0.
     fn arm(&mut self, seed: u64) {
-        let mut rng = SimRng::stream(seed, &["gpurt/", &self.topo.name], 0);
+        let mut rng = SimRng::labelled(seed, self.rng_label, 0);
         let run_factor = self.models[0].jitter.sample_scalar(1.0, &mut rng).max(0.05);
         self.run_factor = run_factor;
         self.driver.clear();
-        self.driver.extend(self.models.iter().map(|m| DriverCosts {
-            launch: m.launch_overhead * run_factor,
-            empty_kernel: m.empty_kernel_time * run_factor,
-            stream_sync: m.stream_sync_overhead * run_factor,
-            sync: m.sync_overhead * run_factor,
-        }));
+        let mut last: Option<(DriverCosts, DriverCosts)> = None;
+        for m in self.models.iter() {
+            let raw = DriverCosts::of(m);
+            let scaled = match last {
+                Some((prev, scaled)) if prev == raw => scaled,
+                _ => raw.scaled(run_factor),
+            };
+            last = Some((raw, scaled));
+            self.driver.push(scaled);
+        }
         self.clock = SimTime::ZERO;
         let ndevices = self.topo.devices.len();
         self.streams.clear();
@@ -1102,6 +1133,62 @@ mod tests {
     use super::*;
     use crate::testkit;
     use doe_topo::NumaId;
+
+    #[test]
+    fn arm_scales_each_device_by_its_own_driver_costs() {
+        // Runs of equal models broken by a model that differs from its
+        // neighbour in one driver cost only, each cost once.
+        let base = GpuModel::new("G", doe_memmodel::MemDomainModel::new("hbm", 1000.0, 30.0));
+        let bump = |f: fn(&mut GpuModel)| {
+            let mut m = base.clone();
+            f(&mut m);
+            m
+        };
+        let models: Arc<[GpuModel]> = [
+            base.clone(),
+            base.clone(),
+            bump(|m| m.empty_kernel_time += SimDuration::from_ns(2.0)),
+            bump(|m| m.stream_sync_overhead += SimDuration::from_ns(3.0)),
+            bump(|m| m.sync_overhead += SimDuration::from_ns(7.0)),
+            bump(|m| m.launch_overhead += SimDuration::from_ns(5.0)),
+            base.clone(),
+            base.clone(),
+        ]
+        .into();
+        let mut b = doe_topo::NodeBuilder::new("mixed")
+            .socket("S")
+            .numa(doe_topo::SocketId(0))
+            .cores(NumaId(0), 4, 1)
+            .devices("G", NumaId(0), models.len() as u32);
+        for d in 0..models.len() as u32 {
+            b = b.link(
+                Vertex::Numa(NumaId(0)),
+                Vertex::Device(DeviceId(d)),
+                doe_topo::LinkKind::Pcie { gen: 4, lanes: 16 },
+                SimDuration::from_ns(500.0),
+                25.0,
+            );
+        }
+        let topo = Arc::new(b.build().expect("valid"));
+        let mut rt = GpuRuntime::new(Arc::clone(&topo), Arc::clone(&models), 1);
+        for seed in 0..32 {
+            let fresh = GpuRuntime::new(Arc::clone(&topo), Arc::clone(&models), seed);
+            assert!(rt.rearm(seed));
+            for r in [&rt, &fresh] {
+                let f = r.run_factor;
+                let want: Vec<DriverCosts> = models
+                    .iter()
+                    .map(|m| DriverCosts {
+                        launch: m.launch_overhead * f,
+                        empty_kernel: m.empty_kernel_time * f,
+                        stream_sync: m.stream_sync_overhead * f,
+                        sync: m.sync_overhead * f,
+                    })
+                    .collect();
+                assert_eq!(r.driver, want, "seed {seed}");
+            }
+        }
+    }
 
     #[test]
     fn launch_costs_only_submission() {

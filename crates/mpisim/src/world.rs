@@ -64,6 +64,26 @@ impl std::fmt::Display for MpiError {
 
 impl std::error::Error for MpiError {}
 
+/// A message's path costs under the world's run factor, scaled once at
+/// the send (or reused from [`MpiSim::recent`]) so its receive rounds no
+/// float.
+#[derive(Debug, Clone, Copy)]
+struct MessageCosts {
+    /// Path latency, paid once by an eager payload and by each rendezvous
+    /// leg.
+    latency: SimDuration,
+    /// Time the payload occupies the sender's copy port.
+    serialization: SimDuration,
+}
+
+/// How many recent `(from, to, bytes)` cost entries a world keeps: the
+/// two directions of a ping-pong, or a bandwidth window and its ack, with
+/// room for a second pair.
+const RECENT: usize = 4;
+
+/// One [`MpiSim::recent`] entry: a `(from, to, bytes)` key and its costs.
+type RecentCosts = Option<((usize, usize, u64), MessageCosts)>;
+
 #[derive(Debug)]
 struct Message {
     bytes: u64,
@@ -71,7 +91,7 @@ struct Message {
     sender_ready: SimTime,
     /// For eager messages: when the payload lands at the receiver.
     eager_arrival: Option<SimTime>,
-    path: PathCosts,
+    costs: MessageCosts,
     from: usize,
     /// Whether the send had blocking (standard-mode) completion semantics.
     blocking: bool,
@@ -165,8 +185,9 @@ impl MpiChecks {
 enum Paths {
     /// The node's route table, memoized per endpoint-class pair.
     Node(NodePaths),
-    /// The fabric, priced at every send (no memo), so background flows
-    /// added through [`MpiSim::fabric_mut`] apply from the next send on.
+    /// The fabric, priced at every send but a recent repeat (no path
+    /// memo); [`MpiSim::fabric_mut`] forgets the recent sends, so
+    /// background flows added through it apply from the next send on.
     /// A rank's copy port is its node's, indexed by [`NodeId`].
     Fabric(Fabric),
 }
@@ -326,6 +347,20 @@ pub struct MpiSim {
     /// common mode (DVFS, OS state), not per-message noise — per-message
     /// noise would average away over OSU's 1000 inner iterations.
     run_factor: f64,
+    /// [`SimRng::label_hash`] of the run factor's stream label, which
+    /// names the node (or the fabric): hashed once per world, not per arm.
+    rng_label: u64,
+    /// `cfg.send_overhead` and `cfg.recv_overhead` under `run_factor`,
+    /// scaled once per arm.
+    send_overhead: SimDuration,
+    recv_overhead: SimDuration,
+    /// The costs of the last few distinct `(from, to, bytes)` sends, so a
+    /// repeated message (every round trip of a ping-pong after the first)
+    /// resolves no path and rounds no float. They depend only on the
+    /// placement, the fabric and `run_factor`, so [`Self::arm`] and
+    /// [`Self::fabric_mut`] clear them. Replaced round-robin at `recent_next`.
+    recent: [RecentCosts; RECENT],
+    recent_next: usize,
     /// Sanitizer state, present only under `--check`. Passive: it never
     /// touches clocks, ports, or the RNG, so checked runs are bit-identical.
     checks: Option<Box<MpiChecks>>,
@@ -378,6 +413,10 @@ impl MpiSim {
 
     fn build(paths: Paths, cfg: MpiConfig, nports: usize, seed: u64) -> Result<Self, MpiError> {
         cfg.validate().map_err(MpiError::InvalidConfig)?;
+        let rng_label = match &paths {
+            Paths::Node(node) => SimRng::label_hash(&["mpi/", &node.topo.name]),
+            Paths::Fabric(_) => SimRng::label_hash(&["netsim"]),
+        };
         let mut world = MpiSim {
             paths,
             cfg,
@@ -386,6 +425,11 @@ impl MpiSim {
             mailboxes: Vec::new(),
             ports: vec![Engine::new(); nports],
             run_factor: 1.0,
+            rng_label,
+            send_overhead: SimDuration::ZERO,
+            recv_overhead: SimDuration::ZERO,
+            recent: [None; RECENT],
+            recent_next: 0,
             checks: dessan::checks_enabled().then(|| Box::new(MpiChecks::new(0))),
             boundary: Boundary::default(),
         };
@@ -417,13 +461,15 @@ impl MpiSim {
     }
 
     /// Set the per-seed state, for [`Self::try_new`] and [`Self::rearm`]
-    /// alike: draw the run factor, zero every clock and idle every port.
+    /// alike: draw the run factor, scale the software overheads by it,
+    /// forget the recent message costs, zero every clock and idle every
+    /// port.
     fn arm(&mut self, seed: u64) {
-        let mut rng = match &self.paths {
-            Paths::Node(node) => SimRng::stream(seed, &["mpi/", &node.topo.name], 0),
-            Paths::Fabric(_) => SimRng::stream(seed, &["netsim"], 0),
-        };
+        let mut rng = SimRng::labelled(seed, self.rng_label, 0);
         self.run_factor = self.cfg.jitter.sample_scalar(1.0, &mut rng).max(0.05);
+        self.send_overhead = self.cfg.send_overhead * self.run_factor;
+        self.recv_overhead = self.cfg.recv_overhead * self.run_factor;
+        self.recent = [None; RECENT];
         self.clocks.fill(SimTime::ZERO);
         self.ports.fill(Engine::new());
     }
@@ -448,19 +494,16 @@ impl MpiSim {
         }
     }
 
-    #[inline]
-    fn scaled(&self, d: SimDuration) -> SimDuration {
-        d * self.run_factor
-    }
-
     /// The MPI configuration.
     pub fn config(&self) -> &MpiConfig {
         &self.cfg
     }
 
     /// The fabric of a fabric world, to add or remove background flows
-    /// between sends; `None` for a world on a node.
+    /// between sends; `None` for a world on a node. The next send prices
+    /// its path on the fabric as changed.
     pub fn fabric_mut(&mut self) -> Option<&mut Fabric> {
+        self.recent = [None; RECENT];
         match &mut self.paths {
             Paths::Fabric(fabric) => Some(fabric),
             Paths::Node(_) => None,
@@ -573,6 +616,30 @@ impl MpiSim {
         }
     }
 
+    /// The scaled costs of a `bytes`-byte message from `from` to `to`:
+    /// from [`Self::recent`] when the world sent it before, else priced on
+    /// its path and remembered.
+    // doebench::hot
+    fn message_costs(
+        &mut self,
+        from: usize,
+        to: usize,
+        bytes: u64,
+    ) -> Result<MessageCosts, MpiError> {
+        let key = (from, to, bytes);
+        if let Some((_, costs)) = self.recent.iter().flatten().find(|(k, _)| *k == key) {
+            return Ok(*costs);
+        }
+        let path = self.path_between(from, to)?;
+        let costs = MessageCosts {
+            latency: path.latency * self.run_factor,
+            serialization: SimDuration::transfer(bytes, path.bandwidth) * self.run_factor,
+        };
+        self.recent[self.recent_next] = Some((key, costs));
+        self.recent_next = (self.recent_next + 1) % RECENT;
+        Ok(costs)
+    }
+
     /// Blocking standard-mode send of `bytes` from `from` to `to`.
     ///
     /// Eager messages (≤ threshold) complete locally once buffered; larger
@@ -613,8 +680,8 @@ impl MpiSim {
         if to.0 >= self.clocks.len() {
             return Err(MpiError::InvalidRank(to.0));
         }
-        let path = self.path_between(from.0, to.0)?;
-        let o_s = self.scaled(self.cfg.send_overhead);
+        let costs = self.message_costs(from.0, to.0, bytes)?;
+        let o_s = self.send_overhead;
         let eager = bytes <= self.cfg.eager_threshold;
         // Eager sends copy the payload into the transport buffer before
         // returning: the sender serializes at the path bandwidth, through
@@ -622,7 +689,7 @@ impl MpiSim {
         // multi-pair contention effect). Without this, a windowed sender
         // could "inject" faster than the wire.
         let sender_ready = if eager {
-            let ser = self.scaled(SimDuration::transfer(bytes, path.bandwidth));
+            let ser = costs.serialization;
             let after_os = self.clocks[from.0] + o_s;
             let port = self.rank_port[from.0] as usize;
             let done = if ser.is_zero() {
@@ -637,7 +704,7 @@ impl MpiSim {
             self.clocks[from.0]
         };
         let eager_arrival = if eager {
-            Some(sender_ready + self.scaled(path.latency))
+            Some(sender_ready + costs.latency)
         } else {
             None
         };
@@ -662,7 +729,7 @@ impl MpiSim {
             bytes,
             sender_ready,
             eager_arrival,
-            path,
+            costs,
             from: from.0,
             blocking,
             clock,
@@ -708,7 +775,7 @@ impl MpiSim {
                 }
             }
         }
-        let o_r = self.scaled(self.cfg.recv_overhead);
+        let o_r = self.recv_overhead;
         let recv_post = self.clocks[at.0];
         let done = match msg.eager_arrival {
             Some(arrival) => recv_post.max(arrival) + o_r,
@@ -716,13 +783,13 @@ impl MpiSim {
                 // Rendezvous: RTS reaches the receiver, CTS returns, then
                 // the payload moves. The control messages pay the path
                 // latency; the payload pays latency + serialization.
-                let lat = self.scaled(msg.path.latency);
+                let lat = msg.costs.latency;
                 let rts_at_recv = msg.sender_ready + lat;
                 let cts_sent = recv_post.max(rts_at_recv);
                 // CTS travels back; then the payload copy occupies the
                 // sender's copy port and crosses the path.
                 let data_start = cts_sent + lat;
-                let ser = self.scaled(SimDuration::transfer(msg.bytes, msg.path.bandwidth));
+                let ser = msg.costs.serialization;
                 let port = self.rank_port[msg.from] as usize;
                 let copy_done = if ser.is_zero() {
                     data_start

@@ -9,7 +9,7 @@
 //! produce a nonsensical (e.g. negative) cost.
 
 use crate::rng::SimRng;
-use crate::time::SimDuration;
+use crate::time::{round_nonneg, SimDuration};
 
 /// Truncation point for noise draws, in standard deviations.
 const TRUNC_SIGMA: f64 = 4.0;
@@ -59,7 +59,7 @@ impl Jitter {
         let eps = truncated_gaussian(rng) * self.rel_sigma;
         let add = truncated_gaussian(rng) * self.abs_sigma.as_ps() as f64;
         let ps = cost.as_ps() as f64 * (1.0 + eps) + add;
-        SimDuration::from_ps(if ps <= 0.0 { 0 } else { ps.round() as u64 })
+        SimDuration::from_ps(round_nonneg(ps))
     }
 
     /// Sample a perturbed scalar (e.g. a bandwidth in GB/s).
@@ -90,7 +90,7 @@ impl Jitter {
             let eps = truncated_gaussian(rng) * self.rel_sigma;
             let add = truncated_gaussian(rng) * abs_ps;
             let ps = cost_ps * (1.0 + eps) + add;
-            *slot = SimDuration::from_ps(if ps <= 0.0 { 0 } else { ps.round() as u64 });
+            *slot = SimDuration::from_ps(round_nonneg(ps));
         }
     }
 
@@ -205,7 +205,39 @@ mod tests {
         assert!(buf.iter().all(|&d| d == c));
     }
 
+    /// [`Jitter::sample`] as it rounded with the `round` libcall.
+    fn libm_sample(j: &Jitter, cost: SimDuration, rng: &mut SimRng) -> SimDuration {
+        if j.rel_sigma == 0.0 && j.abs_sigma.is_zero() {
+            return cost;
+        }
+        let eps = truncated_gaussian(rng) * j.rel_sigma;
+        let add = truncated_gaussian(rng) * j.abs_sigma.as_ps() as f64;
+        let ps = cost.as_ps() as f64 * (1.0 + eps) + add;
+        SimDuration::from_ps(if ps <= 0.0 { 0 } else { ps.round() as u64 })
+    }
+
     proptest! {
+        #[test]
+        fn prop_sampling_rounds_as_libm(
+            seed in any::<u64>(),
+            ps in prop_oneof![0u64..1 << 20, any::<u64>()],
+            rel in 0.0f64..0.24,
+            abs_ps in 0u64..1 << 24,
+        ) {
+            let j = Jitter::new(rel, SimDuration::from_ps(abs_ps));
+            let cost = SimDuration::from_ps(ps);
+            let mut want_rng = SimRng::from_seed(seed);
+            let want: Vec<SimDuration> =
+                (0..16).map(|_| libm_sample(&j, cost, &mut want_rng)).collect();
+            let mut rng = SimRng::from_seed(seed);
+            let got: Vec<SimDuration> = (0..16).map(|_| j.sample(cost, &mut rng)).collect();
+            prop_assert_eq!(&got, &want);
+            let mut rng = SimRng::from_seed(seed);
+            let mut buf = [SimDuration::ZERO; 16];
+            j.sample_into(cost, &mut rng, &mut buf);
+            prop_assert_eq!(&buf[..], &want[..]);
+        }
+
         #[test]
         fn prop_samples_never_negative_and_bounded(
             seed in any::<u64>(),

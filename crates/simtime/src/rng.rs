@@ -64,10 +64,23 @@ impl SimRng {
     /// `&["mpi/", name]` keys the same stream as the one-part label
     /// `&[&format!("mpi/{name}")]`, without building that string.
     pub fn stream(seed: u64, label: &[&str], index: u64) -> Self {
-        let h = label
+        Self::labelled(seed, Self::label_hash(label), index)
+    }
+
+    /// The hash of `label` that [`Self::stream`] keys a stream by. A world
+    /// that draws from one label under a new seed on every re-arm hashes
+    /// it once, at construction, and derives each stream with
+    /// [`Self::labelled`].
+    pub fn label_hash(label: &[&str]) -> u64 {
+        label
             .iter()
-            .fold(FNV_OFFSET, |h, part| fnv1a_extend(h, part.as_bytes()));
-        let key = h ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            .fold(FNV_OFFSET, |h, part| fnv1a_extend(h, part.as_bytes()))
+    }
+
+    /// The stream [`Self::stream`] derives for `(seed, label, index)`,
+    /// given `hash = Self::label_hash(label)`.
+    pub fn labelled(seed: u64, hash: u64, index: u64) -> Self {
+        let key = hash ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         SimRng::from_seed(seed ^ key.rotate_left(17))
     }
 
@@ -227,6 +240,9 @@ mod tests {
         assert_eq!(draws(&["f", "rontier", "/", "osu"]), whole);
         assert_eq!(draws(&[]), draws(&[""]));
         assert_ne!(draws(&["frontier/", "osv"]), whole);
+        let hash = SimRng::label_hash(&["frontier/", "osu"]);
+        let mut r = SimRng::labelled(7, hash, 3);
+        assert_eq!((0..4).map(|_| r.next_u64()).collect::<Vec<_>>(), whole);
     }
 
     #[test]

@@ -126,14 +126,25 @@ impl SimDuration {
     }
 }
 
+/// 2^63, the first `f64` an `i64` cannot hold.
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// `x` rounded half away from zero to a picosecond count: 0 for
+/// non-positive `x` and NaN, `u64::MAX` from 2^64 up. Equal to
+/// `x.round() as u64` for positive `x`, without the `round` libcall: below
+/// 2^63 the `i64` truncation `t` is one instruction, and `x - t` is exact
+/// (Sterbenz: `t` is 0 or within a factor of two of `x`), so the fraction
+/// test decides the tie exactly. From 2^52 up every `f64` is an integer.
 #[inline]
-fn round_nonneg(x: f64) -> u64 {
-    if x <= 0.0 {
-        0
-    } else if x >= u64::MAX as f64 {
-        u64::MAX
+pub(crate) fn round_nonneg(x: f64) -> u64 {
+    if x > 0.0 && x < TWO_POW_63 {
+        let t = x as i64;
+        t as u64 + u64::from(x - t as f64 >= 0.5)
+    } else if x >= TWO_POW_63 {
+        // Integral here; `as` saturates at `u64::MAX`.
+        x as u64
     } else {
-        x.round() as u64
+        0
     }
 }
 
@@ -471,7 +482,111 @@ mod tests {
         );
     }
 
+    /// The rounding `round_nonneg` replaces: the `round` libcall, with
+    /// `as`'s saturation at `u64::MAX` and NaN to 0.
+    fn libm_round(x: f64) -> u64 {
+        if x <= 0.0 {
+            0
+        } else {
+            x.round() as u64
+        }
+    }
+
+    #[test]
+    fn rounding_matches_libm_round_on_named_edges() {
+        let two = |e: i32| 2f64.powi(e);
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            0.5,
+            0.49999999999999994,
+            1.5,
+            2.5,
+            -0.5,
+            -1.0,
+            two(52) - 0.5,
+            two(52) + 0.5,
+            two(52) + 1.0,
+            two(53) - 1.0,
+            two(53) + 1.0,
+            two(53) + 2.0,
+            two(63) - 1024.0,
+            two(63),
+            two(63) + 2048.0,
+            two(64) - 4096.0,
+            two(64),
+            two(65),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+        ];
+        // Every tie and its neighbours in the range where ties exist.
+        for k in [0u64, 1, 2, 3, 1 << 20, (1 << 51) - 1, 1 << 51] {
+            let tie = k as f64 + 0.5;
+            edges.extend([
+                tie,
+                f64::from_bits(tie.to_bits() - 1),
+                f64::from_bits(tie.to_bits() + 1),
+            ]);
+        }
+        for x in edges {
+            assert_eq!(round_nonneg(x), libm_round(x), "{x:e} ({:#x})", x.to_bits());
+        }
+        assert_eq!(round_nonneg(two(64)), u64::MAX);
+        assert_eq!(round_nonneg(two(63)), 1 << 63);
+        assert_eq!(
+            round_nonneg(2.5),
+            3,
+            "ties round away from zero, not to even"
+        );
+    }
+
     proptest::proptest! {
+        #[test]
+        fn rounding_matches_libm_round_on_random_bits(bits in proptest::prelude::any::<u64>()) {
+            let x = f64::from_bits(bits);
+            proptest::prop_assert_eq!(round_nonneg(x), libm_round(x), "{:e}", x);
+        }
+
+        #[test]
+        fn rounding_matches_libm_round_near_ties(k in 0u64..1 << 53, half in 0u8..3) {
+            // k/2 is a tie when k is odd and below 2^52; step one ulp off it.
+            let tie = k as f64 / 2.0;
+            let x = match half {
+                0 => tie,
+                1 => f64::from_bits(tie.to_bits().saturating_sub(1)),
+                _ => f64::from_bits(tie.to_bits() + 1),
+            };
+            proptest::prop_assert_eq!(round_nonneg(x), libm_round(x), "{:e}", x);
+        }
+
+        #[test]
+        fn transfer_and_scaling_round_as_libm(
+            bytes in 1u64..1 << 40,
+            gb_per_s in 1e-3f64..1e4,
+            ps in proptest::prelude::any::<u64>(),
+            factor in 0.0f64..4.0,
+        ) {
+            proptest::prop_assert_eq!(
+                SimDuration::transfer(bytes, gb_per_s).as_ps(),
+                libm_round(bytes as f64 / gb_per_s * 1_000.0)
+            );
+            proptest::prop_assert_eq!(
+                (SimDuration::from_ps(ps) * factor).as_ps(),
+                libm_round(ps as f64 * factor)
+            );
+            proptest::prop_assert_eq!(
+                (SimDuration::from_ps(ps >> 24) * factor).as_ps(),
+                libm_round((ps >> 24) as f64 * factor)
+            );
+        }
+
         #[test]
         fn debug_text_names_the_exact_duration(ps in 0u64..u64::MAX / 2) {
             proptest::prop_assert_eq!(parse_debug(&format!("{:?}", SimDuration::from_ps(ps))), ps);

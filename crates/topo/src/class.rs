@@ -12,8 +12,31 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::ids::{DeviceId, Vertex};
-use crate::link::LinkKind;
+use crate::link::{Link, LinkKind};
 use crate::node::NodeTopology;
+
+/// The paper's class of a device pair joined by a direct link of `kind`
+/// (`None`: no direct link), on a node that uses Infinity Fabric or not.
+fn class_of(infinity_fabric: bool, kind: Option<LinkKind>) -> LinkClass {
+    if infinity_fabric {
+        match kind {
+            Some(LinkKind::InfinityFabric { links }) => match links {
+                4.. => LinkClass::A,
+                2..=3 => LinkClass::B,
+                _ => LinkClass::C,
+            },
+            // Any other direct link kind on an IF machine is unexpected;
+            // treat as C (a single generic hop).
+            Some(_) => LinkClass::C,
+            None => LinkClass::D,
+        }
+    } else {
+        match kind {
+            Some(LinkKind::NvLink { .. }) => LinkClass::A,
+            _ => LinkClass::B,
+        }
+    }
+}
 
 /// Device-pair interconnect class, as used in Tables 5 and 6.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -62,39 +85,54 @@ impl NodeTopology {
             return None;
         }
         let direct = self.direct_link(Vertex::Device(x), Vertex::Device(y));
-        if self.uses_infinity_fabric() {
-            match direct.map(|l| l.kind) {
-                Some(LinkKind::InfinityFabric { links }) => Some(match links {
-                    4.. => LinkClass::A,
-                    2..=3 => LinkClass::B,
-                    _ => LinkClass::C,
-                }),
-                // Any other direct link kind on an IF machine is unexpected;
-                // treat as C (a single generic hop).
-                Some(_) => Some(LinkClass::C),
-                None => Some(LinkClass::D),
-            }
-        } else {
-            match direct.map(|l| l.kind) {
-                Some(LinkKind::NvLink { .. }) => Some(LinkClass::A),
-                _ => Some(LinkClass::B),
-            }
-        }
+        Some(class_of(
+            self.uses_infinity_fabric(),
+            direct.map(|l| l.kind),
+        ))
     }
 
     /// One representative device pair per class present on this node, in
-    /// class order — the pairs a benchmarking campaign actually measures.
+    /// class order — the pairs a benchmarking campaign actually measures:
+    /// for each class, the first ordered pair (device-list order) that
+    /// [`Self::classify_pair`] puts in it.
+    ///
+    /// One pass over the links finds every device pair's direct link (the
+    /// first lowest-latency one, as [`Self::direct_link`] picks), where
+    /// classifying pair by pair would scan the links once per pair.
     pub fn representative_pairs(&self) -> BTreeMap<LinkClass, (DeviceId, DeviceId)> {
+        let n = self.devices.len();
+        // A device's slot is the first list position holding its id, as
+        // `device` finds it; `direct` is dense by slot pair.
+        let slot = |id: DeviceId| self.devices.iter().position(|d| d.id == id);
+        let mut direct: Vec<Option<&Link>> = vec![None; n * n];
+        let mut infinity_fabric = false;
+        for l in self.links.iter() {
+            infinity_fabric |= matches!(l.kind, LinkKind::InfinityFabric { .. });
+            let (Vertex::Device(a), Vertex::Device(b)) = (l.a, l.b) else {
+                continue;
+            };
+            let (Some(p), Some(q)) = (slot(a), slot(b)) else {
+                continue;
+            };
+            for idx in [p * n + q, q * n + p] {
+                if direct[idx].is_none_or(|best| l.latency < best.latency) {
+                    direct[idx] = Some(l);
+                }
+            }
+        }
+        // A listed device always has a slot, at or before its position.
+        let slots: Vec<usize> = (0..n)
+            .map(|i| slot(self.devices[i].id).unwrap_or(i))
+            .collect();
         let mut out = BTreeMap::new();
-        for i in 0..self.devices.len() {
-            for j in 0..self.devices.len() {
-                if i == j {
+        for (i, dx) in self.devices.iter().enumerate() {
+            for (j, dy) in self.devices.iter().enumerate() {
+                if dx.id == dy.id {
                     continue;
                 }
-                let (x, y) = (self.devices[i].id, self.devices[j].id);
-                if let Some(c) = self.classify_pair(x, y) {
-                    out.entry(c).or_insert((x, y));
-                }
+                let direct = direct[slots[i] * n + slots[j]];
+                let c = class_of(infinity_fabric, direct.map(|l| l.kind));
+                out.entry(c).or_insert((dx.id, dy.id));
             }
         }
         out
@@ -294,6 +332,31 @@ mod tests {
         );
         for (class, (x, y)) in pairs {
             assert_eq!(t.classify_pair(x, y), Some(class));
+        }
+    }
+
+    #[test]
+    fn parallel_links_of_equal_latency_classify_by_the_first() {
+        // `direct_link` keeps the first of the lowest-latency links between
+        // a pair; the one-pass classification must keep the same one.
+        let pcie = LinkKind::Pcie { gen: 4, lanes: 16 };
+        let nvlink = LinkKind::NvLink { gen: 3, bricks: 4 };
+        for (first, second, class) in [(pcie, nvlink, LinkClass::B), (nvlink, pcie, LinkClass::A)] {
+            let mut t = nvlink_machine();
+            for kind in [first, second] {
+                t.links.push(crate::link::Link::new(
+                    Vertex::Device(DeviceId(0)),
+                    Vertex::Device(DeviceId(1)),
+                    kind,
+                    ns(400.0),
+                    50.0,
+                ));
+            }
+            assert_eq!(t.classify_pair(DeviceId(0), DeviceId(1)), Some(class));
+            assert_eq!(
+                t.representative_pairs().get(&class),
+                Some(&(DeviceId(0), DeviceId(1)))
+            );
         }
     }
 

@@ -130,7 +130,9 @@ impl NodeTopology {
 
     /// The cores belonging to a socket, in id order.
     pub fn cores_of_socket(&self, socket: SocketId) -> Vec<CoreId> {
-        let domains: HashSet<NumaId> = self
+        // A socket holds a handful of domains: a scan beats hashing each
+        // core's domain.
+        let domains: Vec<NumaId> = self
             .numa_domains
             .iter()
             .filter(|n| n.socket == socket)

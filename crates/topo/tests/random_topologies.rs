@@ -1,10 +1,43 @@
 //! Property tests over *randomly generated* topologies: the invariants the
 //! benchmark drivers rely on must hold for any valid node, not just the 13
-//! paper machines.
+//! paper machines (which the one-pass pair classification is also checked
+//! on here).
+
+use std::collections::BTreeMap;
 
 use doe_simtime::SimDuration;
-use doe_topo::{DeviceId, LinkKind, NodeBuilder, NodeTopology, NumaId, SocketId, Vertex};
+use doe_topo::{
+    DeviceId, Link, LinkClass, LinkKind, NodeBuilder, NodeTopology, NumaId, SocketId, Vertex,
+};
 use proptest::prelude::*;
+
+/// `representative_pairs` by its definition: every ordered device pair in
+/// list order through `classify_pair`, the first pair of each class kept.
+fn pairwise_representatives(t: &NodeTopology) -> BTreeMap<LinkClass, (DeviceId, DeviceId)> {
+    let mut out = BTreeMap::new();
+    for (i, x) in t.devices.iter().enumerate() {
+        for (j, y) in t.devices.iter().enumerate() {
+            if i != j {
+                if let Some(c) = t.classify_pair(x.id, y.id) {
+                    out.entry(c).or_insert((x.id, y.id));
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn representative_pairs_equal_pairwise_classification_on_the_catalog() {
+    for m in doe_machines::catalog() {
+        assert_eq!(
+            m.topo.representative_pairs(),
+            pairwise_representatives(&m.topo),
+            "{}",
+            m.name
+        );
+    }
+}
 
 /// Parameters of a random-but-valid node: `sockets` sockets with one NUMA
 /// domain each, `cores` per domain, `devices` spread round-robin over the
@@ -164,6 +197,33 @@ proptest! {
         }
         for (class, (a, b)) in t.representative_pairs() {
             prop_assert_eq!(t.classify_pair(a, b), Some(class));
+        }
+    }
+
+    /// The one-pass `representative_pairs` equals the pairwise definition,
+    /// also with NVLink and Infinity Fabric links mixed, parallel links of
+    /// equal latency (the first one wins) and links to absent devices.
+    #[test]
+    fn representative_pairs_equal_pairwise_classification(
+        node in random_node_strategy(),
+        extra in prop::collection::vec((0u32..7, 0u32..7, 0u8..6, 0u32..2), 0..12),
+    ) {
+        let mut t = build(&node);
+        prop_assert_eq!(t.representative_pairs(), pairwise_representatives(&t));
+        for (a, b, kind, lat) in extra.into_iter().filter(|&(a, b, ..)| a != b) {
+            let kind = match kind {
+                0 => LinkKind::NvLink { gen: 3, bricks: 4 },
+                1 => LinkKind::Pcie { gen: 4, lanes: 16 },
+                k => LinkKind::InfinityFabric { links: k - 1 },
+            };
+            t.links.push(Link::new(
+                Vertex::Device(DeviceId(a)),
+                Vertex::Device(DeviceId(b)),
+                kind,
+                SimDuration::from_ns(100.0 * f64::from(lat + 1)),
+                50.0,
+            ));
+            prop_assert_eq!(t.representative_pairs(), pairwise_representatives(&t));
         }
     }
 
