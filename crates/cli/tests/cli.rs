@@ -214,6 +214,39 @@ fn internode_output_is_pinned() {
     }
 }
 
+/// FNV-1a 64 digests of the executed intra-node collectives table on the
+/// default machine (Frontier) and on Manzano, in every output format, and
+/// of `--check`'s stderr ("no sanitizer findings"). `--check` prints the
+/// plain bytes: the sanitizer only observes.
+#[test]
+fn collectives_output_is_pinned() {
+    use doebench::query::fnv1a64;
+    const FRONTIER: u64 = 0x5c61f5e03105c277;
+    const MANZANO: u64 = 0x1e54166cdc3efb24;
+    for (args, want) in [
+        (&["collectives"][..], FRONTIER),
+        (&["collectives", "--md"], 0xc5876b47662c6b8d),
+        (&["collectives", "--csv"], 0x9d03792e6a8aa87a),
+        (&["collectives", "--check"], FRONTIER),
+        (&["collectives", "Manzano"], MANZANO),
+        (&["collectives", "Manzano", "--md"], 0x7978199d7514215e),
+        (&["collectives", "Manzano", "--csv"], 0x656dd3bbc3f79f5a),
+        (&["collectives", "Manzano", "--check"], MANZANO),
+    ] {
+        let (stdout, stderr, ok) = doebench(args);
+        assert!(ok, "{args:?}: {stderr}");
+        let got = fnv1a64(stdout.as_bytes());
+        assert_eq!(got, want, "{args:?} stdout moved: {got:#018x}");
+        if args.contains(&"--check") {
+            let got = fnv1a64(stderr.as_bytes());
+            assert_eq!(
+                got, 0x0b6dbb78c70cecdf,
+                "{args:?} stderr moved: {got:#018x} {stderr}"
+            );
+        }
+    }
+}
+
 /// FNV-1a 64 digests of `doebench trace <m>`'s Chrome JSON for every
 /// accelerator machine in the catalog: span names, tracks and the µs
 /// `ts`/`dur` of every simulated launch and copy.
