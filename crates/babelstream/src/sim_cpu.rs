@@ -56,9 +56,11 @@ pub fn run_sim_cpu(
         .collect();
 
     // Each rep derives its own RNG from the rep index, so reps
-    // are independent and can run on any pool worker in any order.
+    // are independent and can run on any pool worker in any order. The
+    // label is the same for every rep: hash it once.
+    let label = SimRng::label_hash(&["babelstream-cpu/", &topo.name]);
     let per_rep = parallel_map_indexed(cfg.reps, |rep| {
-        let mut rng = SimRng::stream(seed, &["babelstream-cpu/", &topo.name], rep as u64);
+        let mut rng = SimRng::labelled(seed, label, rep as u64);
         // Common-mode run factor.
         let factor = run_jitter.sample_scalar(1.0, &mut rng).max(0.05);
 

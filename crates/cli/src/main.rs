@@ -688,7 +688,7 @@ fn run_command(spec: &'static CmdSpec, p: &Parsed, campaign: &Campaign, full: bo
             println!();
             print!(
                 "{}",
-                render_table(p, doebench::studies::collectives_table())
+                render_table(p, doebench::studies::internode_collectives_table(4))
             );
             println!("\nPlacement study (8-rank ring allreduce, 1 MiB):");
             println!(

@@ -2,8 +2,8 @@
 //! runnable.
 //!
 //! 1. [`internode_latency_table`] / [`contention_series`] /
-//!    [`placement_study`] / [`collectives_table`] — inter-node measurements
-//!    over a `doe-mpi` fabric world.
+//!    [`placement_study`] / [`internode_collectives_table`] — inter-node
+//!    measurements over a `doe-mpi` fabric world.
 //! 2. [`cpu_vendor_table`] — the Intel/AMD/Arm comparison on the
 //!    hypothetical extension machines.
 //! 3. [`mpi_variant_table`] — the same machine under different MPI
@@ -11,11 +11,11 @@
 
 use doe_benchlib::Samples;
 use doe_machines::extensions::extension_machines;
-use doe_mpi::collectives::{
-    allreduce_best, allreduce_recursive_doubling, allreduce_ring, barrier, P2pCost,
-};
 use doe_mpi::{apply_variant, Fabric, FabricConfig, MpiConfig, MpiSim, MpiVariant, NodeId, Rank};
-use doe_osu::{on_socket_pair, osu_latency, osu_latency_device, pingpong_once, windowed_bandwidth};
+use doe_osu::{
+    node_world, on_socket_pair, osu_allreduce, osu_barrier, osu_latency, osu_latency_device,
+    pingpong_once, windowed_bandwidth, AllreduceAlgo, OsuConfig,
+};
 use doe_report::Table;
 use doe_topo::DeviceId;
 
@@ -120,35 +120,76 @@ pub fn placement_study(seed: u64, ranks: u32, bytes: u64) -> Vec<(String, f64, f
     ]
 }
 
-/// Allreduce algorithm comparison over the fabric's inter-group path.
-pub fn collectives_table() -> Table {
-    let fabric = Fabric::new(FabricConfig::slingshot_like());
-    let p2p = fabric.path(NodeId(0), NodeId(16)).expect("path");
-    let nic = MpiConfig::default_fabric();
-    let cost = P2pCost {
-        alpha: p2p.latency + nic.send_overhead + nic.recv_overhead,
-        bandwidth: p2p.bandwidth,
-    };
+/// The inter-node collectives table's protocol: ten repetitions of one
+/// timed run each. Every cost is fixed within a fabric world, so more
+/// runs per repetition average equal numbers.
+fn internode_collectives_osu() -> OsuConfig {
+    OsuConfig {
+        small_iters: 1,
+        large_iters: 1,
+        reps: 10,
+        ..OsuConfig::quick()
+    }
+}
+
+/// Both allreduce algorithms executed across 64 nodes of the fabric, one
+/// rank per node, from 8 B to 128 MiB, plus the barrier.
+pub fn internode_collectives_table(seed: u64) -> Table {
+    let sizes = [3u32, 10, 14, 17, 20, 24, 27].map(|shift| 1u64 << shift);
+    collectives_table(
+        "Inter-node collectives, 64 nodes (one rank per node, executed; future work 1)",
+        |rep_seed| fabric_world(rep_seed, 0..64),
+        &sizes,
+        &internode_collectives_osu(),
+        |_| seed,
+    )
+}
+
+/// Barrier plus both allreduce algorithms executed on the worlds of
+/// `world` across `sizes`; "Winner" is the algorithm with the lower mean.
+/// `seed` maps a benchmark label to its seed.
+fn collectives_table(
+    title: impl Into<String>,
+    world: impl Fn(u64) -> (MpiSim, Vec<Rank>),
+    sizes: &[u64],
+    cfg: &OsuConfig,
+    seed: impl Fn(&str) -> u64,
+) -> Table {
     let mut t = Table::new(
-        "Allreduce algorithm model, 64 nodes (future work 1)",
+        title,
         &["Bytes", "Recursive-doubling (us)", "Ring (us)", "Winner"],
     );
-    let p = 64;
-    for shift in [3u32, 10, 14, 17, 20, 24, 27] {
-        let bytes = 1u64 << shift;
-        let rd = allreduce_recursive_doubling(p, bytes, cost);
-        let ring = allreduce_ring(p, bytes, cost);
-        let (winner, _) = allreduce_best(p, bytes, cost);
+    let barrier = osu_barrier(&world, cfg, seed("barrier"));
+    for &bytes in sizes {
+        let rd = osu_allreduce(
+            &world,
+            bytes,
+            AllreduceAlgo::RecursiveDoubling,
+            cfg,
+            seed("allreduce-rd"),
+        );
+        let ring = osu_allreduce(
+            &world,
+            bytes,
+            AllreduceAlgo::Ring,
+            cfg,
+            seed("allreduce-ring"),
+        );
+        let winner = if rd.mean <= ring.mean {
+            "recursive-doubling"
+        } else {
+            "ring"
+        };
         t.push_row(vec![
             bytes.to_string(),
-            format!("{:.2}", rd.as_us()),
-            format!("{:.2}", ring.as_us()),
+            format!("{:.2}", rd.mean),
+            format!("{:.2}", ring.mean),
             winner.to_string(),
         ]);
     }
     t.push_row(vec![
         "barrier".to_string(),
-        format!("{:.2}", barrier(p, cost).as_us()),
+        format!("{:.2}", barrier.mean),
         String::new(),
         String::new(),
     ]);
@@ -190,7 +231,6 @@ pub fn cpu_vendor_table(c: &Campaign) -> Table {
 /// ranks on the machine's first cores (the paper's "one MPI rank per
 /// core" convention).
 pub fn intranode_collectives_table(machine: &str, c: &Campaign) -> Option<Table> {
-    use doe_osu::{osu_allreduce, osu_barrier, AllreduceAlgo};
     let m = doe_machines::by_name(machine)?;
     let cores: Vec<_> = m.topo.cores.iter().take(8).map(|core| core.id).collect();
     if cores.len() < 8 {
@@ -200,49 +240,13 @@ pub fn intranode_collectives_table(machine: &str, c: &Campaign) -> Option<Table>
     cfg.reps = cfg.reps.min(10);
     cfg.small_iters = cfg.small_iters.min(100);
     cfg.large_iters = cfg.large_iters.min(10);
-    let mut t = Table::new(
+    Some(collectives_table(
         format!("Intra-node collectives on {} (8 ranks, executed)", m.name),
-        &["Bytes", "Recursive-doubling (us)", "Ring (us)", "Winner"],
-    );
-    let barrier = osu_barrier(&m.topo, &m.mpi, &cores, &cfg, c.seed_for(m.name, "barrier"));
-    for bytes in [8u64, 1024, 65_536, 1 << 20, 4 << 20] {
-        let rd = osu_allreduce(
-            &m.topo,
-            &m.mpi,
-            &cores,
-            bytes,
-            AllreduceAlgo::RecursiveDoubling,
-            &cfg,
-            c.seed_for(m.name, "allreduce-rd"),
-        );
-        let ring = osu_allreduce(
-            &m.topo,
-            &m.mpi,
-            &cores,
-            bytes,
-            AllreduceAlgo::Ring,
-            &cfg,
-            c.seed_for(m.name, "allreduce-ring"),
-        );
-        let winner = if rd.mean <= ring.mean {
-            "recursive-doubling"
-        } else {
-            "ring"
-        };
-        t.push_row(vec![
-            bytes.to_string(),
-            format!("{:.2}", rd.mean),
-            format!("{:.2}", ring.mean),
-            winner.to_string(),
-        ]);
-    }
-    t.push_row(vec![
-        "barrier".to_string(),
-        format!("{:.2}", barrier.mean),
-        String::new(),
-        String::new(),
-    ]);
-    Some(t)
+        node_world(&m.topo, &m.mpi, &cores),
+        &[8, 1024, 65_536, 1 << 20, 4 << 20],
+        &cfg,
+        |bench| c.seed_for(m.name, bench),
+    ))
 }
 
 /// One machine's host and device MPI latency under each implementation
@@ -343,7 +347,7 @@ mod tests {
 
     #[test]
     fn collectives_table_shows_a_crossover() {
-        let t = collectives_table();
+        let t = internode_collectives_table(4);
         let winners: Vec<&str> = t
             .rows
             .iter()
@@ -352,6 +356,32 @@ mod tests {
             .collect();
         assert!(winners.contains(&"recursive-doubling"));
         assert!(winners.contains(&"ring"));
+    }
+
+    /// The table's ring cell is the executed ring: the same fabric worlds
+    /// (8 nodes here, the table's seed and protocol), each timed by a
+    /// direct `allreduce_ring` after the opening barrier.
+    #[test]
+    fn internode_ring_cell_is_the_executed_ring() {
+        let (seed, bytes, nodes) = (4, 1 << 20, 0..8);
+        let cfg = internode_collectives_osu();
+        let t = collectives_table(
+            "",
+            |rep_seed| fabric_world(rep_seed, nodes.clone()),
+            &[bytes],
+            &cfg,
+            |_| seed,
+        );
+        let direct = doe_benchlib::run_reps(cfg.reps, |rep| {
+            let rep_seed = seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let (mut w, ranks) = fabric_world(rep_seed, nodes.clone());
+            w.barrier();
+            let t0 = w.time(ranks[0]).expect("rank");
+            let done = doe_osu::allreduce_ring(&mut w, &ranks, bytes).expect("allreduce");
+            done.since(t0).as_us()
+        })
+        .summary();
+        assert_eq!(t.rows[0][2], format!("{:.2}", direct.mean));
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! * `if` and `match` branches meet by intersection;
 //! * `return` ends its path, and so does a `break`/`continue` outside any
 //!   loop;
+//! * `let PAT = e else { … };` is a branch: the else block starts after
+//!   `e` and must diverge, so only the bound path continues;
 //! * every loop body runs exactly once — no back edge, no zero-trip
 //!   bypass — and the code after the loop starts from the meet of the
 //!   body's fall-through and every `break`/`continue` inside it.
@@ -76,6 +78,12 @@ enum Stmt {
     /// `break` or `continue`: either leaves the once-run body for the code
     /// after the loop.
     Break,
+    /// `let PAT = SRC else { … };`: the else block diverges.
+    LetElse {
+        pattern: Vec<usize>,
+        source: Vec<usize>,
+        else_b: Vec<Stmt>,
+    },
     Block(Vec<Stmt>),
 }
 
@@ -170,8 +178,12 @@ impl<'a> Parser<'a> {
             } else if ITEM_KEYWORDS.iter().any(|k| self.at_kw(k)) {
                 self.skip_item();
             } else {
+                let start = self.pos;
                 let (toks, semi) = self.scan_straight();
-                if !toks.is_empty() {
+                if self.at("{") && self.is_let_else(&toks) {
+                    self.pos = start + 1; // past `let`
+                    out.push(self.parse_let_else());
+                } else if !toks.is_empty() {
                     out.push(Stmt::Straight(toks));
                 } else if !semi {
                     // Defensive: never loop on a token we cannot consume.
@@ -253,6 +265,34 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         toks
+    }
+
+    /// Does a straight run that stopped at a `{` open a `let … else`?
+    fn is_let_else(&self, toks: &[usize]) -> bool {
+        let kw = |t: Option<&usize>, kw: &str| {
+            t.is_some_and(|&t| {
+                matches!(self.tokens[t].kind, TokKind::Ident | TokKind::RawIdent)
+                    && self.tokens[t].text(self.src) == kw
+            })
+        };
+        kw(toks.first(), "let") && kw(toks.last(), "else")
+    }
+
+    /// `PAT = SRC else { … };`, from just past the `let`.
+    fn parse_let_else(&mut self) -> Stmt {
+        let pattern = self.scan_pattern_to_eq();
+        let mut source = self.scan_cond();
+        source.pop(); // `else`
+        self.expect_open_brace();
+        let else_b = self.parse_stmts();
+        if self.at(";") {
+            self.pos += 1;
+        }
+        Stmt::LetElse {
+            pattern,
+            source,
+            else_b,
+        }
     }
 
     fn expect_open_brace(&mut self) {
@@ -566,6 +606,17 @@ impl<F: FnMut(Step<'_>, &mut Facts)> Walker<F> {
                 None
             }
             Stmt::Block(b) => self.stmts(b, Some(facts)),
+            Stmt::LetElse {
+                pattern,
+                source,
+                else_b,
+            } => {
+                self.code(source, &mut facts);
+                // The else block must diverge, so its end joins nothing.
+                self.stmts(else_b, Some(facts.clone()));
+                self.bind(pattern, source, &mut facts);
+                Some(facts)
+            }
             Stmt::If {
                 bind,
                 cond,
@@ -778,8 +829,10 @@ mod tests {
     #[test]
     fn let_else_keeps_divergent_block() {
         let t = trace("fn f(x: Option<u32>) -> u32 { let Some(v) = x else { return 0; }; v }");
-        // The else block is walked inline, so its `return` ends the path:
-        // the tail `v` is never reached.
-        assert_eq!(steps(&t), ["let Some ( v ) = x else", "0"]);
+        // The else block branches off after the source and ends with its
+        // `return`; the bound path goes on to the tail `v`.
+        assert_eq!(steps(&t), ["x", "0", "bind[Some ( v )]<-[x]", "v"]);
+        assert_eq!(held_at(&t, "0"), ["x"]);
+        assert_eq!(held_at(&t, "v"), ["bind[Some ( v )]<-[x]", "x"]);
     }
 }

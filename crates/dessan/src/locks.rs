@@ -970,9 +970,9 @@ fn f(a: &A, c: bool) -> u32 {
 
     #[test]
     fn let_else_block_is_checked_and_its_return_ends_the_path() {
-        // The else block is walked as an inline block: a double lock
-        // inside it is reported, and its `return` ends the walk, so the
-        // acquisition after the `let … else` goes unchecked.
+        // The else block is a branch: a double lock inside it is
+        // reported, and its `return` ends that branch only, so the
+        // acquisition after the `let … else` is checked too.
         let src = "\
 struct A { m: Mutex<u32> }
 fn f(a: &A, x: Option<u32>) {
@@ -984,7 +984,7 @@ fn f(a: &A, x: Option<u32>) {
     let k = a.m.lock().unwrap();
 }
 ";
-        assert_eq!(double_lock_lines(src), [5]);
+        assert_eq!(double_lock_lines(src), [5, 8]);
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! the paper's first future-work item (§5, inter-node measurement), from a
 //! two-level [`Fabric`] with NIC injection limits and shared-link
 //! contention from background flows ([`MpiSim::on_fabric`]); nothing else
-//! about a world differs. [`collectives`] prices barrier and allreduce
-//! algorithms in closed form.
+//! about a world differs. Collectives are not priced here: `doe-osu`
+//! executes their algorithms message by message on a world.
 
 //! # Example
 //!
@@ -49,7 +49,6 @@
 //!
 //! The same protocol runs over a fabric; see [`MpiSim::on_fabric`].
 
-pub mod collectives;
 pub mod config;
 pub mod fabric;
 pub mod transport;

@@ -1,10 +1,12 @@
 //! OSU-style collective benchmarks (`osu_barrier`, `osu_allreduce`)
 //! executed over the MPI runtime.
 //!
-//! Unlike `doe_mpi::collectives` (closed-form LogGP-style models), these
-//! run the *actual algorithms* — every round is real `send`/`recv` calls
-//! through the protocol state machine, so placement, eager/rendezvous
-//! crossover, and socket boundaries all shape the result.
+//! These run the *actual algorithms*: every round is real `send`/`recv`
+//! calls through the protocol state machine, so placement, the
+//! eager/rendezvous crossover and socket or switch-group boundaries all
+//! shape the result. The timing loop takes a world source, so the same
+//! loop times ranks pinned to one node's cores ([`node_world`]) and ranks
+//! on the nodes of a fabric (`MpiSim::on_fabric`).
 
 use std::sync::Arc;
 
@@ -116,13 +118,28 @@ fn run_binomial_barrier(world: &mut MpiSim, ranks: &[Rank]) {
     }
 }
 
+/// A world source for ranks pinned to `cores` of one node: given a
+/// repetition's seed, a fresh world and its ranks in `cores` order.
+pub fn node_world<'a>(
+    topo: &'a Arc<NodeTopology>,
+    mpi: &'a MpiConfig,
+    cores: &'a [CoreId],
+) -> impl Fn(u64) -> (MpiSim, Vec<Rank>) + 'a {
+    move |seed| {
+        let mut world = MpiSim::new(Arc::clone(topo), mpi.clone(), seed);
+        let ranks = cores
+            .iter()
+            .map(|&c| world.add_host_rank(c).expect("valid core"))
+            .collect();
+        (world, ranks)
+    }
+}
+
 /// Mean ± σ (µs) over the configured repetitions of one run of `op`
-/// across ranks pinned to `cores`, averaged over `iters` runs that each
-/// end at a barrier.
+/// across the ranks of a fresh world from `world` per repetition,
+/// averaged over `iters` runs that each end at a barrier.
 fn time_collective(
-    topo: &Arc<NodeTopology>,
-    mpi: &MpiConfig,
-    cores: &[CoreId],
+    world: impl Fn(u64) -> (MpiSim, Vec<Rank>),
     cfg: &OsuConfig,
     seed: u64,
     iters: u32,
@@ -130,11 +147,8 @@ fn time_collective(
 ) -> Summary {
     run_reps(cfg.reps, |rep| {
         let rep_seed = seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut world = MpiSim::new(Arc::clone(topo), mpi.clone(), rep_seed);
-        let ranks: Vec<Rank> = cores
-            .iter()
-            .map(|&c| world.add_host_rank(c).expect("valid core"))
-            .collect();
+        let (mut world, ranks) = world(rep_seed);
+        assert!(ranks.len() >= 2, "a collective needs at least two ranks");
         world.barrier();
         let t0 = finish_time(&world, &ranks);
         for _ in 0..iters {
@@ -146,46 +160,33 @@ fn time_collective(
     .summary()
 }
 
-/// Time one allreduce of `bytes` across ranks pinned to `cores`,
-/// mean ± σ (µs) over the configured repetitions.
+/// Time one allreduce of `bytes` across the ranks of a fresh world from
+/// `world` per repetition, mean ± σ (µs) over the repetitions.
 pub fn osu_allreduce(
-    topo: &Arc<NodeTopology>,
-    mpi: &MpiConfig,
-    cores: &[CoreId],
+    world: impl Fn(u64) -> (MpiSim, Vec<Rank>),
     bytes: u64,
     algo: AllreduceAlgo,
     cfg: &OsuConfig,
     seed: u64,
 ) -> Summary {
-    assert!(cores.len() >= 2, "allreduce needs at least two ranks");
     let iters = cfg.iters_for(bytes).min(100);
-    time_collective(
-        topo,
-        mpi,
-        cores,
-        cfg,
-        seed,
-        iters,
-        |world, ranks| match algo {
-            AllreduceAlgo::RecursiveDoubling => run_recursive_doubling(world, ranks, bytes),
-            AllreduceAlgo::Ring => {
-                allreduce_ring(world, ranks, bytes).expect("ring allreduce");
-            }
-        },
-    )
+    time_collective(world, cfg, seed, iters, |world, ranks| match algo {
+        AllreduceAlgo::RecursiveDoubling => run_recursive_doubling(world, ranks, bytes),
+        AllreduceAlgo::Ring => {
+            allreduce_ring(world, ranks, bytes).expect("ring allreduce");
+        }
+    })
 }
 
-/// Time one barrier across ranks pinned to `cores`, mean ± σ (µs).
+/// Time one barrier across the ranks of a fresh world from `world` per
+/// repetition, mean ± σ (µs).
 pub fn osu_barrier(
-    topo: &Arc<NodeTopology>,
-    mpi: &MpiConfig,
-    cores: &[CoreId],
+    world: impl Fn(u64) -> (MpiSim, Vec<Rank>),
     cfg: &OsuConfig,
     seed: u64,
 ) -> Summary {
-    assert!(cores.len() >= 2, "barrier needs at least two ranks");
     let iters = cfg.small_iters.min(200);
-    time_collective(topo, mpi, cores, cfg, seed, iters, run_binomial_barrier)
+    time_collective(world, cfg, seed, iters, run_binomial_barrier)
 }
 
 #[cfg(test)]
@@ -195,6 +196,7 @@ mod tests {
     use doe_mpi::{Fabric, FabricConfig, NodeId};
     use doe_simtime::{Jitter, SimDuration};
     use doe_topo::{LinkKind, NodeBuilder, NumaId, SocketId, Vertex};
+    use AllreduceAlgo::{RecursiveDoubling, Ring};
 
     fn topo() -> Arc<NodeTopology> {
         Arc::new(
@@ -235,103 +237,56 @@ mod tests {
         c
     }
 
+    /// Mean µs of `algo` at `bytes` on ranks pinned to `cores`.
+    fn node_allreduce(cores: &[CoreId], bytes: u64, algo: AllreduceAlgo) -> f64 {
+        osu_allreduce(node_world(&topo(), &mpi(), cores), bytes, algo, &cfg(), 1).mean
+    }
+
+    /// Mean µs of the barrier on ranks pinned to `cores`.
+    fn node_barrier(cores: &[CoreId]) -> f64 {
+        osu_barrier(node_world(&topo(), &mpi(), cores), &cfg(), 1).mean
+    }
+
     #[test]
     fn barrier_is_cheaper_than_any_allreduce() {
-        let t = topo();
-        let b = osu_barrier(&t, &mpi(), &cores(8), &cfg(), 1);
-        let a = osu_allreduce(
-            &t,
-            &mpi(),
-            &cores(8),
-            4096,
-            AllreduceAlgo::RecursiveDoubling,
-            &cfg(),
-            1,
-        );
-        assert!(b.mean > 0.0);
-        assert!(a.mean > b.mean, "barrier={} allreduce={}", b.mean, a.mean);
+        let b = node_barrier(&cores(8));
+        let a = node_allreduce(&cores(8), 4096, RecursiveDoubling);
+        assert!(b > 0.0);
+        assert!(a > b, "barrier={b} allreduce={a}");
     }
 
     #[test]
     fn small_messages_favor_recursive_doubling() {
-        let t = topo();
-        let rd = osu_allreduce(
-            &t,
-            &mpi(),
-            &cores(8),
-            64,
-            AllreduceAlgo::RecursiveDoubling,
-            &cfg(),
-            1,
-        );
-        let ring = osu_allreduce(&t, &mpi(), &cores(8), 64, AllreduceAlgo::Ring, &cfg(), 1);
-        assert!(rd.mean < ring.mean, "rd={} ring={}", rd.mean, ring.mean);
+        let rd = node_allreduce(&cores(8), 64, RecursiveDoubling);
+        let ring = node_allreduce(&cores(8), 64, Ring);
+        assert!(rd < ring, "rd={rd} ring={ring}");
     }
 
     #[test]
     fn large_messages_favor_ring() {
-        let t = topo();
-        let bytes = 4 << 20;
-        let rd = osu_allreduce(
-            &t,
-            &mpi(),
-            &cores(8),
-            bytes,
-            AllreduceAlgo::RecursiveDoubling,
-            &cfg(),
-            1,
-        );
-        let ring = osu_allreduce(&t, &mpi(), &cores(8), bytes, AllreduceAlgo::Ring, &cfg(), 1);
-        assert!(ring.mean < rd.mean, "rd={} ring={}", rd.mean, ring.mean);
+        let rd = node_allreduce(&cores(8), 4 << 20, RecursiveDoubling);
+        let ring = node_allreduce(&cores(8), 4 << 20, Ring);
+        assert!(ring < rd, "rd={rd} ring={ring}");
     }
 
     #[test]
     fn allreduce_grows_with_rank_count() {
-        let t = topo();
-        let small = osu_allreduce(
-            &t,
-            &mpi(),
-            &cores(2),
-            1024,
-            AllreduceAlgo::RecursiveDoubling,
-            &cfg(),
-            1,
-        );
-        let large = osu_allreduce(
-            &t,
-            &mpi(),
-            &cores(16),
-            1024,
-            AllreduceAlgo::RecursiveDoubling,
-            &cfg(),
-            1,
-        );
-        assert!(large.mean > small.mean);
+        let small = node_allreduce(&cores(2), 1024, RecursiveDoubling);
+        let large = node_allreduce(&cores(16), 1024, RecursiveDoubling);
+        assert!(large > small);
     }
 
     #[test]
     fn cross_socket_ranks_pay_the_upi_hop() {
-        let t = topo();
-        let same_socket: Vec<CoreId> = (0..4).map(CoreId).collect();
-        let cross: Vec<CoreId> = vec![CoreId(0), CoreId(1), CoreId(8), CoreId(9)];
-        let near = osu_barrier(&t, &mpi(), &same_socket, &cfg(), 1);
-        let far = osu_barrier(&t, &mpi(), &cross, &cfg(), 1);
-        assert!(far.mean > near.mean, "near={} far={}", near.mean, far.mean);
+        let near = node_barrier(&cores(4));
+        let far = node_barrier(&[CoreId(0), CoreId(1), CoreId(8), CoreId(9)]);
+        assert!(far > near, "near={near} far={far}");
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn recursive_doubling_rejects_odd_rank_counts() {
-        let t = topo();
-        osu_allreduce(
-            &t,
-            &mpi(),
-            &[CoreId(0), CoreId(1), CoreId(2)],
-            64,
-            AllreduceAlgo::RecursiveDoubling,
-            &cfg(),
-            1,
-        );
+        node_allreduce(&cores(3), 64, RecursiveDoubling);
     }
 
     /// A jitter-free world on the Slingshot-like fabric, one rank on each
@@ -381,18 +336,92 @@ mod tests {
         assert!(w.check_findings().is_empty(), "{:?}", w.check_findings());
     }
 
+    /// One jitter-free run of `algo` at `bytes` across the first `p`
+    /// fabric nodes, µs.
+    fn fabric_allreduce(p: u32, bytes: u64, algo: AllreduceAlgo) -> f64 {
+        osu_allreduce(|_| fabric_world(0..p), bytes, algo, &once(), 1).mean
+    }
+
+    /// One repetition of one timed run.
+    fn once() -> OsuConfig {
+        OsuConfig {
+            reps: 1,
+            small_iters: 1,
+            large_iters: 1,
+            ..OsuConfig::quick()
+        }
+    }
+
+    #[test]
+    fn barrier_grows_logarithmically() {
+        // 2·3 rounds at 8 nodes, 2·6 at 64: eight times the ranks costs
+        // about twice the time, not eight times.
+        let b8 = osu_barrier(|_| fabric_world(0..8), &once(), 1).mean;
+        let b64 = osu_barrier(|_| fabric_world(0..64), &once(), 1).mean;
+        assert!(b8 < b64 && b64 < 3.0 * b8, "8: {b8} 64: {b64}");
+    }
+
+    #[test]
+    fn small_messages_prefer_recursive_doubling() {
+        let rd = fabric_allreduce(64, 8, RecursiveDoubling);
+        let ring = fabric_allreduce(64, 8, Ring);
+        assert!(rd < ring, "rd={rd} ring={ring}");
+    }
+
+    #[test]
+    fn large_messages_prefer_ring() {
+        let rd = fabric_allreduce(64, 128 << 20, RecursiveDoubling);
+        let ring = fabric_allreduce(64, 128 << 20, Ring);
+        assert!(ring < rd, "rd={rd} ring={ring}");
+    }
+
+    /// Recursive doubling wins small vectors and the ring large ones, but
+    /// the winner is monotone in size only within one protocol regime of
+    /// the ring's chunks: at 32 nodes the ring wins at 256 KiB (8 KiB
+    /// chunks, the last eager size) and loses at 512 KiB and 1 MiB, where
+    /// every chunk pays the rendezvous handshake, before winning again.
+    #[test]
+    fn crossover_is_monotone_within_each_protocol() {
+        let (p, eager) = (32, MpiConfig::default_fabric().eager_threshold);
+        let mut regimes: [Vec<bool>; 2] = Default::default();
+        for shift in 3..28 {
+            let bytes = 1u64 << shift;
+            let rd = fabric_allreduce(p, bytes, RecursiveDoubling);
+            let ring = fabric_allreduce(p, bytes, Ring);
+            regimes[usize::from(bytes / u64::from(p) > eager)].push(ring < rd);
+        }
+        // Each regime opens with recursive doubling ahead and closes with
+        // the ring ahead; once the ring wins, it keeps winning.
+        for winners in &regimes {
+            assert!(!winners[0], "{regimes:?}");
+            let first = winners.iter().position(|&w| w).expect("ring wins");
+            assert!(winners[first..].iter().all(|&w| w), "{regimes:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Both executed allreduces take longer for a larger vector, on
+        /// any rank count the algorithm accepts.
+        #[test]
+        fn prop_allreduce_monotone(
+            log_p in 1u32..7,
+            odd in 0u32..2,
+            s1 in 1u64..1 << 24,
+            s2 in 1u64..1 << 24,
+        ) {
+            let (lo, hi) = if s1 <= s2 { (s1, s2) } else { (s2, s1) };
+            let p = 1 << log_p;
+            let rd = |b| fabric_allreduce(p, b, RecursiveDoubling);
+            proptest::prop_assert!(rd(lo) <= rd(hi));
+            let ring = |b| fabric_allreduce(p + odd, b, Ring);
+            proptest::prop_assert!(ring(lo) <= ring(hi));
+        }
+    }
+
     #[test]
     fn ring_handles_odd_rank_counts() {
-        let t = topo();
-        let s = osu_allreduce(
-            &t,
-            &mpi(),
-            &[CoreId(0), CoreId(1), CoreId(2)],
-            4096,
-            AllreduceAlgo::Ring,
-            &cfg(),
-            1,
-        );
-        assert!(s.mean > 0.0);
+        assert!(node_allreduce(&cores(3), 4096, Ring) > 0.0);
     }
 }

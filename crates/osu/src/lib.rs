@@ -33,7 +33,7 @@ pub mod multi;
 pub mod pairing;
 
 pub use bandwidth::{osu_bw, windowed_bandwidth, BwPoint};
-pub use collectives::{allreduce_ring, osu_allreduce, osu_barrier, AllreduceAlgo};
+pub use collectives::{allreduce_ring, node_world, osu_allreduce, osu_barrier, AllreduceAlgo};
 pub use config::OsuConfig;
 pub use latency::{osu_latency, osu_latency_device, pingpong_once, LatencyPoint};
 pub use multi::{osu_mbw_mr, osu_multi_lat, MbwMrPoint, MultiLatPoint};

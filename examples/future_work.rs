@@ -18,7 +18,7 @@ fn main() {
         println!("  {flows} flows | {bw:>6.2} GB/s {bar}");
     }
     println!();
-    println!("{}", studies::collectives_table().to_ascii());
+    println!("{}", studies::internode_collectives_table(4).to_ascii());
 
     // Future work 3: Intel vs AMD vs Arm design points.
     println!("{}", studies::cpu_vendor_table(&campaign).to_ascii());
