@@ -247,6 +247,27 @@ fn collectives_output_is_pinned() {
     }
 }
 
+/// FNV-1a 64 digests of the latency sweep, the MPI-variant study and the
+/// CPU-vendor study, in both protocols where the command has two. These
+/// commands run their benchmarks directly, outside the query path's cell
+/// fan-out, so no other test pins their bytes.
+#[test]
+fn direct_study_outputs_are_pinned() {
+    use doebench::query::fnv1a64;
+    for (args, want) in [
+        (&["sweep", "Frontier"][..], 0x735975b7f68ed67c),
+        (&["sweep", "--full", "Frontier"], 0x2e51642609b9e5d9),
+        (&["variants", "Summit"], 0xee742074aaebf3bb),
+        (&["variants", "--full", "Summit"], 0x2d2283f207352f02),
+        (&["extensions"], 0x48f2ca0ccdd69675),
+    ] {
+        let (stdout, stderr, ok) = doebench(args);
+        assert!(ok, "{args:?}: {stderr}");
+        let got = fnv1a64(stdout.as_bytes());
+        assert_eq!(got, want, "{args:?} stdout moved: {got:#018x}");
+    }
+}
+
 /// FNV-1a 64 digests of `doebench trace <m>`'s Chrome JSON for every
 /// accelerator machine in the catalog: span names, tracks and the µs
 /// `ts`/`dur` of every simulated launch and copy.
