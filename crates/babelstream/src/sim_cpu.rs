@@ -12,7 +12,7 @@
 //! Run-to-run variance is a common-mode factor per binary run (DVFS,
 //! OS noise): one jitter draw scales every kernel in that run.
 
-use doe_benchlib::{parallel_map_indexed, Samples, Summary};
+use doe_benchlib::{Samples, Summary};
 use doe_memmodel::{MemDomainModel, StreamOp};
 use doe_omp::{resolve_placement, EnvCombo};
 use doe_simtime::{Jitter, SimDuration, SimRng};
@@ -55,11 +55,12 @@ pub fn run_sim_cpu(
         })
         .collect();
 
-    // Each rep derives its own RNG from the rep index, so reps
-    // are independent and can run on any pool worker in any order. The
-    // label is the same for every rep: hash it once.
+    // Each rep derives its own RNG from the rep index. The label is the
+    // same for every rep: hash it once.
     let label = SimRng::label_hash(&["babelstream-cpu/", &topo.name]);
-    let per_rep = parallel_map_indexed(cfg.reps, |rep| {
+    let mut single_samples = Samples::new();
+    let mut all_samples = Samples::new();
+    for rep in 0..cfg.reps {
         let mut rng = SimRng::labelled(seed, label, rep as u64);
         // Common-mode run factor.
         let factor = run_jitter.sample_scalar(1.0, &mut rng).max(0.05);
@@ -84,11 +85,10 @@ pub fn run_sim_cpu(
                 }
             }
         }
-        (best_single, best_all)
-    });
+        single_samples.push(best_single);
+        all_samples.push(best_all);
+    }
 
-    let single_samples: Samples = per_rep.iter().map(|(single, _)| *single).collect();
-    let all_samples: Samples = per_rep.iter().map(|(_, all)| *all).collect();
     CpuStreamReport {
         single: single_samples.summary(),
         all: all_samples.summary(),

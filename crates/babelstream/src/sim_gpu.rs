@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use doe_benchlib::{parallel_map_init, Samples, Summary};
+use doe_benchlib::{rep_seed, run_reps, Summary};
 use doe_gpurt::GpuRuntime;
 use doe_gpusim::GpuModel;
 use doe_memmodel::StreamOp;
@@ -46,37 +46,31 @@ pub fn run_sim_gpu(
     let models: Arc<[GpuModel]> = models.into();
 
     // A rep arms only its runtime, from the rep index: the seed fixes its
-    // run factor, and the models and kernel times are the cell's. So reps
-    // are independent and can run on any pool worker in any order; a
-    // worker re-arms the runtime its last rep left. Only the largest size
-    // is reported, so it is the only size run: each size starts
+    // run factor, and the models and kernel times are the cell's. Each rep
+    // re-arms the runtime the last one left. Only the largest size is
+    // reported, so it is the only size run: each size starts
     // synchronized, and a synchronized runtime shifted in time times a
     // size exactly as a fresh one does (DESIGN.md §3).
-    let per_rep = parallel_map_init(
-        cfg.reps,
-        || None,
-        |slot, rep| {
-            let rep_seed = seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let rt = GpuRuntime::rearmed(slot, &topo, &models, rep_seed);
-            let stream = rt.default_stream(dev).expect("device 0 exists");
-            let mut best = 0.0f64;
-            for (&op, &t) in StreamOp::ALL.iter().zip(&kernel_times) {
-                let t0 = rt.now();
-                rt.launch_train(&stream, t, u64::from(cfg.inner_iters))
-                    .expect("launch");
-                rt.stream_synchronize(&stream).expect("sync");
-                let elapsed = rt.now().since(t0);
-                let bytes = op.reported_bytes(n) * cfg.inner_iters as u64;
-                let bw = elapsed.bandwidth_gb_s(bytes);
-                if bw > best {
-                    best = bw;
-                }
+    let mut slot = None;
+    let samples = run_reps(cfg.reps, |rep| {
+        let rt = GpuRuntime::rearmed(&mut slot, &topo, &models, rep_seed(seed, rep));
+        let stream = rt.default_stream(dev).expect("device 0 exists");
+        let mut best = 0.0f64;
+        for (&op, &t) in StreamOp::ALL.iter().zip(&kernel_times) {
+            let t0 = rt.now();
+            rt.launch_train(&stream, t, u64::from(cfg.inner_iters))
+                .expect("launch");
+            rt.stream_synchronize(&stream).expect("sync");
+            let elapsed = rt.now().since(t0);
+            let bytes = op.reported_bytes(n) * cfg.inner_iters as u64;
+            let bw = elapsed.bandwidth_gb_s(bytes);
+            if bw > best {
+                best = bw;
             }
-            best
-        },
-    );
+        }
+        best
+    });
 
-    let samples: Samples = per_rep.into_iter().collect();
     GpuStreamReport {
         device: samples.summary(),
     }

@@ -1,6 +1,6 @@
 //! Differential test of the simulated BabelStream campaigns against the
 //! loops they replaced. The campaigns derive kernel times once per cell,
-//! re-arm one GPU runtime per worker thread, and time only the largest
+//! re-arm one GPU runtime for each rep, and time only the largest
 //! size, the one they report; the reference loops re-derive kernel times,
 //! build a fresh GPU runtime and run every size in every rep.
 //!

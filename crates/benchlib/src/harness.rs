@@ -14,6 +14,13 @@ pub fn run_reps(reps: usize, mut run: impl FnMut(usize) -> f64) -> Samples {
     (0..reps).map(&mut run).collect()
 }
 
+/// The seed of run `rep` of a benchmark seeded `seed`: distinct runs get
+/// well-spread seeds, so each run's world draws its own noise.
+#[inline]
+pub fn rep_seed(seed: u64, rep: usize) -> u64 {
+    seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
 /// Configuration of the google/benchmark-style adaptive iteration search.
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveConfig {

@@ -10,7 +10,7 @@
 //!
 //! * [`Samples`] / [`Summary`] — the mean ± σ (and friends) of the 100
 //!   outer runs;
-//! * [`run_reps`] — the outer loop;
+//! * [`run_reps`] — the outer loop, and [`rep_seed`] — each run's seed;
 //! * [`adaptive_iterations`] — the google/benchmark-style inner loop used
 //!   by Comm|Scope ("the benchmark support library … is responsible for
 //!   determining how many operations to average for each test").
@@ -19,6 +19,6 @@ pub mod harness;
 pub mod par;
 pub mod stats;
 
-pub use harness::{adaptive_iterations, run_reps, AdaptiveConfig};
-pub use par::{effective_jobs, parallel_map_indexed, parallel_map_init, run_reps_par, set_jobs};
+pub use harness::{adaptive_iterations, rep_seed, run_reps, AdaptiveConfig};
+pub use par::{effective_jobs, parallel_map_indexed, set_jobs};
 pub use stats::{Samples, Summary};

@@ -8,11 +8,9 @@
 //! caller and its helpers claim indices from one atomic counter and write
 //! each result into the slot of its index, so the output `Vec` is
 //! bit-identical to the serial `(0..n).map(f)` whatever the thread count
-//! and whichever thread ran which index. [`parallel_map_init`] is the
-//! one implementation: it also hands each thread a scratch state of its
-//! own (a runtime to re-arm rep after rep), and [`parallel_map_indexed`]
-//! is it without state. [`run_reps_par`] is the rep-loop instance, the
-//! parallel twin of [`crate::run_reps`].
+//! and whichever thread ran which index. Its one caller outside tests is
+//! the campaign scheduler, `doebench::sched::run_cells`; rep loops are
+//! plain serial loops ([`crate::run_reps`]).
 //!
 //! Worker count resolution (first match wins):
 //! 1. an explicit [`set_jobs`] call (the CLI's `--jobs N`);
@@ -28,17 +26,15 @@
 //! second daemon connection fanning out while the first still is) runs
 //! inline on its own thread. Nested calls degrade to serial: a
 //! `parallel_map_indexed` reached from inside a fork-join runs inline,
-//! so fanning a campaign grid out at the cell level does not multiply
-//! threads per rep loop. A panic in `f` reaches the caller once every
-//! helper has left the job, and the pool stays usable.
+//! so a cell that fans out over its sub-benchmarks runs them inline when
+//! it is itself one cell of a wider fan-out. A panic in `f` reaches the
+//! caller once every helper has left the job, and the pool stays usable.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-
-use crate::stats::Samples;
 
 /// Explicit jobs override; 0 means "not set".
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -228,47 +224,23 @@ impl Drop for JoinOnDrop {
 
 /// Map `f` over `0..n`, preserving index order exactly.
 ///
-/// [`parallel_map_init`] without per-thread state.
+/// With more than one effective job the calling thread posts the map to
+/// the process-wide pool and works it alongside up to `jobs - 1` helpers:
+/// each claims the next unclaimed index from one atomic counter and
+/// stores `f(i)` in slot `i` of a pre-sized buffer — so the result is the
+/// same `Vec` the serial loop produces, element for element, however the
+/// indices fell to threads. With one job, on `n <= 1`, when already
+/// inside a fork-join, or when another caller holds the pool, it is
+/// exactly the serial loop.
+///
+/// If `f` panics, the remaining indices are abandoned and the first
+/// panic resumes on the caller once every helper has left.
 pub fn parallel_map_indexed<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    parallel_map_init(n, || (), |(), i| f(i))
-}
-
-/// Map `f` over `0..n` with per-thread scratch state, preserving index
-/// order exactly.
-///
-/// With more than one effective job the calling thread posts the map to
-/// the process-wide pool and works it alongside up to `jobs - 1` helpers:
-/// each claims the next unclaimed index from one atomic counter and
-/// stores `f(state, i)` in slot `i` of a pre-sized buffer — so the result
-/// is the same `Vec` the serial loop produces, element for element,
-/// however the indices fell to threads. Each thread that works the map
-/// calls `init()` once, when it claims its first index, and hands that
-/// state to every index it claims; the state drops when the thread leaves
-/// the map. With one job, on `n <= 1`, when already inside a fork-join,
-/// or when another caller holds the pool, it is exactly the serial loop,
-/// with one state for the whole map.
-///
-/// `f` must give the same result whatever the state's history: the state
-/// is scratch (a runtime to re-arm, buffers to reuse), never an input.
-///
-/// If `f` panics, the remaining indices are abandoned and the first
-/// panic resumes on the caller once every helper has left.
-pub fn parallel_map_init<S, T, I, F>(n: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let serial = || {
-        let mut state = None;
-        (0..n)
-            .map(|i| f(state.get_or_insert_with(&init), i))
-            .collect()
-    };
+    let serial = || (0..n).map(&f).collect();
     let jobs = effective_jobs().min(n.max(1));
     if jobs <= 1 || n <= 1 || IN_POOL.with(|p| p.get()) {
         return serial();
@@ -281,16 +253,13 @@ where
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
     let work = || {
-        let run = panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut state = None;
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let value = f(state.get_or_insert_with(&init), i);
-                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
+        let run = panic::catch_unwind(AssertUnwindSafe(|| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
             }
+            let value = f(i);
+            *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
         }));
         if let Err(payload) = run {
             // Stop the other threads claiming; keep the first panic.
@@ -334,18 +303,6 @@ where
         .collect()
 }
 
-/// Parallel twin of [`crate::run_reps`]: run `reps` independent benchmark
-/// executions across the worker pool, collecting one observation per run
-/// in rep order.
-///
-/// The closure must derive all randomness from the rep index it receives
-/// (per-rep seeds, per-rep sim worlds); given that, the returned
-/// [`Samples`] is bit-identical to `run_reps` for every job count.
-pub fn run_reps_par(reps: usize, run: impl Fn(usize) -> f64 + Sync) -> Samples {
-    assert!(reps > 0, "need at least one repetition");
-    parallel_map_indexed(reps, run).into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,59 +334,6 @@ mod tests {
             });
             assert_eq!(par, serial, "jobs={jobs}");
         }
-    }
-
-    #[test]
-    fn run_reps_par_matches_run_reps() {
-        let f = |i: usize| (i as f64).sin() * 1e3;
-        let serial = crate::run_reps(257, f);
-        let par = with_jobs(8, || run_reps_par(257, f));
-        assert_eq!(par.summary(), serial.summary());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one repetition")]
-    fn zero_reps_panics() {
-        run_reps_par(0, |_| 0.0);
-    }
-
-    #[test]
-    fn each_thread_inits_its_state_once() {
-        let inits = AtomicUsize::new(0);
-        let init = || {
-            inits.fetch_add(1, Ordering::SeqCst);
-            Vec::<usize>::new()
-        };
-        // The state is scratch: the result must not depend on it.
-        let f = |seen: &mut Vec<usize>, i: usize| {
-            seen.push(i);
-            i * 7
-        };
-        let serial: Vec<usize> = (0..200).map(|i| i * 7).collect();
-        for jobs in [1, 2, 5] {
-            inits.store(0, Ordering::SeqCst);
-            assert_eq!(with_jobs(jobs, || parallel_map_init(200, init, f)), serial);
-            let n = inits.load(Ordering::SeqCst);
-            assert!((1..=jobs).contains(&n), "jobs={jobs}: {n} inits");
-        }
-        // No index, no state.
-        inits.store(0, Ordering::SeqCst);
-        assert!(with_jobs(4, || parallel_map_init(0, init, f)).is_empty());
-        assert_eq!(inits.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn a_nested_map_shares_one_state() {
-        let inits = AtomicUsize::new(0);
-        let out = with_jobs(4, || {
-            parallel_map_indexed(6, |i| {
-                let inner =
-                    parallel_map_init(10, || inits.fetch_add(1, Ordering::SeqCst), |_, j| i + j);
-                inner.iter().sum::<usize>()
-            })
-        });
-        assert_eq!(out, (0..6).map(|i| 10 * i + 45).collect::<Vec<_>>());
-        assert_eq!(inits.load(Ordering::SeqCst), 6, "one state per inner map");
     }
 
     #[test]
@@ -530,13 +434,14 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-        /// run_reps_par equals run_reps for arbitrary rep and job counts.
+        /// The parallel map equals the serial map for arbitrary lengths
+        /// and job counts.
         #[test]
-        fn prop_par_equals_serial(reps in 1usize..300, jobs in 1usize..17) {
+        fn prop_par_equals_serial(n in 0usize..300, jobs in 1usize..17) {
             let f = |i: usize| ((i as f64) * 0.73).cos() * 41.0;
-            let serial = crate::run_reps(reps, f);
-            let par = with_jobs(jobs, || run_reps_par(reps, f));
-            prop_assert_eq!(par.summary(), serial.summary());
+            let serial: Vec<f64> = (0..n).map(f).collect();
+            let par = with_jobs(jobs, || parallel_map_indexed(n, f));
+            prop_assert_eq!(par, serial);
         }
     }
 }

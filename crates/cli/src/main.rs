@@ -515,8 +515,16 @@ fn run_command(spec: &'static CmdSpec, p: &Parsed, campaign: &Campaign, full: bo
                 doebench::osu::on_socket_pair(&m.topo).unwrap_or_else(|| die("machine too small"));
             let node =
                 doebench::osu::on_node_pair(&m.topo).unwrap_or_else(|| die("machine too small"));
-            let lat_s = doebench::osu::osu_latency(&m.topo, &m.mpi, socket, &cfg, 1);
-            let lat_n = doebench::osu::osu_latency(&m.topo, &m.mpi, node, &cfg, 2);
+            // The two sweeps are independent runs: they fan out over the
+            // worker pool.
+            let mut sweeps =
+                doebench::sched::run_cells(&[(socket, 1), (node, 2)], |&(cores, seed)| {
+                    doebench::osu::osu_latency(&m.topo, &m.mpi, cores, &cfg, seed)
+                })
+                .into_iter();
+            let (Some(lat_s), Some(lat_n)) = (sweeps.next(), sweeps.next()) else {
+                unreachable!("one sweep per pair");
+            };
             if let Some(path) = p.str("svg") {
                 let mut chart = doebench::report::LineChart::new(
                     format!("OSU point-to-point latency on {}", m.name),

@@ -2,17 +2,13 @@
 
 use std::sync::Arc;
 
-use doe_benchlib::{adaptive_iterations, parallel_map_init, Samples, Summary};
+use doe_benchlib::{adaptive_iterations, rep_seed, run_reps, Summary};
 use doe_gpurt::GpuRuntime;
 use doe_gpusim::GpuModel;
 use doe_topo::{DeviceId, NodeTopology};
 
 use crate::config::CommScopeConfig;
 use crate::search::per_iteration;
-
-fn rep_seed(seed: u64, rep: usize) -> u64 {
-    seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
 
 /// `Comm_cudart_kernel`: wall time to *launch* (not complete) empty,
 /// zero-argument kernels. Returns µs, mean ± σ over the outer runs.
@@ -23,35 +19,32 @@ pub fn launch_latency(
     cfg: &CommScopeConfig,
     seed: u64,
 ) -> Summary {
-    // Each rep arms its runtime from the rep index, so reps can run on any
-    // pool worker in any order; a worker re-arms the one its last rep left.
-    let per_rep = parallel_map_init(
-        cfg.reps,
-        || None,
-        |slot, rep| {
-            let rt = GpuRuntime::rearmed(slot, topo, models, rep_seed(seed, rep));
-            rt.set_device(dev).expect("device exists");
-            let stream = rt.default_stream(dev).expect("stream");
-            let per = if rt.fast_forwards() {
-                // A train of n launches moves the host clock by exactly n·L
-                // in either form (DESIGN.md §3), so every batch takes n·L:
-                // the search runs on those times once a launch shows L.
-                let launch = rt.launch_empty_train(&stream, 1).expect("launch");
-                adaptive_iterations(cfg.adaptive, |n| launch * n).1
-            } else {
-                adaptive_iterations(cfg.adaptive, |n| {
-                    // Drain the queue before each batch so queue pressure
-                    // from a previous (shorter) probe batch never bleeds
-                    // into this one.
-                    rt.device_synchronize().expect("sync");
-                    rt.launch_empty_train(&stream, n).expect("launch")
-                })
-                .1
-            };
-            per.as_us()
-        },
-    );
-    per_rep.into_iter().collect::<Samples>().summary()
+    // Each rep arms its runtime from the rep index, re-arming the one the
+    // last rep left.
+    let mut slot = None;
+    run_reps(cfg.reps, |rep| {
+        let rt = GpuRuntime::rearmed(&mut slot, topo, models, rep_seed(seed, rep));
+        rt.set_device(dev).expect("device exists");
+        let stream = rt.default_stream(dev).expect("stream");
+        let per = if rt.fast_forwards() {
+            // A train of n launches moves the host clock by exactly n·L
+            // in either form (DESIGN.md §3), so every batch takes n·L:
+            // the search runs on those times once a launch shows L.
+            let launch = rt.launch_empty_train(&stream, 1).expect("launch");
+            adaptive_iterations(cfg.adaptive, |n| launch * n).1
+        } else {
+            adaptive_iterations(cfg.adaptive, |n| {
+                // Drain the queue before each batch so queue pressure
+                // from a previous (shorter) probe batch never bleeds
+                // into this one.
+                rt.device_synchronize().expect("sync");
+                rt.launch_empty_train(&stream, n).expect("launch")
+            })
+            .1
+        };
+        per.as_us()
+    })
+    .summary()
 }
 
 /// `Comm_cudaDeviceSynchronize`: wall time of a device synchronize against
@@ -63,16 +56,13 @@ pub fn wait_latency(
     cfg: &CommScopeConfig,
     seed: u64,
 ) -> Summary {
-    let per_rep = parallel_map_init(
-        cfg.reps,
-        || None,
-        |slot, rep| {
-            let rt = GpuRuntime::rearmed(slot, topo, models, rep_seed(seed, rep));
-            rt.set_device(dev).expect("device exists");
-            per_iteration(rt, cfg.adaptive, GpuRuntime::device_synchronize).as_us()
-        },
-    );
-    per_rep.into_iter().collect::<Samples>().summary()
+    let mut slot = None;
+    run_reps(cfg.reps, |rep| {
+        let rt = GpuRuntime::rearmed(&mut slot, topo, models, rep_seed(seed, rep));
+        rt.set_device(dev).expect("device exists");
+        per_iteration(rt, cfg.adaptive, GpuRuntime::device_synchronize).as_us()
+    })
+    .summary()
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use doe_benchlib::{parallel_map_init, run_reps_par, Samples, Summary};
+use doe_benchlib::{rep_seed, run_reps, Samples, Summary};
 use doe_gpurt::{Buffer, GpuRuntime};
 use doe_gpusim::GpuModel;
 use doe_topo::{DeviceId, LinkClass, NodeTopology};
@@ -18,10 +18,6 @@ pub struct Transfer {
     pub latency_us: Summary,
     /// Achieved bandwidth of a large (1 GiB) copy, GB/s.
     pub bandwidth_gb_s: Summary,
-}
-
-fn rep_seed(seed: u64, rep: usize) -> u64 {
-    seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// Measure invoke-and-complete copy time between two buffers, per
@@ -46,36 +42,33 @@ fn copy_time_us(
 fn transfer_between(
     topo: &Arc<NodeTopology>,
     models: &Arc<[GpuModel]>,
-    make_bufs: impl Fn(u64) -> (Buffer, Buffer) + Sync,
+    make_bufs: impl Fn(u64) -> (Buffer, Buffer),
     exec_dev: DeviceId,
     cfg: &CommScopeConfig,
     seed: u64,
     label: u64,
 ) -> Transfer {
     // Each rep arms its runtime and builds its buffers from the rep index,
-    // so reps can run on any pool worker in any order; a worker re-arms
-    // the runtime its last rep left.
-    let per_rep = parallel_map_init(
-        cfg.reps,
-        || None,
-        |slot, rep| {
-            let rt = GpuRuntime::rearmed(slot, topo, models, rep_seed(seed ^ label, rep));
-            rt.set_device(exec_dev).expect("device exists");
-            let (dst, src) = make_bufs(cfg.latency_bytes.max(cfg.bandwidth_bytes));
-            let lat = copy_time_us(rt, &dst, &src, cfg.latency_bytes, exec_dev, cfg);
-            // Bandwidth: one large copy is its own batch (it exceeds the
-            // adaptive target by orders of magnitude).
-            let stream = rt.default_stream(exec_dev).expect("stream");
-            let t0 = rt.now();
-            rt.memcpy_async(&dst, &src, cfg.bandwidth_bytes, &stream)
-                .expect("copy");
-            rt.stream_synchronize(&stream).expect("sync");
-            let dt = rt.now().since(t0);
-            (lat, dt.bandwidth_gb_s(cfg.bandwidth_bytes))
-        },
-    );
-    let lat: Samples = per_rep.iter().map(|&(lat, _)| lat).collect();
-    let bw: Samples = per_rep.iter().map(|&(_, bw)| bw).collect();
+    // re-arming the runtime the last rep left.
+    let mut slot = None;
+    let mut lat = Samples::new();
+    let mut bw = Samples::new();
+    for rep in 0..cfg.reps {
+        let rt = GpuRuntime::rearmed(&mut slot, topo, models, rep_seed(seed ^ label, rep));
+        rt.set_device(exec_dev).expect("device exists");
+        let (dst, src) = make_bufs(cfg.latency_bytes.max(cfg.bandwidth_bytes));
+        let latency = copy_time_us(rt, &dst, &src, cfg.latency_bytes, exec_dev, cfg);
+        lat.push(latency);
+        // Bandwidth: one large copy is its own batch (it exceeds the
+        // adaptive target by orders of magnitude).
+        let stream = rt.default_stream(exec_dev).expect("stream");
+        let t0 = rt.now();
+        rt.memcpy_async(&dst, &src, cfg.bandwidth_bytes, &stream)
+            .expect("copy");
+        rt.stream_synchronize(&stream).expect("sync");
+        let dt = rt.now().since(t0);
+        bw.push(dt.bandwidth_gb_s(cfg.bandwidth_bytes));
+    }
     Transfer {
         latency_us: lat.summary(),
         bandwidth_gb_s: bw.summary(),
@@ -162,7 +155,7 @@ pub fn d2d_bandwidth_by_class(
     topo.representative_pairs()
         .into_iter()
         .map(|(class, (src, dst))| {
-            let samples = run_reps_par(cfg.reps, |rep| {
+            let samples = run_reps(cfg.reps, |rep| {
                 let mut rt = GpuRuntime::new(
                     Arc::clone(topo),
                     Arc::clone(models),
@@ -195,7 +188,7 @@ pub fn duplex_bandwidth(
     seed: u64,
 ) -> Summary {
     let numa = topo.device(dev).expect("device exists").local_numa;
-    run_reps_par(cfg.reps, |rep| {
+    run_reps(cfg.reps, |rep| {
         let mut rt = GpuRuntime::new(
             Arc::clone(topo),
             Arc::clone(models),
@@ -236,23 +229,20 @@ pub fn d2d_latency_by_class(
     topo.representative_pairs()
         .into_iter()
         .map(|(class, (src, dst))| {
-            let per_rep = parallel_map_init(
-                cfg.reps,
-                || None,
-                |slot, rep| {
-                    let rt = GpuRuntime::rearmed(
-                        slot,
-                        topo,
-                        models,
-                        rep_seed(seed ^ (class as u64), rep),
-                    );
-                    rt.set_device(src).expect("device exists");
-                    let a = Buffer::device(src, cfg.latency_bytes);
-                    let b = Buffer::device(dst, cfg.latency_bytes);
-                    copy_time_us(rt, &b, &a, cfg.latency_bytes, src, cfg)
-                },
-            );
-            (class, per_rep.into_iter().collect::<Samples>().summary())
+            let mut slot = None;
+            let samples = run_reps(cfg.reps, |rep| {
+                let rt = GpuRuntime::rearmed(
+                    &mut slot,
+                    topo,
+                    models,
+                    rep_seed(seed ^ (class as u64), rep),
+                );
+                rt.set_device(src).expect("device exists");
+                let a = Buffer::device(src, cfg.latency_bytes);
+                let b = Buffer::device(dst, cfg.latency_bytes);
+                copy_time_us(rt, &b, &a, cfg.latency_bytes, src, cfg)
+            });
+            (class, samples.summary())
         })
         .collect()
 }

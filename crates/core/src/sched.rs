@@ -11,15 +11,17 @@
 //! the serial path for every job count, including `--jobs 1`, which *is*
 //! the serial path.
 //!
-//! Three levels nest: a batch of cells, a cell's sub-benchmarks (a
-//! row's STREAM and latency runs, the five Comm|Scope tests, a sweep's
-//! two pairs; each table's `run_machine` fans them out), and each
-//! sub-benchmark's rep loop ([`doe_benchlib::run_reps_par`]). Nested
-//! calls degrade to serial on pool workers, and a fan-out of one item
-//! runs inline without claiming the pool, so the outermost level with
-//! more than one item is the one that runs in parallel: the cells of a
-//! batch, or a lone cell's sub-benchmarks. The thread count never
-//! multiplies.
+//! This is the only place simulated benchmark work runs in parallel. Two
+//! levels nest: a batch of cells, and a cell's sub-benchmarks (a row's
+//! STREAM and latency runs, the five Comm|Scope tests, a sweep's two
+//! pairs; each table's `run_machine` fans them out). A command that owns
+//! independent runs outside a table (the CLI sweep's two pairs, the
+//! MPI-variant study's variants) fans them out here too. Rep loops inside
+//! a suite are plain serial loops. Nested calls degrade to serial on pool
+//! workers, and a fan-out of one item runs inline without claiming the
+//! pool, so the outermost level with more than one item is the one that
+//! runs in parallel: the cells of a batch, or a lone cell's
+//! sub-benchmarks. The thread count never multiplies.
 
 use doe_benchlib::parallel_map_indexed;
 

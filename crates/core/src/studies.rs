@@ -9,7 +9,7 @@
 //! 3. [`mpi_variant_table`] — the same machine under different MPI
 //!    implementation models.
 
-use doe_benchlib::Samples;
+use doe_benchlib::{rep_seed, Samples};
 use doe_machines::extensions::extension_machines;
 use doe_mpi::{apply_variant, Fabric, FabricConfig, MpiConfig, MpiSim, MpiVariant, NodeId, Rank};
 use doe_osu::{
@@ -20,6 +20,7 @@ use doe_report::Table;
 use doe_topo::DeviceId;
 
 use crate::campaign::Campaign;
+use crate::sched::run_cells;
 use crate::table5::device_pair_cores;
 
 /// A world on the Slingshot-like fabric with an HPC NIC stack, one rank on
@@ -50,9 +51,8 @@ pub fn internode_latency_table(seed: u64) -> Table {
         let mut near = Samples::new();
         let mut far = Samples::new();
         let mut bw = Samples::new();
-        for rep in 0..10u64 {
-            let (mut w, r) =
-                fabric_world(seed ^ rep.wrapping_mul(0x9E37_79B9_7F4A_7C15), [0, 1, 16]);
+        for rep in 0..10 {
+            let (mut w, r) = fabric_world(rep_seed(seed, rep), [0, 1, 16]);
             near.push(pingpong_once(&mut w, r[0], r[1], bytes, 0, 50));
             far.push(pingpong_once(&mut w, r[0], r[2], bytes, 0, 50));
             if bytes > 0 {
@@ -265,7 +265,9 @@ pub fn mpi_variant_table(machine: &str, c: &Campaign) -> Option<Table> {
         ],
     );
     let socket_pair = on_socket_pair(&m.topo)?;
-    for variant in MpiVariant::ALL {
+    // The variants are independent runs: they fan out over the worker
+    // pool.
+    let rows = run_cells(&MpiVariant::ALL, |&variant| {
         let mpi = apply_variant(&m.mpi, variant);
         let h2h = osu_latency(
             &m.topo,
@@ -293,11 +295,14 @@ pub fn mpi_variant_table(machine: &str, c: &Campaign) -> Option<Table> {
         } else {
             "-".to_string()
         };
-        t.push_row(vec![
+        vec![
             variant.name().to_string(),
             doe_report::pm_summary(&h2h),
             d2d_cell,
-        ]);
+        ]
+    });
+    for row in rows {
+        t.push_row(row);
     }
     Some(t)
 }
@@ -373,8 +378,7 @@ mod tests {
             |_| seed,
         );
         let direct = doe_benchlib::run_reps(cfg.reps, |rep| {
-            let rep_seed = seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let (mut w, ranks) = fabric_world(rep_seed, nodes.clone());
+            let (mut w, ranks) = fabric_world(rep_seed(seed, rep), nodes.clone());
             w.barrier();
             let t0 = w.time(ranks[0]).expect("rank");
             let done = doe_osu::allreduce_ring(&mut w, &ranks, bytes).expect("allreduce");

@@ -39,7 +39,8 @@ enum Part {
     OnNode,
 }
 
-/// A row's sub-benchmarks, in the order [`row`] takes their results.
+/// A row's sub-benchmarks, in the order [`run_machine`] takes their
+/// results.
 const PARTS: [Part; 3] = [Part::Stream, Part::OnSocket, Part::OnNode];
 
 /// What one [`Part`] measured.
@@ -69,9 +70,12 @@ fn run_part(m: &Machine, c: &Campaign, part: Part) -> Out {
     }
 }
 
-/// `m`'s row from the results of [`PARTS`], in that order.
-fn row(m: &Machine, results: impl IntoIterator<Item = Out>) -> Row {
-    let mut results = results.into_iter();
+/// Run the Table 4 benchmarks for one CPU machine: its sub-benchmarks fan
+/// out over the worker pool (inline when the machine is one cell of a
+/// wider fan-out).
+pub fn run_machine(m: &Machine, c: &Campaign) -> Row {
+    assert!(!m.is_accelerated(), "Table 4 covers CPU machines");
+    let mut results = run_cells(&PARTS, |&part| run_part(m, c, part)).into_iter();
     let (Some(Out::Stream(stream)), Some(Out::Latency(on_socket)), Some(Out::Latency(on_node))) =
         (results.next(), results.next(), results.next())
     else {
@@ -88,27 +92,11 @@ fn row(m: &Machine, results: impl IntoIterator<Item = Out>) -> Row {
     }
 }
 
-/// Run the Table 4 benchmarks for one CPU machine: its sub-benchmarks fan
-/// out over the worker pool (inline when the machine is one cell of a
-/// wider fan-out).
-pub fn run_machine(m: &Machine, c: &Campaign) -> Row {
-    assert!(!m.is_accelerated(), "Table 4 covers CPU machines");
-    row(m, run_cells(&PARTS, |&part| run_part(m, c, part)))
-}
-
-/// Run all CPU machines: the (machine × sub-benchmark) grid fans out over
-/// the worker pool, and rows assemble in canonical machine order.
+/// Run all CPU machines: one cell per machine, fanned over the worker pool
+/// in canonical machine order.
 pub fn run(c: &Campaign) -> Vec<Row> {
     let machines = doe_machines::cpu_machines();
-    let grid: Vec<(&Machine, Part)> = machines
-        .iter()
-        .flat_map(|m| PARTS.map(|part| (m, part)))
-        .collect();
-    let mut results = run_cells(&grid, |&(m, part)| run_part(m, c, part)).into_iter();
-    machines
-        .iter()
-        .map(|m| row(m, results.by_ref().take(PARTS.len())))
-        .collect()
+    run_cells(&machines, |m| run_machine(m, c))
 }
 
 /// Assemble rows, owned or borrowed, into the structured table (the

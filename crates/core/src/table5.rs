@@ -102,8 +102,13 @@ fn run_part(m: &Machine, c: &Campaign, part: &Part) -> Summary {
     }
 }
 
-/// `m`'s row from the results of `parts`, in that order.
-fn row(m: &Machine, parts: &[Part], results: impl IntoIterator<Item = Summary>) -> Row {
+/// Run the Table 5 benchmarks for one GPU machine: its sub-benchmarks fan
+/// out over the worker pool (inline when the machine is one cell of a
+/// wider fan-out).
+pub fn run_machine(m: &Machine, c: &Campaign) -> Row {
+    assert!(m.is_accelerated(), "Table 5 covers accelerator machines");
+    let parts = sub_benchmarks(m);
+    let results = run_cells(&parts, |part| run_part(m, c, part));
     let mut device_bw = None;
     let mut host_to_host = None;
     let mut d2d = BTreeMap::new();
@@ -126,31 +131,11 @@ fn row(m: &Machine, parts: &[Part], results: impl IntoIterator<Item = Summary>) 
     }
 }
 
-/// Run the Table 5 benchmarks for one GPU machine: its sub-benchmarks fan
-/// out over the worker pool (inline when the machine is one cell of a
-/// wider fan-out).
-pub fn run_machine(m: &Machine, c: &Campaign) -> Row {
-    assert!(m.is_accelerated(), "Table 5 covers accelerator machines");
-    let parts = sub_benchmarks(m);
-    row(m, &parts, run_cells(&parts, |part| run_part(m, c, part)))
-}
-
-/// Run all GPU machines: the (machine × sub-benchmark) grid fans out over
-/// the worker pool, and rows assemble in canonical machine order.
+/// Run all GPU machines: one cell per machine, fanned over the worker pool
+/// in canonical machine order.
 pub fn run(c: &Campaign) -> Vec<Row> {
     let machines = doe_machines::gpu_machines();
-    let parts: Vec<Vec<Part>> = machines.iter().map(sub_benchmarks).collect();
-    let grid: Vec<(&Machine, &Part)> = machines
-        .iter()
-        .zip(&parts)
-        .flat_map(|(m, ps)| ps.iter().map(move |part| (m, part)))
-        .collect();
-    let mut results = run_cells(&grid, |&(m, part)| run_part(m, c, part)).into_iter();
-    machines
-        .iter()
-        .zip(&parts)
-        .map(|(m, ps)| row(m, ps, results.by_ref().take(ps.len())))
-        .collect()
+    run_cells(&machines, |m| run_machine(m, c))
 }
 
 fn class_cell(r: &BTreeMap<LinkClass, Summary>, class: LinkClass) -> CellValue {

@@ -346,6 +346,15 @@ impl GpuRuntime {
             topo.devices.len(),
             "one GpuModel per device required"
         );
+        // Device ids index the dense per-device tables (models, driver
+        // costs, stream lanes), so a bounds check validates a device.
+        assert!(
+            topo.devices
+                .iter()
+                .enumerate()
+                .all(|(i, d)| d.id.index() == i),
+            "device ids must be dense"
+        );
         let current = topo.devices[0].id;
         let n_numa = topo
             .numa_domains
@@ -353,12 +362,7 @@ impl GpuRuntime {
             .map(|n| n.id.index() + 1)
             .max()
             .unwrap_or(0);
-        let n_dev = topo
-            .devices
-            .iter()
-            .map(|d| d.id.index() + 1)
-            .max()
-            .unwrap_or(0);
+        let n_dev = topo.devices.len();
         let n_switch = topo
             .switches
             .iter()
@@ -366,7 +370,6 @@ impl GpuRuntime {
             .max()
             .unwrap_or(0);
         let nv = n_numa + n_dev + n_switch;
-        let ndevices = topo.devices.len();
         let rng_label = SimRng::label_hash(&["gpurt/", &topo.name]);
         let mut rt = GpuRuntime {
             topo,
@@ -374,15 +377,15 @@ impl GpuRuntime {
             clock: SimTime::ZERO,
             run_factor: 1.0,
             rng_label,
-            driver: Vec::with_capacity(ndevices),
-            streams: Vec::with_capacity(ndevices),
-            lanes: Vec::with_capacity(ndevices + 1),
+            driver: Vec::with_capacity(n_dev),
+            streams: Vec::with_capacity(n_dev),
+            lanes: Vec::with_capacity(n_dev + 1),
             wire_slots: vec![None; nv * nv],
             wires: Vec::new(),
             wire_dims: (n_numa, n_dev, nv),
             current,
             trace: None,
-            checks: dessan::checks_enabled().then(|| Box::new(GpuChecks::new(ndevices))),
+            checks: dessan::checks_enabled().then(|| Box::new(GpuChecks::new(n_dev))),
             boundary: Boundary::default(),
         };
         rt.arm(seed);
@@ -414,9 +417,8 @@ impl GpuRuntime {
 
     /// The runtime in `slot`, re-armed for `seed`, or a fresh one in its
     /// place when the slot is empty, holds another node or models, or
-    /// [`Self::rearm`] declines. A rep loop keeps one slot per worker
-    /// thread, so it builds a runtime once per thread rather than once per
-    /// rep.
+    /// [`Self::rearm`] declines. A rep loop keeps one slot, so it builds a
+    /// runtime once per loop rather than once per rep.
     pub fn rearmed<'a>(
         slot: &'a mut Option<GpuRuntime>,
         topo: &Arc<NodeTopology>,
@@ -630,9 +632,8 @@ impl GpuRuntime {
 
     /// Model parameters of a device.
     pub fn model(&self, dev: DeviceId) -> Result<&GpuModel, GpuError> {
-        self.topo
-            .device(dev)
-            .and_then(|_| self.models.get(dev.index()))
+        self.models
+            .get(dev.index())
             .ok_or(GpuError::InvalidDevice(dev))
     }
 
@@ -643,9 +644,7 @@ impl GpuRuntime {
 
     /// Select the current device.
     pub fn set_device(&mut self, dev: DeviceId) -> Result<(), GpuError> {
-        if self.topo.device(dev).is_none() {
-            return Err(GpuError::InvalidDevice(dev));
-        }
+        self.check_device(dev)?;
         self.current = dev;
         Ok(())
     }
@@ -657,9 +656,7 @@ impl GpuRuntime {
 
     /// Create a new stream on `dev`.
     pub fn create_stream(&mut self, dev: DeviceId) -> Result<StreamHandle, GpuError> {
-        if self.topo.device(dev).is_none() {
-            return Err(GpuError::InvalidDevice(dev));
-        }
+        self.check_device(dev)?;
         let d = dev.index();
         let at = self.lanes[d + 1];
         self.streams.insert(at, Engine::new());
@@ -674,9 +671,7 @@ impl GpuRuntime {
 
     /// The device's default stream.
     pub fn default_stream(&self, dev: DeviceId) -> Result<StreamHandle, GpuError> {
-        if self.topo.device(dev).is_none() {
-            return Err(GpuError::InvalidDevice(dev));
-        }
+        self.check_device(dev)?;
         Ok(StreamHandle {
             device: dev,
             idx: 0,
@@ -703,11 +698,20 @@ impl GpuRuntime {
 
     /// The driver costs of a device (same validation as [`Self::model`]).
     fn driver(&self, dev: DeviceId) -> Result<DriverCosts, GpuError> {
-        self.topo
-            .device(dev)
-            .and_then(|_| self.driver.get(dev.index()))
+        self.driver
+            .get(dev.index())
             .copied()
             .ok_or(GpuError::InvalidDevice(dev))
+    }
+
+    /// `Ok` when `dev` is one of the node's devices: ids are dense, so it
+    /// is a bounds check on the per-device tables.
+    fn check_device(&self, dev: DeviceId) -> Result<(), GpuError> {
+        if dev.index() < self.models.len() {
+            Ok(())
+        } else {
+            Err(GpuError::InvalidDevice(dev))
+        }
     }
 
     /// Launch an empty zero-argument kernel (Comm|Scope `cudart_kernel`).

@@ -108,15 +108,6 @@ impl GpuModel {
         };
         t_mem.max(t_compute)
     }
-
-    /// The arithmetic intensity (FLOP/byte) at which this device's
-    /// roofline ridge sits: kernels below it are memory-bound.
-    pub fn ridge_intensity(&self) -> f64 {
-        let mem_bw = self
-            .hbm
-            .raw_sustained_bw(PlacementQuality::all_cores(DEVICE_WIDE_UNITS));
-        self.fp64_tflops * 1e12 / (mem_bw * 1e9)
-    }
 }
 
 #[cfg(test)]
@@ -161,7 +152,11 @@ mod tests {
     fn roofline_switches_at_the_ridge() {
         let mut g = a100ish();
         g.fp64_tflops = 9.7;
-        let ridge = g.ridge_intensity();
+        // The arithmetic intensity (FLOP/byte) at the roofline ridge.
+        let mem_bw = g
+            .hbm
+            .raw_sustained_bw(PlacementQuality::all_cores(DEVICE_WIDE_UNITS));
+        let ridge = g.fp64_tflops * 1e12 / (mem_bw * 1e9);
         assert!(ridge > 1.0 && ridge < 20.0, "ridge={ridge}");
         let bytes = 1u64 << 30;
         // Far below the ridge: memory-bound; time independent of flops.

@@ -65,13 +65,6 @@ impl GibPerS {
     }
 }
 
-impl GbPerS {
-    /// Convert to the binary unit for datasheet comparison.
-    pub fn to_gib_per_s(self) -> GibPerS {
-        GibPerS(self.0 / GIB_PER_GB)
-    }
-}
-
 /// Microseconds — the unit of every latency column in Tables 4–6.
 #[derive(Clone, Copy, PartialEq, PartialOrd, Debug)]
 pub struct Micros(pub f64);
@@ -80,11 +73,6 @@ impl Micros {
     /// Tag a simulated duration with its table unit.
     pub fn from_sim(d: SimDuration) -> Micros {
         Micros(d.as_us())
-    }
-
-    /// Convert to nanoseconds.
-    pub fn to_nanos(self) -> Nanos {
-        Nanos(self.0 * 1e3)
     }
 }
 
@@ -225,11 +213,6 @@ impl Machine {
     pub fn cited_host_peak(&self) -> Option<CitedPeak> {
         parse_peak_citation(self.host_peak_citation)
     }
-
-    /// The parsed device "Peak" citation cell, if the machine cites one.
-    pub fn cited_device_peak(&self) -> Option<Option<CitedPeak>> {
-        self.device_peak_citation.map(parse_peak_citation)
-    }
 }
 
 #[cfg(test)]
@@ -240,15 +223,12 @@ mod tests {
     fn gib_to_gb_matches_the_binary_prefix() {
         let one = GibPerS(1.0).to_gb_per_s();
         assert!((one.0 - 1.073741824).abs() < 1e-12);
-        let back = one.to_gib_per_s();
-        assert!((back.0 - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn micros_round_trip_through_sim_duration() {
         let d = SimDuration::from_us(12.5);
         assert!((Micros::from_sim(d).0 - 12.5).abs() < 1e-9);
-        assert!((Micros(0.27).to_nanos().0 - 270.0).abs() < 1e-9);
         assert!((Nanos(270.0).to_micros().0 - 0.27).abs() < 1e-9);
     }
 
@@ -307,7 +287,7 @@ mod tests {
                 m.name,
                 m.host_peak_citation
             );
-            if let Some(parsed) = m.cited_device_peak() {
+            if let Some(parsed) = m.device_peak_citation.map(parse_peak_citation) {
                 assert!(parsed.is_some(), "{}: device cell", m.name);
             }
         }

@@ -59,12 +59,6 @@ impl StreamOp {
         self.reported_arrays() * 8 * n
     }
 
-    /// Ratio of reported to actual traffic — the factor by which
-    /// BabelStream's convention flatters a write-allocating machine.
-    pub fn wa_inflation(self) -> f64 {
-        self.actual_arrays() as f64 / self.reported_arrays() as f64
-    }
-
     /// This kernel's position in [`StreamOp::ALL`].
     pub fn index(self) -> usize {
         match self {
@@ -119,8 +113,6 @@ mod tests {
         assert_eq!(StreamOp::Copy.actual_arrays(), 3);
         assert_eq!(StreamOp::Triad.actual_arrays(), 4);
         assert_eq!(StreamOp::Dot.actual_arrays(), 2);
-        assert!(StreamOp::Copy.wa_inflation() > 1.0);
-        assert_eq!(StreamOp::Dot.wa_inflation(), 1.0);
     }
 
     #[test]

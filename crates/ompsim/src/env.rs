@@ -98,14 +98,6 @@ impl EnvCombo {
         ]
     }
 
-    /// The Table 1 rows for the "single thread" bandwidth column.
-    pub fn table1_single() -> Vec<EnvCombo> {
-        Self::table1()
-            .into_iter()
-            .filter(|c| c.num_threads == ThreadCount::One)
-            .collect()
-    }
-
     /// The Table 1 rows for the "all threads" bandwidth column.
     pub fn table1_all() -> Vec<EnvCombo> {
         Self::table1()
@@ -159,7 +151,10 @@ mod tests {
 
     #[test]
     fn single_and_all_partition_table1() {
-        let single = EnvCombo::table1_single();
+        let single: Vec<EnvCombo> = EnvCombo::table1()
+            .into_iter()
+            .filter(|c| c.num_threads == ThreadCount::One)
+            .collect();
         let all = EnvCombo::table1_all();
         assert_eq!(single.len(), 2);
         assert_eq!(all.len(), 6);

@@ -99,55 +99,6 @@ impl NativeBackend {
         }
     }
 
-    /// Run `body` over `[0, n)` with a dynamic schedule (cf.
-    /// `schedule(dynamic, chunk)`): workers repeatedly claim the next
-    /// `chunk`-sized block from a shared counter, which load-balances
-    /// irregular iteration costs at the price of one atomic per block.
-    pub fn parallel_for_dynamic<F>(&self, n: usize, chunk: usize, body: F)
-    where
-        F: Fn(std::ops::Range<usize>) + Sync,
-    {
-        assert!(chunk > 0, "chunk size must be positive");
-        if n == 0 {
-            return;
-        }
-        if self.nthreads == 1 || n <= chunk {
-            body(0..n);
-            return;
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        // Under `--check`, record every claimed block so the cover check
-        // can prove each index ran exactly once despite the racy claims.
-        let claims = dessan::checks_enabled().then(|| std::sync::Mutex::new(Vec::new()));
-        let worker = |_: usize| loop {
-            let start = next.fetch_add(chunk, std::sync::atomic::Ordering::Relaxed);
-            if start >= n {
-                break;
-            }
-            let block = start..(start + chunk).min(n);
-            if let Some(c) = &claims {
-                c.lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(block.clone());
-            }
-            body(block);
-        };
-        std::thread::scope(|s| {
-            for t in 1..self.nthreads {
-                let worker = &worker;
-                s.spawn(move || worker(t));
-            }
-            worker(0);
-        });
-        if let Some(c) = claims {
-            let claimed = c.into_inner().unwrap_or_else(|e| e.into_inner());
-            if let Some(msg) = dessan::verify_claimed_cover(&claimed, n) {
-                dessan::RuntimeChecks::enabled()
-                    .report("omp-chunks", format!("parallel_for_dynamic(n={n}): {msg}"));
-            }
-        }
-    }
-
     /// Parallel map-reduce over `[0, n)`: each thread folds its chunk with
     /// `map`, results combine with `reduce`.
     pub fn parallel_reduce<R, M, Rd>(&self, n: usize, identity: R, map: M, reduce: Rd) -> R
@@ -252,39 +203,6 @@ mod tests {
         assert_eq!(counter.load(Ordering::Relaxed), 3);
     }
 
-    #[test]
-    fn dynamic_schedule_touches_every_index_once() {
-        let b = NativeBackend::new(4);
-        let n = 10_007; // not a multiple of the chunk size
-        let counters: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        b.parallel_for_dynamic(n, 64, |range| {
-            for i in range {
-                counters[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(counters.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn dynamic_schedule_handles_tiny_inputs_inline() {
-        let b = NativeBackend::new(8);
-        let hits = AtomicUsize::new(0);
-        b.parallel_for_dynamic(3, 64, |r| {
-            hits.fetch_add(r.len(), Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 3);
-        b.parallel_for_dynamic(0, 16, |_| {
-            hits.fetch_add(1000, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size")]
-    fn zero_chunk_rejected() {
-        NativeBackend::new(2).parallel_for_dynamic(10, 0, |_| {});
-    }
-
     /// Serializes tests that toggle the process-global check switch or
     /// drain the global findings sink.
     static CHECK_GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -301,12 +219,9 @@ mod tests {
         b.parallel_for(1_000, |r| {
             hits.fetch_add(r.len(), Ordering::Relaxed);
         });
-        b.parallel_for_dynamic(1_003, 32, |r| {
-            hits.fetch_add(r.len(), Ordering::Relaxed);
-        });
         let sum = b.parallel_reduce(100, 0usize, |r| r.sum::<usize>(), |a, c| a + c);
         dessan::set_checks_enabled(false);
-        assert_eq!(hits.load(Ordering::Relaxed), 2_003);
+        assert_eq!(hits.load(Ordering::Relaxed), 1_000);
         assert_eq!(sum, 4950);
         let findings = dessan::take_global_findings();
         assert!(findings.is_empty(), "unexpected findings: {findings:?}");

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use doe_benchlib::{run_reps_par, Summary};
+use doe_benchlib::{rep_seed, run_reps, Summary};
 use doe_mpi::{MpiConfig, MpiError, MpiSim, Rank};
 use doe_topo::{CoreId, NodeTopology};
 
@@ -42,14 +42,9 @@ pub fn osu_bw(
         .filter(|&&b| b > 0)
         .map(|&bytes| {
             let iters = cfg.iters_for(bytes);
-            // Each rep builds its own sim world from the rep index, so
-            // reps can run on any pool worker in any order.
-            let samples = run_reps_par(cfg.reps, |rep| {
-                let mut world = MpiSim::new(
-                    Arc::clone(topo),
-                    mpi.clone(),
-                    seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
+            // Each rep builds its own sim world from the rep index.
+            let samples = run_reps(cfg.reps, |rep| {
+                let mut world = MpiSim::new(Arc::clone(topo), mpi.clone(), rep_seed(seed, rep));
                 let a = world.add_host_rank(cores.0).expect("core a");
                 let b = world.add_host_rank(cores.1).expect("core b");
                 // Warmup window.

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use doe_benchlib::{run_reps, Summary};
+use doe_benchlib::{rep_seed, run_reps, Summary};
 use doe_mpi::{MpiConfig, MpiError, MpiSim, Rank};
 use doe_simtime::SimTime;
 use doe_topo::{CoreId, NodeTopology};
@@ -146,8 +146,7 @@ fn time_collective(
     mut op: impl FnMut(&mut MpiSim, &[Rank]),
 ) -> Summary {
     run_reps(cfg.reps, |rep| {
-        let rep_seed = seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let (mut world, ranks) = world(rep_seed);
+        let (mut world, ranks) = world(rep_seed(seed, rep));
         assert!(ranks.len() >= 2, "a collective needs at least two ranks");
         world.barrier();
         let t0 = finish_time(&world, &ranks);

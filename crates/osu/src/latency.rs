@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use doe_benchlib::{parallel_map_init, Samples, Summary};
+use doe_benchlib::{rep_seed, Samples, Summary};
 use doe_mpi::{MpiConfig, MpiSim, Rank};
 use doe_topo::{CoreId, DeviceId, NodeTopology};
 
@@ -68,18 +68,16 @@ fn run_campaign(
     seed: u64,
 ) -> Vec<LatencyPoint> {
     assert!(cfg.reps > 0, "need at least one repetition");
-    // One world per rep, armed from the rep index, so reps can run on any
-    // pool worker in any order. A worker re-arms the world its last rep
-    // left, which makes it a fresh one (DESIGN.md §3). The world's only
-    // draw is its run factor, and the barrier that opens each size leaves
-    // every port horizon at or below the common clock: each size then
-    // runs on a fresh world shifted in time, with the same
+    // One world per rep, armed from the rep index. Each rep re-arms the
+    // world the last one left, which makes it a fresh one (DESIGN.md §3).
+    // The world's only draw is its run factor, and the barrier that opens
+    // each size leaves every port horizon at or below the common clock:
+    // each size then runs on a fresh world shifted in time, with the same
     // integer-picosecond result.
-    let per_rep = parallel_map_init(
-        cfg.reps,
-        || None,
-        |slot: &mut Option<(MpiSim, Rank, Rank)>, rep| {
-            let seed = seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut slot: Option<(MpiSim, Rank, Rank)> = None;
+    let per_rep: Vec<Vec<f64>> = (0..cfg.reps)
+        .map(|rep| {
+            let seed = rep_seed(seed, rep);
             let kept = slot
                 .take()
                 .and_then(|mut pair| pair.0.rearm(seed).then_some(pair));
@@ -89,9 +87,9 @@ fn run_campaign(
             cfg.sizes
                 .iter()
                 .map(|&bytes| pingpong_once(world, a, b, bytes, cfg.warmup, cfg.iters_for(bytes)))
-                .collect::<Vec<f64>>()
-        },
-    );
+                .collect()
+        })
+        .collect();
     cfg.sizes
         .iter()
         .enumerate()

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use doe_benchlib::{parallel_map_indexed, run_reps_par, Samples, Summary};
+use doe_benchlib::{rep_seed, run_reps, Samples, Summary};
 use doe_mpi::{MpiConfig, MpiSim, Rank};
 use doe_topo::NodeTopology;
 
@@ -68,16 +68,11 @@ pub fn osu_multi_lat(
         pair_counts
             .iter()
             .map(|&pairs| {
-                // Each rep builds its own sim world from the rep index,
-                // so reps can run on any pool worker in any order.
-                let samples = run_reps_par(cfg.reps, |rep| {
-                    let (mut world, rank_pairs) = build_pairs(
-                        topo,
-                        mpi,
-                        pairs,
-                        seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    )
-                    .expect("checked core count");
+                // Each rep builds its own sim world from the rep index.
+                let samples = run_reps(cfg.reps, |rep| {
+                    let (mut world, rank_pairs) =
+                        build_pairs(topo, mpi, pairs, rep_seed(seed, rep))
+                            .expect("checked core count");
                     world.barrier();
                     let start = world.time(rank_pairs[0].0).expect("rank");
                     for _ in 0..iters {
@@ -144,16 +139,13 @@ pub fn osu_mbw_mr(
         pair_counts
             .iter()
             .map(|&pairs| {
-                // One (bandwidth, message-rate) pair per rep, collected in
-                // rep order so the Samples match the serial loop exactly.
-                let per_rep = parallel_map_indexed(cfg.reps, |rep| {
-                    let (mut world, rank_pairs) = build_pairs(
-                        topo,
-                        mpi,
-                        pairs,
-                        seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    )
-                    .expect("checked core count");
+                // One (bandwidth, message-rate) pair per rep, in rep order.
+                let mut bw = Samples::new();
+                let mut rate = Samples::new();
+                for rep in 0..cfg.reps {
+                    let (mut world, rank_pairs) =
+                        build_pairs(topo, mpi, pairs, rep_seed(seed, rep))
+                            .expect("checked core count");
                     world.barrier();
                     let start = world.time(rank_pairs[0].0).expect("rank");
                     for _ in 0..iters {
@@ -175,13 +167,9 @@ pub fn osu_mbw_mr(
                     world.barrier();
                     let elapsed = world.time(rank_pairs[0].0).expect("rank").since(start);
                     let messages = pairs as u64 * WINDOW as u64 * iters as u64;
-                    (
-                        elapsed.bandwidth_gb_s(messages * bytes),
-                        messages as f64 / elapsed.as_secs() / 1e6,
-                    )
-                });
-                let bw: Samples = per_rep.iter().map(|&(bw, _)| bw).collect();
-                let rate: Samples = per_rep.iter().map(|&(_, rate)| rate).collect();
+                    bw.push(elapsed.bandwidth_gb_s(messages * bytes));
+                    rate.push(messages as f64 / elapsed.as_secs() / 1e6);
+                }
                 MbwMrPoint {
                     pairs,
                     aggregate_gb_s: bw.summary(),

@@ -1,5 +1,5 @@
 //! Differential test of the OSU latency campaign, which re-arms one
-//! world per worker thread for each rep, runs every message size on it
+//! world for each rep, runs every message size on it
 //! and skips the warm-ups, against the loops it replaced: a fresh world
 //! per rep running every size, and a fresh world for every (rep, size),
 //! both running every warm-up round trip op by op.
@@ -9,13 +9,13 @@
 //! fresh world shifted in time (DESIGN.md §3), whatever ran before it. So
 //! every field of every point's summary must agree to the bit, for host
 //! and device buffers, on both sides of the eager threshold, with up to
-//! OSU's 10 warm-ups, on every sweepable catalog machine, with one worker
-//! (one world for the whole campaign) or several. Under `--check` the
-//! warm-ups run, and the summaries agree too.
+//! OSU's 10 warm-ups, on every sweepable catalog machine, at any worker
+//! count (the campaign keeps one world for all its reps). Under `--check`
+//! the warm-ups run, and the summaries agree too.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use doe_benchlib::{parallel_map_indexed, run_reps_par, set_jobs, Samples, Summary};
+use doe_benchlib::{parallel_map_indexed, run_reps, set_jobs, Samples, Summary};
 use doe_machines::{all_machines, Machine};
 use doe_mpi::{MpiSim, Rank};
 use doe_osu::{on_node_pair, on_socket_pair, osu_latency, osu_latency_device, OsuConfig};
@@ -159,7 +159,7 @@ fn fresh_world_per_size(
     cfg.sizes
         .iter()
         .map(|&bytes| {
-            let samples = run_reps_par(cfg.reps, |rep| {
+            let samples = run_reps(cfg.reps, |rep| {
                 let (mut world, a, b) = fresh_world(m, cores, devices, seed, rep);
                 one_way_us(&mut world, a, b, bytes, cfg)
             });

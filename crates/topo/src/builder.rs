@@ -109,11 +109,6 @@ impl NodeBuilder {
         self.topo.validate()?;
         Ok(self.topo)
     }
-
-    /// Return the topology without validation (for negative tests).
-    pub fn build_unchecked(self) -> NodeTopology {
-        self.topo
-    }
 }
 
 #[cfg(test)]
@@ -203,6 +198,6 @@ mod tests {
         let (b, s1) = b.switch();
         assert_eq!(s0, SwitchId(0));
         assert_eq!(s1, SwitchId(1));
-        assert_eq!(b.build_unchecked().switches.len(), 2);
+        assert_eq!(b.topo.switches.len(), 2);
     }
 }

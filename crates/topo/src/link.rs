@@ -52,14 +52,6 @@ impl LinkKind {
             LinkKind::SharedMem => "shm".to_string(),
         }
     }
-
-    /// True for direct device↔device fabrics (NVLink / Infinity Fabric).
-    pub fn is_device_fabric(&self) -> bool {
-        matches!(
-            self,
-            LinkKind::NvLink { .. } | LinkKind::InfinityFabric { .. }
-        )
-    }
 }
 
 /// A bidirectional link between two vertices.
@@ -197,14 +189,6 @@ mod tests {
         assert_eq!(LinkKind::NvLink { gen: 2, bricks: 2 }.label(), "NVLink2 x2");
         assert_eq!(LinkKind::InfinityFabric { links: 4 }.label(), "IF x4");
         assert_eq!(LinkKind::XBus.label(), "X-Bus");
-    }
-
-    #[test]
-    fn device_fabric_predicate() {
-        assert!(LinkKind::NvLink { gen: 3, bricks: 4 }.is_device_fabric());
-        assert!(LinkKind::InfinityFabric { links: 1 }.is_device_fabric());
-        assert!(!LinkKind::Pcie { gen: 4, lanes: 16 }.is_device_fabric());
-        assert!(!LinkKind::XBus.is_device_fabric());
     }
 
     #[test]

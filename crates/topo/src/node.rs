@@ -155,15 +155,6 @@ impl NodeTopology {
         self.core(id).map(|c| c.numa)
     }
 
-    /// The socket of a core.
-    pub fn socket_of_core(&self, id: CoreId) -> Option<SocketId> {
-        let numa = self.numa_of_core(id)?;
-        self.numa_domains
-            .iter()
-            .find(|n| n.id == numa)
-            .map(|n| n.socket)
-    }
-
     /// Look up a device.
     pub fn device(&self, id: DeviceId) -> Option<&Device> {
         self.devices.iter().find(|d| d.id == id)
@@ -325,7 +316,6 @@ mod tests {
         assert_eq!(t.cores_of_numa(NumaId(0)).len(), 4);
         assert_eq!(t.cores_of_socket(SocketId(0)).len(), 4);
         assert_eq!(t.numa_of_core(CoreId(2)), Some(NumaId(0)));
-        assert_eq!(t.socket_of_core(CoreId(0)), Some(SocketId(0)));
         assert_eq!(t.numa_of_core(CoreId(99)), None);
     }
 
